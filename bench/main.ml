@@ -349,17 +349,6 @@ let micro_tests () =
         in
         ignore (Rwset.merge_into ~child:set ~parent:set)))
   in
-  let heap_ops =
-    let module H = Util.Heap.Make (Int) in
-    Test.make ~name:"heap.add+pop x64" (Staged.stage (fun () ->
-        let h = H.create () in
-        for i = 63 downto 0 do
-          H.add h i
-        done;
-        for _ = 0 to 63 do
-          ignore (H.pop h)
-        done))
-  in
   let rng_ops =
     let rng = Util.Rng.create 5 in
     Test.make ~name:"rng.zipf" (Staged.stage (fun () -> ignore (Util.Rng.zipf rng ~n:256 ~skew:0.8)))
@@ -370,7 +359,7 @@ let micro_tests () =
     Test.make ~name:"cluster.txn end-to-end" (Staged.stage (fun () ->
         ignore (Cluster.run_program cluster ~node:3 (fun () -> Txn.read oid))))
   in
-  [ tree_quorum; replica_ops; rqv_validate; rwset_ops; heap_ops; rng_ops; txn_interpret ]
+  [ tree_quorum; replica_ops; rqv_validate; rwset_ops; rng_ops; txn_interpret ]
 
 let micro () =
   let open Bechamel in

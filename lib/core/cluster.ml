@@ -389,11 +389,12 @@ let create ?(nodes = 13) ?(spares = 0) ?(seed = 1) ?topology ?(service_time = 0.
      link starved one intersection node of its Apply.  [node_alive] gates
      the cross-shard peers a Commit_req pinned (they cannot be recomputed
      from this shard's trees). *)
+  let watch_lane = Sim.Engine.new_lane engine in
   Array.iter
     (fun server ->
       Server.enable_termination server
         ~node_alive:(fun n -> not (Sim.Network.is_failed network n))
-        ~engine ~rpc
+        ~engine ~watch_lane ~rpc
         ~status_peers:(fun () ->
           let node = Server.node server in
           let st = sharding.states.(sharding.home.(node)) in

@@ -111,6 +111,9 @@ and image = {
 
 and t = {
   engine : Sim.Engine.t;
+  step_lane : Sim.Engine.lane;
+      (* [step]'s events: the clock plus the fixed [local_op_cost], so
+         always in time order *)
   rpc : (Messages.request, Messages.reply) Sim.Rpc.t;
   quorums : quorums;
   config : Config.t;
@@ -169,6 +172,7 @@ let create ~engine ~rpc ~quorums ~config ~metrics ?oracle ?(batch_commit = false
     ~ids ~seed () =
   {
     engine;
+    step_lane = Sim.Engine.new_lane engine;
     rpc;
     quorums;
     config;
@@ -542,7 +546,10 @@ let rec start_attempt root =
   step root (root.program ())
 
 and step root prog =
-  schedule root ~delay:root.exec.config.local_op_cost (fun () -> interpret root prog)
+  let exec = root.exec in
+  Sim.Engine.schedule_in exec.engine exec.step_lane
+    ~time:(Sim.Engine.now exec.engine +. Stdlib.max 0. exec.config.local_op_cost)
+    (fun () -> if not root.finished then interpret root prog)
 
 and interpret root prog =
   (* Zombie guard: a transaction that observed an inconsistent snapshot

@@ -10,6 +10,9 @@
    is preserved. *)
 type termination = {
   engine : Sim.Engine.t;
+  watch_lane : Sim.Engine.lane;
+      (* Lease watchers, armed at grant time plus a fixed duration and grace,
+         so mostly in time order (shared by the cluster's servers). *)
   rpc : (Messages.request, Messages.reply) Sim.Rpc.t;
   status_peers : unit -> int list;
   node_alive : int -> bool;
@@ -261,15 +264,15 @@ let rec watch_lease t term ~txn ~oids () =
 let watch_granted t ~txn ~oids ~expires =
   match t.termination with
   | Some term when leases_on t ->
-    Sim.Engine.schedule_at term.engine
+    Sim.Engine.schedule_in term.engine term.watch_lane
       ~time:(expires +. term.config.Config.status_grace)
       (watch_lease t term ~txn ~oids)
   | Some _ | None -> ()
 
-let enable_termination ?(node_alive = fun _ -> true) t ~engine ~rpc
+let enable_termination ?(node_alive = fun _ -> true) t ~engine ~watch_lane ~rpc
     ~status_peers ~metrics ~config =
   t.termination <-
-    Some { engine; rpc; status_peers; node_alive; metrics; config };
+    Some { engine; watch_lane; rpc; status_peers; node_alive; metrics; config };
   (* A lease restored from a batch handover may have outlived the watcher
      armed at its original grant (the watcher dies when [still_held] sees
      the successor as owner), so re-arm one: left unwatched, a restored

@@ -45,6 +45,7 @@ val enable_termination :
   ?node_alive:(int -> bool) ->
   t ->
   engine:Sim.Engine.t ->
+  watch_lane:Sim.Engine.lane ->
   rpc:(Messages.request, Messages.reply) Sim.Rpc.t ->
   status_peers:(unit -> int list) ->
   metrics:Metrics.t ->
@@ -63,7 +64,8 @@ val enable_termination :
     everyone), because unlike [status_peers] that frozen set cannot route
     around permanent crashes by recomputation.  A [config] with
     [lease_duration = 0.] disables leases even when termination is
-    enabled. *)
+    enabled.  Lease watchers are queued on [watch_lane] (a lane of
+    [engine]; servers may share one). *)
 
 val node : t -> int
 val store : t -> Store.Replica.t

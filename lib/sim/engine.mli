@@ -1,7 +1,8 @@
 (** Discrete-event simulation engine.
 
     The engine owns virtual time (in milliseconds) and a priority queue of
-    events.  Everything in the reproduction — network delivery, node
+    events, plus any number of FIFO {!lane}s for timers armed in time
+    order.  Everything in the reproduction — network delivery, node
     processing, client think time, failure injection — is an event.  Events
     scheduled for the same instant fire in scheduling order, which together
     with the seeded {!Util.Rng} makes every experiment fully deterministic. *)
@@ -40,6 +41,25 @@ val schedule_at_seq : t -> time:float -> seq:int -> (unit -> unit) -> unit
     {!reserve_seq}.  Reusing a seq already in the queue is not checked —
     callers own the discipline. *)
 
+type lane
+(** A FIFO queue of events owned by one engine, for a call site whose
+    timers are usually armed in nondecreasing time order (a fixed timeout
+    or delay added to the clock).  Pushing and popping a lane is O(1),
+    against O(log n) for the heap, and a lane's events do not grow the
+    heap. *)
+
+val new_lane : t -> lane
+(** A fresh empty lane.  Every lane is consulted on each dispatch, so an
+    engine should have a handful, not one per object. *)
+
+val schedule_in : t -> lane -> time:float -> (unit -> unit) -> unit
+(** [schedule_in t lane ~time f] is [schedule_at t ~time f], queued on
+    [lane] when [time] is no earlier than the lane's newest event and on the
+    heap otherwise.  The event takes a fresh seq either way, and dispatch
+    always fires the earliest [(time, seq)] across the heap and every lane,
+    so the firing order is exactly that of [schedule_at]: a lane only
+    changes where an event waits. *)
+
 val run : ?until:float -> t -> unit
 (** Drain the event queue, advancing virtual time.  With [until], stops once
     the next event lies strictly beyond that time (the clock is then set to
@@ -49,7 +69,7 @@ val step : t -> bool
 (** Execute exactly one event; [false] when the queue is empty. *)
 
 val pending : t -> int
-(** Number of queued events. *)
+(** Number of queued events, lanes included. *)
 
 val events_processed : t -> int
 (** Total events executed since creation. *)

@@ -177,10 +177,13 @@ let reachable t ~src ~dst =
   | None -> true
   | Some assignment -> src = dst || assignment.(src) = assignment.(dst)
 
+(* Most runs set no link fault: skip building and hashing the tuple key. *)
 let plan_for t ~src ~dst =
-  match Hashtbl.find_opt t.link_faults (link_key src dst) with
-  | Some plan -> plan
-  | None -> t.faults
+  if Hashtbl.length t.link_faults = 0 then t.faults
+  else
+    match Hashtbl.find_opt t.link_faults (link_key src dst) with
+    | Some plan -> plan
+    | None -> t.faults
 
 (* --- accounting --------------------------------------------------------- *)
 

@@ -44,6 +44,10 @@ type ('req, 'rep) t = {
   retry_max : float;
   rng : Util.Rng.t;
   tracer : Obs.Tracer.t; (* cached from the engine; Tracer.null when off *)
+  (* Multicall timeouts: one timeout per call, at the clock plus a mostly
+     fixed timeout, so they arrive in time order and most fire long after
+     their call finished — a FIFO lane keeps them out of the engine heap. *)
+  timeouts : Engine.lane;
 }
 
 let trace_fence t ~node ~src ~msg_epoch ~cur_epoch =
@@ -112,6 +116,7 @@ let create ?(seed = 0) ?(retry_base = 0.) ?(retry_max = 0.) ~network () =
       retry_max;
       rng = Util.Rng.create seed;
       tracer = Engine.tracer (Network.engine network);
+      timeouts = Engine.new_lane (Network.engine network);
     }
   in
   for node = 0 to Network.nodes network - 1 do
@@ -139,7 +144,9 @@ let multicall t ?kind ~src ~dsts ~timeout req ~on_done =
     Network.multicast_batch t.network ?kind ~src ~dsts
       (Request { rid; payload = req; wants_reply = true; epoch = t.epoch_of req });
     let engine = Network.engine t.network in
-    Engine.schedule engine ~delay:timeout (fun () ->
+    Engine.schedule_in engine t.timeouts
+      ~time:(Engine.now engine +. Stdlib.max 0. timeout)
+      (fun () ->
         if not p.finished then begin
           p.finished <- true;
           Hashtbl.remove t.pending rid;

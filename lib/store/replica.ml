@@ -91,10 +91,13 @@ let instrument t ~tracer ~node ~clock =
 
 let set_on_restore t f = t.on_restore <- f
 
-let trace_lease t ~ekind ~oid ~txn ?(a = -1) ?(x = 0.) () =
+(* All slots required ([-1] / [0.] for n/a): labelled optional arguments
+   would box an option per supplied label at every call site, even with the
+   tracer disabled. *)
+let trace_lease t ~ekind ~oid ~txn ~a ~x =
   if Obs.Tracer.enabled t.tracer then
-    Obs.Tracer.emit t.tracer ~time:(t.clock ()) ~kind:ekind ~node:t.trace_node
-      ~txn ~oid ~a ~x ()
+    Obs.Tracer.emit8 t.tracer ~time:(t.clock ()) ~kind:ekind ~node:t.trace_node
+      ~txn ~oid ~a ~b:(-1) ~x
 
 let ensure t ~oid ~init =
   if not (Hashtbl.mem t.objects oid) then
@@ -143,7 +146,7 @@ let try_lock ?(expires = Float.infinity) ?(round = 0) t ~oid ~txn =
   | None ->
     copy.protected_by <- Some { owner = txn; expires; round; prev = None };
     index_add t ~oid ~txn;
-    trace_lease t ~ekind:Obs.Sem.lease_grant ~oid ~txn ~x:expires ();
+    trace_lease t ~ekind:Obs.Sem.lease_grant ~oid ~txn ~a:(-1) ~x:expires;
     true
   | Some lease ->
     if lease.owner = txn then begin
@@ -152,7 +155,7 @@ let try_lock ?(expires = Float.infinity) ?(round = 0) t ~oid ~txn =
          the round back, so keep the highest seen. *)
       lease.expires <- Float.max lease.expires expires;
       lease.round <- Stdlib.max lease.round round;
-      trace_lease t ~ekind:Obs.Sem.lease_renew ~oid ~txn ~x:lease.expires ();
+      trace_lease t ~ekind:Obs.Sem.lease_renew ~oid ~txn ~a:(-1) ~x:lease.expires;
       true
     end
     else false
@@ -169,8 +172,8 @@ let handover ?(expires = Float.infinity) ?(round = 0) t ~oid ~prev_owner ~txn =
     copy.protected_by <- Some { owner = txn; expires; round; prev = Some lease };
     index_remove t ~oid ~txn:prev_owner;
     index_add t ~oid ~txn;
-    trace_lease t ~ekind:Obs.Sem.lease_release ~oid ~txn:prev_owner ~a:3 ();
-    trace_lease t ~ekind:Obs.Sem.lease_grant ~oid ~txn ~x:expires ();
+    trace_lease t ~ekind:Obs.Sem.lease_release ~oid ~txn:prev_owner ~a:3 ~x:0.;
+    trace_lease t ~ekind:Obs.Sem.lease_grant ~oid ~txn ~a:(-1) ~x:expires;
     true
   | Some _ | None -> try_lock ~expires ~round t ~oid ~txn
 
@@ -186,12 +189,12 @@ let unlock ?round ?(restore = true) t ~oid ~txn =
     in
     if not stale then begin
       index_remove t ~oid ~txn;
-      trace_lease t ~ekind:Obs.Sem.lease_release ~oid ~txn ~a:0 ();
+      trace_lease t ~ekind:Obs.Sem.lease_release ~oid ~txn ~a:0 ~x:0.;
       match (if restore then lease.prev else None) with
       | Some p ->
         copy.protected_by <- Some p;
         index_add t ~oid ~txn:p.owner;
-        trace_lease t ~ekind:Obs.Sem.lease_grant ~oid ~txn:p.owner ~x:p.expires ();
+        trace_lease t ~ekind:Obs.Sem.lease_grant ~oid ~txn:p.owner ~a:(-1) ~x:p.expires;
         t.on_restore ~oid ~owner:p.owner ~expires:p.expires
       | None -> copy.protected_by <- None
     end
@@ -205,7 +208,7 @@ let renew t ~txn ~expires =
       match (get t oid).protected_by with
       | Some lease when lease.owner = txn ->
         lease.expires <- Float.max lease.expires expires;
-        trace_lease t ~ekind:Obs.Sem.lease_renew ~oid ~txn ~x:lease.expires ()
+        trace_lease t ~ekind:Obs.Sem.lease_renew ~oid ~txn ~a:(-1) ~x:lease.expires
       | Some _ | None -> ())
     (leased_oids t ~txn)
 
@@ -327,7 +330,7 @@ let sync_copy t ~oid ~version ~value =
         match copy.protected_by with
         | Some lease ->
           index_remove t ~oid ~txn:lease.owner;
-          trace_lease t ~ekind:Obs.Sem.lease_release ~oid ~txn:lease.owner ~a:1 ()
+          trace_lease t ~ekind:Obs.Sem.lease_release ~oid ~txn:lease.owner ~a:1 ~x:0.
         | None -> ()
       end;
       copy.version <- version;
@@ -343,7 +346,7 @@ let reset_transients t =
     (fun oid copy ->
       (match copy.protected_by with
       | Some lease ->
-        trace_lease t ~ekind:Obs.Sem.lease_release ~oid ~txn:lease.owner ~a:2 ()
+        trace_lease t ~ekind:Obs.Sem.lease_release ~oid ~txn:lease.owner ~a:2 ~x:0.
       | None -> ());
       copy.protected_by <- None)
     t.objects;

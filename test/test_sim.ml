@@ -36,6 +36,116 @@ let test_engine_nested_schedule () =
   Sim.Engine.run engine;
   Alcotest.(check (list (float 1e-9))) "nested times" [ 1.; 3. ] (List.rev !hits)
 
+(* Model-based check of the event queue: random interleavings of every way
+   to schedule (relative, absolute, reserved seq, and two FIFO lanes fed
+   both in and out of time order) with [step] and [run ~until].  The model
+   is a list sorted by (time, seq); the engine must fire exactly its order
+   at exactly its times, and [pending] must track its size throughout. *)
+type queue_op =
+  | Sched of float (* schedule ~delay *)
+  | At of float (* schedule_at, possibly in the past *)
+  | Reserved of float (* reserve_seq + schedule_at_seq *)
+  | In of int * float (* schedule_in lane, at now + delay *)
+  | In_at of int * float (* schedule_in lane, at an absolute time *)
+  | Step
+  | Until of float (* run ~until:(now + d) *)
+
+let show_queue_op = function
+  | Sched d -> Printf.sprintf "Sched %g" d
+  | At x -> Printf.sprintf "At %g" x
+  | Reserved x -> Printf.sprintf "Reserved %g" x
+  | In (l, d) -> Printf.sprintf "In (%d, %g)" l d
+  | In_at (l, x) -> Printf.sprintf "In_at (%d, %g)" l x
+  | Step -> "Step"
+  | Until d -> Printf.sprintf "Until %g" d
+
+let queue_ops =
+  let open QCheck.Gen in
+  (* Small integral times, so equal times (seq tie-breaks) are common. *)
+  let t = map Float.of_int (int_range 0 12) in
+  let lane = int_range 0 1 in
+  let op =
+    frequency
+      [
+        (2, map (fun d -> Sched d) t);
+        (2, map (fun x -> At x) t);
+        (1, map (fun x -> Reserved x) t);
+        (3, map2 (fun l d -> In (l, d)) lane t);
+        (1, map2 (fun l x -> In_at (l, x)) lane t);
+        (3, return Step);
+        (1, map (fun d -> Until d) t);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_queue_op ops))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 0 120) op)
+
+let engine_queue_matches_model =
+  QCheck.Test.make ~name:"engine queue matches (time, seq) model" ~count:300 queue_ops
+    (fun ops ->
+      let engine = Sim.Engine.create () in
+      let lanes = [| Sim.Engine.new_lane engine; Sim.Engine.new_lane engine |] in
+      let fired = ref [] and expected = ref [] in
+      let model = ref [] and clock = ref 0. and next_seq = ref 0 in
+      let add ~time push =
+        let time = Float.max time !clock and seq = !next_seq in
+        incr next_seq;
+        model := List.merge compare !model [ (time, seq) ];
+        push (fun () -> fired := (Sim.Engine.now engine, seq) :: !fired)
+      in
+      let fire_model () =
+        match !model with
+        | [] -> ()
+        | (time, seq) :: rest ->
+          model := rest;
+          clock := time;
+          expected := (time, seq) :: !expected
+      in
+      let rec fire_until limit =
+        match !model with
+        | (time, _) :: _ when time <= limit ->
+          fire_model ();
+          fire_until limit
+        | _ -> clock := Float.max !clock limit
+      in
+      let apply = function
+        | Sched d ->
+          add ~time:(!clock +. d) (fun f -> Sim.Engine.schedule engine ~delay:d f)
+        | At x -> add ~time:x (fun f -> Sim.Engine.schedule_at engine ~time:x f)
+        | Reserved x ->
+          add ~time:x (fun f ->
+              let seq = Sim.Engine.reserve_seq engine in
+              Sim.Engine.schedule_at_seq engine ~time:x ~seq f)
+        | In (l, d) ->
+          let time = !clock +. d in
+          add ~time (fun f -> Sim.Engine.schedule_in engine lanes.(l) ~time f)
+        | In_at (l, x) ->
+          add ~time:x (fun f -> Sim.Engine.schedule_in engine lanes.(l) ~time:x f)
+        | Step ->
+          let stepped = Sim.Engine.step engine in
+          if stepped <> (!model <> []) then failwith "step disagrees on emptiness";
+          fire_model ()
+        | Until d ->
+          let limit = !clock +. d in
+          Sim.Engine.run ~until:limit engine;
+          fire_until limit
+      in
+      let in_step () =
+        Sim.Engine.pending engine = List.length !model && Sim.Engine.now engine = !clock
+      in
+      List.for_all
+        (fun op ->
+          apply op;
+          in_step () && !fired = !expected)
+        ops
+      &&
+      (Sim.Engine.run engine;
+       while !model <> [] do
+         fire_model ()
+       done;
+       !fired = !expected && Sim.Engine.pending engine = 0))
+
 let test_topology_mean_latency () =
   let topology = Sim.Topology.create ~seed:1 ~mean_latency:15. ~nodes:20 () in
   let mean = Sim.Topology.mean_remote_latency topology in
@@ -407,6 +517,7 @@ let suite =
     Alcotest.test_case "engine event ordering" `Quick test_engine_ordering;
     Alcotest.test_case "engine run ~until" `Quick test_engine_until;
     Alcotest.test_case "engine nested scheduling" `Quick test_engine_nested_schedule;
+    QCheck_alcotest.to_alcotest engine_queue_matches_model;
     Alcotest.test_case "topology mean latency" `Quick test_topology_mean_latency;
     Alcotest.test_case "topology uniform" `Quick test_uniform_topology;
     Alcotest.test_case "network delivery and counting" `Quick test_network_delivery_and_counting;

@@ -1,84 +1,5 @@
-(* Unit and property tests for the util substrate: heap ordering, RNG
-   determinism and distributions, streaming stats, histograms, tables. *)
-
-module Int_heap = Util.Heap.Make (Int)
-
-let test_heap_basic () =
-  let h = Int_heap.create () in
-  Alcotest.(check bool) "fresh heap empty" true (Int_heap.is_empty h);
-  List.iter (Int_heap.add h) [ 5; 3; 8; 1; 9; 2 ];
-  Alcotest.(check int) "length" 6 (Int_heap.length h);
-  Alcotest.(check (option int)) "min" (Some 1) (Int_heap.min_elt h);
-  Alcotest.(check (list int)) "sorted drain" [ 1; 2; 3; 5; 8; 9 ] (Int_heap.to_sorted_list h);
-  Alcotest.(check int) "to_sorted_list is non-destructive" 6 (Int_heap.length h);
-  Int_heap.clear h;
-  Alcotest.(check (option int)) "cleared" None (Int_heap.pop h)
-
-let heap_sorts =
-  QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Int_heap.create () in
-      List.iter (Int_heap.add h) xs;
-      let rec drain acc =
-        match Int_heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort Int.compare xs)
-
-(* Model-based check: drive the heap and a sorted-list model through the
-   same random add/pop interleaving; every observation (length, min, pop
-   results, final drain) must agree, which pins the heap invariant. *)
-let heap_interleaving_matches_model =
-  QCheck.Test.make ~name:"heap matches sorted model under add/pop interleavings"
-    ~count:300
-    QCheck.(list (option int))
-    (fun ops ->
-      let h = Int_heap.create () in
-      let model = ref [] in
-      List.for_all
-        (fun op ->
-          match op with
-          | Some x ->
-            Int_heap.add h x;
-            model := List.sort Int.compare (x :: !model);
-            Int_heap.length h = List.length !model
-            && Int_heap.min_elt h = (match !model with [] -> None | m :: _ -> Some m)
-          | None ->
-            let expected =
-              match !model with
-              | [] -> None
-              | m :: rest ->
-                model := rest;
-                Some m
-            in
-            Int_heap.pop h = expected)
-        ops
-      && Int_heap.to_sorted_list h = !model)
-
-let heap_to_sorted_list_sorted =
-  QCheck.Test.make ~name:"to_sorted_list is the sorted multiset" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Int_heap.create () in
-      List.iter (Int_heap.add h) xs;
-      Int_heap.to_sorted_list h = List.sort Int.compare xs)
-
-(* The engine's hot path relies on unsafe_top/unsafe_pop; they must observe
-   exactly what the option-returning API observes. *)
-let heap_unsafe_ops_agree =
-  QCheck.Test.make ~name:"unsafe_top/unsafe_pop agree with min_elt/pop" ~count:200
-    QCheck.(list small_int)
-    (fun xs ->
-      QCheck.assume (xs <> []);
-      let h = Int_heap.create () and h' = Int_heap.create () in
-      List.iter (Int_heap.add h) xs;
-      List.iter (Int_heap.add h') xs;
-      let ok = ref true in
-      while not (Int_heap.is_empty h) do
-        if Int_heap.min_elt h <> Some (Int_heap.unsafe_top h) then ok := false;
-        if Some (Int_heap.unsafe_pop h) <> Int_heap.pop h' then ok := false
-      done;
-      !ok && Int_heap.pop h' = None)
+(* Unit and property tests for the util substrate: RNG determinism and
+   distributions, streaming stats, histograms, tables. *)
 
 let test_rng_deterministic () =
   let a = Util.Rng.create 42 and b = Util.Rng.create 42 in
@@ -225,10 +146,6 @@ let test_table_render () =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
-      heap_sorts;
-      heap_interleaving_matches_model;
-      heap_to_sorted_list_sorted;
-      heap_unsafe_ops_agree;
       rng_bounds;
       rng_float_bounds;
       zipf_bounds;
@@ -237,7 +154,6 @@ let qcheck_cases =
 
 let suite =
   [
-    Alcotest.test_case "heap basics" `Quick test_heap_basic;
     Alcotest.test_case "rng determinism" `Quick test_rng_deterministic;
     Alcotest.test_case "rng split independence" `Quick test_rng_split_independent;
     Alcotest.test_case "zipf skew shape" `Quick test_zipf_skew_prefers_small;
