@@ -404,7 +404,7 @@ let trace_cmd =
     if check then begin
       let tree = Quorum.Tree.create ~nodes () in
       let violations =
-        Obs.Checker.check
+        Obs.Online.replay
           ~is_write_quorum:(fun set -> Quorum.Check.covers_write_quorum tree set)
           (Obs.Tracer.events tracer)
       in
@@ -413,7 +413,7 @@ let trace_cmd =
         (* The ring lost the prefix: pass/fail over the remainder would be
            unreliable either way (lost evidence looks like violations,
            lost violations look like passes).  Hard inconclusive. *)
-        List.iter (fun v -> prerr_endline (Obs.Checker.pp_violation v)) violations;
+        List.iter (fun v -> prerr_endline (Obs.Online.pp_violation v)) violations;
         Format.eprintf
           "checker: INCONCLUSIVE — ring dropped %d events (%d violation(s) \
            over the truncated trace are unreliable); raise --trace-capacity \
@@ -425,7 +425,7 @@ let trace_cmd =
         match violations with
         | [] -> Format.eprintf "checker: ok (%d events, 0 violations)@." (Obs.Tracer.length tracer)
         | violations ->
-          List.iter (fun v -> prerr_endline (Obs.Checker.pp_violation v)) violations;
+          List.iter (fun v -> prerr_endline (Obs.Online.pp_violation v)) violations;
           Format.eprintf "checker: %d violation(s)@." (List.length violations);
           exit 1
     end
@@ -654,10 +654,10 @@ let chaos_cmd =
                 match (violations, dropped) with
                 | [], 0 -> "checker: ok (0 violations)"
                 | vs, 0 ->
-                  String.concat "\n" (List.map Obs.Checker.pp_violation vs)
+                  String.concat "\n" (List.map Obs.Online.pp_violation vs)
                   ^ Printf.sprintf "\nchecker: %d violation(s)" (List.length vs)
                 | vs, d ->
-                  String.concat "\n" (List.map Obs.Checker.pp_violation vs)
+                  String.concat "\n" (List.map Obs.Online.pp_violation vs)
                   ^ Printf.sprintf
                       "\nchecker: INCONCLUSIVE — ring dropped %d events (%d \
                        violation(s) over the truncated trace are unreliable)"

@@ -518,6 +518,14 @@ let dep_status exec deps =
   in
   go None deps
 
+(* A commit vote as [(commit, lock_conflict)]; [None] for any other reply,
+   which counts as a veto that witnesses nothing. *)
+let vote_of = function
+  | Messages.Vote { commit; lock_conflict } -> Some (commit, lock_conflict)
+  | Messages.Read_ok _ | Messages.Read_abort _ | Messages.Sync_rep _
+  | Messages.Status_rep _ | Messages.Ack | Messages.Batch_commit_rep _ ->
+    None
+
 let fresh_scope ~depth ~thunk ~cont =
   { depth; thunk; cont; rset = Rwset.empty; wset = Rwset.empty }
 
@@ -905,19 +913,26 @@ and finish_scope root value =
 
 and root_commit root ~scope ~value =
   let exec = root.exec in
-  let read_only = Rwset.is_empty scope.wset in
   (* Only QR-CN commits read-only roots locally (paper §III-A); QR-CHK's
      request-commit is "exactly the same as flat" (§IV-A), so it pays the
-     full 2PC round even when read-only. *)
+     full commit round even when read-only.  Rqv validates each shard on
+     its own, so a read-only root whose reads span shards must also take
+     the commit round: only its per-shard validations, one after another,
+     certify a snapshot consistent across shards. *)
   let local_ro_commit =
-    match exec.config.mode with
-    | Config.Closed -> true
-    | Config.Flat -> exec.config.rqv_for_flat
-    | Config.Checkpoint -> false
+    Rwset.is_empty scope.wset
+    && (match exec.config.mode with
+       | Config.Closed -> true
+       | Config.Flat -> exec.config.rqv_for_flat
+       | Config.Checkpoint -> false)
+    &&
+    match commit_shards exec ~scope_rset:scope.rset ~scope_wset:scope.wset with
+    | [ _ ] -> true
+    | _ -> false
   in
   if not exec.batch_commit then begin
-    if read_only && local_ro_commit then commit_read_only root ~scope ~value
-    else send_commit_request root ~scope ~value
+    if local_ro_commit then commit_read_only root ~scope ~value
+    else send_commit root ~scope ~value
   end
   else begin
     (* Batch mode: updates enqueue for the next batch round.  A read-only
@@ -926,11 +941,11 @@ and root_commit root ~scope ~value =
        aborts must never commit, even locally. *)
     match dep_status exec root.spec_deps with
     | `Failed dep -> speculation_abort root ~dep
-    | `Ok when read_only && local_ro_commit -> commit_read_only root ~scope ~value
+    | `Ok when local_ro_commit -> commit_read_only root ~scope ~value
     | (`Ok | `Undecided _) as status -> (
       match commit_shards exec ~scope_rset:scope.rset ~scope_wset:scope.wset with
       | [ shard ] -> enqueue_commit root ~scope ~value ~shard
-      | shards -> (
+      | _ -> (
         (* A cross-shard commit bypasses the (single-shard) batch queues
            and runs the sharded 2PC directly; speculative dependencies
            still queued must decide before it can — wait them out. *)
@@ -938,7 +953,7 @@ and root_commit root ~scope ~value =
         | `Undecided _ ->
           schedule root ~delay:(jittered exec.rng exec.config.ct_retry_delay)
             (fun () -> root_commit root ~scope ~value)
-        | `Ok -> send_commit_sharded root ~scope ~value ~shards))
+        | `Ok -> send_commit root ~scope ~value))
   end
 
 and commit_read_only root ~scope ~value =
@@ -956,56 +971,20 @@ and speculation_abort root ~dep =
   trace root ~kind:Obs.Sem.spec_abort ~oid:(-1) ~a:dep ~b:(-1) ~x:0.;
   root_abort root
 
-and send_commit_request root ~scope ~value =
-  match commit_shards root.exec ~scope_rset:scope.rset ~scope_wset:scope.wset with
-  | [ shard ] -> send_commit_single root ~scope ~value ~shard
-  | shards -> send_commit_sharded root ~scope ~value ~shards
-
-and send_commit_single root ~scope ~value ~shard =
+(* The commit round (PROTOCOL.md §10): presumed-abort 2PC over the
+   participant shards, whose one-participant case is the paper's single
+   quorum round.  Participant shards are prepared sequentially in
+   ascending shard order, each round locking and validating only the rows
+   that shard hosts; a veto, a missing voter or an epoch change on any
+   shard releases every contacted shard and retries (or aborts) the whole
+   transaction — no shard applies until all have voted commit.  Each
+   shard's Commit_req pins [peers], the other participants' quorum members,
+   so replica-side lease termination can pull commit evidence across shards
+   before presuming abort.  Every retry re-enters here and recomputes the
+   participants: a shard move or split may have re-homed objects since. *)
+and send_commit root ~scope ~value =
   let exec = root.exec in
-  let quorum = exec.quorums.write_quorum ~shard ~node:root.node in
-  match quorum with
-  | [] ->
-    Metrics.note_quorum_retry exec.metrics;
-    schedule root ~delay:(jittered exec.rng exec.config.request_timeout) (fun () ->
-        send_commit_request root ~scope ~value)
-  | _ ->
-    let dataset =
-      commit_dataset exec ~scope_rset:scope.rset ~scope_wset:scope.wset
-    in
-    let locks = Rwset.oids scope.wset in
-    trace root ~kind:Obs.Sem.commit_send ~oid:(-1) ~a:(List.length locks)
-      ~b:(List.length quorum) ~x:(Float.of_int shard);
-    let window_start = now root in
-    (* Conservative lease horizon: leases are stamped at replica receipt
-       (later than this send), so deciding commit before [lock_deadline]
-       guarantees no replica has presumed-abort'd the locks yet. *)
-    root.lock_deadline <-
-      (if exec.config.lease_duration > 0. && locks <> [] then
-         window_start +. exec.config.lease_duration -. exec.config.lease_safety_margin
-       else Float.infinity);
-    let generation = root.generation in
-    let send_epoch = exec.quorums.epoch ~shard in
-    root.commit_round <- root.commit_round + 1;
-    Sim.Rpc.multicall exec.rpc ~kind:Messages.commit_req_kind ~src:root.node ~dsts:quorum
-      ~timeout:exec.config.request_timeout
-      (Messages.Commit_req
-         { txn = root.txn_id; dataset; locks; round = root.commit_round; peers = [] })
-      ~on_done:(fun ~replies ~missing ->
-        if still_current root generation then
-          handle_votes root ~scope ~value ~shard ~quorum ~window_start ~send_epoch
-            ~replies ~missing)
-
-(* Cross-shard presumed-abort 2PC (PROTOCOL.md §10).  Participant shards
-   are prepared sequentially in ascending shard order, each round locking
-   and validating only the rows that shard hosts; a veto, a missing voter
-   or an epoch change on any shard releases every contacted shard and
-   retries (or aborts) the whole transaction — no shard applies until all
-   have voted commit.  Each shard's Commit_req pins [peers], the other
-   participants' quorum members, so replica-side lease termination can pull
-   commit evidence across shards before presuming abort. *)
-and send_commit_sharded root ~scope ~value ~shards =
-  let exec = root.exec in
+  let shards = commit_shards exec ~scope_rset:scope.rset ~scope_wset:scope.wset in
   let quorums =
     List.map (fun s -> (s, exec.quorums.write_quorum ~shard:s ~node:root.node)) shards
   in
@@ -1014,12 +993,15 @@ and send_commit_sharded root ~scope ~value ~shards =
        (wedged mid-reconfiguration / too many failures) *)
     Metrics.note_quorum_retry exec.metrics;
     schedule root ~delay:(jittered exec.rng exec.config.request_timeout) (fun () ->
-        send_commit_request root ~scope ~value)
+        send_commit root ~scope ~value)
   end
   else begin
     let full = commit_dataset exec ~scope_rset:scope.rset ~scope_wset:scope.wset in
     let locks = Rwset.oids scope.wset in
     let nshards = List.length shards in
+    (* The 2PC bookkeeping (xshard trace events and counters) is kept for
+       commits that really span shards. *)
+    let cross_shard = nshards > 1 in
     let parts =
       List.map
         (fun (s, quorum) ->
@@ -1047,11 +1029,13 @@ and send_commit_sharded root ~scope ~value ~shards =
     let retry () =
       Metrics.note_quorum_retry exec.metrics;
       schedule root ~delay:(jittered exec.rng exec.config.ct_retry_delay) (fun () ->
-          send_commit_request root ~scope ~value)
+          send_commit root ~scope ~value)
     in
     let abort_2pc () =
-      Metrics.note_cross_shard_abort exec.metrics;
-      trace root ~kind:Obs.Sem.xshard_decide ~oid:(-1) ~a:0 ~b:nshards ~x:0.;
+      if cross_shard then begin
+        Metrics.note_cross_shard_abort exec.metrics;
+        trace root ~kind:Obs.Sem.xshard_decide ~oid:(-1) ~a:0 ~b:nshards ~x:0.
+      end;
       root_abort root
     in
     let rec prepare prepared todo =
@@ -1062,88 +1046,73 @@ and send_commit_sharded root ~scope ~value ~shards =
           List.sort_uniq Int.compare
             (List.concat_map (fun (s', q, _, _) -> if s' = s then [] else q) parts)
         in
-        trace root ~kind:Obs.Sem.xshard_prepare ~oid:(-1) ~a:s ~b:nshards ~x:0.;
+        if cross_shard then
+          trace root ~kind:Obs.Sem.xshard_prepare ~oid:(-1) ~a:s ~b:nshards ~x:0.;
         trace root ~kind:Obs.Sem.commit_send ~oid:(-1) ~a:(List.length lslice)
           ~b:(List.length quorum) ~x:(Float.of_int s);
         let send_epoch = exec.quorums.epoch ~shard:s in
         Sim.Rpc.multicall exec.rpc ~kind:Messages.commit_req_kind ~src:root.node
           ~dsts:quorum ~timeout:exec.config.request_timeout
           (Messages.Commit_req
-             {
-               txn = root.txn_id;
-               dataset = slice;
-               locks = lslice;
-               round = root.commit_round;
-               peers;
-             })
+             { txn = root.txn_id; dataset = slice; locks = lslice;
+               round = root.commit_round; peers })
           ~on_done:(fun ~replies ~missing ->
             if still_current root generation then begin
+              let votes =
+                List.map (fun (voter, reply) -> (voter, vote_of reply)) replies
+              in
               if Obs.Tracer.enabled exec.tracer then
                 List.iter
-                  (fun (voter, reply) ->
-                    match reply with
-                    | Messages.Vote { commit; lock_conflict } ->
+                  (function
+                    | voter, Some (commit, lock_conflict) ->
                       trace root ~kind:Obs.Sem.vote_recv ~oid:(-1) ~a:voter
-                        ~b:
-                          ((if commit then 1 else 0)
-                          lor if lock_conflict then 2 else 0)
+                        ~b:((if commit then 1 else 0) lor if lock_conflict then 2 else 0)
                         ~x:0.
-                    | Messages.Read_ok _ | Messages.Read_abort _
-                    | Messages.Sync_rep _ | Messages.Status_rep _ | Messages.Ack
-                    | Messages.Batch_commit_rep _ ->
-                      ())
-                  replies;
+                    | _, None -> ())
+                  votes;
               let contacted = part :: List.map fst prepared in
               if missing <> [] || exec.quorums.epoch ~shard:s <> send_epoch then begin
+                (* A write-quorum member failed mid-2PC, or a
+                   reconfiguration installed a new view while the votes
+                   were in flight (the answering quorum need not intersect
+                   current-view quorums): release whatever was locked and
+                   retry against refreshed quorums. *)
                 release_parts contacted;
                 retry ()
               end
+              else if
+                List.for_all
+                  (function _, Some (commit, _) -> commit | _, None -> false)
+                  votes
+              then prepare ((part, send_epoch) :: prepared) rest
               else begin
-                let all_commit, any_lock_conflict =
-                  List.fold_left
-                    (fun (all, lock) (_, reply) ->
-                      match reply with
-                      | Messages.Vote { commit; lock_conflict } ->
-                        (all && commit, lock || lock_conflict)
-                      | Messages.Read_ok _ | Messages.Read_abort _
-                      | Messages.Sync_rep _ | Messages.Status_rep _
-                      | Messages.Ack | Messages.Batch_commit_rep _ ->
-                        (false, lock))
-                    (true, false) replies
+                release_parts contacted;
+                (* Stale vetoes (no lock conflict) witness versions the read
+                   quorum missed — see [extra_read_peers]. *)
+                let stale_witnesses =
+                  List.filter_map
+                    (function
+                      | n, Some (false, false) -> Some n
+                      | _, (Some _ | None) -> None)
+                    votes
                 in
-                if all_commit then prepare ((part, send_epoch) :: prepared) rest
-                else begin
-                  release_parts contacted;
-                  let stale_witnesses =
-                    List.filter_map
-                      (fun (n, reply) ->
-                        match reply with
-                        | Messages.Vote { commit = false; lock_conflict = false }
-                          ->
-                          Some n
-                        | Messages.Vote _ | Messages.Read_ok _
-                        | Messages.Read_abort _ | Messages.Sync_rep _
-                        | Messages.Status_rep _ | Messages.Ack
-                        | Messages.Batch_commit_rep _ ->
-                          None)
-                      replies
-                  in
-                  widen_to_witnesses root stale_witnesses;
-                  if any_lock_conflict && root.commit_lock_budget > 0 then begin
-                    root.commit_lock_budget <- root.commit_lock_budget - 1;
-                    schedule root
-                      ~delay:(jittered exec.rng exec.config.ct_retry_delay)
-                      (fun () -> send_commit_request root ~scope ~value)
-                  end
-                  else abort_2pc ()
+                widen_to_witnesses root stale_witnesses;
+                let any_lock_conflict =
+                  List.exists (function _, Some (_, lock) -> lock | _, None -> false) votes
+                in
+                if any_lock_conflict && root.commit_lock_budget > 0 then begin
+                  (* Ablation knob: a lock conflict may resolve as soon as the
+                     holder finishes its 2PC; optionally retry the commit
+                     before aborting. *)
+                  root.commit_lock_budget <- root.commit_lock_budget - 1;
+                  schedule root ~delay:(jittered exec.rng exec.config.ct_retry_delay)
+                    (fun () -> send_commit root ~scope ~value)
                 end
+                else abort_2pc ()
               end
             end)
     and decide prepared =
-      if
-        List.exists
-          (fun ((s, _, _, _), e) -> exec.quorums.epoch ~shard:s <> e)
-          prepared
+      if List.exists (fun ((s, _, _, _), e) -> exec.quorums.epoch ~shard:s <> e) prepared
       then begin
         (* A shard reconfigured after voting: its locked quorum need not
            intersect the new view's quorums — walk away and retry. *)
@@ -1152,7 +1121,9 @@ and send_commit_sharded root ~scope ~value ~shards =
       end
       else if now root > root.lock_deadline then begin
         (* Votes complete but past the coordinator's lease horizon: some
-           participant may already be presuming abort. *)
+           participant may already be presuming abort, so committing now
+           could race a conflicting writer.  Walk away — Release is
+           harmless whether or not the leases already fell. *)
         Metrics.note_commit_deadline_abort exec.metrics;
         trace root ~kind:Obs.Sem.deadline_abort ~oid:(-1) ~a:(-1) ~b:(-1)
           ~x:root.lock_deadline;
@@ -1166,7 +1137,10 @@ and send_commit_sharded root ~scope ~value ~shards =
         (* The FULL write set goes to every participant quorum: each shard
            installs its own rows and retains the foreign ones as commit
            evidence, so cross-shard lease termination can rescue the
-           decision from any surviving participant. *)
+           decision from any surviving participant.  At-least-once: losing
+           an Apply at a read/write-quorum intersection node would let
+           later reads miss this commit; Apply is version-guarded
+           (idempotent), so retransmission is safe. *)
         let dsts =
           List.sort_uniq Int.compare
             (List.concat_map (fun ((_, quorum, _, _), _) -> quorum) prepared)
@@ -1181,8 +1155,10 @@ and send_commit_sharded root ~scope ~value ~shards =
           refresh_committed_images exec ~txn:root.txn_id ~wset:scope.wset
         end;
         Metrics.note_commit exec.metrics ~latency:(now root -. root.born);
-        Metrics.note_cross_shard_commit exec.metrics;
-        trace root ~kind:Obs.Sem.xshard_decide ~oid:(-1) ~a:1 ~b:nshards ~x:0.;
+        if cross_shard then begin
+          Metrics.note_cross_shard_commit exec.metrics;
+          trace root ~kind:Obs.Sem.xshard_decide ~oid:(-1) ~a:1 ~b:nshards ~x:0.
+        end;
         trace root ~kind:Obs.Sem.txn_commit ~oid:(-1) ~a:(-1) ~b:0
           ~x:(now root -. root.born);
         finish root (Committed value)
@@ -1201,96 +1177,6 @@ and release_locks root ~quorum ~locks =
     Sim.Rpc.acked_multicast root.exec.rpc ~kind:Messages.release_kind ~src:root.node ~dsts:quorum
       ~timeout:root.exec.config.request_timeout
       (Messages.Release { txn = root.txn_id; oids = locks; round = root.commit_round })
-
-and handle_votes root ~scope ~value ~shard ~quorum ~window_start ~send_epoch
-    ~replies ~missing =
-  let exec = root.exec in
-  let locks = Rwset.oids scope.wset in
-  if Obs.Tracer.enabled exec.tracer then
-    List.iter
-      (fun (voter, reply) ->
-        match reply with
-        | Messages.Vote { commit; lock_conflict } ->
-          trace root ~kind:Obs.Sem.vote_recv ~oid:(-1) ~a:voter
-            ~b:((if commit then 1 else 0) lor if lock_conflict then 2 else 0)
-            ~x:0.
-        | Messages.Read_ok _ | Messages.Read_abort _ | Messages.Sync_rep _
-        | Messages.Status_rep _ | Messages.Ack | Messages.Batch_commit_rep _ ->
-          ())
-      replies;
-  if missing <> [] || exec.quorums.epoch ~shard <> send_epoch then begin
-    (* A write-quorum member failed mid-2PC, or a reconfiguration installed
-       a new view while the votes were in flight (the answering quorum need
-       not intersect current-view quorums): release whatever was locked and
-       retry against refreshed quorums. *)
-    release_locks root ~quorum ~locks;
-    Metrics.note_quorum_retry exec.metrics;
-    schedule root ~delay:(jittered exec.rng exec.config.ct_retry_delay) (fun () ->
-        send_commit_request root ~scope ~value)
-  end
-  else begin
-    let all_commit, any_lock_conflict =
-      List.fold_left
-        (fun (all, lock) (_, reply) ->
-          match reply with
-          | Messages.Vote { commit; lock_conflict } ->
-            (all && commit, lock || lock_conflict)
-          | Messages.Read_ok _ | Messages.Read_abort _ | Messages.Sync_rep _ | Messages.Status_rep _
-          | Messages.Ack | Messages.Batch_commit_rep _ ->
-            (false, lock))
-        (true, false) replies
-    in
-    if all_commit && now root > root.lock_deadline then begin
-      (* The votes arrived past the coordinator's lease horizon: replicas
-         may already be presuming abort, so committing now could race a
-         conflicting writer.  Walk away — Release is harmless whether or
-         not the leases already fell. *)
-      Metrics.note_commit_deadline_abort exec.metrics;
-      trace root ~kind:Obs.Sem.deadline_abort ~oid:(-1) ~a:(-1) ~b:(-1)
-        ~x:root.lock_deadline;
-      release_locks root ~quorum ~locks;
-      root_abort root
-    end
-    else if all_commit then begin
-      let writes = writes_of_wset scope.wset in
-      let reads = reads_of_rset scope.rset in
-      record_commit root ~scope ~window_start;
-      (* At-least-once: losing an Apply at the read/write-quorum
-         intersection node would let later reads miss this commit; Apply is
-         version-guarded (idempotent), so retransmission is safe. *)
-      Sim.Rpc.acked_multicast exec.rpc ~kind:Messages.apply_kind ~src:root.node ~dsts:quorum
-        ~timeout:exec.config.request_timeout
-        (Messages.Apply { txn = root.txn_id; writes; reads });
-      Metrics.note_commit exec.metrics ~latency:(now root -. root.born);
-      trace root ~kind:Obs.Sem.txn_commit ~oid:(-1) ~a:(-1) ~b:0
-        ~x:(now root -. root.born);
-      finish root (Committed value)
-    end
-    else begin
-      release_locks root ~quorum ~locks;
-      (* Stale vetoes (no lock conflict) witness versions the read quorum
-         missed — see [extra_read_peers]. *)
-      let stale_witnesses =
-        List.filter_map
-          (fun (n, reply) ->
-            match reply with
-            | Messages.Vote { commit = false; lock_conflict = false } -> Some n
-            | Messages.Vote _ | Messages.Read_ok _ | Messages.Read_abort _
-            | Messages.Sync_rep _ | Messages.Status_rep _ | Messages.Ack | Messages.Batch_commit_rep _ ->
-              None)
-          replies
-      in
-      widen_to_witnesses root stale_witnesses;
-      if any_lock_conflict && root.commit_lock_budget > 0 then begin
-        (* Ablation knob: a lock conflict may resolve as soon as the holder
-           finishes its 2PC; optionally retry the commit before aborting. *)
-        root.commit_lock_budget <- root.commit_lock_budget - 1;
-        schedule root ~delay:(jittered exec.rng exec.config.ct_retry_delay) (fun () ->
-            send_commit_request root ~scope ~value)
-      end
-      else root_abort root
-    end
-  end
 
 and record_commit root ~scope ~window_start =
   match root.exec.oracle with
@@ -1439,7 +1325,7 @@ and cut_batch exec ~bq =
         let p = ea.(i) in
         let root = p.p_root in
         let scope = p.p_scope in
-        (* Per-entry commit-round stamping, as in send_commit_request: the
+        (* Per-entry commit-round stamping, as in send_commit: the
            replica pins granted leases to it, so a stale Release from an
            abandoned earlier round cannot free a later round's lock. *)
         root.commit_round <- root.commit_round + 1;

@@ -588,7 +588,7 @@ let run_many ?config ?batch_commit ?rolling knobs ~seed ~runs =
    The trace does not record the view, so we rely on the checker's
    view-independent fallback: pairwise intersection across committed voter
    sets.  [qr-dtm trace] (no fault injection) does use the structural rule. *)
-let check_trace _knobs tracer = Obs.Checker.check (Obs.Tracer.events tracer)
+let check_trace _knobs tracer = Obs.Online.replay (Obs.Tracer.events tracer)
 
 let failures results = List.filter (fun r -> not (passed r)) results
 

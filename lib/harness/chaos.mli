@@ -131,7 +131,7 @@ val run_many :
   result list
 (** Seeds [seed .. seed + runs - 1], sequentially. *)
 
-val check_trace : knobs -> Obs.Tracer.t -> Obs.Checker.violation list
+val check_trace : knobs -> Obs.Tracer.t -> Obs.Online.violation list
 (** Run the offline protocol checker over a traced chaos run.  Voter sets
     are validated by pairwise intersection (the checker's view-independent
     fallback) rather than the structural tree rule: chaos schedules change

@@ -5,10 +5,10 @@
    so the checker can ride a {!Tracer} sink through arbitrarily long runs
    while the ring evicts freely behind it.
 
-   The offline [Checker.check] is a thin wrapper over this module (feed the
-   whole event list, finish), so online and offline verdicts agree by
-   construction; the equivalence tests in test/test_online.ml pin the two
-   feeding paths (sink-during-run vs ring-replay) against each other.
+   The offline [replay] feeds a whole event list through the same engine
+   and finishes, so online and offline verdicts agree by construction; the
+   equivalence tests in test/test_online.ml pin the two feeding paths
+   (sink-during-run vs ring-replay) against each other.
 
    Determinism: feeding draws no RNG and schedules no simulator events, so
    attaching a checker to a traced run keeps the run byte-identical. *)
@@ -475,6 +475,11 @@ let n_violations t = t.n_violations
 let finish t =
   flush t;
   violations t
+
+let replay ?is_write_quorum events =
+  let t = create ?is_write_quorum () in
+  List.iter (feed t) events;
+  finish t
 
 let tracked_txns t = Hashtbl.length t.txns
 let peak_tracked t = t.peak_tracked

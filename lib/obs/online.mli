@@ -1,24 +1,75 @@
-(** Online (streaming) protocol-invariant checking with bounded state.
+(** Protocol-invariant checking over the trace event stream, with bounded
+    state.
 
-    [Online] hosts the same rule set as the offline {!Checker} — commit-
-    quorum, epoch-fencing, cross-shard-atomicity, lease-overlap,
-    partial-abort-scope, rescue-evidence, widen-read, batch-order; see
-    {!Checker} and OBSERVABILITY.md for the rule semantics — but consumes
-    the event stream incrementally, one event per {!feed}/{!feed8} call,
-    while the run executes.  Per-transaction rule state retires at
-    [txn.end] and [txn.root_abort] (each attempt runs under a fresh txn
-    id) and lease entries at [lease.release], so checker memory is
-    O(in-flight transactions) plus bounded side tables, not O(trace).
+    The checker consumes events one {!feed}/{!feed8} call at a time and
+    runs them through per-rule state machines, reporting every violation it
+    can localise.  Two feeding paths share this one engine, so their
+    verdicts agree by construction (pinned by test/test_online.ml across
+    chaos seeds):
 
-    {!Checker.check} is a thin wrapper over this module (feed the whole
-    list, {!finish}), so online and offline verdicts agree by
-    construction.
+    - {b online}: subscribe to a live run with {!attach}.  The checker
+      becomes the tracer's sink and sees {e every} emitted event, including
+      ones the ring subsequently evicts — streaming verdicts are immune to
+      ring truncation;
+    - {b offline}: {!replay} a completed trace (oldest first, as
+      {!Tracer.events} yields it).  Traces with ring-buffer overflow
+      ({!Tracer.dropped} > 0) have lost prefix events and can produce false
+      positives — callers must treat that verdict as {e inconclusive} (the
+      CLI exits with a distinct code), or check online instead.
 
-    Subscribe to a live run with {!attach}: the checker becomes the
-    tracer's sink and sees {e every} emitted event, including ones the
-    ring subsequently evicts — streaming verdicts are immune to ring
-    truncation.  Feeding draws no RNG and schedules no simulator events,
-    so an attached checker keeps traced runs byte-identical.
+    Rules:
+
+    - [commit-quorum]: every replicated commit ([txn.commit] without the
+      read-only flag) must be decided by rounds in which {e every} received
+      vote said commit, and each round's voter set must form a valid write
+      quorum — via [is_write_quorum] when supplied (single-round commits
+      only), otherwise by checking pairwise intersection against every
+      other committed voter set {e of the same shard and membership epoch}
+      in the trace (quorum intersection does not hold across
+      reconfigurations or shards).  A cross-shard commit contributes one
+      round per participant shard ([commit.send] events whose [x] slot
+      names the shard).
+    - [epoch-fencing]: no commit may rest on evidence from two incompatible
+      views — every vote must arrive in the epoch of its round's shard as
+      of [commit.send] (epochs are tracked per shard from [view.change]
+      events, whose [x] slot names the shard), and that epoch must still
+      be in force when the commit is decided.  Traces with no
+      [view.change] events are vacuously clean.
+    - [cross-shard-atomicity]: a committed cross-shard transaction
+      ([xshard.decide] with [a = 1]) must show an [xshard.prepare] round
+      for every participant shard, and once the decision is commit no
+      replica may subsequently presume abort for that transaction
+      ([presumed.abort]) — the termination protocol must surface rescue
+      evidence first.  Unsharded traces are vacuously clean.
+    - [lease-overlap]: no [lease.grant] for an (object, replica) pair while
+      a different transaction's lease is still held there.
+    - [partial-abort-scope]: each [txn.partial_abort] targeting scope/
+      checkpoint [t] must resume at exactly [t] ([scope.resume] with
+      [a = t]), unless the attempt falls back to a root abort first.
+    - [rescue-evidence]: a [rescue] whose status round saw a peer report
+      the transaction applied (payload [b = 0]) must be preceded in the
+      trace by commit evidence for that transaction — an [apply] at some
+      replica or the coordinator's own [txn.commit].  Version-advance
+      rescues ([b = 1]) are exempt: another transaction's commit can move a
+      leased copy across membership views.
+    - [widen-read]: once a stale witness is flagged ([widen.add]), every
+      subsequent read fan-out by that transaction must include all
+      currently-flagged witnesses (until they are pruned by [widen.drop]).
+    - [batch-order]: within one batch round ([batch.decide] events sharing
+      a batch id), entries decide in strictly increasing queue position —
+      decide order is version-install order, so a regression would apply
+      versions against queue order.  And a speculative transaction (one
+      with a [spec.read] of an undecided predecessor's image, [b = 1])
+      never commits in a round its predecessor aborted in, nor before the
+      predecessor is decided at all.  Traces from sequential-commit runs
+      have no batch events and are vacuously clean.
+
+    Per-transaction rule state retires at [txn.end] and [txn.root_abort]
+    (each attempt runs under a fresh txn id) and lease entries at
+    [lease.release], so checker memory is O(in-flight transactions) plus
+    bounded side tables, not O(trace).  Feeding draws no RNG and schedules
+    no simulator events, so an attached checker keeps traced runs
+    byte-identical.
 
     Bounded side tables: commit evidence, cross-shard decisions and batch
     outcomes are consulted only within a bounded horizon of their
@@ -97,5 +148,11 @@ val peak_tracked : t -> int
     in-flight transactions, not by trace length. *)
 
 val events_seen : t -> int
+
+val replay :
+  ?is_write_quorum:(int list -> bool) -> Tracer.event list -> violation list
+(** Offline check of a completed trace: a fresh checker fed every event in
+    order, then {!finish}ed.  Violations in trace order.  [is_write_quorum]
+    receives the sorted voter node list of a committed transaction. *)
 
 val pp_violation : violation -> string

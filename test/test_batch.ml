@@ -13,7 +13,7 @@ let contended_params =
 
 let rules violations =
   List.sort_uniq String.compare
-    (List.map (fun v -> v.Obs.Checker.rule) violations)
+    (List.map (fun v -> v.Obs.Online.rule) violations)
 
 (* Contended bank under batch commit: commits flow, batches carry more
    than one transaction, both safety oracles hold, and the traced run
@@ -38,7 +38,7 @@ let test_batch_bank_smoke () =
   | Error msg -> Alcotest.failf "oracle: %s" msg);
   Alcotest.(check int) "trace did not overflow" 0 (Obs.Tracer.dropped tracer);
   Alcotest.(check (list string)) "checker rules all pass" []
-    (rules (Obs.Checker.check (Obs.Tracer.events tracer)))
+    (rules (Obs.Online.replay (Obs.Tracer.events tracer)))
 
 (* Speculation aborts on order violation: A enqueues a write of X and B
    speculatively reads A's image; A's validation is then invalidated

@@ -365,10 +365,10 @@ let test_checker_epoch_fencing_rule () =
         (5., Obs.Sem.txn_commit, t 5, -1, 0);
       ]
   in
-  (match Obs.Checker.check mixed with
+  (match Obs.Online.replay mixed with
   | [ v ] ->
-    Alcotest.(check string) "rule name" "epoch-fencing" v.Obs.Checker.rule;
-    Alcotest.(check int) "transaction" 5 v.Obs.Checker.txn
+    Alcotest.(check string) "rule name" "epoch-fencing" v.Obs.Online.rule;
+    Alcotest.(check int) "transaction" 5 v.Obs.Online.txn
   | vs -> Alcotest.failf "expected exactly one violation, got %d" (List.length vs));
   (* A commit decided after the view changed, over an old-epoch round, is
      flagged even when every vote matched the send epoch. *)
@@ -382,8 +382,8 @@ let test_checker_epoch_fencing_rule () =
         (5., Obs.Sem.txn_commit, t 6, -1, 0);
       ]
   in
-  (match Obs.Checker.check late with
-  | [ v ] -> Alcotest.(check string) "rule name" "epoch-fencing" v.Obs.Checker.rule
+  (match Obs.Online.replay late with
+  | [ v ] -> Alcotest.(check string) "rule name" "epoch-fencing" v.Obs.Online.rule
   | vs -> Alcotest.failf "expected exactly one violation, got %d" (List.length vs));
   (* Rounds wholly inside one view are clean — including after a change. *)
   let clean =
@@ -397,7 +397,7 @@ let test_checker_epoch_fencing_rule () =
       ]
   in
   Alcotest.(check int) "clean trace has no violations" 0
-    (List.length (Obs.Checker.check clean));
+    (List.length (Obs.Online.replay clean));
   (* Commits in different epochs may use disjoint voter sets: the pairwise
      write-quorum intersection fallback must not compare across views. *)
   let cross_view =
@@ -415,7 +415,7 @@ let test_checker_epoch_fencing_rule () =
       ]
   in
   Alcotest.(check int) "disjoint voter sets across views are legal" 0
-    (List.length (Obs.Checker.check cross_view))
+    (List.length (Obs.Online.replay cross_view))
 
 (* {2 Churn generators} *)
 

@@ -80,7 +80,7 @@ let ev ?(time = 0.) ?(node = -1) ?(txn = -1) ?(oid = -1) ?(a = -1) ?(b = -1)
 
 let rules violations =
   List.sort_uniq String.compare
-    (List.map (fun (v : Obs.Checker.violation) -> v.rule) violations)
+    (List.map (fun (v : Obs.Online.violation) -> v.rule) violations)
 
 let test_checker_clean_commit () =
   let trace =
@@ -93,7 +93,7 @@ let test_checker_clean_commit () =
     ]
   in
   Alcotest.(check (list string)) "clean" []
-    (rules (Obs.Checker.check ~is_write_quorum:(fun _ -> true) trace))
+    (rules (Obs.Online.replay ~is_write_quorum:(fun _ -> true) trace))
 
 let test_checker_commit_dissent () =
   let trace =
@@ -106,7 +106,7 @@ let test_checker_commit_dissent () =
     ]
   in
   Alcotest.(check (list string)) "dissenting vote flagged" [ "commit-quorum" ]
-    (rules (Obs.Checker.check ~is_write_quorum:(fun _ -> true) trace))
+    (rules (Obs.Online.replay ~is_write_quorum:(fun _ -> true) trace))
 
 let test_checker_commit_invalid_quorum () =
   let trace =
@@ -117,9 +117,9 @@ let test_checker_commit_invalid_quorum () =
     ]
   in
   Alcotest.(check (list string)) "invalid voter set flagged" [ "commit-quorum" ]
-    (rules (Obs.Checker.check ~is_write_quorum:(fun _ -> false) trace));
+    (rules (Obs.Online.replay ~is_write_quorum:(fun _ -> false) trace));
   Alcotest.(check (list string)) "same set accepted when valid" []
-    (rules (Obs.Checker.check ~is_write_quorum:(fun _ -> true) trace))
+    (rules (Obs.Online.replay ~is_write_quorum:(fun _ -> true) trace))
 
 let test_checker_commit_pairwise_fallback () =
   (* Without [is_write_quorum] the checker demands pairwise intersection of
@@ -138,7 +138,7 @@ let test_checker_commit_pairwise_fallback () =
   in
   Alcotest.(check (list string)) "disjoint write quorums flagged"
     [ "commit-quorum" ]
-    (rules (Obs.Checker.check trace))
+    (rules (Obs.Online.replay trace))
 
 let test_checker_lease_overlap () =
   let trace =
@@ -149,7 +149,7 @@ let test_checker_lease_overlap () =
     ]
   in
   Alcotest.(check (list string)) "overlap flagged" [ "lease-overlap" ]
-    (rules (Obs.Checker.check trace));
+    (rules (Obs.Online.replay trace));
   let clean =
     [
       ev ~time:1. ~node:0 ~oid:5 ~txn:1 Obs.Sem.lease_grant;
@@ -157,7 +157,7 @@ let test_checker_lease_overlap () =
       ev ~time:3. ~node:0 ~oid:5 ~txn:2 Obs.Sem.lease_grant;
     ]
   in
-  Alcotest.(check (list string)) "release clears" [] (rules (Obs.Checker.check clean));
+  Alcotest.(check (list string)) "release clears" [] (rules (Obs.Online.replay clean));
   let other_node =
     [
       ev ~time:1. ~node:0 ~oid:5 ~txn:1 Obs.Sem.lease_grant;
@@ -165,7 +165,7 @@ let test_checker_lease_overlap () =
     ]
   in
   Alcotest.(check (list string)) "distinct replicas independent" []
-    (rules (Obs.Checker.check other_node))
+    (rules (Obs.Online.replay other_node))
 
 let test_checker_partial_abort_scope () =
   let wrong_resume =
@@ -176,11 +176,11 @@ let test_checker_partial_abort_scope () =
   in
   Alcotest.(check (list string)) "wrong resume target flagged"
     [ "partial-abort-scope" ]
-    (rules (Obs.Checker.check wrong_resume));
+    (rules (Obs.Online.replay wrong_resume));
   let orphan_resume = [ ev ~time:1. ~txn:3 ~a:2 Obs.Sem.scope_resume ] in
   Alcotest.(check (list string)) "resume without pending flagged"
     [ "partial-abort-scope" ]
-    (rules (Obs.Checker.check orphan_resume));
+    (rules (Obs.Online.replay orphan_resume));
   let exact =
     [
       ev ~time:1. ~txn:3 ~a:2 Obs.Sem.txn_partial_abort;
@@ -188,7 +188,7 @@ let test_checker_partial_abort_scope () =
     ]
   in
   Alcotest.(check (list string)) "exact unwind clean" []
-    (rules (Obs.Checker.check exact));
+    (rules (Obs.Online.replay exact));
   let root_fallback =
     [
       ev ~time:1. ~txn:3 ~a:2 Obs.Sem.txn_partial_abort;
@@ -196,13 +196,13 @@ let test_checker_partial_abort_scope () =
     ]
   in
   Alcotest.(check (list string)) "root abort is a legal fallback" []
-    (rules (Obs.Checker.check root_fallback))
+    (rules (Obs.Online.replay root_fallback))
 
 let test_checker_rescue_evidence () =
   let bare = [ ev ~time:1. ~node:2 ~txn:7 ~a:1 ~b:0 Obs.Sem.rescue ] in
   Alcotest.(check (list string)) "rescue without evidence flagged"
     [ "rescue-evidence" ]
-    (rules (Obs.Checker.check bare));
+    (rules (Obs.Online.replay bare));
   let with_apply =
     [
       ev ~time:0. ~node:1 ~txn:7 ~a:1 Obs.Sem.apply;
@@ -210,12 +210,12 @@ let test_checker_rescue_evidence () =
     ]
   in
   Alcotest.(check (list string)) "apply is evidence" []
-    (rules (Obs.Checker.check with_apply));
+    (rules (Obs.Online.replay with_apply));
   (* b = 1: version advance — possibly another transaction's commit across
      membership views, so no per-txn evidence is demanded. *)
   let version_advance = [ ev ~time:1. ~node:2 ~txn:7 ~a:1 ~b:1 Obs.Sem.rescue ] in
   Alcotest.(check (list string)) "version-advance rescue exempt" []
-    (rules (Obs.Checker.check version_advance))
+    (rules (Obs.Online.replay version_advance))
 
 let test_checker_widen_read () =
   let missing_witness =
@@ -228,7 +228,7 @@ let test_checker_widen_read () =
     ]
   in
   Alcotest.(check (list string)) "missing flagged witness" [ "widen-read" ]
-    (rules (Obs.Checker.check missing_witness));
+    (rules (Obs.Online.replay missing_witness));
   let includes_witness =
     [
       ev ~time:1. ~txn:4 ~a:5 Obs.Sem.widen_add;
@@ -238,7 +238,7 @@ let test_checker_widen_read () =
     ]
   in
   Alcotest.(check (list string)) "widened fan-out clean" []
-    (rules (Obs.Checker.check includes_witness));
+    (rules (Obs.Online.replay includes_witness));
   let dropped_witness =
     [
       ev ~time:1. ~txn:4 ~a:5 Obs.Sem.widen_add;
@@ -248,13 +248,13 @@ let test_checker_widen_read () =
     ]
   in
   Alcotest.(check (list string)) "pruned witness not demanded" []
-    (rules (Obs.Checker.check dropped_witness))
+    (rules (Obs.Online.replay dropped_witness))
 
 let test_checker_on_real_trace () =
   let tracer = Obs.Tracer.create () in
   let _ = run_traced ~tracer ~seed:14 () in
   Alcotest.(check (list string)) "healthy run passes all rules" []
-    (rules (Obs.Checker.check (Obs.Tracer.events tracer)))
+    (rules (Obs.Online.replay (Obs.Tracer.events tracer)))
 
 (* {2 Telemetry} *)
 

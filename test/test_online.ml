@@ -19,7 +19,7 @@ let both_verdicts ?(batch_commit = false) ?(rolling = false) knobs ~seed =
     0
     (Obs.Tracer.dropped tracer);
   let online_v = Obs.Online.finish online in
-  let offline_v = Obs.Checker.check (Obs.Tracer.events tracer) in
+  let offline_v = Obs.Online.replay (Obs.Tracer.events tracer) in
   (result, online, online_v, offline_v)
 
 let check_seeds ?batch_commit ?rolling knobs seeds =

@@ -10,8 +10,8 @@ open Core
 
 let config () = Config.default Config.Closed
 
-let sharded_cluster ?(nodes = 9) ?(shards = 3) ?(seed = 11) () =
-  Cluster.create ~nodes ~shards ~seed (config ())
+let sharded_cluster ?(nodes = 9) ?(shards = 3) ?(seed = 11) ?tracer () =
+  Cluster.create ~nodes ~shards ~seed ?tracer (config ())
 
 let step_until cluster ~what p =
   let engine = Cluster.engine cluster in
@@ -56,9 +56,11 @@ let test_single_cross_shard_commit () =
   expect_consistent cluster
 
 (* A transaction confined to one shard must keep the one-round fast path:
-   no 2PC, no cross-shard metrics, even on a sharded cluster. *)
+   no 2PC, no cross-shard metrics and no cross-shard trace events, even on
+   a sharded cluster. *)
 let test_same_shard_fast_path () =
-  let cluster = sharded_cluster () in
+  let tracer = Obs.Tracer.create ~capacity:4096 () in
+  let cluster = sharded_cluster ~tracer () in
   let a = Cluster.alloc_object cluster ~init:(Store.Value.Int 100) in
   let _b = Cluster.alloc_object cluster ~init:(Store.Value.Int 100) in
   let _c = Cluster.alloc_object cluster ~init:(Store.Value.Int 100) in
@@ -79,7 +81,45 @@ let test_same_shard_fast_path () =
     (Metrics.cross_shard_aborts metrics);
   Alcotest.(check int) "debit applied" 75 (read_int cluster ~node:2 a);
   Alcotest.(check int) "credit applied" 125 (read_int cluster ~node:2 d);
+  Alcotest.(check int) "trace did not overflow" 0 (Obs.Tracer.dropped tracer);
+  let count kind =
+    List.length
+      (List.filter (fun (e : Obs.Tracer.event) -> e.ekind = kind) (Obs.Tracer.events tracer))
+  in
+  Alcotest.(check bool) "commit round traced" true (count Obs.Sem.commit_send > 0);
+  Alcotest.(check int) "no xshard.prepare" 0 (count Obs.Sem.xshard_prepare);
+  Alcotest.(check int) "no xshard.decide" 0 (count Obs.Sem.xshard_decide);
   expect_consistent cluster
+
+(* Rqv validates each shard on its own, so a QR-CN read-only root whose
+   reads span shards must take the commit round instead of committing
+   locally: only the per-shard validations, one after another, certify a
+   snapshot consistent across shards.  Sharded vacation (mostly read-only
+   multi-shard queries) exposed mixed snapshots on these seeds when such
+   roots committed locally. *)
+let test_cross_shard_read_only_snapshot () =
+  let benchmark = Option.get (Benchmarks.Registry.find "vacation") in
+  let params =
+    {
+      Benchmarks.Workload.default_params with
+      objects = Harness.Figures.benchmark_objects "vacation";
+      key_skew = 0.5;
+    }
+  in
+  List.iter
+    (fun seed ->
+      let r =
+        Harness.Experiment.run ~seed ~duration:50_000. ~shards:4 ~config:(config ())
+          ~benchmark ~params ()
+      in
+      Alcotest.(check bool) "transactions committed" true (r.Harness.Experiment.commits > 0);
+      (match r.consistent with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "seed %d oracle: %s" seed msg);
+      match r.invariant with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "seed %d invariant: %s" seed msg)
+    [ 2; 5 ]
 
 (* A participant-shard lock conflict must veto the whole 2PC: the
    transaction aborts atomically (the already-prepared shard releases, no
@@ -361,6 +401,8 @@ let suite =
   [
     Alcotest.test_case "single cross-shard commit" `Quick test_single_cross_shard_commit;
     Alcotest.test_case "same-shard fast path" `Quick test_same_shard_fast_path;
+    Alcotest.test_case "cross-shard read-only snapshot" `Quick
+      test_cross_shard_read_only_snapshot;
     Alcotest.test_case "conflict aborts atomically" `Quick
       test_cross_shard_conflict_aborts_atomically;
     Alcotest.test_case "coordinator crash presumes abort" `Quick
