@@ -353,13 +353,32 @@ let micro_tests () =
     let rng = Util.Rng.create 5 in
     Test.make ~name:"rng.zipf" (Staged.stage (fun () -> ignore (Util.Rng.zipf rng ~n:256 ~skew:0.8)))
   in
+  (* Dispatch against a standing queue: each run schedules one event and
+     fires the earliest, so 256 stay pending and every event sifts through
+     a heap of that depth (layerbench's [engine.dispatch_ns] runs on a
+     one-event heap and sees no sift at all). *)
+  let engine_dispatch =
+    let engine = Sim.Engine.create () in
+    let noop () = () in
+    let k = ref 0 in
+    let next_delay () =
+      incr k;
+      Float.of_int ((!k * 97) land 255)
+    in
+    for _ = 1 to 256 do
+      Sim.Engine.schedule engine ~delay:(next_delay ()) noop
+    done;
+    Test.make ~name:"engine.dispatch (256 pending)" (Staged.stage (fun () ->
+        Sim.Engine.schedule engine ~delay:(next_delay ()) noop;
+        ignore (Sim.Engine.step engine)))
+  in
   let txn_interpret =
     let cluster = Cluster.create ~nodes:13 ~seed:77 ~with_oracle:false (Config.default Config.Closed) in
     let oid = Cluster.alloc_object cluster ~init:(Store.Value.Int 0) in
     Test.make ~name:"cluster.txn end-to-end" (Staged.stage (fun () ->
         ignore (Cluster.run_program cluster ~node:3 (fun () -> Txn.read oid))))
   in
-  [ tree_quorum; replica_ops; rqv_validate; rwset_ops; rng_ops; txn_interpret ]
+  [ tree_quorum; replica_ops; rqv_validate; rwset_ops; rng_ops; engine_dispatch; txn_interpret ]
 
 let micro () =
   let open Bechamel in

@@ -1,4 +1,5 @@
 type t = {
+  mutable resets : int;
   mutable latencies : Util.Stats.t;
   mutable commits : int;
   mutable read_only_commits : int;
@@ -41,6 +42,7 @@ type t = {
 
 let create () =
   {
+    resets = 0;
     commits = 0;
     read_only_commits = 0;
     root_aborts = 0;
@@ -76,6 +78,7 @@ let create () =
   }
 
 let reset t =
+  t.resets <- t.resets + 1;
   t.commits <- 0;
   t.read_only_commits <- 0;
   t.root_aborts <- 0;
@@ -165,6 +168,7 @@ let note_open_loop_done t ~queue_delay ~service =
   Util.Hdr.add t.open_queue_delay queue_delay;
   Util.Hdr.add t.open_service service
 
+let resets t = t.resets
 let commits t = t.commits
 let read_only_commits t = t.read_only_commits
 let root_aborts t = t.root_aborts

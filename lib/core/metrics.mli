@@ -13,6 +13,10 @@ val create : unit -> t
 val reset : t -> unit
 (** Zero every counter (used to exclude warm-up from measurements). *)
 
+val resets : t -> int
+(** How many times {!reset} has run: a reader that snapshots a counter can
+    tell whether it was zeroed since. *)
+
 val note_commit : t -> latency:float -> unit
 val note_read_only_commit : t -> latency:float -> unit
 val note_root_abort : t -> unit

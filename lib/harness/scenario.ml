@@ -22,7 +22,8 @@
      "crash 11 @500; recover 11 @2500; drop 0.05 @0; partition 0,...|11,12 @1000 for 800"
 
    A partition event also falsely suspects every node outside its largest
-   group (cleared at heal): the tree-quorum layer only routes around
+   group, counting the members it leaves unnamed as one more group
+   (cleared at heal): the tree-quorum layer only routes around
    unreachable nodes once the detector excludes them, which models the
    membership-view change a JGroups-style stack would deliver. *)
 
@@ -456,25 +457,35 @@ type tracker = {
   mutable active : int;  (* fault conditions currently in force *)
   mutable window_started : float;
   mutable window_commits : int;
+  mutable window_resets : int; (* [Metrics.resets] when the window opened *)
   mutable degraded_time : float;
   mutable degraded_commits : int;
 }
 
 let enter t =
   if t.active = 0 then begin
+    let metrics = Core.Cluster.metrics t.cluster in
     t.window_started <- Core.Cluster.now t.cluster;
-    t.window_commits <- Core.Metrics.commits (Core.Cluster.metrics t.cluster)
+    t.window_commits <- Core.Metrics.commits metrics;
+    t.window_resets <- Core.Metrics.resets metrics
   end;
   t.active <- t.active + 1
+
+(* Commits since the open window began.  A counter reset inside the window
+   (the end of warm-up) zeroed the count, so it then holds exactly the
+   commits after the reset — the only ones the report's total counts. *)
+let commits_in_window t =
+  let metrics = Core.Cluster.metrics t.cluster in
+  if Core.Metrics.resets metrics = t.window_resets then
+    Core.Metrics.commits metrics - t.window_commits
+  else Core.Metrics.commits metrics
 
 let leave t =
   t.active <- t.active - 1;
   if t.active = 0 then begin
     t.degraded_time <-
       t.degraded_time +. (Core.Cluster.now t.cluster -. t.window_started);
-    t.degraded_commits <-
-      t.degraded_commits
-      + (Core.Metrics.commits (Core.Cluster.metrics t.cluster) - t.window_commits)
+    t.degraded_commits <- t.degraded_commits + commits_in_window t
   end
 
 let at_time cluster ~at f =
@@ -510,19 +521,22 @@ let install_event t event =
   | Partition { groups; at; duration } ->
     (* Suspect everyone outside the largest group so the majority side's
        quorum construction routes around the unreachable minority.  The
-       set is computed when the partition fires, against the membership
-       view of that moment: suspecting a decommissioned machine would
-       revive it onto the network when the suspicion clears. *)
+       members no group names form one more group, as in
+       [Network.partition]; it comes last, so a tie keeps a named group.
+       The set is computed when the partition fires, against the
+       membership view of that moment: suspecting a decommissioned machine
+       would revive it onto the network when the suspicion clears. *)
     at_time cluster ~at (fun () ->
+        let members = Core.Cluster.members cluster in
+        let unnamed =
+          List.filter (fun n -> not (List.exists (List.mem n) groups)) members
+        in
         let largest =
           List.fold_left
             (fun best g -> if List.length g > List.length best then g else best)
-            [] groups
+            [] (groups @ [ unnamed ])
         in
-        let outside =
-          Core.Cluster.members cluster
-          |> List.filter (fun n -> not (List.mem n largest))
-        in
+        let outside = List.filter (fun n -> not (List.mem n largest)) members in
         List.iter
           (fun node ->
             Core.Cluster.suspect_node_at ~clear_after:duration cluster
@@ -606,6 +620,7 @@ let install cluster events =
       active = 0;
       window_started = 0.;
       window_commits = 0;
+      window_resets = 0;
       degraded_time = 0.;
       degraded_commits = 0;
     }
@@ -638,8 +653,7 @@ let report t =
   (* Close a still-open degraded window against the current clock. *)
   let open_time, open_commits =
     if t.active > 0 then
-      ( Core.Cluster.now t.cluster -. t.window_started,
-        Core.Metrics.commits (Core.Cluster.metrics t.cluster) - t.window_commits )
+      (Core.Cluster.now t.cluster -. t.window_started, commits_in_window t)
     else (0., 0)
   in
   let metrics = Core.Cluster.metrics t.cluster in

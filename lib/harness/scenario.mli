@@ -22,7 +22,8 @@
     Example: ["crash 11 @500; recover 11 @2500; drop 0.05 @0"].
 
     A partition also falsely suspects every node outside its largest group
-    (cleared at heal), modelling the membership-view change the paper's
+    (cleared at heal; the members no group names count as one more group,
+    as in {!Sim.Network.partition}), modelling the membership-view change the paper's
     JGroups-based testbed would deliver — without it the tree-quorum layer
     would keep trying to reach the unreachable side. *)
 
@@ -93,7 +94,10 @@ val install : Core.Cluster.t -> event list -> tracker
 type report = {
   events : int;
   degraded_time : float;  (** total ms with at least one fault in force *)
-  degraded_commits : int;  (** commits landed inside degraded windows *)
+  degraded_commits : int;
+      (** commits landed inside degraded windows; a window open across a
+          counter reset (the end of warm-up) counts only the commits after
+          it, as [total_commits] does *)
   total_commits : int;
   syncs : int;  (** state-transfer rounds started *)
   recoveries : int;  (** completed restart-to-re-admission cycles *)

@@ -1,4 +1,12 @@
-(* Every envelope carries a view epoch, stamped at send time from the
+(* A call's pending record travels with it: the request goes out in a
+   [Call] envelope carrying the record, and each reply comes back in a
+   [Reply] envelope carrying the same record, so collecting a reply is a
+   field access — no table keyed by request id, no hashing.  A record is
+   live until [finished] is set, by the last awaited reply or by the
+   timeout; replies that arrive after that are discarded.  One-way traffic
+   goes out in a [Cast] and carries no record.
+
+   Every envelope carries a view epoch, stamped at send time from the
    [epoch_of] hook.  The epoch is keyed by the *request payload*, not the
    node: with a sharded object space each shard runs its own view epoch, and
    a message is fenced against the epoch of the shard its objects live on
@@ -8,25 +16,25 @@
    evidence gathered under a superseded view from feeding quorum decisions
    in the current one.  Stale replies are dropped unconditionally: the
    caller's round times out and its retry re-stamps the current epoch.
-   A reply inherits its request's epoch context via [epoch_now] (the reply
-   payload alone cannot name a shard).  Without [set_fencing] every epoch
-   is 0 and the layer behaves exactly as before. *)
-type ('req, 'rep) envelope =
-  | Request of { rid : int; payload : 'req; wants_reply : bool; epoch : int }
-  | Reply of { rid : int; payload : 'rep; epoch : int; epoch_now : unit -> int }
-
+   A reply is stamped and fenced with [epoch_of p.req], its request's epoch
+   context (the reply payload alone cannot name a shard).  Without
+   [set_fencing] every epoch is 0 and the layer behaves exactly as before. *)
 type ('req, 'rep) pending = {
+  req : 'req;
   mutable awaiting : int list;
   mutable replies : (int * 'rep) list;
   mutable finished : bool;
   complete : replies:(int * 'rep) list -> missing:int list -> unit;
 }
 
+type ('req, 'rep) envelope =
+  | Call of { p : ('req, 'rep) pending; epoch : int }
+  | Reply of { p : ('req, 'rep) pending; payload : 'rep; epoch : int }
+  | Cast of { payload : 'req; epoch : int }
+
 type ('req, 'rep) t = {
   network : ('req, 'rep) envelope Network.t;
   servers : (src:int -> 'req -> 'rep option) option array;
-  pending : (int, ('req, 'rep) pending) Hashtbl.t;
-  mutable next_rid : int;
   mutable give_ups : int;
   mutable fenced : int;
   (* Membership fencing, installed by the cluster: [epoch_of req] is the
@@ -57,48 +65,45 @@ let trace_fence t ~node ~src ~msg_epoch ~cur_epoch =
       ~kind:Obs.Sem.epoch_fence ~node ~txn:(-1) ~oid:(-1) ~a:src ~b:msg_epoch
       ~x:(Float.of_int cur_epoch)
 
+(* Serve a request at [node] unless the epoch fence rejects it; the
+   server's reply, if any. *)
+let serve_request t ~node ~src ~epoch payload =
+  let cur = t.epoch_of payload in
+  if epoch < cur && t.fenceable payload then begin
+    t.fenced <- t.fenced + 1;
+    trace_fence t ~node ~src ~msg_epoch:epoch ~cur_epoch:cur;
+    None
+  end
+  else match t.servers.(node) with None -> None | Some server -> server ~src payload
+
 let handle_envelope t ~node ~src env =
   match env with
-  | Request { rid; payload; wants_reply; epoch } ->
-    let cur = t.epoch_of payload in
-    if epoch < cur && t.fenceable payload then begin
-      t.fenced <- t.fenced + 1;
-      trace_fence t ~node ~src ~msg_epoch:epoch ~cur_epoch:cur
-    end
-    else begin
-      match t.servers.(node) with
+  | Call { p; epoch } ->
+    begin
+      match serve_request t ~node ~src ~epoch p.req with
+      | Some payload ->
+        Network.send t.network ~kind:Network.Kind.reply ~src:node ~dst:src
+          (Reply { p; payload; epoch = t.epoch_of p.req })
       | None -> ()
-      | Some server ->
-        begin
-          match server ~src payload with
-          | Some rep when wants_reply ->
-            let epoch_now () = t.epoch_of payload in
-            Network.send t.network ~kind:Network.Kind.reply ~src:node ~dst:src
-              (Reply { rid; payload = rep; epoch = epoch_now (); epoch_now })
-          | Some _ | None -> ()
-        end
     end
-  | Reply { rid; payload; epoch; epoch_now } ->
-    let cur = epoch_now () in
+  | Cast { payload; epoch } -> ignore (serve_request t ~node ~src ~epoch payload : _ option)
+  | Reply { p; payload; epoch } ->
+    let cur = t.epoch_of p.req in
     if epoch < cur then begin
       (* Evidence from a superseded view: the pending round will time out
          and the caller's retry carries the current epoch. *)
       t.fenced <- t.fenced + 1;
       trace_fence t ~node ~src ~msg_epoch:epoch ~cur_epoch:cur
     end
-    else begin
-      match Hashtbl.find_opt t.pending rid with
-      | None -> () (* request already completed or timed out *)
-      | Some p ->
-        if List.mem src p.awaiting then begin
-          p.awaiting <- List.filter (fun n -> n <> src) p.awaiting;
-          p.replies <- (src, payload) :: p.replies;
-          if p.awaiting = [] then begin
-            p.finished <- true;
-            Hashtbl.remove t.pending rid;
-            p.complete ~replies:(List.rev p.replies) ~missing:[]
-          end
-        end
+    else if (not p.finished) && List.mem src p.awaiting then begin
+      (* A finished call has completed or timed out, so a late reply is
+         discarded; [awaiting] also discards duplicates. *)
+      p.awaiting <- List.filter (fun n -> n <> src) p.awaiting;
+      p.replies <- (src, payload) :: p.replies;
+      if p.awaiting = [] then begin
+        p.finished <- true;
+        p.complete ~replies:(List.rev p.replies) ~missing:[]
+      end
     end
 
 let create ?(seed = 0) ?(retry_base = 0.) ?(retry_max = 0.) ~network () =
@@ -106,8 +111,6 @@ let create ?(seed = 0) ?(retry_base = 0.) ?(retry_max = 0.) ~network () =
     {
       network;
       servers = Array.make (Network.nodes network) None;
-      pending = Hashtbl.create 64;
-      next_rid = 0;
       give_ups = 0;
       fenced = 0;
       epoch_of = (fun _ -> 0);
@@ -130,26 +133,17 @@ let set_fencing t ~epoch_of ~fenceable =
   t.epoch_of <- epoch_of;
   t.fenceable <- fenceable
 
-let fresh_rid t =
-  let rid = t.next_rid in
-  t.next_rid <- rid + 1;
-  rid
-
 let multicall t ?kind ~src ~dsts ~timeout req ~on_done =
-  let rid = fresh_rid t in
-  let p = { awaiting = dsts; replies = []; finished = false; complete = on_done } in
   if dsts = [] then on_done ~replies:[] ~missing:[]
   else begin
-    Hashtbl.replace t.pending rid p;
-    Network.multicast_batch t.network ?kind ~src ~dsts
-      (Request { rid; payload = req; wants_reply = true; epoch = t.epoch_of req });
+    let p = { req; awaiting = dsts; replies = []; finished = false; complete = on_done } in
+    Network.multicast_batch t.network ?kind ~src ~dsts (Call { p; epoch = t.epoch_of req });
     let engine = Network.engine t.network in
     Engine.schedule_in engine t.timeouts
       ~time:(Engine.now engine +. Stdlib.max 0. timeout)
       (fun () ->
         if not p.finished then begin
           p.finished <- true;
-          Hashtbl.remove t.pending rid;
           if Obs.Tracer.enabled t.tracer then
             Obs.Tracer.emit8 t.tracer ~time:(Engine.now engine)
               ~kind:Obs.Sem.rpc_timeout ~node:src ~txn:(-1) ~oid:(-1)
@@ -167,17 +161,12 @@ let call t ?kind ~src ~dst ~timeout req ~on_reply ~on_timeout =
       | _, _ -> on_timeout ())
 
 let cast t ?kind ~src ~dst req =
-  let rid = fresh_rid t in
-  Network.send t.network ?kind ~src ~dst
-    (Request { rid; payload = req; wants_reply = false; epoch = t.epoch_of req })
+  Network.send t.network ?kind ~src ~dst (Cast { payload = req; epoch = t.epoch_of req })
 
-(* One rid and one shared [Request] for the whole wave: fire-and-forget
-   requests never enter the pending table, so per-destination rids bought
-   nothing but allocations. *)
+(* One shared [Cast] for the whole wave. *)
 let multicast t ?kind ~src ~dsts req =
-  let rid = fresh_rid t in
   Network.multicast_batch t.network ?kind ~src ~dsts
-    (Request { rid; payload = req; wants_reply = false; epoch = t.epoch_of req })
+    (Cast { payload = req; epoch = t.epoch_of req })
 
 (* At-least-once delivery for idempotent one-way messages: the request is
    re-sent until the server acknowledges it or [attempts] are exhausted

@@ -129,6 +129,56 @@ let test_false_suspicion_and_loss_safe () =
       expect_consistent cluster)
     [ 21; 22; 23 ]
 
+(* A scenario run as [qr-dtm scenario] makes it: the bank workload with 26
+   clients, a 2 s warm-up and then the measured window. *)
+let scenario_run ~seed ~duration spec =
+  let events =
+    match Harness.Scenario.parse spec with
+    | Ok events -> events
+    | Error msg -> Alcotest.failf "parse %S: %s" spec msg
+  in
+  let benchmark = Option.get (Benchmarks.Registry.find "bank") in
+  let params =
+    {
+      Benchmarks.Workload.objects = Harness.Figures.benchmark_objects "bank";
+      calls = 3;
+      read_ratio = 0.5;
+      key_skew = 0.5;
+      cross_shard_prob = 0.;
+      shard_skew = 0.;
+    }
+  in
+  let tracker = ref None in
+  let result =
+    Harness.Experiment.run ~seed ~clients:26 ~duration
+      ~prepare:(fun cluster -> tracker := Some (Harness.Scenario.install cluster events))
+      ~config:(Config.default Config.Closed) ~benchmark ~params ()
+  in
+  match !tracker with
+  | Some tracker -> (result, Harness.Scenario.report tracker)
+  | None -> Alcotest.fail "scenario never installed"
+
+(* The members a partition spec leaves unnamed form one more group, in the
+   suspicions as in the network: naming only the minority must suspect the
+   minority, exactly as naming both sides does. *)
+let test_partition_unnamed_majority () =
+  let run spec = scenario_run ~seed:3 ~duration:8000. spec in
+  let result, minority = run "partition 7,8 @2000 for 3000" in
+  let _, both = run "partition 7,8|0,1,2,3,4,5,6,9,10,11,12 @2000 for 3000" in
+  Alcotest.(check int) "only the two cut-off nodes suspected" 2
+    minority.Harness.Scenario.false_suspicions;
+  Alcotest.(check bool) "same report as naming both sides" true (minority = both);
+  Alcotest.(check bool) "1-copy serializable" true (result.Harness.Experiment.consistent = Ok ())
+
+(* A degraded window open across the warm-up counter reset counts only the
+   commits after the reset, as the total does. *)
+let test_degraded_window_spans_reset () =
+  let _, report = scenario_run ~seed:3 ~duration:4000. "suspect 3 @1500 for 1000" in
+  let degraded = report.Harness.Scenario.degraded_commits
+  and total = report.Harness.Scenario.total_commits in
+  if not (0 < degraded && degraded <= total) then
+    Alcotest.failf "degraded commits %d / %d total" degraded total
+
 (* {2 Scenario DSL parsing} *)
 
 let parse_ok spec =
@@ -391,6 +441,10 @@ let suite =
     Alcotest.test_case "partitioned minority stalls" `Quick test_partition_minority_stalls;
     Alcotest.test_case "false suspicion + 5% loss safe" `Quick
       test_false_suspicion_and_loss_safe;
+    Alcotest.test_case "partition spec: unnamed members are a group" `Quick
+      test_partition_unnamed_majority;
+    Alcotest.test_case "degraded window across the warm-up reset" `Quick
+      test_degraded_window_spans_reset;
     Alcotest.test_case "scenario parse" `Quick test_scenario_parse;
     Alcotest.test_case "scenario parse errors" `Quick test_scenario_parse_errors;
     Alcotest.test_case "scenario crashed nodes" `Quick test_scenario_crashed_nodes;

@@ -38,7 +38,9 @@ let test_engine_nested_schedule () =
 
 (* Model-based check of the event queue: random interleavings of every way
    to schedule (relative, absolute, reserved seq, and two FIFO lanes fed
-   both in and out of time order) with [step] and [run ~until].  The model
+   both in and out of time order) with [step] and [run ~until].  Bursts
+   push well past the initial 64 entries, so the heap columns, the action
+   slots and the lane rings all grow, a ring often while it wraps.  The model
    is a list sorted by (time, seq); the engine must fire exactly its order
    at exactly its times, and [pending] must track its size throughout. *)
 type queue_op =
@@ -49,6 +51,9 @@ type queue_op =
   | In_at of int * float (* schedule_in lane, at an absolute time *)
   | Step
   | Until of float (* run ~until:(now + d) *)
+  | Burst of int * float
+      (* n events at now + d + k/3, k = 0 .. n-1, on the heap and the two
+         lanes in turn *)
 
 let show_queue_op = function
   | Sched d -> Printf.sprintf "Sched %g" d
@@ -58,6 +63,7 @@ let show_queue_op = function
   | In_at (l, x) -> Printf.sprintf "In_at (%d, %g)" l x
   | Step -> "Step"
   | Until d -> Printf.sprintf "Until %g" d
+  | Burst (n, d) -> Printf.sprintf "Burst (%d, %g)" n d
 
 let queue_ops =
   let open QCheck.Gen in
@@ -74,6 +80,7 @@ let queue_ops =
         (1, map2 (fun l x -> In_at (l, x)) lane t);
         (3, return Step);
         (1, map (fun d -> Until d) t);
+        (1, map2 (fun n d -> Burst (n, d)) (int_range 50 150) t);
       ]
   in
   QCheck.make
@@ -130,6 +137,13 @@ let engine_queue_matches_model =
           let limit = !clock +. d in
           Sim.Engine.run ~until:limit engine;
           fire_until limit
+        | Burst (n, d) ->
+          for k = 0 to n - 1 do
+            let time = !clock +. d +. Float.of_int (k / 3) in
+            match k mod 3 with
+            | 0 -> add ~time (fun f -> Sim.Engine.schedule_at engine ~time f)
+            | l -> add ~time (fun f -> Sim.Engine.schedule_in engine lanes.(l - 1) ~time f)
+          done
       in
       let in_step () =
         Sim.Engine.pending engine = List.length !model && Sim.Engine.now engine = !clock
@@ -375,9 +389,38 @@ let test_rpc_multicall_late_reply_discarded () =
     (Some ([ 1; 3 ], [ 2 ]))
     !result;
   (* The request did reach node 2 (only late); its reply was dropped on the
-     floor by the pending-table check, not delivered to the callback. *)
+     floor because the call had already finished, not delivered to the
+     callback. *)
   Alcotest.(check bool) "slow node still served the request" true
     (List.mem 2 !served)
+
+(* Every message on the links to nodes 1-3 is delivered twice, so each
+   node serves the request twice and node 0 receives four replies from it.
+   Node 3's link is also spiked, so the duplicates from nodes 1 and 2 land
+   while the call still awaits node 3: only the awaiting guard can discard
+   them.  [on_done] fires once, with each replier once, in arrival order. *)
+let test_rpc_multicall_duplicate_reply_counted_once () =
+  let engine, network, rpc = make_rpc () in
+  let served = ref 0 in
+  for node = 0 to 3 do
+    Sim.Rpc.serve rpc ~node (fun ~src:_ req ->
+        incr served;
+        Some (req + node))
+  done;
+  let dup = { Sim.Network.no_faults with duplicate = 1.0 } in
+  Sim.Network.set_link_faults network ~a:0 ~b:1 dup;
+  Sim.Network.set_link_faults network ~a:0 ~b:2 dup;
+  Sim.Network.set_link_faults network ~a:0 ~b:3
+    { dup with spike_prob = 1.0; spike_factor = 20. };
+  let calls = ref [] in
+  Sim.Rpc.multicall rpc ~src:0 ~dsts:[ 1; 2; 3 ] ~timeout:1000. 100
+    ~on_done:(fun ~replies ~missing -> calls := (replies, missing) :: !calls);
+  Sim.Engine.run engine;
+  Alcotest.(check int) "every request served twice" 6 !served;
+  Alcotest.(check (list (pair (list (pair int int)) (list int))))
+    "one completion, each replier once"
+    [ ([ (1, 101); (2, 102); (3, 103) ], []) ]
+    !calls
 
 let test_rpc_multicall_missing_is_exact () =
   let engine, network, rpc = make_rpc ~nodes:6 () in
@@ -535,6 +578,8 @@ let suite =
       test_rpc_multicall_late_reply_discarded;
     Alcotest.test_case "rpc multicall missing exact" `Quick
       test_rpc_multicall_missing_is_exact;
+    Alcotest.test_case "rpc duplicated reply counted once" `Quick
+      test_rpc_multicall_duplicate_reply_counted_once;
     Alcotest.test_case "rpc acked send retransmits" `Quick test_rpc_acked_send_retransmits;
     Alcotest.test_case "rpc one-way cast" `Quick test_rpc_no_reply_handler;
     Alcotest.test_case "failure detection" `Quick test_failure_detection;
