@@ -128,11 +128,12 @@ let figures () =
 (* --- Ablations --------------------------------------------------------- *)
 
 let run_mode ?(config_of = Config.default) mode =
-  Harness.Experiment.run ~seed:7 ~clients:scale.clients ~warmup:scale.warmup
-    ~duration:scale.duration ~config:(config_of mode)
-    ~benchmark:Benchmarks.Bank.benchmark
-    ~params:{ Benchmarks.Workload.default_params with objects = 96; calls = 3; read_ratio = 0.5; key_skew = 0.5 }
-    ()
+  Harness.Experiment.run ~clients:scale.clients ~warmup:scale.warmup
+    ~duration:scale.duration
+    (Harness.Experiment.spec ~seed:7 ~config:(config_of mode)
+       ~benchmark:Benchmarks.Bank.benchmark
+       ~params:{ Benchmarks.Workload.default_params with objects = 96; calls = 3; read_ratio = 0.5; key_skew = 0.5 }
+       ())
 
 let ablation_rqv_for_flat () =
   let base = run_mode Config.Flat in
@@ -191,12 +192,13 @@ let ablation_checkpoint_tuning () =
 let ablation_read_level () =
   let point level =
     let result =
-      Harness.Experiment.run ~seed:9 ~read_level:level ~clients:scale.clients
-        ~warmup:scale.warmup ~duration:scale.duration
-        ~config:(Config.default Config.Closed) ~benchmark:Benchmarks.Bank.benchmark
-        ~params:
-          { Benchmarks.Workload.default_params with objects = 96; calls = 3; read_ratio = 0.5; key_skew = 0.5 }
-        ()
+      Harness.Experiment.run ~clients:scale.clients ~warmup:scale.warmup
+        ~duration:scale.duration
+        (Harness.Experiment.spec ~seed:9 ~read_level:level
+           ~config:(Config.default Config.Closed) ~benchmark:Benchmarks.Bank.benchmark
+           ~params:
+             { Benchmarks.Workload.default_params with objects = 96; calls = 3; read_ratio = 0.5; key_skew = 0.5 }
+           ())
     in
     [ result.Harness.Experiment.throughput; Float.of_int result.messages ]
   in
@@ -508,13 +510,13 @@ type batch_stats = {
 
 let measure_batch () =
   let point ~batch_commit =
-    Harness.Experiment.run ~nodes:9 ~clients:24 ~seed:131 ~warmup:500.
-      ~duration:3_000. ~batch_commit
-      ~config:(Config.default Config.Flat)
-      ~benchmark:Benchmarks.Bank.benchmark
-      ~params:
-        { Benchmarks.Workload.default_params with objects = 8; calls = 2; read_ratio = 0.1; key_skew = 0.5 }
-      ()
+    Harness.Experiment.run ~clients:24 ~warmup:500. ~duration:3_000.
+      (Harness.Experiment.spec ~nodes:9 ~seed:131 ~batch_commit
+         ~config:(Config.default Config.Flat)
+         ~benchmark:Benchmarks.Bank.benchmark
+         ~params:
+           { Benchmarks.Workload.default_params with objects = 8; calls = 2; read_ratio = 0.1; key_skew = 0.5 }
+         ())
   in
   let guard label (r : Harness.Experiment.result) =
     (match r.invariant with
@@ -781,13 +783,13 @@ let alloc_bench () =
    up while service latency stays flat. *)
 let openloop_bench () =
   let point ~rate ~duration =
-    Harness.Openloop.run ~nodes:5 ~seed:19 ~warmup:500. ~duration ~rate
-      ~population:1_000_000
-      ~config:(Config.default Config.Closed)
-      ~benchmark:Benchmarks.Counter.benchmark
-      ~params:
-        { Benchmarks.Workload.default_params with objects = 512; calls = 1; read_ratio = 0.5 }
-      ()
+    Harness.Openloop.run ~warmup:500. ~duration ~rate ~population:1_000_000
+      (Harness.Experiment.spec ~nodes:5 ~seed:19
+         ~config:(Config.default Config.Closed)
+         ~benchmark:Benchmarks.Counter.benchmark
+         ~params:
+           { Benchmarks.Workload.default_params with objects = 512; calls = 1; read_ratio = 0.5 }
+         ())
   in
   print_endline "open-loop bench: Poisson arrivals, 1M logical clients (counter workload)";
   let under = point ~rate:150. ~duration:8_000. in

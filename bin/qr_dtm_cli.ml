@@ -11,14 +11,10 @@
 
 open Cmdliner
 
-let scale_of_string = function
-  | "full" -> Harness.Figures.full
-  | "quick" -> Harness.Figures.quick
-  | other -> failwith (Printf.sprintf "unknown scale %S (quick|full)" other)
-
 let scale_arg =
   let doc = "Run scale: $(b,quick) (seconds per point) or $(b,full) (paper-like)." in
-  Arg.(value & opt string "quick" & info [ "scale" ] ~docv:"SCALE" ~doc)
+  let scales = [ ("quick", Harness.Figures.quick); ("full", Harness.Figures.full) ] in
+  Arg.(value & opt (enum scales) Harness.Figures.quick & info [ "scale" ] ~docv:"SCALE" ~doc)
 
 let jobs_arg =
   let doc =
@@ -34,82 +30,204 @@ let set_jobs jobs = Harness.Pool.set_jobs jobs
 
 let bench_arg =
   let doc = "Benchmark name (bank, hashmap, slist, rbtree, vacation, bst, counter)." in
-  Arg.(value & opt (some string) None & info [ "bench" ] ~docv:"BENCH" ~doc)
-
-let lookup_bench name =
-  match Benchmarks.Registry.find name with
-  | Some b -> b
-  | None ->
-    failwith
-      (Printf.sprintf "unknown benchmark %S (expected one of: %s)" name
-         (String.concat ", " (Benchmarks.Registry.names ())))
-
-let selected_benchmarks = function
-  | Some name -> [ lookup_bench name ]
-  | None -> Benchmarks.Registry.paper_suite
+  let benches =
+    List.map (fun (b : Benchmarks.Workload.benchmark) -> (b.name, b)) Benchmarks.Registry.all
+  in
+  Arg.(value & opt (some (enum benches)) None & info [ "bench" ] ~docv:"BENCH" ~doc)
 
 let print_series series = print_string (Harness.Report.render series)
 
-let batch_commit_arg =
-  let doc =
-    "Speculative batch-commit mode (PROTOCOL.md §9): coordinators queue commit \
-     requests and decide each batch with a single quorum round; queued successors \
-     read predecessors' uncommitted write images speculatively."
+(* {2 The shared run flags}
+
+   [run], [scenario], [trace] and [chaos] set up a run from the same
+   flags, each defined once here.  A command passes its own defaults; a
+   flag group it leaves out is not offered, and its fields keep the
+   neutral values below (the bank workload, no duration, one shard, no
+   checks). *)
+
+type shared = {
+  bench : Benchmarks.Workload.benchmark;
+  mode : Core.Config.mode;
+  nodes : int;
+  clients : int;
+  duration : float;
+  seed : int;
+  spares : int option;  (** [None] unless given *)
+  shards : int;
+  cross_shard_prob : float;
+  shard_skew : float;
+  batch_commit : bool;
+  check_online : bool;
+}
+
+let shared_term ?duration ?(bench = true) ?(spares = false) ?(sharding = true)
+    ?(shard_skew = true) ?(checks = true) ~nodes ~clients ~seed () =
+  let open Term.Syntax in
+  let offered present neutral arg = if present then arg else Term.const neutral in
+  let+ bench =
+    offered bench Benchmarks.Bank.benchmark
+      (Term.map (Option.value ~default:Benchmarks.Bank.benchmark) bench_arg)
+  and+ mode =
+    let doc = "Execution model: flat, closed or checkpoint." in
+    let modes = List.map (fun m -> (Core.Config.mode_name m, m)) Harness.Figures.modes in
+    Arg.(value & opt (enum modes) Core.Config.Closed & info [ "mode" ] ~docv:"MODE" ~doc)
+  and+ nodes = Arg.(value & opt int nodes & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size.")
+  and+ clients =
+    Arg.(value & opt int clients & info [ "clients" ] ~docv:"N" ~doc:"Closed-loop clients.")
+  and+ duration =
+    match duration with
+    | Some d -> Arg.(value & opt float d & info [ "duration" ] ~docv:"MS" ~doc:"Window, ms.")
+    | None -> Term.const 0.
+  and+ seed =
+    let doc = "Run seed (chaos: the first seed; runs use SEED..SEED+N-1)." in
+    Arg.(value & opt int seed & info [ "seed" ] ~docv:"SEED" ~doc)
+  and+ spares =
+    let doc =
+      "Stand-by machines outside the initial view (join/replace targets); default 0, \
+       or 2 for chaos --rolling."
+    in
+    offered spares None Arg.(value & opt (some int) None & info [ "spares" ] ~docv:"N" ~doc)
+  and+ shards =
+    let doc =
+      "Shards the object space is partitioned into (each shard runs its own \
+       member view, epoch and tree quorum; needs at least 3 nodes per shard). \
+       1 reproduces the unsharded protocol byte-for-byte."
+    in
+    offered sharding 1 Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
+  and+ cross_shard_prob =
+    let doc =
+      "Fraction of workload operations steered across shard boundaries \
+       (bank transfer pairs spanning two shards; hashmap keys homed on a \
+       drawn shard).  Requires --shards > 1 to have any effect."
+    in
+    offered sharding 0. Arg.(value & opt float 0. & info [ "cross-shard-prob" ] ~docv:"P" ~doc)
+  and+ shard_skew =
+    let doc = "Zipf skew of the target-shard draw on cross-shard operations (0 = uniform)." in
+    offered (sharding && shard_skew) 0.
+      Arg.(value & opt float 0. & info [ "shard-skew" ] ~docv:"S" ~doc)
+  and+ batch_commit =
+    let doc =
+      "Speculative batch-commit mode (PROTOCOL.md §9): coordinators queue commit \
+       requests and decide each batch with a single quorum round; queued successors \
+       read predecessors' uncommitted write images speculatively."
+    in
+    offered checks false Arg.(value & flag & info [ "batch-commit" ] ~doc)
+  and+ check_online =
+    let doc =
+      "Attach the online protocol checker (Obs.Online) through a tracer sink: every \
+       rule is checked as events stream, with memory bounded by in-flight \
+       transactions, immune to ring truncation.  Voter sets are checked against the \
+       tree's structural write-quorum rule when there is one shard and the faults are \
+       message faults only (loss, duplication, spikes, flaky links), by pairwise \
+       intersection otherwise.  Any violation exits 1."
+    in
+    offered checks false Arg.(value & flag & info [ "check-online" ] ~doc)
   in
-  Arg.(value & flag & info [ "batch-commit" ] ~doc)
+  {
+    bench;
+    mode;
+    nodes;
+    clients;
+    duration;
+    seed;
+    spares;
+    shards;
+    cross_shard_prob;
+    shard_skew;
+    batch_commit;
+    check_online;
+  }
 
-let parse_mode = function
-  | "flat" -> Core.Config.Flat
-  | "closed" -> Core.Config.Closed
-  | "checkpoint" -> Core.Config.Checkpoint
-  | other -> failwith (Printf.sprintf "unknown mode %S" other)
+(* The paper's operating point for the chosen benchmark, with the shard
+   flags applied. *)
+let params_of ?objects ?(calls = 3) ?(reads = 0.5) ?(skew = 0.5) f =
+  {
+    Benchmarks.Workload.objects =
+      Option.value objects ~default:(Harness.Figures.benchmark_objects f.bench.name);
+    calls;
+    read_ratio = reads;
+    key_skew = skew;
+    cross_shard_prob = f.cross_shard_prob;
+    shard_skew = f.shard_skew;
+  }
 
-let shards_arg =
-  let doc =
-    "Shards the object space is partitioned into (each shard runs its own \
-     member view, epoch and tree quorum; needs at least 3 nodes per shard). \
-     1 reproduces the unsharded protocol byte-for-byte."
-  in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
+let spec_of ~tracer f params =
+  Harness.Experiment.spec ~nodes:f.nodes
+    ~spares:(Option.value f.spares ~default:0)
+    ~seed:f.seed ~tracer ~batch_commit:f.batch_commit ~shards:f.shards
+    ~config:(Core.Config.default f.mode) ~benchmark:f.bench ~params ()
 
-let cross_shard_prob_arg =
-  let doc =
-    "Fraction of workload operations steered across shard boundaries \
-     (bank transfer pairs spanning two shards; hashmap keys homed on a \
-     drawn shard).  Requires --shards > 1 to have any effect."
-  in
-  Arg.(value & opt float 0. & info [ "cross-shard-prob" ] ~docv:"P" ~doc)
+(* {2 The online checker}
 
-let shard_skew_arg =
-  let doc = "Zipf skew of the target-shard draw on cross-shard operations (0 = uniform)." in
-  Arg.(value & opt float 0. & info [ "shard-skew" ] ~docv:"S" ~doc)
+   One helper for run, scenario and chaos.  The structural write-quorum
+   rule holds only while every shard sees one static, fully live view of
+   one tree: quorum construction lets a suspected leaf drop out, and a view
+   change rebuilds the tree.  So it applies to a single shard whose fault
+   spec has only message faults (loss, duplication, spikes, flaky links);
+   a crash, suspicion, partition, membership or shard event switches the
+   checker to pairwise intersection of voter sets.  The ring can stay
+   tiny: the sink sees every event before eviction. *)
+
+let structural_rule ~nodes =
+  let tree = Quorum.Tree.create ~nodes () in
+  fun set -> Quorum.Check.covers_write_quorum tree set
+
+let changes_view = function
+  | Harness.Scenario.Drop _ | Duplicate _ | Spike _ | Flaky _ -> false
+  | Crash _ | Recover _ | Suspect _ | Partition _ | Join _ | Leave _ | Replace _
+  | ShardMove _ | ShardSplit _ ->
+    true
+
+let online_checker ?(fail_fast = false) f events =
+  if not f.check_online then (Obs.Tracer.null, None)
+  else begin
+    let is_write_quorum =
+      if f.shards = 1 && not (List.exists changes_view events) then
+        Some (structural_rule ~nodes:f.nodes)
+      else None
+    in
+    let tracer = Obs.Tracer.create ~capacity:(1 lsl 12) () in
+    let checker = Obs.Online.create ?is_write_quorum ~fail_fast () in
+    Obs.Online.attach checker tracer;
+    (tracer, Some checker)
+  end
+
+(* Print the checker's verdict on stderr; [true] when it saw no violation. *)
+let online_clean ?(who = "online checker") checker =
+  match Obs.Online.finish checker with
+  | [] ->
+    Format.eprintf "%s: ok (%d events, 0 violations)@." who
+      (Obs.Online.events_seen checker);
+    true
+  | violations ->
+    List.iter (fun v -> Format.eprintf "%s: %s@." who (Obs.Online.pp_violation v)) violations;
+    Format.eprintf "%s: %d violation(s)@." who (List.length violations);
+    false
+
+(* The end of a [run] or [scenario]: the checker's verdict, then exit 1
+   unless the invariant, the oracle and the checker all passed. *)
+let finish ~invariant ~consistent online =
+  let clean = Option.fold ~none:true ~some:(fun ck -> online_clean ck) online in
+  if not (invariant = Ok () && consistent = Ok () && clean) then exit 1
 
 let figure_cmd =
   let number_arg =
     let doc = "Figure number: 5, 6, 7, 9 or 10." in
-    Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc)
+    let figures = List.map (fun n -> (string_of_int n, n)) [ 5; 6; 7; 9; 10 ] in
+    Arg.(required & pos 0 (some (enum figures)) None & info [] ~docv:"N" ~doc)
   in
   let run number scale bench jobs =
     set_jobs jobs;
-    let scale = scale_of_string scale in
-    begin
-      match number with
-      | 5 ->
-        List.iter
-          (fun benchmark -> print_series (Harness.Figures.fig5 ~scale ~benchmark ()))
-          (selected_benchmarks bench)
-      | 6 ->
-        List.iter
-          (fun benchmark -> print_series (Harness.Figures.fig6 ~scale ~benchmark ()))
-          (selected_benchmarks bench)
-      | 7 ->
-        List.iter
-          (fun benchmark -> print_series (Harness.Figures.fig7 ~scale ~benchmark ()))
-          (selected_benchmarks bench)
-      | 9 -> List.iter print_series (Harness.Figures.fig9 ~scale ())
-      | 10 -> print_series (Harness.Figures.fig10 ~scale ())
-      | n -> failwith (Printf.sprintf "no figure %d (5, 6, 7, 9, 10)" n)
-    end
+    let benchmarks =
+      match bench with Some b -> [ b ] | None -> Benchmarks.Registry.paper_suite
+    in
+    let per_benchmark fig = List.iter (fun benchmark -> print_series (fig benchmark)) benchmarks in
+    match number with
+    | 5 -> per_benchmark (fun benchmark -> Harness.Figures.fig5 ~scale ~benchmark ())
+    | 6 -> per_benchmark (fun benchmark -> Harness.Figures.fig6 ~scale ~benchmark ())
+    | 7 -> per_benchmark (fun benchmark -> Harness.Figures.fig7 ~scale ~benchmark ())
+    | 9 -> List.iter print_series (Harness.Figures.fig9 ~scale ())
+    | _ (* 10: the enum admits nothing else *) -> print_series (Harness.Figures.fig10 ~scale ())
   in
   let info = Cmd.info "figure" ~doc:"Regenerate one of the paper's figures" in
   Cmd.v info Term.(const run $ number_arg $ scale_arg $ bench_arg $ jobs_arg)
@@ -117,7 +235,7 @@ let figure_cmd =
 let table_cmd =
   let run scale jobs =
     set_jobs jobs;
-    print_series (Harness.Figures.table8 ~scale:(scale_of_string scale) ())
+    print_series (Harness.Figures.table8 ~scale ())
   in
   let info = Cmd.info "table" ~doc:"Regenerate the abort/message table (paper Fig. 8)" in
   Cmd.v info Term.(const run $ scale_arg $ jobs_arg)
@@ -125,16 +243,12 @@ let table_cmd =
 let summary_cmd =
   let run scale jobs =
     set_jobs jobs;
-    print_series (Harness.Figures.summary ~scale:(scale_of_string scale) ())
+    print_series (Harness.Figures.summary ~scale ())
   in
   let info = Cmd.info "summary" ~doc:"Headline paper-claim aggregates" in
   Cmd.v info Term.(const run $ scale_arg $ jobs_arg)
 
 let run_cmd =
-  let mode_arg =
-    let doc = "Execution model: flat, closed or checkpoint." in
-    Arg.(value & opt string "closed" & info [ "mode" ] ~docv:"MODE" ~doc)
-  in
   let reads_arg =
     Arg.(value & opt float 0.5 & info [ "reads" ] ~docv:"R" ~doc:"Read ratio in [0,1].")
   in
@@ -144,14 +258,6 @@ let run_cmd =
   let objects_arg =
     Arg.(value & opt (some int) None & info [ "objects" ] ~docv:"N" ~doc:"Population size.")
   in
-  let nodes_arg = Arg.(value & opt int 13 & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size.") in
-  let clients_arg =
-    Arg.(value & opt int 26 & info [ "clients" ] ~docv:"N" ~doc:"Closed-loop clients.")
-  in
-  let duration_arg =
-    Arg.(value & opt float 10_000. & info [ "duration" ] ~docv:"MS" ~doc:"Window, ms.")
-  in
-  let seed_arg = Arg.(value & opt int 97 & info [ "seed" ] ~docv:"SEED" ~doc:"Run seed.") in
   let skew_arg =
     Arg.(value & opt float 0.5 & info [ "skew" ] ~docv:"S" ~doc:"Zipf key skew.")
   in
@@ -171,145 +277,71 @@ let run_cmd =
     let doc = "Admission cap per node for --open-loop; arrivals beyond it queue and accrue queueing delay." in
     Arg.(value & opt int 4 & info [ "max-per-node" ] ~docv:"N" ~doc)
   in
-  let check_online_arg =
-    let doc =
-      "Attach the online protocol checker (Obs.Online) to the run via a tracer sink: \
-       every rule is checked as events stream, with memory bounded by in-flight \
-       transactions; exits 1 on violations.  Immune to ring truncation."
-    in
-    Arg.(value & flag & info [ "check-online" ] ~doc)
-  in
-  let run bench mode reads calls objects nodes clients duration seed skew batch_commit
-      shards cross_shard_prob shard_skew open_loop population max_per_node check_online =
-    let benchmark = lookup_bench (Option.value ~default:"bank" bench) in
-    let mode = parse_mode mode in
-    let params =
-      {
-        Benchmarks.Workload.objects =
-          Option.value ~default:(Harness.Figures.benchmark_objects benchmark.name) objects;
-        calls;
-        read_ratio = reads;
-        key_skew = skew;
-        cross_shard_prob;
-        shard_skew;
-      }
-    in
-    let config = Core.Config.default mode in
-    (* The online checker rides a tracer sink; the ring itself can stay
-       tiny — the sink sees every event before eviction. *)
-    let tracer =
-      if check_online then Obs.Tracer.create ~capacity:(1 lsl 12) ()
-      else Obs.Tracer.null
-    in
-    let online =
-      if not check_online then None
-      else begin
-        let is_write_quorum =
-          (* The structural rule only holds for the static single-shard
-             view; sharded runs fall back to pairwise intersection. *)
-          if shards = 1 then begin
-            let tree = Quorum.Tree.create ~nodes () in
-            Some (fun set -> Quorum.Check.covers_write_quorum tree set)
-          end
-          else None
-        in
-        let ck = Obs.Online.create ?is_write_quorum () in
-        Obs.Online.attach ck tracer;
-        Some ck
-      end
-    in
-    (match open_loop with
+  let run f reads calls objects skew open_loop population max_per_node =
+    let tracer, online = online_checker f [] in
+    let spec = spec_of ~tracer f (params_of ?objects ~calls ~reads ~skew f) in
+    match open_loop with
     | Some rate ->
-      let result =
-        Harness.Openloop.run ~nodes ~seed ~duration ~batch_commit ~shards ~tracer
-          ~population ~max_per_node ~rate ~config ~benchmark ~params ()
+      let r =
+        Harness.Openloop.run ~duration:f.duration ~population ~max_per_node ~rate spec
       in
-      Format.printf "%a@." Harness.Openloop.pp_result result
+      Format.printf "%a@." Harness.Openloop.pp_result r;
+      finish ~invariant:r.invariant ~consistent:r.consistent online
     | None ->
-      let result =
-        Harness.Experiment.run ~nodes ~seed ~clients ~duration ~batch_commit ~shards
-          ~tracer ~config ~benchmark ~params ()
-      in
-      Format.printf "%a@." Harness.Experiment.pp_result result);
-    match online with
-    | None -> ()
-    | Some ck -> (
-      match Obs.Online.finish ck with
-      | [] ->
-        Format.eprintf "online checker: ok (%d events, 0 violations)@."
-          (Obs.Online.events_seen ck)
-      | violations ->
-        List.iter (fun v -> prerr_endline (Obs.Online.pp_violation v)) violations;
-        Format.eprintf "online checker: %d violation(s)@." (List.length violations);
-        exit 1)
+      let r = Harness.Experiment.run ~clients:f.clients ~duration:f.duration spec in
+      Format.printf "%a@." Harness.Experiment.pp_result r;
+      finish ~invariant:r.invariant ~consistent:r.consistent online
   in
   let info = Cmd.info "run" ~doc:"Run one custom experiment point" in
   Cmd.v info
     Term.(
-      const run $ bench_arg $ mode_arg $ reads_arg $ calls_arg $ objects_arg $ nodes_arg
-      $ clients_arg $ duration_arg $ seed_arg $ skew_arg $ batch_commit_arg $ shards_arg
-      $ cross_shard_prob_arg $ shard_skew_arg $ open_loop_arg $ population_arg
-      $ max_per_node_arg $ check_online_arg)
+      const run
+      $ shared_term ~nodes:13 ~clients:26 ~seed:97 ~duration:10_000. ()
+      $ reads_arg $ calls_arg $ objects_arg $ skew_arg $ open_loop_arg $ population_arg
+      $ max_per_node_arg)
 
 let scenario_cmd =
-  let spec_arg =
+  let events_arg =
     let doc =
       "Fault scenario, e.g. 'crash 11 @500; recover 11 @2500; drop 0.05 @0'. \
        Events: crash/recover/suspect N @T [for D], partition a,b|c,d @T for D, \
        drop/dup P @T [for D], spike P F @T [for D], flaky A-B P @T [for D], \
        join N @T, leave N @T, replace L J @T, shardmove OID S @T, shardsplit S @T."
     in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"SPEC" ~doc)
-  in
-  let spares_arg =
-    let doc = "Stand-by machines outside the initial view (targets for join/replace)." in
-    Arg.(value & opt int 0 & info [ "spares" ] ~docv:"N" ~doc)
-  in
-  let mode_arg =
-    let doc = "Execution model: flat, closed or checkpoint." in
-    Arg.(value & opt string "closed" & info [ "mode" ] ~docv:"MODE" ~doc)
-  in
-  let nodes_arg = Arg.(value & opt int 13 & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size.") in
-  let clients_arg =
-    Arg.(value & opt int 16 & info [ "clients" ] ~docv:"N" ~doc:"Closed-loop clients.")
-  in
-  let duration_arg =
-    Arg.(value & opt float 5_000. & info [ "duration" ] ~docv:"MS" ~doc:"Window, ms.")
-  in
-  let seed_arg = Arg.(value & opt int 97 & info [ "seed" ] ~docv:"SEED" ~doc:"Run seed.") in
-  let run spec bench mode nodes spares clients duration seed shards cross_shard_prob
-      shard_skew =
-    let benchmark = lookup_bench (Option.value ~default:"bank" bench) in
-    let mode = parse_mode mode in
-    let events =
-      match Harness.Scenario.parse spec with
-      | Ok events -> events
-      | Error msg -> failwith (Printf.sprintf "bad scenario: %s" msg)
+    let scenario =
+      Arg.conv
+        ( (fun s -> Result.map_error (fun m -> `Msg m) (Harness.Scenario.parse s)),
+          fun ppf events ->
+            Format.pp_print_string ppf (Harness.Chaos.render_schedule events) )
     in
-    let crashed = Harness.Scenario.crashed_nodes events in
-    let client_nodes =
-      List.init nodes Fun.id |> List.filter (fun n -> not (List.mem n crashed))
-    in
-    let params =
-      {
-        Benchmarks.Workload.objects = Harness.Figures.benchmark_objects benchmark.name;
-        calls = 3;
-        read_ratio = 0.5;
-        key_skew = 0.5;
-        cross_shard_prob;
-        shard_skew;
-      }
-    in
-    let tracker = ref None in
-    let result =
-      Harness.Experiment.run ~nodes ~spares ~seed ~clients ~duration ~client_nodes ~shards
-        ~prepare:(fun cluster -> tracker := Some (Harness.Scenario.install cluster events))
-        ~config:(Core.Config.default mode) ~benchmark ~params ()
-    in
-    Format.printf "%a@." Harness.Experiment.pp_result result;
-    Option.iter
-      (fun t -> Format.printf "%a@." Harness.Scenario.pp_report (Harness.Scenario.report t))
-      !tracker
+    Arg.(required & pos 0 (some scenario) None & info [] ~docv:"SPEC" ~doc)
+  in
+  let run events f =
+    let spares = Option.value f.spares ~default:0 in
+    match
+      Harness.Scenario.validate
+        ~members:(List.init f.nodes Fun.id)
+        ~shards:f.shards ~nodes:(f.nodes + spares) events
+    with
+    | Error msg -> `Error (false, "bad scenario: " ^ msg)
+    | Ok () ->
+      let crashed = Harness.Scenario.crashed_nodes events in
+      let client_nodes =
+        List.init f.nodes Fun.id |> List.filter (fun n -> not (List.mem n crashed))
+      in
+      let tracer, online = online_checker f events in
+      let tracker = ref None in
+      let r =
+        Harness.Experiment.run ~clients:f.clients ~duration:f.duration ~client_nodes
+          ~prepare:(fun cluster -> tracker := Some (Harness.Scenario.install cluster events))
+          (spec_of ~tracer f (params_of f))
+      in
+      Format.printf "%a@." Harness.Experiment.pp_result r;
+      Option.iter
+        (fun t -> Format.printf "%a@." Harness.Scenario.pp_report (Harness.Scenario.report t))
+        !tracker;
+      finish ~invariant:r.invariant ~consistent:r.consistent online;
+      `Ok ()
   in
   let info =
     Cmd.info "scenario"
@@ -318,8 +350,9 @@ let scenario_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ spec_arg $ bench_arg $ mode_arg $ nodes_arg $ spares_arg $ clients_arg
-      $ duration_arg $ seed_arg $ shards_arg $ cross_shard_prob_arg $ shard_skew_arg)
+      ret
+        (const run $ events_arg
+        $ shared_term ~nodes:13 ~clients:16 ~seed:97 ~duration:5_000. ~spares:true ()))
 
 let write_file path contents =
   let oc = open_out path in
@@ -335,18 +368,6 @@ let warn_dropped tracer =
       dropped
 
 let trace_cmd =
-  let mode_arg =
-    let doc = "Execution model: flat, closed or checkpoint." in
-    Arg.(value & opt string "closed" & info [ "mode" ] ~docv:"MODE" ~doc)
-  in
-  let nodes_arg = Arg.(value & opt int 13 & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size.") in
-  let clients_arg =
-    Arg.(value & opt int 26 & info [ "clients" ] ~docv:"N" ~doc:"Closed-loop clients.")
-  in
-  let duration_arg =
-    Arg.(value & opt float 5_000. & info [ "duration" ] ~docv:"MS" ~doc:"Window, ms.")
-  in
-  let seed_arg = Arg.(value & opt int 97 & info [ "seed" ] ~docv:"SEED" ~doc:"Run seed.") in
   let txn_arg =
     let doc = "Print the causal history of one transaction id instead of full JSON." in
     Arg.(value & opt (some int) None & info [ "txn" ] ~docv:"TXN" ~doc)
@@ -369,23 +390,12 @@ let trace_cmd =
   let check_arg =
     Arg.(value & flag & info [ "check" ] ~doc:"Run the offline protocol checker over the trace; exit 1 on violations.")
   in
-  let run bench mode seed nodes clients duration txn out telemetry window capacity check =
-    let benchmark = lookup_bench (Option.value ~default:"bank" bench) in
-    let config = Core.Config.default (parse_mode mode) in
-    let params =
-      {
-        Benchmarks.Workload.default_params with
-        objects = Harness.Figures.benchmark_objects benchmark.name;
-        calls = 3;
-        read_ratio = 0.5;
-        key_skew = 0.5;
-      }
-    in
+  let run f txn out telemetry window capacity check =
     let tracer = Obs.Tracer.create ~capacity () in
     let tele = Option.map (fun _ -> Obs.Telemetry.create ~window) telemetry in
     let result =
-      Harness.Experiment.run ~nodes ~seed ~clients ~duration ~tracer ?telemetry:tele
-        ~config ~benchmark ~params ()
+      Harness.Experiment.run ~clients:f.clients ~duration:f.duration ?telemetry:tele
+        (spec_of ~tracer f (params_of f))
     in
     Format.eprintf "%a@." Harness.Experiment.pp_result result;
     Format.eprintf "trace: %d events captured@." (Obs.Tracer.length tracer);
@@ -402,10 +412,8 @@ let trace_cmd =
       (fun path -> Option.iter (fun t -> write_file path (Obs.Telemetry.to_csv t)) tele)
       telemetry;
     if check then begin
-      let tree = Quorum.Tree.create ~nodes () in
       let violations =
-        Obs.Online.replay
-          ~is_write_quorum:(fun set -> Quorum.Check.covers_write_quorum tree set)
+        Obs.Online.replay ~is_write_quorum:(structural_rule ~nodes:f.nodes)
           (Obs.Tracer.events tracer)
       in
       let dropped = Obs.Tracer.dropped tracer in
@@ -445,29 +453,21 @@ let trace_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ bench_arg $ mode_arg $ seed_arg $ nodes_arg $ clients_arg $ duration_arg
+      const run
+      $ shared_term ~nodes:13 ~clients:26 ~seed:97 ~duration:5_000. ~sharding:false
+          ~checks:false ()
       $ txn_arg $ out_arg $ telemetry_arg $ window_arg $ capacity_arg $ check_arg)
 
 let chaos_cmd =
   let runs_arg =
     Arg.(value & opt int 25 & info [ "runs" ] ~docv:"N" ~doc:"Seeded schedules to run.")
   in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"First seed; runs use SEED..SEED+N-1.")
-  in
-  let nodes_arg = Arg.(value & opt int 9 & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size.") in
-  let clients_arg =
-    Arg.(value & opt int 18 & info [ "clients" ] ~docv:"N" ~doc:"Closed-loop clients (all nodes).")
-  in
   let horizon_arg =
-    Arg.(value & opt float 8_000. & info [ "horizon" ] ~docv:"MS" ~doc:"Fault+load window, ms.")
+    let doc = "Fault+load window, ms (default 8000, or 16000 with --rolling)." in
+    Arg.(value & opt (some float) None & info [ "horizon" ] ~docv:"MS" ~doc)
   in
   let crashes_arg =
     Arg.(value & opt int 2 & info [ "max-crashes" ] ~docv:"N" ~doc:"Crash/recover pairs per schedule: 0..N.")
-  in
-  let spares_arg =
-    let doc = "Stand-by machines outside the initial view (join/replace targets)." in
-    Arg.(value & opt int 0 & info [ "spares" ] ~docv:"N" ~doc)
   in
   let reconfigs_arg =
     let doc = "Membership operations (join/leave/replace) drawn per schedule: 0..N." in
@@ -483,14 +483,10 @@ let chaos_cmd =
   let rolling_arg =
     let doc =
       "Rolling-restart schedules: replace every initial node exactly once under load \
-       (implies at least one spare; uses the rolling preset horizon when --horizon is \
-       left at its default)."
+       (needs at least one spare; uses the rolling preset's spares and horizon unless \
+       --spares or --horizon is given)."
     in
     Arg.(value & flag & info [ "rolling" ] ~doc)
-  in
-  let mode_arg =
-    let doc = "Execution model: flat, closed or checkpoint." in
-    Arg.(value & opt string "closed" & info [ "mode" ] ~docv:"MODE" ~doc)
   in
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit one JSON array of per-seed results.")
@@ -516,15 +512,6 @@ let chaos_cmd =
   let trace_all_arg =
     Arg.(value & flag & info [ "trace-all" ] ~doc:"With --trace-dir: dump every seed, not just failures.")
   in
-  let check_online_arg =
-    let doc =
-      "Run each seed with the online protocol checker attached (tracer sink, \
-       pairwise-intersection quorum rule): violations are detected as events \
-       stream, immune to ring truncation, with memory bounded by in-flight \
-       transactions.  Any violation fails the sweep (exit 1)."
-    in
-    Arg.(value & flag & info [ "check-online" ] ~doc)
-  in
   let fail_fast_arg =
     let doc =
       "With --check-online: abort at the first violation, mid-run — the \
@@ -532,149 +519,128 @@ let chaos_cmd =
     in
     Arg.(value & flag & info [ "fail-fast" ] ~doc)
   in
-  let run runs seed nodes clients horizon max_crashes spares reconfigs rolling mode
-      batch_commit json failures_to verbose show trace_dir trace_all shards shard_ops
-      cross_shard_prob check_online fail_fast =
-    let mode = parse_mode mode in
-    let spares = if rolling && spares = 0 then Harness.Chaos.rolling_knobs.spares else spares in
-    let horizon = if rolling && horizon = 8_000. then Harness.Chaos.rolling_knobs.horizon else horizon in
-    let max_crashes =
-      if rolling then min max_crashes Harness.Chaos.rolling_knobs.max_crashes else max_crashes
-    in
+  let run f runs horizon max_crashes reconfigs shard_ops rolling json failures_to verbose
+      show trace_dir trace_all fail_fast =
+    let preset = if rolling then Harness.Chaos.rolling_knobs else Harness.Chaos.default_knobs in
     let knobs =
       {
         Harness.Chaos.default_knobs with
-        nodes;
-        clients;
-        horizon;
-        max_crashes;
-        spares;
+        nodes = f.nodes;
+        clients = f.clients;
+        horizon = Option.value horizon ~default:preset.horizon;
+        max_crashes = (if rolling then min max_crashes preset.max_crashes else max_crashes);
+        spares = Option.value f.spares ~default:preset.spares;
         reconfigs;
-        shards;
+        shards = f.shards;
         shard_ops;
-        cross_shard_prob;
+        cross_shard_prob = f.cross_shard_prob;
       }
     in
     let generate = if rolling then Harness.Chaos.generate_rolling else Harness.Chaos.generate in
-    if show then begin
-      for s = seed to seed + runs - 1 do
+    match generate knobs ~seed:f.seed with
+    | exception Invalid_argument msg -> `Error (false, msg)
+    | _ when show ->
+      for s = f.seed to f.seed + runs - 1 do
         Printf.printf "seed %d: %s\n" s
           (Harness.Chaos.render_schedule (generate knobs ~seed:s))
       done;
-      exit 0
-    end;
-    let checker_failed = ref false in
-    let results =
-      if not check_online then
-        Harness.Chaos.run_many ~config:(Core.Config.default mode) ~batch_commit ~rolling
-          knobs ~seed ~runs
-      else
-        (* Same seeds, same verdicts (tracing never perturbs a run), but
-           with the streaming checker riding the tracer sink.  The ring can
-           stay tiny: the sink sees every event before eviction. *)
+      `Ok ()
+    | _ ->
+      let config = Core.Config.default f.mode and batch_commit = f.batch_commit in
+      let checker_failed = ref false in
+      let results =
         List.init runs (fun i ->
-            let s = seed + i in
-            let tracer = Obs.Tracer.create ~capacity:(1 lsl 12) () in
-            let ck = Obs.Online.create ~fail_fast () in
-            Obs.Online.attach ck tracer;
-            match
-              Harness.Chaos.run_one ~config:(Core.Config.default mode) ~tracer
-                ~batch_commit ~rolling knobs ~seed:s
-            with
+            let seed = f.seed + i in
+            (* Same seeds, same verdicts: tracing never perturbs a run. *)
+            let tracer, online = online_checker ~fail_fast f (generate knobs ~seed) in
+            match Harness.Chaos.run_one ~config ~tracer ~batch_commit ~rolling knobs ~seed with
             | r ->
-              (match Obs.Online.finish ck with
-              | [] -> ()
-              | violations ->
-                checker_failed := true;
-                List.iter
-                  (fun v ->
-                    Printf.eprintf "online checker (seed %d): %s\n" s
-                      (Obs.Online.pp_violation v))
-                  violations);
+              let who = Printf.sprintf "online checker (seed %d)" seed in
+              Option.iter
+                (fun ck -> if not (online_clean ~who ck) then checker_failed := true)
+                online;
               r
             | exception Obs.Online.Violation v ->
               (* fail-fast: the checker aborted the run from inside the
                  emission path; dump the schedule for replay and stop. *)
-              Printf.eprintf "online checker (seed %d, fail-fast): %s\n" s
+              Printf.eprintf "online checker (seed %d, fail-fast): %s\n" seed
                 (Obs.Online.pp_violation v);
               Option.iter
                 (fun path ->
-                  let oc = open_out path in
-                  Printf.fprintf oc "# seed %d (online checker fail-fast)\n%s\n" s
-                    (Harness.Chaos.render_schedule (generate knobs ~seed:s));
-                  close_out oc)
+                  write_file path
+                    (Printf.sprintf "# seed %d (online checker fail-fast)\n%s\n" seed
+                       (Harness.Chaos.render_schedule (generate knobs ~seed))))
                 failures_to;
               exit 1)
-    in
-    let failed = Harness.Chaos.failures results in
-    if json then print_endline (Harness.Chaos.results_to_json results)
-    else begin
-      List.iter
-        (fun r ->
-          if verbose || not (Harness.Chaos.passed r) then
-            Format.printf "%a@." Harness.Chaos.pp_result r)
-        results;
-      print_endline (Harness.Chaos.summary results)
-    end;
-    Option.iter
-      (fun path ->
-        if failed <> [] then begin
-          let oc = open_out path in
-          List.iter
-            (fun (r : Harness.Chaos.result) ->
-              Printf.fprintf oc "# seed %d\n%s\n" r.Harness.Chaos.seed
-                (Harness.Chaos.render_schedule r.Harness.Chaos.events))
-            failed;
-          close_out oc
-        end)
-      failures_to;
-    let checker_inconclusive = ref false in
-    Option.iter
-      (fun dir ->
-        let to_dump = if trace_all then results else failed in
-        if to_dump <> [] then begin
-          (if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
-          List.iter
-            (fun (r : Harness.Chaos.result) ->
-              let seed = r.Harness.Chaos.seed in
-              let tracer = Obs.Tracer.create () in
-              let replay =
-                Harness.Chaos.run_one ~config:(Core.Config.default mode) ~tracer
-                  ~batch_commit ~rolling knobs ~seed
-              in
-              warn_dropped tracer;
-              let violations = Harness.Chaos.check_trace knobs tracer in
-              let dropped = Obs.Tracer.dropped tracer in
-              (* A truncated trace makes the offline verdict unreliable in
-                 both directions — report inconclusive (exit 3), never a
-                 silent pass or a spurious fail. *)
-              if dropped > 0 then checker_inconclusive := true
-              else if violations <> [] then checker_failed := true;
-              let verdict =
-                match (violations, dropped) with
-                | [], 0 -> "checker: ok (0 violations)"
-                | vs, 0 ->
-                  String.concat "\n" (List.map Obs.Online.pp_violation vs)
-                  ^ Printf.sprintf "\nchecker: %d violation(s)" (List.length vs)
-                | vs, d ->
-                  String.concat "\n" (List.map Obs.Online.pp_violation vs)
-                  ^ Printf.sprintf
-                      "\nchecker: INCONCLUSIVE — ring dropped %d events (%d \
-                       violation(s) over the truncated trace are unreliable)"
-                      d (List.length vs)
-              in
-              let prefix = Filename.concat dir (Printf.sprintf "seed-%d" seed) in
-              write_file (prefix ^ ".trace.json") (Obs.Export.chrome_json tracer);
-              write_file (prefix ^ ".txt")
-                (Format.asprintf "%a@.%s@." Harness.Chaos.pp_result replay verdict);
-              Printf.eprintf "traced seed %d -> %s.{trace.json,txt} (%d events, %d violations%s)\n"
-                seed prefix (Obs.Tracer.length tracer) (List.length violations)
-                (if dropped > 0 then ", INCONCLUSIVE" else ""))
-            to_dump
-        end)
-      trace_dir;
-    if failed <> [] || !checker_failed then exit 1;
-    if !checker_inconclusive then exit 3
+      in
+      let failed = Harness.Chaos.failures results in
+      if json then print_endline (Harness.Chaos.results_to_json results)
+      else begin
+        List.iter
+          (fun r ->
+            if verbose || not (Harness.Chaos.passed r) then
+              Format.printf "%a@." Harness.Chaos.pp_result r)
+          results;
+        print_endline (Harness.Chaos.summary results)
+      end;
+      Option.iter
+        (fun path ->
+          if failed <> [] then
+            write_file path
+              (String.concat ""
+                 (List.map
+                    (fun (r : Harness.Chaos.result) ->
+                      Printf.sprintf "# seed %d\n%s\n" r.seed
+                        (Harness.Chaos.render_schedule r.events))
+                    failed)))
+        failures_to;
+      let checker_inconclusive = ref false in
+      Option.iter
+        (fun dir ->
+          let to_dump = if trace_all then results else failed in
+          if to_dump <> [] then begin
+            (if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
+            List.iter
+              (fun (r : Harness.Chaos.result) ->
+                let seed = r.Harness.Chaos.seed in
+                let tracer = Obs.Tracer.create () in
+                let replay =
+                  Harness.Chaos.run_one ~config ~tracer ~batch_commit ~rolling knobs ~seed
+                in
+                warn_dropped tracer;
+                let violations = Harness.Chaos.check_trace knobs tracer in
+                let dropped = Obs.Tracer.dropped tracer in
+                (* A truncated trace makes the offline verdict unreliable in
+                   both directions — report inconclusive (exit 3), never a
+                   silent pass or a spurious fail. *)
+                if dropped > 0 then checker_inconclusive := true
+                else if violations <> [] then checker_failed := true;
+                let verdict =
+                  match (violations, dropped) with
+                  | [], 0 -> "checker: ok (0 violations)"
+                  | vs, 0 ->
+                    String.concat "\n" (List.map Obs.Online.pp_violation vs)
+                    ^ Printf.sprintf "\nchecker: %d violation(s)" (List.length vs)
+                  | vs, d ->
+                    String.concat "\n" (List.map Obs.Online.pp_violation vs)
+                    ^ Printf.sprintf
+                        "\nchecker: INCONCLUSIVE — ring dropped %d events (%d \
+                         violation(s) over the truncated trace are unreliable)"
+                        d (List.length vs)
+                in
+                let prefix = Filename.concat dir (Printf.sprintf "seed-%d" seed) in
+                write_file (prefix ^ ".trace.json") (Obs.Export.chrome_json tracer);
+                write_file (prefix ^ ".txt")
+                  (Format.asprintf "%a@.%s@." Harness.Chaos.pp_result replay verdict);
+                Printf.eprintf "traced seed %d -> %s.{trace.json,txt} (%d events, %d violations%s)\n"
+                  seed prefix (Obs.Tracer.length tracer) (List.length violations)
+                  (if dropped > 0 then ", INCONCLUSIVE" else ""))
+              to_dump
+          end)
+        trace_dir;
+      if failed <> [] || !checker_failed then exit 1;
+      if !checker_inconclusive then exit 3;
+      `Ok ()
   in
   let info =
     Cmd.info "chaos"
@@ -682,16 +648,17 @@ let chaos_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ runs_arg $ seed_arg $ nodes_arg $ clients_arg $ horizon_arg
-      $ crashes_arg $ spares_arg $ reconfigs_arg $ rolling_arg $ mode_arg
-      $ batch_commit_arg $ json_arg $ failures_arg $ verbose_arg $ show_arg
-      $ trace_dir_arg $ trace_all_arg $ shards_arg $ shard_ops_arg
-      $ cross_shard_prob_arg $ check_online_arg $ fail_fast_arg)
+      ret
+        (const run
+        $ shared_term ~nodes:9 ~clients:18 ~seed:1 ~bench:false ~spares:true
+            ~shard_skew:false ()
+        $ runs_arg $ horizon_arg $ crashes_arg $ reconfigs_arg $ shard_ops_arg
+        $ rolling_arg $ json_arg $ failures_arg $ verbose_arg $ show_arg $ trace_dir_arg
+        $ trace_all_arg $ fail_fast_arg))
 
 let all_cmd =
   let run scale jobs =
     set_jobs jobs;
-    let scale = scale_of_string scale in
     List.iter print_series (Harness.Figures.everything ~scale ())
   in
   let info = Cmd.info "all" ~doc:"Regenerate every figure and table" in

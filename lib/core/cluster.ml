@@ -257,8 +257,8 @@ let rec resync t ~node ~started ~was_killed =
 
 let create ?(nodes = 13) ?(spares = 0) ?(seed = 1) ?topology ?(service_time = 0.25)
     ?(read_level = 1) ?(detection_delay = 50.) ?(detection_jitter = 0.)
-    ?(with_oracle = true) ?(tracer = Obs.Tracer.null) ?(batch_fanout = true)
-    ?(batch_commit = false) ?(shards = 1) config =
+    ?(with_oracle = true) ?(tracer = Obs.Tracer.null) ?(batch_commit = false)
+    ?(shards = 1) config =
   if shards < 1 then invalid_arg "Cluster: shards must be >= 1";
   if nodes < shards * min_members then
     invalid_arg
@@ -274,8 +274,7 @@ let create ?(nodes = 13) ?(spares = 0) ?(seed = 1) ?topology ?(service_time = 0.
   in
   assert (Sim.Topology.nodes topology = total);
   let network =
-    Sim.Network.create ~engine ~topology ~service_time ~seed:(seed + 2)
-      ~batch_fanout ()
+    Sim.Network.create ~engine ~topology ~service_time ~seed:(seed + 2) ()
   in
   let rpc =
     Sim.Rpc.create ~seed:(seed + 6)

@@ -44,7 +44,6 @@ val create :
   ?detection_jitter:float ->
   ?with_oracle:bool ->
   ?tracer:Obs.Tracer.t ->
-  ?batch_fanout:bool ->
   ?batch_commit:bool ->
   ?shards:int ->
   Config.t ->
@@ -55,10 +54,6 @@ val create :
     [tracer] threads it through every layer (engine, network, RPC, servers,
     replicas, executor); tracing draws no randomness and schedules no
     events, so results stay byte-identical to an untraced run.
-    [batch_fanout] (default on) lets the network coalesce quorum
-    multicasts into one pooled engine event per wave; switching it off
-    schedules per-destination events eagerly and is likewise
-    byte-identical — the determinism suite locks this equivalence in.
 
     [batch_commit] (default off) turns on queue-oriented speculative batch
     commit (PROTOCOL.md §9): commit requests are queued and decided one

@@ -458,30 +458,27 @@ let stall_window (config : Config.t) events =
   in
   2. *. (termination +. Float.max longest_fault crash_outages) +. 1_000.
 
-let run_one ?config ?(tracer = Obs.Tracer.null) ?(batch_fanout = true)
-    ?(batch_commit = false) ?(rolling = false) knobs ~seed =
-  let config =
-    match config with Some c -> c | None -> Config.default Config.Closed
-  in
+let run_one ?(config = Config.default Config.Closed) ?tracer ?batch_commit
+    ?(rolling = false) knobs ~seed =
   let events =
     if rolling then generate_rolling knobs ~seed else generate knobs ~seed
   in
-  let cluster =
-    Cluster.create ~nodes:knobs.nodes ~spares:knobs.spares ~seed
-      ~read_level:knobs.read_level ~tracer ~batch_fanout ~batch_commit
-      ~shards:knobs.shards config
+  let cluster, instance =
+    Experiment.setup
+      (Experiment.spec ~nodes:knobs.nodes ~spares:knobs.spares ~seed
+         ~read_level:knobs.read_level ?tracer ?batch_commit ~shards:knobs.shards ~config
+         ~benchmark:Benchmarks.Bank.benchmark
+         ~params:
+           {
+             Benchmarks.Workload.default_params with
+             objects = knobs.accounts;
+             calls = knobs.calls;
+             read_ratio = knobs.read_ratio;
+             key_skew = 0.5;
+             cross_shard_prob = knobs.cross_shard_prob;
+           }
+         ())
   in
-  let params =
-    {
-      Benchmarks.Workload.default_params with
-      objects = knobs.accounts;
-      calls = knobs.calls;
-      read_ratio = knobs.read_ratio;
-      key_skew = 0.5;
-      cross_shard_prob = knobs.cross_shard_prob;
-    }
-  in
-  let instance = Benchmarks.Bank.benchmark.Benchmarks.Workload.setup cluster params in
   let tracker = Scenario.install cluster events in
   (* Closed-loop clients on EVERY node, crash victims included.  A client
      whose node dies is killed with it (Executor.kill_node): its root never
@@ -575,10 +572,6 @@ let run_one ?config ?(tracer = Obs.Tracer.null) ?(batch_fanout = true)
     xshard_commits = Metrics.cross_shard_commits metrics;
     xshard_aborts = Metrics.cross_shard_aborts metrics;
   }
-
-let run_many ?config ?batch_commit ?rolling knobs ~seed ~runs =
-  List.init runs (fun i ->
-      run_one ?config ?batch_commit ?rolling knobs ~seed:(seed + i))
 
 (* Offline protocol-invariant pass over a traced run.  Chaos schedules
    change the membership view mid-run, and the structural write-quorum rule

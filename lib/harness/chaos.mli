@@ -103,33 +103,22 @@ val passed : result -> bool
 val run_one :
   ?config:Core.Config.t ->
   ?tracer:Obs.Tracer.t ->
-  ?batch_fanout:bool ->
   ?batch_commit:bool ->
   ?rolling:bool ->
   knobs ->
   seed:int ->
   result
-(** Default config: [Config.default Closed] (leases enabled).  [tracer]
-    threads a lifecycle tracer through the cluster; tracing never perturbs
-    the run, so re-running a failing seed with a tracer reproduces it
-    exactly.  [batch_fanout] (default on) toggles the network's wave
-    batching; verdicts are byte-identical either way.  [batch_commit]
-    (default off) runs the cluster in speculative batch-commit mode
-    (PROTOCOL.md §9) — the same oracles and watchdog apply.  [rolling]
+(** The cluster and bank workload come from the knobs through
+    {!Experiment.setup}.  Default config: [Config.default Closed] (leases
+    enabled).  [tracer] threads a lifecycle tracer through the cluster;
+    tracing never perturbs the run, so re-running a failing seed with a
+    tracer reproduces it exactly.  [batch_commit] (default off) runs the
+    cluster in speculative batch-commit mode (PROTOCOL.md §9) — the same
+    oracles and watchdog apply.  [rolling]
     swaps the random schedule for {!generate_rolling}'s full rolling
     restart.  Clients are membership-aware: one whose home node was
     decommissioned resubmits through the next member up (a {e crashed}
     home is still a member, so crash-death semantics are unchanged). *)
-
-val run_many :
-  ?config:Core.Config.t ->
-  ?batch_commit:bool ->
-  ?rolling:bool ->
-  knobs ->
-  seed:int ->
-  runs:int ->
-  result list
-(** Seeds [seed .. seed + runs - 1], sequentially. *)
 
 val check_trace : knobs -> Obs.Tracer.t -> Obs.Online.violation list
 (** Run the offline protocol checker over a traced chaos run.  Voter sets

@@ -131,32 +131,64 @@ let result_of_snapshot ~label ~duration ~invariant ~consistent s =
     consistent;
   }
 
-let run ?(nodes = 13) ?(spares = 0) ?(seed = 97) ?(read_level = 1) ?(clients = 26)
-    ?(warmup = 2_000.) ?(duration = 30_000.) ?(with_oracle = true) ?(service_time = 0.25)
-    ?client_nodes ?prepare ?(tracer = Obs.Tracer.null) ?(batch_fanout = true)
-    ?(batch_commit = false) ?(shards = 1) ?telemetry ~config ~benchmark ~params () =
+type spec = {
+  nodes : int;
+  spares : int;
+  seed : int;
+  read_level : int;
+  service_time : float;
+  with_oracle : bool;
+  tracer : Obs.Tracer.t;
+  batch_commit : bool;
+  shards : int;
+  config : Config.t;
+  benchmark : Benchmarks.Workload.benchmark;
+  params : Benchmarks.Workload.params;
+}
+
+let spec ?(nodes = 13) ?(spares = 0) ?(seed = 97) ?(read_level = 1)
+    ?(service_time = 0.25) ?(with_oracle = true) ?(tracer = Obs.Tracer.null)
+    ?(batch_commit = false) ?(shards = 1) ~config ~benchmark ~params () =
+  {
+    nodes;
+    spares;
+    seed;
+    read_level;
+    service_time;
+    with_oracle;
+    tracer;
+    batch_commit;
+    shards;
+    config;
+    benchmark;
+    params;
+  }
+
+let setup s =
   let cluster =
-    Cluster.create ~nodes ~spares ~seed ~read_level ~service_time ~with_oracle ~tracer
-      ~batch_fanout ~batch_commit ~shards config
+    Cluster.create ~nodes:s.nodes ~spares:s.spares ~seed:s.seed ~read_level:s.read_level
+      ~service_time:s.service_time ~with_oracle:s.with_oracle ~tracer:s.tracer
+      ~batch_commit:s.batch_commit ~shards:s.shards s.config
   in
-  let instance = (benchmark : Benchmarks.Workload.benchmark).setup cluster params in
+  (cluster, s.benchmark.setup cluster s.params)
+
+let run ?(clients = 26) ?(warmup = 2_000.) ?(duration = 30_000.) ?client_nodes ?prepare
+    ?telemetry spec =
+  let cluster, instance = setup spec in
   Option.iter (fun f -> f cluster) prepare;
-  let client_rng = Util.Rng.create (seed * 7919) in
+  let client_rng = Util.Rng.create (spec.seed * 7919) in
   let stop = ref false in
   let rec client node rng =
     if not !stop then begin
       let program = instance.generate rng in
-      Cluster.submit cluster ~node program ~on_done:(fun outcome ->
-          match outcome with
-          | Executor.Committed _ -> client node rng
-          | Executor.Failed _ -> client node rng)
+      Cluster.submit cluster ~node program ~on_done:(fun _ -> client node rng)
     end
   in
   (* Clients live on [client_nodes] (default: everywhere).  A client whose
      node fail-stops would otherwise spin on dropped requests forever —
      failure experiments place clients on surviving nodes only, matching a
      testbed where a dead machine's threads die with it. *)
-  let placements = Array.of_list (Option.value ~default:(List.init nodes Fun.id) client_nodes) in
+  let placements = Array.of_list (Option.value ~default:(List.init spec.nodes Fun.id) client_nodes) in
   for c = 0 to clients - 1 do
     client placements.(c mod Array.length placements) (Util.Rng.split client_rng)
   done;
@@ -206,10 +238,10 @@ let run ?(nodes = 13) ?(spares = 0) ?(seed = 97) ?(read_level = 1) ?(clients = 2
   in
   let invariant = instance.check () in
   let consistent =
-    if with_oracle then Cluster.check_consistency cluster else Ok ()
+    if spec.with_oracle then Cluster.check_consistency cluster else Ok ()
   in
   let label =
-    Printf.sprintf "%s/%s" benchmark.name (Config.mode_name config.Config.mode)
+    Printf.sprintf "%s/%s" spec.benchmark.name (Config.mode_name spec.config.Config.mode)
   in
   result_of_snapshot ~label ~duration ~invariant ~consistent s
 

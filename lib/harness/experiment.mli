@@ -40,40 +40,64 @@ type result = {
 
 val pp_result : Format.formatter -> result -> unit
 
-val run :
+(** {2 Run setup}
+
+    Every QR-DTM driver — the closed loop below, {!Openloop.run} and
+    {!Chaos.run_one} — builds its cluster and workload from one [spec]
+    through {!setup}; each driver adds only its own knobs. *)
+
+type spec = {
+  nodes : int;  (** initial members *)
+  spares : int;  (** dark stand-by machines outside the initial view *)
+  seed : int;
+  read_level : int;
+  service_time : float;  (** per-message processing cost, ms *)
+  with_oracle : bool;  (** record history for the 1-copy oracle *)
+  tracer : Obs.Tracer.t;
+  batch_commit : bool;
+  shards : int;
+  config : Core.Config.t;
+  benchmark : Benchmarks.Workload.benchmark;
+  params : Benchmarks.Workload.params;
+}
+
+val spec :
   ?nodes:int ->
   ?spares:int ->
   ?seed:int ->
   ?read_level:int ->
-  ?clients:int ->
-  ?warmup:float ->
-  ?duration:float ->
-  ?with_oracle:bool ->
   ?service_time:float ->
-  ?client_nodes:int list ->
-  ?prepare:(Core.Cluster.t -> unit) ->
+  ?with_oracle:bool ->
   ?tracer:Obs.Tracer.t ->
-  ?batch_fanout:bool ->
   ?batch_commit:bool ->
   ?shards:int ->
-  ?telemetry:Obs.Telemetry.t ->
   config:Core.Config.t ->
   benchmark:Benchmarks.Workload.benchmark ->
   params:Benchmarks.Workload.params ->
   unit ->
-  result
-(** Defaults: 13 nodes, 26 clients (2 per node), 2 s warm-up, 30 s
-    measurement, oracle on.  [spares] adds dark stand-by machines outside
-    the initial view for scenarios with [join]/[replace] events; clients
-    default to the initial members only.  [prepare] runs after setup and
-    before the clients start — e.g. to schedule failures (Fig. 10).
+  spec
+(** Defaults: 13 nodes, no spares, seed 97, read level 1, 0.25 ms service
+    time, oracle on, tracing off, sequential commit, one shard.  The
+    cluster-level fields mean what they mean to {!Core.Cluster.create}. *)
 
-    [tracer] threads a lifecycle tracer through the cluster (see
-    {!Obs.Tracer}); [telemetry] samples windowed time series while the run
-    drains, pull-model, without scheduling any engine events — neither
-    perturbs results.  [shards] (default 1) partitions the object space
-    (see {!Core.Cluster.create}); benchmarks with a cross-shard knob then
-    commit a share of their transactions through the cross-shard 2PC. *)
+val setup : spec -> Core.Cluster.t * Benchmarks.Workload.instance
+(** Create the cluster and install the benchmark on it. *)
+
+val run :
+  ?clients:int ->
+  ?warmup:float ->
+  ?duration:float ->
+  ?client_nodes:int list ->
+  ?prepare:(Core.Cluster.t -> unit) ->
+  ?telemetry:Obs.Telemetry.t ->
+  spec ->
+  result
+(** The closed loop: 26 clients (2 per node) by default, 2 s warm-up,
+    30 s measurement.  Clients default to the initial members only.
+    [prepare] runs after setup and before the clients start — e.g. to
+    schedule failures (Fig. 10).  [telemetry] samples windowed time series
+    while the run drains, pull-model, without scheduling any engine
+    events, so it never perturbs results (nor does [spec.tracer]). *)
 
 (** {2 Generic systems (Fig. 9 baselines)}
 

@@ -28,8 +28,8 @@ let base_params name =
   }
 
 let run_point ~scale ~config ~benchmark ~params ~seed =
-  Experiment.run ~seed ~clients:scale.clients ~warmup:scale.warmup
-    ~duration:scale.duration ~config ~benchmark ~params ()
+  Experiment.run ~clients:scale.clients ~warmup:scale.warmup ~duration:scale.duration
+    (Experiment.spec ~seed ~config ~benchmark ~params ())
 
 (* Every (x, mode, trial) point is an independent seeded simulation; the
    nested [Pool.map]s fan the whole grid across domains (work-helping makes
@@ -266,15 +266,15 @@ let fig10 ?(scale = quick) () =
     let victims = failure_schedule ~nodes ~read_level ~count:failures in
     let result =
       Sweep.averaged ~trials:scale.trials (fun ~seed ->
-          Experiment.run ~nodes ~read_level ~seed ~clients ~service_time
-            ~warmup:scale.warmup ~duration:scale.duration ~client_nodes:survivors
+          Experiment.run ~clients ~warmup:scale.warmup ~duration:scale.duration
+            ~client_nodes:survivors
             ~prepare:(fun cluster ->
               List.iteri
                 (fun i node ->
                   Cluster.fail_node_at cluster ~at:(100. +. (50. *. Float.of_int i)) ~node)
                 victims)
-            ~config:(Config.default Config.Closed)
-            ~benchmark ~params ())
+            (Experiment.spec ~nodes ~read_level ~seed ~service_time
+               ~config:(Config.default Config.Closed) ~benchmark ~params ()))
     in
     result.Experiment.throughput
   in

@@ -93,19 +93,13 @@ let client_rng ~seed ~client ~nth =
   Util.Rng.create
     ((seed * 0x9e3779b9) lxor (client * 0x85ebca6b) lxor (nth * 0xc2b2ae35))
 
-let run ?(nodes = 13) ?(seed = 97) ?(read_level = 1) ?(warmup = 2_000.)
-    ?(duration = 30_000.) ?(with_oracle = true) ?(service_time = 0.25)
-    ?(tracer = Obs.Tracer.null) ?(batch_fanout = true) ?(batch_commit = false)
-    ?(shards = 1) ?(population = 1_000_000) ?(max_per_node = 4) ~rate ~config
-    ~benchmark ~params () =
+let run ?(warmup = 2_000.) ?(duration = 30_000.) ?(population = 1_000_000)
+    ?(max_per_node = 4) ~rate (spec : Experiment.spec) =
   if rate <= 0. then invalid_arg "Openloop.run: rate must be positive";
   if population <= 0 then invalid_arg "Openloop.run: population must be positive";
   if max_per_node <= 0 then invalid_arg "Openloop.run: max_per_node must be positive";
-  let cluster =
-    Cluster.create ~nodes ~seed ~read_level ~service_time ~with_oracle ~tracer
-      ~batch_fanout ~batch_commit ~shards config
-  in
-  let instance = (benchmark : Benchmarks.Workload.benchmark).setup cluster params in
+  let cluster, instance = Experiment.setup spec in
+  let seed = spec.seed and nodes = spec.nodes in
   let engine = Cluster.engine cluster in
   let metrics = Cluster.metrics cluster in
   let arrival_rng = Util.Rng.create (seed * 7919) in
@@ -194,12 +188,12 @@ let run ?(nodes = 13) ?(seed = 97) ?(read_level = 1) ?(warmup = 2_000.)
   let sv = Metrics.open_service metrics in
   let invariant = instance.check () in
   let consistent =
-    if with_oracle then Cluster.check_consistency cluster else Ok ()
+    if spec.with_oracle then Cluster.check_consistency cluster else Ok ()
   in
   {
     label =
-      Printf.sprintf "%s/%s/open-loop" benchmark.name
-        (Config.mode_name config.Config.mode);
+      Printf.sprintf "%s/%s/open-loop" spec.benchmark.name
+        (Config.mode_name spec.config.Config.mode);
     duration;
     offered_load = rate;
     achieved_load =

@@ -54,33 +54,22 @@ type result = {
 }
 
 val run :
-  ?nodes:int ->
-  ?seed:int ->
-  ?read_level:int ->
   ?warmup:float ->
   ?duration:float ->
-  ?with_oracle:bool ->
-  ?service_time:float ->
-  ?tracer:Obs.Tracer.t ->
-  ?batch_fanout:bool ->
-  ?batch_commit:bool ->
-  ?shards:int ->
   ?population:int ->
   ?max_per_node:int ->
   rate:float ->
-  config:Core.Config.t ->
-  benchmark:Benchmarks.Workload.benchmark ->
-  params:Benchmarks.Workload.params ->
-  unit ->
+  Experiment.spec ->
   result
 (** [rate] is the offered load in requests per second of simulated time
     ([Invalid_argument] if nonpositive).  [population] (default 1,000,000)
     sizes the logical client space; [max_per_node] (default 4) caps
     concurrently admitted requests per node — beyond it arrivals queue and
-    accrue queueing delay.  Warm-up completions are discarded (counter
-    reset), arrivals stop at window close, and the remaining backlog
-    drains before the invariant/oracle checks run.  Other parameters match
-    {!Experiment.run}. *)
+    accrue queueing delay.  Warm-up (default 2 s) completions are
+    discarded (counter reset), arrivals stop at the close of the
+    [duration] window (default 30 s), and the remaining backlog drains
+    before the invariant/oracle checks run.  The cluster and workload come
+    from the spec, through {!Experiment.setup}. *)
 
 val pp_result : Format.formatter -> result -> unit
 val to_json : result -> string

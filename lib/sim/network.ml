@@ -85,7 +85,6 @@ type 'msg t = {
       (* indexed by Kind.t; pre-sized to [Kind.registered ()] at creation,
          grown (rarely) if a kind is interned after that *)
   tracer : Obs.Tracer.t; (* cached from the engine; Tracer.null when off *)
-  mutable batching : bool; (* [multicast_batch] expands eagerly when false *)
   plan_delays : float array;
       (* [plan_send] scratch: delays of the deliveries (0..2) staged by the
          last call.  A buffer instead of a callback so the per-message fast
@@ -96,8 +95,7 @@ type 'msg t = {
   mutable wave_free_len : int;
 }
 
-let create ~engine ~topology ?(service_time = 0.25) ?(jitter = 0.1) ?(seed = 7)
-    ?(batch_fanout = true) () =
+let create ~engine ~topology ?(service_time = 0.25) ?(jitter = 0.1) ?(seed = 7) () =
   let n = Topology.nodes topology in
   {
     engine;
@@ -117,16 +115,12 @@ let create ~engine ~topology ?(service_time = 0.25) ?(jitter = 0.1) ?(seed = 7)
     dropped = 0;
     duplicated = 0;
     kind_counts = Array.make (Kind.registered ()) 0;
-    batching = batch_fanout;
     plan_delays = Array.make 2 0.;
     env_free = [||];
     env_free_len = 0;
     wave_free = [||];
     wave_free_len = 0;
   }
-
-let set_batch_fanout t b = t.batching <- b
-let batch_fanout t = t.batching
 
 let engine t = t.engine
 let topology t = t.topology
@@ -458,9 +452,6 @@ let send t ?(kind = Kind.other) ~src ~dst msg =
     done
   end
 
-let multicast t ?kind ~src ~dsts msg =
-  List.iter (fun dst -> send t ?kind ~src ~dst msg) dsts
-
 (* Insertion sort by (time, seq) — wave entries are near-sorted already
    (same base topology row) and tiny, so this beats a polymorphic sort
    without allocating. *)
@@ -487,16 +478,16 @@ let sort_wave w =
    exactly as the per-destination [send] loop would have performed them;
    only the engine events are materialised lazily, each with the (time,
    seq) the eager loop would have used.  Observationally invisible —
-   counters, traces and the event interleaving are byte-identical to
-   [multicast] — but a 5-node quorum wave costs one resident heap entry
-   and zero closures instead of five of each. *)
+   counters, traces and the event interleaving are byte-identical to a
+   loop of per-destination [send]s (test_sim.ml's fan-out property pins
+   this) — but a 5-node quorum wave costs one resident heap entry and zero
+   closures instead of five of each. *)
 let multicast_batch t ?(kind = Kind.other) ~src ~dsts msg =
   match dsts with
   | [] -> ()
   | [ dst ] -> send t ~kind ~src ~dst msg
   | dsts ->
-    if not t.batching then List.iter (fun dst -> send t ~kind ~src ~dst msg) dsts
-    else if not t.failed.(src) then begin
+    if not t.failed.(src) then begin
       let w = acquire_wave t ~kind ~src msg in
       let now = Engine.now t.engine in
       List.iter

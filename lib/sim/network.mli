@@ -62,16 +62,11 @@ val create :
   ?service_time:float ->
   ?jitter:float ->
   ?seed:int ->
-  ?batch_fanout:bool ->
   unit ->
   'msg t
 (** [service_time] (default 0.25 ms) is the per-message processing cost at
     the receiver; [jitter] (default 0.1) is the relative uniform jitter
-    applied to each delivery latency (0.1 = up to ±10%).  [batch_fanout]
-    (default [true]) lets {!multicast_batch} coalesce a fan-out wave into
-    one engine event; [false] expands it eagerly through {!send} — the two
-    are byte-identical per seed (the determinism suite pins this), the
-    toggle exists for that test and for A/B measurements. *)
+    applied to each delivery latency (0.1 = up to ±10%). *)
 
 val engine : 'msg t -> Engine.t
 val topology : 'msg t -> Topology.t
@@ -86,25 +81,18 @@ val send : 'msg t -> ?kind:Kind.t -> src:int -> dst:int -> 'msg -> unit
     (e.g. the interned ["read_req"]); unlabeled messages count as
     {!Kind.other}. *)
 
-val multicast : 'msg t -> ?kind:Kind.t -> src:int -> dsts:int list -> 'msg -> unit
-(** [send] to every destination (self included if listed). *)
-
 val multicast_batch :
   'msg t -> ?kind:Kind.t -> src:int -> dsts:int list -> 'msg -> unit
-(** Like {!multicast}, but the whole fan-out wave costs one resident
-    engine event (plus one per actual handler invocation) instead of one
-    per destination: per-destination delivery times, fault draws,
-    accounting and traces are all fixed eagerly at multicast time — in
-    [dsts] order, exactly as the [send] loop would have — and only the
-    engine events are materialised lazily, each firing with the (time,
-    seq) the eager loop would have used.  Byte-identical to {!multicast}
-    per seed; see {!create}'s [batch_fanout] to fall back to the eager
-    expansion. *)
-
-val set_batch_fanout : 'msg t -> bool -> unit
-(** Flip the {!multicast_batch} strategy mid-run (testing hook). *)
-
-val batch_fanout : 'msg t -> bool
+(** {!send} to every destination in [dsts] (self and repeats included),
+    but the whole fan-out wave costs one resident engine event (plus one
+    per actual handler invocation) instead of one per destination:
+    per-destination delivery times, fault draws, accounting and traces
+    are all fixed eagerly at multicast time — in [dsts] order, exactly as
+    a loop of {!send}s would — and only the engine events are
+    materialised lazily, each firing with the (time, seq) that loop would
+    have used.  Byte-identical to the [send] loop per seed; the fan-out
+    property in [test_sim.ml] pins this against faults, partitions and
+    interleaved timers. *)
 
 val fail : 'msg t -> int -> unit
 (** Mark a node fail-stop: it stops sending, receiving, and processing. *)

@@ -21,10 +21,10 @@ let rules violations =
 let test_batch_bank_smoke () =
   let tracer = Obs.Tracer.create ~capacity:(1 lsl 18) () in
   let r =
-    Harness.Experiment.run ~nodes:9 ~clients:24 ~seed:71 ~warmup:500.
-      ~duration:3_000. ~tracer ~batch_commit:true
-      ~config:(Config.default Config.Flat)
-      ~benchmark:Benchmarks.Bank.benchmark ~params:contended_params ()
+    Harness.Experiment.run ~clients:24 ~warmup:500. ~duration:3_000.
+      (Harness.Experiment.spec ~nodes:9 ~seed:71 ~tracer ~batch_commit:true
+         ~config:(Config.default Config.Flat)
+         ~benchmark:Benchmarks.Bank.benchmark ~params:contended_params ())
   in
   Alcotest.(check bool) "commits" true (r.Harness.Experiment.commits > 0);
   Alcotest.(check bool) "batch rounds sent" true (r.Harness.Experiment.batches > 0);

@@ -1,143 +1,20 @@
-(* Batched-fan-out byte-identity, kind-counter pre-sizing, and the GC
-   allocation budget.
+(* Batch-commit verdict agreement and self-identity, kind-counter
+   pre-sizing, and the GC allocation budget.
 
-   The network's [multicast_batch] claims to be observationally invisible:
-   one pooled engine event per quorum wave instead of one per destination,
-   with identical accounting, RNG draw order, and heap (time, seq)
-   positions.  These tests lock that equivalence in across the whole stack
-   — experiment metrics, message counters, full trace streams, and chaos
-   oracle verdicts — over many seeds, including seeds that exercise the
-   fault model's drop/duplicate/spike draws (the paths where a perturbed
-   draw order would first show up). *)
+   The fan-out equivalence that used to live here (cluster runs with the
+   network's wave batching on and off) is now a property of the layer that
+   makes the claim: test_sim.ml checks [Network.multicast_batch] against a
+   loop of per-destination [Network.send]s under generated fault plans,
+   partitions and interleaved timers.  End to end, the committed goldens
+   and the layerbench ledger pin the simulated numbers byte for byte. *)
 
 open Core
-
-(* --- batched vs unbatched: experiment results --------------------------- *)
 
 let bank_params =
   { Benchmarks.Workload.default_params with objects = 48; calls = 2; read_ratio = 0.5; key_skew = 0.4 }
 
-(* A lossy-but-live fault plan: every [plan_send] branch (drop, spike,
-   duplicate) draws on some message, so the batched path must interleave
-   its fault-RNG consumption exactly as the eager path does. *)
-let lossy =
-  { Sim.Network.drop = 0.03; duplicate = 0.03; spike_prob = 0.02; spike_factor = 6. }
-
-let run_bank ~seed ~batch_fanout ~faulty =
-  let prepare cluster =
-    if faulty then Sim.Network.set_faults (Cluster.network cluster) lossy
-  in
-  Harness.Experiment.run ~seed ~clients:8 ~warmup:200. ~duration:1_000.
-    ~batch_fanout ~prepare
-    ~config:(Config.default Config.Closed)
-    ~benchmark:Benchmarks.Bank.benchmark ~params:bank_params ()
-
-(* Polymorphic equality is exactly what we want here: the result record is
-   ints, float aggregates computed from identical event sequences (bitwise
-   equal when the runs are), strings and result values — no closures. *)
-let check_result_identical ~seed ~faulty =
-  let a = run_bank ~seed ~batch_fanout:true ~faulty in
-  let b = run_bank ~seed ~batch_fanout:false ~faulty in
-  Alcotest.(check bool) "batched run commits" true (a.Harness.Experiment.commits > 0);
-  if a <> b then
-    Alcotest.failf "seed %d (faulty=%b): batched and unbatched results differ:@.%a@.vs@.%a"
-      seed faulty Harness.Experiment.pp_result a Harness.Experiment.pp_result b
-
-let test_experiment_identity () =
-  (* 5 fault-free seeds: the pure jitter/accounting path. *)
-  List.iter (fun seed -> check_result_identical ~seed ~faulty:false) [ 100; 101; 102; 103; 104 ]
-
-let test_experiment_identity_faulty () =
-  (* 5 fault-model seeds: drop/duplicate/spike draws interleaved with the
-     wave planning. *)
-  List.iter (fun seed -> check_result_identical ~seed ~faulty:true) [ 200; 201; 202; 203; 204 ]
-
-(* --- batched vs unbatched: full trace streams --------------------------- *)
-
-(* Bitwise float identity (covers NaN and -0. too) — a tolerance would
-   defeat the point of a byte-identity oracle. *)
-let float_bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let event_eq (a : Obs.Tracer.event) (b : Obs.Tracer.event) =
-  float_bits_eq a.time b.time
-  && a.ekind = b.ekind && a.node = b.node && a.txn = b.txn && a.oid = b.oid
-  && a.a = b.a && a.b = b.b
-  && float_bits_eq a.x b.x
-
-let traced_run ~seed ~batch_fanout ~faulty =
-  let tracer = Obs.Tracer.create ~capacity:(1 lsl 18) () in
-  let cluster =
-    Cluster.create ~nodes:13 ~seed ~tracer ~batch_fanout (Config.default Config.Closed)
-  in
-  if faulty then Sim.Network.set_faults (Cluster.network cluster) lossy;
-  let accounts =
-    Array.init 24 (fun _ ->
-        Cluster.alloc_object cluster
-          ~init:(Store.Value.Int Benchmarks.Bank.initial_balance))
-  in
-  let rng = Util.Rng.create (seed * 13 + 5) in
-  for k = 0 to 39 do
-    let i = Util.Rng.int rng 24 in
-    let j = (i + 1 + Util.Rng.int rng 23) mod 24 in
-    Cluster.submit cluster ~node:(k mod 13)
-      (fun () ->
-        Benchmarks.Bank.transfer ~from_:accounts.(i) ~to_:accounts.(j) ~amount:1)
-      ~on_done:(fun _ -> ())
-  done;
-  Cluster.drain cluster;
-  (cluster, tracer)
-
-let check_traces_identical ~seed ~faulty =
-  let ca, ta = traced_run ~seed ~batch_fanout:true ~faulty in
-  let cb, tb = traced_run ~seed ~batch_fanout:false ~faulty in
-  Alcotest.(check int)
-    (Printf.sprintf "seed %d: messages sent" seed)
-    (Cluster.messages_sent cb) (Cluster.messages_sent ca);
-  Alcotest.(check int)
-    (Printf.sprintf "seed %d: messages dropped" seed)
-    (Cluster.messages_dropped cb) (Cluster.messages_dropped ca);
-  Alcotest.(check int)
-    (Printf.sprintf "seed %d: messages duplicated" seed)
-    (Cluster.messages_duplicated cb) (Cluster.messages_duplicated ca);
-  Alcotest.(check (list (pair string int)))
-    (Printf.sprintf "seed %d: per-kind counters" seed)
-    (Cluster.messages_by_kind cb) (Cluster.messages_by_kind ca);
-  Alcotest.(check int)
-    (Printf.sprintf "seed %d: trace length" seed)
-    (Obs.Tracer.length tb) (Obs.Tracer.length ta);
-  Alcotest.(check int)
-    (Printf.sprintf "seed %d: no ring overflow" seed)
-    0 (Obs.Tracer.dropped ta);
-  let ea = Obs.Tracer.events ta and eb = Obs.Tracer.events tb in
-  List.iteri
-    (fun i (a, b) ->
-      if not (event_eq a b) then
-        Alcotest.failf "seed %d: trace event %d differs (batched kind=%s vs eager kind=%s)"
-          seed i (Obs.Kind.name a.Obs.Tracer.ekind) (Obs.Kind.name b.Obs.Tracer.ekind))
-    (List.combine ea eb)
-
-let test_trace_identity () = check_traces_identical ~seed:31 ~faulty:false
-let test_trace_identity_faulty () =
-  List.iter (fun seed -> check_traces_identical ~seed ~faulty:true) [ 41; 42; 43 ]
-
-(* --- batched vs unbatched: chaos verdicts ------------------------------- *)
-
 let chaos_knobs =
   { Harness.Chaos.default_knobs with clients = 8; horizon = 3_000.; max_crashes = 1 }
-
-let test_chaos_identity () =
-  (* Chaos seeds are fault seeds by construction: crash/recover pairs,
-     partitions, flaky links and suspicions drawn from the seed. *)
-  List.iter
-    (fun seed ->
-      let a = Harness.Chaos.run_one chaos_knobs ~batch_fanout:true ~seed in
-      let b = Harness.Chaos.run_one chaos_knobs ~batch_fanout:false ~seed in
-      if a <> b then
-        Alcotest.failf
-          "seed %d: chaos verdicts differ: %d/%d commits, %d/%d aborts, %d/%d stalls"
-          seed a.Harness.Chaos.commits b.Harness.Chaos.commits a.root_aborts
-          b.root_aborts (List.length a.stalls) (List.length b.stalls))
-    [ 7; 8; 9; 10; 11; 12 ]
 
 (* --- batch commit on/off ------------------------------------------------ *)
 
@@ -167,18 +44,13 @@ let test_batch_mode_verdict_equivalence () =
 let test_batch_mode_self_identity () =
   List.iter
     (fun seed ->
-      let a =
-        Harness.Experiment.run ~seed ~clients:8 ~warmup:200. ~duration:1_000.
-          ~batch_commit:true
-          ~config:(Config.default Config.Flat)
-          ~benchmark:Benchmarks.Bank.benchmark ~params:bank_params ()
+      let run () =
+        Harness.Experiment.run ~clients:8 ~warmup:200. ~duration:1_000.
+          (Harness.Experiment.spec ~seed ~batch_commit:true
+             ~config:(Config.default Config.Flat)
+             ~benchmark:Benchmarks.Bank.benchmark ~params:bank_params ())
       in
-      let b =
-        Harness.Experiment.run ~seed ~clients:8 ~warmup:200. ~duration:1_000.
-          ~batch_commit:true
-          ~config:(Config.default Config.Flat)
-          ~benchmark:Benchmarks.Bank.benchmark ~params:bank_params ()
-      in
+      let a = run () and b = run () in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: batch run commits" seed)
         true
@@ -266,14 +138,6 @@ let test_allocation_budget () =
 
 let suite =
   [
-    Alcotest.test_case "experiment: batched = unbatched (clean)" `Quick
-      test_experiment_identity;
-    Alcotest.test_case "experiment: batched = unbatched (faulty)" `Quick
-      test_experiment_identity_faulty;
-    Alcotest.test_case "traces: batched = unbatched (clean)" `Quick test_trace_identity;
-    Alcotest.test_case "traces: batched = unbatched (faulty)" `Quick
-      test_trace_identity_faulty;
-    Alcotest.test_case "chaos: batched = unbatched verdicts" `Quick test_chaos_identity;
     Alcotest.test_case "chaos: batch-commit on/off verdicts agree" `Quick
       test_batch_mode_verdict_equivalence;
     Alcotest.test_case "batch-commit runs are self-identical" `Quick

@@ -150,9 +150,9 @@ let scenario_run ~seed ~duration spec =
   in
   let tracker = ref None in
   let result =
-    Harness.Experiment.run ~seed ~clients:26 ~duration
+    Harness.Experiment.run ~clients:26 ~duration
       ~prepare:(fun cluster -> tracker := Some (Harness.Scenario.install cluster events))
-      ~config:(Config.default Config.Closed) ~benchmark ~params ()
+      (Harness.Experiment.spec ~seed ~config:(Config.default Config.Closed) ~benchmark ~params ())
   in
   match !tracker with
   | Some tracker -> (result, Harness.Scenario.report tracker)
@@ -420,10 +420,9 @@ let test_chaos_deterministic () =
     b.Harness.Chaos.quiesced_at
 
 let test_chaos_small_batch () =
-  let results = Harness.Chaos.run_many small_knobs ~seed:1 ~runs:3 in
-  Alcotest.(check int) "three runs" 3 (List.length results);
   List.iter
-    (fun r ->
+    (fun seed ->
+      let r = Harness.Chaos.run_one small_knobs ~seed in
       if not (Harness.Chaos.passed r) then
         Alcotest.failf "seed %d failed:@ %a" r.Harness.Chaos.seed
           (fun fmt -> Format.fprintf fmt "%a" Harness.Chaos.pp_result)
@@ -432,7 +431,7 @@ let test_chaos_small_batch () =
         (Printf.sprintf "seed %d made progress" r.Harness.Chaos.seed)
         true
         (r.Harness.Chaos.commits > 0))
-    results
+    [ 1; 2; 3 ]
 
 let suite =
   [

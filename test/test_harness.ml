@@ -11,11 +11,11 @@ let contains haystack needle =
 
 let test_experiment_smoke () =
   let result =
-    Harness.Experiment.run ~seed:5 ~clients:8 ~warmup:200. ~duration:1_500.
-      ~config:(Core.Config.default Core.Config.Closed)
-      ~benchmark:Benchmarks.Bank.benchmark
-      ~params:{ Benchmarks.Workload.default_params with objects = 64; calls = 2; read_ratio = 0.5; key_skew = 0.3 }
-      ()
+    Harness.Experiment.run ~clients:8 ~warmup:200. ~duration:1_500.
+      (Harness.Experiment.spec ~seed:5 ~config:(Core.Config.default Core.Config.Closed)
+         ~benchmark:Benchmarks.Bank.benchmark
+         ~params:{ Benchmarks.Workload.default_params with objects = 64; calls = 2; read_ratio = 0.5; key_skew = 0.3 }
+         ())
   in
   Alcotest.(check bool) "some commits" true (result.Harness.Experiment.commits > 0);
   Alcotest.(check bool) "throughput positive" true (result.throughput > 0.);
@@ -34,10 +34,10 @@ let test_sweep_averaging () =
   let fake ~seed =
     incr calls;
     let base =
-      Harness.Experiment.run ~seed ~clients:4 ~warmup:100. ~duration:500.
-        ~config:(Core.Config.default Core.Config.Flat)
-        ~benchmark:Benchmarks.Counter.benchmark
-        ~params:Benchmarks.Workload.default_params ()
+      Harness.Experiment.run ~clients:4 ~warmup:100. ~duration:500.
+        (Harness.Experiment.spec ~seed ~config:(Core.Config.default Core.Config.Flat)
+           ~benchmark:Benchmarks.Counter.benchmark
+           ~params:Benchmarks.Workload.default_params ())
     in
     base
   in

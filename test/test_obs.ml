@@ -4,12 +4,12 @@
    audit. *)
 
 let run_traced ?(tracer = Obs.Tracer.null) ?telemetry ~seed () =
-  Harness.Experiment.run ~nodes:5 ~seed ~clients:4 ~warmup:200. ~duration:1_000.
-    ~tracer ?telemetry
-    ~config:(Core.Config.default Core.Config.Closed)
-    ~benchmark:Benchmarks.Bank.benchmark
-    ~params:{ Benchmarks.Workload.default_params with objects = 32; calls = 2; read_ratio = 0.4; key_skew = 0.3 }
-    ()
+  Harness.Experiment.run ~clients:4 ~warmup:200. ~duration:1_000. ?telemetry
+    (Harness.Experiment.spec ~nodes:5 ~seed ~tracer
+       ~config:(Core.Config.default Core.Config.Closed)
+       ~benchmark:Benchmarks.Bank.benchmark
+       ~params:{ Benchmarks.Workload.default_params with objects = 32; calls = 2; read_ratio = 0.4; key_skew = 0.3 }
+       ())
 
 let contains s frag =
   let n = String.length frag in

@@ -134,18 +134,18 @@ let test_fail_fast () =
 
 let open_loop ?(rate = 200.) ?(population = 1_000_000) ?(duration = 5_000.) ()
     =
-  Harness.Openloop.run ~nodes:5 ~seed:19 ~warmup:500. ~duration ~rate
-    ~population
-    ~config:(Core.Config.default Core.Config.Closed)
-    ~benchmark:Benchmarks.Counter.benchmark
-    ~params:
-      {
-        Benchmarks.Workload.default_params with
-        objects = 512;
-        calls = 1;
-        read_ratio = 0.5;
-      }
-    ()
+  Harness.Openloop.run ~warmup:500. ~duration ~rate ~population
+    (Harness.Experiment.spec ~nodes:5 ~seed:19
+       ~config:(Core.Config.default Core.Config.Closed)
+       ~benchmark:Benchmarks.Counter.benchmark
+       ~params:
+         {
+           Benchmarks.Workload.default_params with
+           objects = 512;
+           calls = 1;
+           read_ratio = 0.5;
+         }
+       ())
 
 let test_open_loop_underload () =
   let r = open_loop () in

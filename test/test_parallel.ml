@@ -12,9 +12,9 @@ let params =
   { Benchmarks.Workload.default_params with objects = 48; calls = 2; read_ratio = 0.5; key_skew = 0.5 }
 
 let run_once ~seed =
-  Harness.Experiment.run ~nodes:7 ~seed ~clients:6 ~warmup:200. ~duration:1_000.
-    ~config:(Core.Config.default Core.Config.Closed)
-    ~benchmark:Benchmarks.Bank.benchmark ~params ()
+  Harness.Experiment.run ~clients:6 ~warmup:200. ~duration:1_000.
+    (Harness.Experiment.spec ~nodes:7 ~seed ~config:(Core.Config.default Core.Config.Closed)
+       ~benchmark:Benchmarks.Bank.benchmark ~params ())
 
 (* Every counter of the result record, not just throughput: a single stray
    source of nondeterminism (iteration order, shared RNG, clock) shows up in

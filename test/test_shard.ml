@@ -109,8 +109,8 @@ let test_cross_shard_read_only_snapshot () =
   List.iter
     (fun seed ->
       let r =
-        Harness.Experiment.run ~seed ~duration:50_000. ~shards:4 ~config:(config ())
-          ~benchmark ~params ()
+        Harness.Experiment.run ~duration:50_000.
+          (Harness.Experiment.spec ~seed ~shards:4 ~config:(config ()) ~benchmark ~params ())
       in
       Alcotest.(check bool) "transactions committed" true (r.Harness.Experiment.commits > 0);
       (match r.consistent with
