@@ -7,18 +7,17 @@
       the ablation sweeps DESIGN.md calls out, plus Bechamel
       micro-benchmarks of the core operations.
    2. `wall`: wall-clock benchmark of the figure-regeneration suite at
-      --jobs 1 vs --jobs N, verifying byte-identical output and emitting
-      BENCH_harness.json (see EXPERIMENTS.md for the format).
-   3. `alloc`: GC-counter benchmark of the simulator hot path — minor and
-      major words allocated per committed transaction, written to the same
-      JSON (the CI gate compares both throughput and allocation rate).
-   4. `openloop`: the open-loop (Poisson-arrival) driver at an offered load
+      --jobs 1 vs --jobs N, verifying byte-identical output, plus the
+      simulator hot path's throughput and GC words per committed
+      transaction, emitting BENCH_harness.json (see EXPERIMENTS.md for the
+      format).
+   3. `openloop`: the open-loop (Poisson-arrival) driver at an offered load
       below and far above the cluster's capacity, emitting
       BENCH_openloop.json and sanity-gating the saturation signature:
       under load, achieved tracks offered; past saturation, queueing delay
       dominates while service latency stays bounded.
 
-   Run with: dune exec bench/main.exe -- [wall|alloc|openloop] [--jobs N]
+   Run with: dune exec bench/main.exe -- [wall|openloop] [--jobs N]
                                           [--scale quick|full] [--out FILE] *)
 
 open Core
@@ -27,7 +26,6 @@ open Core
 
 type cli = {
   mutable wall : bool;
-  mutable alloc : bool;
   mutable openloop : bool;
   mutable jobs : int;
   mutable scale_name : string;
@@ -42,7 +40,6 @@ type cli = {
 let cli =
   {
     wall = false;
-    alloc = false;
     openloop = false;
     jobs = Harness.Pool.default_jobs ();
     scale_name = "quick";
@@ -56,7 +53,7 @@ let cli =
 
 let usage () =
   prerr_endline
-    "usage: bench/main.exe [wall|alloc|openloop] [--jobs N] [--scale quick|full] [--out FILE]\n\
+    "usage: bench/main.exe [wall|openloop] [--jobs N] [--scale quick|full] [--out FILE]\n\
     \                      [--baseline FILE] [--max-regression PCT]\n\
     \                      [--max-traced-overhead PCT] [--max-alloc-regression PCT]\n\
     \                      [--min-batch-speedup X]";
@@ -66,7 +63,6 @@ let () =
   let rec parse = function
     | [] -> ()
     | "wall" :: rest -> cli.wall <- true; parse rest
-    | "alloc" :: rest -> cli.alloc <- true; parse rest
     | "openloop" :: rest -> cli.openloop <- true; parse rest
     | "--jobs" :: n :: rest ->
       (match int_of_string_opt n with Some j when j >= 1 -> cli.jobs <- j | _ -> usage ());
@@ -599,9 +595,9 @@ let baseline_field path key =
       done;
       float_of_string_opt (String.trim (String.sub contents start (!stop - start))))
 
-(* Shared JSON tail: simulator throughput, tracing overhead, latency and
-   allocation-rate fields, emitted by both `wall` and `alloc` modes so the
-   CI gate can diff either artifact against a cached baseline. *)
+(* JSON tail: simulator throughput, tracing overhead, latency and
+   allocation-rate fields, so the CI gate can diff the artifact against a
+   cached baseline. *)
 let emit_sim_fields oc ~(untraced : eps_stats) ~(traced : eps_stats)
     ~tracing_overhead_pct =
   Printf.fprintf oc
@@ -648,7 +644,7 @@ let measure_simulator () =
     untraced.p50 untraced.p95 untraced.p99;
   (untraced, traced, tracing_overhead_pct)
 
-(* The regression gates shared by `wall` and `alloc`.  A baseline written
+(* The regression gates of `wall`.  A baseline written
    before this bench grew a field reports "n/a" and skips that check rather
    than comparing against nan or 0. *)
 let run_gates ~(untraced : eps_stats) ~tracing_overhead_pct ~(batch : batch_stats) =
@@ -758,22 +754,6 @@ let wall_bench () =
   end;
   run_gates ~untraced ~tracing_overhead_pct ~batch
 
-(* `alloc` mode: just the simulator hot-path measurement — fast enough to
-   run on every push, gating both throughput and allocation rate. *)
-let alloc_bench () =
-  print_endline "alloc bench: GC counters over the simulator hot path (bank workload)";
-  let untraced, traced, tracing_overhead_pct = measure_simulator () in
-  let batch = measure_batch () in
-  let oc = open_out cli.out in
-  Printf.fprintf oc "{\n  \"bench\": \"harness_alloc\",\n  \"scale\": \"%s\",\n"
-    (json_escape cli.scale_name);
-  emit_batch_fields oc batch;
-  emit_sim_fields oc ~untraced ~traced ~tracing_overhead_pct;
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n%!" cli.out;
-  run_gates ~untraced ~tracing_overhead_pct ~batch
-
 (* `openloop` mode: Poisson arrivals from a million-client logical
    population at two offered loads — one the cluster absorbs, one far past
    its capacity — emitting BENCH_openloop.json and gating the saturation
@@ -844,7 +824,6 @@ let openloop_bench () =
 
 let () =
   if cli.wall then wall_bench ()
-  else if cli.alloc then alloc_bench ()
   else if cli.openloop then openloop_bench ()
   else begin
     Harness.Pool.set_jobs jobs_effective;

@@ -65,6 +65,17 @@ type t = {
 
 let min_members = 3
 
+(* Read ∪ write quorum of [tq] salted by [salt]: the status peer set and the
+   quorum a state pull goes through.  Commits decided just before may still
+   have Applies in flight, and the wider set maximises the chance of
+   including a member that already installed them; the union intersects
+   every write quorum in several members. *)
+let sync_quorum tq ~salt =
+  let of_opt q = Option.value ~default:[] q in
+  List.sort_uniq Int.compare
+    (of_opt (Quorum.Tree_quorum.read_quorum ~salt tq)
+    @ of_opt (Quorum.Tree_quorum.write_quorum ~salt tq))
+
 let shard_of_oid_s sharding oid =
   if oid >= 0 && oid < sharding.dir_len then sharding.dir.(oid)
   else oid mod sharding.dir_default
@@ -160,6 +171,61 @@ let readmit t node =
     t.sharding.states;
   Sim.Failure.clear_suspicion t.failure node
 
+(* Pull the committed state of every member of [dsts] ([Sync_req]) and hand
+   the replies, in reply order, to [k]; an empty [dsts] or any missing
+   reply calls [retry] instead. *)
+let pull t ~src ~dsts ~retry k =
+  if dsts = [] then retry ()
+  else
+    Sim.Rpc.multicall t.rpc ~kind:Messages.sync_req_kind ~src ~dsts
+      ~timeout:t.config.Config.request_timeout Messages.Sync_req
+      ~on_done:(fun ~replies ~missing -> if missing <> [] then retry () else k replies)
+
+(* Per-object maximum over the [Sync_rep] replies of a pull, sorted by oid:
+   the committed frontier of the view the pull went through. *)
+let frontier replies =
+  let best = Hashtbl.create 256 in
+  List.iter
+    (fun (_, reply) ->
+      match reply with
+      | Messages.Sync_rep { objects } ->
+        List.iter
+          (fun (oid, version, value) ->
+            match Hashtbl.find_opt best oid with
+            | Some (v, _) when v >= version -> ()
+            | _ -> Hashtbl.replace best oid (version, value))
+          objects
+      | Messages.Read_ok _ | Messages.Read_abort _ | Messages.Votes _
+      | Messages.Status_rep _ | Messages.Ack ->
+        ())
+    replies;
+  Hashtbl.fold (fun oid (version, value) acc -> (oid, version, value) :: acc) best []
+  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+
+(* Push [objects] from [src] to the nodes [dsts ()] names ([Handoff]), then
+   call [k].  While a destination that is still alive has not acked, retry
+   a timeout later, at most ten times; each try asks [dsts] again, and an
+   empty set skips straight to [k].  [sync_copy] is version-guarded and
+   idempotent, so duplicates and stale rows are harmless. *)
+let rec push t ~src ~dsts ~objects ?(tries = 0) k =
+  match dsts () with
+  | [] -> k ()
+  | targets ->
+    Sim.Rpc.multicall t.rpc ~kind:Messages.handoff_kind ~src ~dsts:targets
+      ~timeout:t.config.Config.request_timeout
+      (Messages.Handoff { objects })
+      ~on_done:(fun ~replies:_ ~missing ->
+        if
+          tries < 10
+          && List.exists (fun n -> not (Sim.Network.is_failed t.network n)) missing
+        then
+          Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
+              push t ~src ~dsts ~objects ~tries:(tries + 1) k)
+        else k ())
+
+let live_others t ~src among =
+  List.filter (fun n -> n <> src && not (Sim.Network.is_failed t.network n)) among
+
 (* Catch-up protocol for a node rejoining the membership view: refresh the
    stale replica from a full read quorum of its home shard (which
    intersects every write quorum {e of the current view}, so the
@@ -179,17 +245,7 @@ let readmit t node =
    and write-quorum members that are ahead vote the commit down
    forever). *)
 let rec resync t ~node ~started ~was_killed =
-  (* Read ∪ write quorum, like the status peer set: commits decided just
-     before this sync may still have Applies in flight, and the wider set
-     maximises the chance of hitting a member that already installed
-     them. *)
   let tq = t.sharding.states.(t.sharding.home.(node)).sh_tq in
-  let quorum =
-    let of_opt q = Option.value ~default:[] q in
-    List.sort_uniq Int.compare
-      (of_opt (Quorum.Tree_quorum.read_quorum ~salt:node tq)
-      @ of_opt (Quorum.Tree_quorum.write_quorum ~salt:node tq))
-  in
   let retry () =
     Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
         resync t ~node ~started ~was_killed)
@@ -208,7 +264,7 @@ let rec resync t ~node ~started ~was_killed =
      retrying until crashed members come back — exactly the durability
      assumption the unsharded recovery already makes. *)
   let quorum =
-    match quorum with
+    match sync_quorum tq ~salt:node with
     | [] ->
       let failed = Quorum.Tree_quorum.failed tq in
       let others =
@@ -227,33 +283,31 @@ let rec resync t ~node ~started ~was_killed =
     if Obs.Tracer.enabled tracer then
       Obs.Tracer.emit tracer ~time:(Sim.Engine.now t.engine)
         ~kind:Obs.Sem.sync_start ~node ~a:(List.length dsts) ();
-    Sim.Rpc.multicall t.rpc ~kind:Messages.sync_req_kind ~src:node ~dsts
-      ~timeout:t.config.Config.request_timeout Messages.Sync_req
-      ~on_done:(fun ~replies ~missing ->
-        if missing <> [] then retry ()
-        else begin
-          let store = Server.store t.servers.(node) in
-          Store.Replica.reset_transients store;
-          List.iter
-            (fun (_, reply) ->
-              match reply with
-              | Messages.Sync_rep { objects } ->
-                List.iter
-                  (fun (oid, version, value) ->
-                    Store.Replica.sync_copy store ~oid ~version ~value)
-                  objects
-              | Messages.Read_ok _ | Messages.Read_abort _ | Messages.Vote _
-              | Messages.Status_rep _ | Messages.Ack | Messages.Batch_commit_rep _ ->
-                ())
-            replies;
-          if Obs.Tracer.enabled tracer then
-            Obs.Tracer.emit tracer ~time:(Sim.Engine.now t.engine)
-              ~kind:Obs.Sem.sync_done ~node ~a:(List.length replies) ();
-          readmit t node;
-          if was_killed then
-            Metrics.note_recovery t.metrics
-              ~duration:(Sim.Engine.now t.engine -. started)
-        end)
+    (* Merged in reply order rather than through [frontier]: [sync_copy]
+       already keeps the maximum, and the order in which it installs
+       objects unknown here fixes the store's table order, which later
+       dumps expose. *)
+    pull t ~src:node ~dsts ~retry (fun replies ->
+        let store = Server.store t.servers.(node) in
+        Store.Replica.reset_transients store;
+        List.iter
+          (fun (_, reply) ->
+            match reply with
+            | Messages.Sync_rep { objects } ->
+              List.iter
+                (fun (oid, version, value) ->
+                  Store.Replica.sync_copy store ~oid ~version ~value)
+                objects
+            | Messages.Read_ok _ | Messages.Read_abort _ | Messages.Votes _
+            | Messages.Status_rep _ | Messages.Ack ->
+              ())
+          replies;
+        if Obs.Tracer.enabled tracer then
+          Obs.Tracer.emit tracer ~time:(Sim.Engine.now t.engine)
+            ~kind:Obs.Sem.sync_done ~node ~a:(List.length replies) ();
+        readmit t node;
+        if was_killed then
+          Metrics.note_recovery t.metrics ~duration:(Sim.Engine.now t.engine -. started))
 
 let create ?(nodes = 13) ?(spares = 0) ?(seed = 1) ?topology ?(service_time = 0.25)
     ?(read_level = 1) ?(detection_delay = 50.) ?(detection_jitter = 0.)
@@ -397,12 +451,7 @@ let create ?(nodes = 13) ?(spares = 0) ?(seed = 1) ?topology ?(service_time = 0.
         ~status_peers:(fun () ->
           let node = Server.node server in
           let st = sharding.states.(sharding.home.(node)) in
-          if !(st.sh_wedged) then []
-          else
-            let of_opt q = Option.value ~default:[] q in
-            List.sort_uniq Int.compare
-              (of_opt (Quorum.Tree_quorum.read_quorum ~salt:node st.sh_tq)
-              @ of_opt (Quorum.Tree_quorum.write_quorum ~salt:node st.sh_tq)))
+          if !(st.sh_wedged) then [] else sync_quorum st.sh_tq ~salt:node)
         ~metrics ~config)
     servers;
   let failure =
@@ -630,54 +679,15 @@ and launch_reconfig t st op ~on_done =
       (fun () -> snapshot_phase t st op ~on_done)
   end
 
-(* Pull the committed state through the outgoing view's quorums.  The
-   union read ∪ write quorum mirrors [resync]: commits decided just before
-   the wedge may still have Applies in flight, and the wider set maximises
-   the chance of including a member that already installed them. *)
+(* Pull the committed frontier of the outgoing view through its sync
+   quorum, as [resync] does. *)
 and snapshot_phase t st op ~on_done =
   let src = reconfig_subject op in
-  let quorum =
-    let of_opt q = Option.value ~default:[] q in
-    List.sort_uniq Int.compare
-      (of_opt (Quorum.Tree_quorum.read_quorum ~salt:src st.sh_tq)
-      @ of_opt (Quorum.Tree_quorum.write_quorum ~salt:src st.sh_tq))
-  in
-  let retry () =
-    Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
-        snapshot_phase t st op ~on_done)
-  in
-  match quorum with
-  | [] -> retry ()
-  | dsts ->
-    Sim.Rpc.multicall t.rpc ~kind:Messages.sync_req_kind ~src ~dsts
-      ~timeout:t.config.Config.request_timeout Messages.Sync_req
-      ~on_done:(fun ~replies ~missing ->
-        if missing <> [] then retry ()
-        else begin
-          (* Per-object maximum over the quorum's replies = the committed
-             frontier of the outgoing view. *)
-          let best = Hashtbl.create 256 in
-          List.iter
-            (fun (_, reply) ->
-              match reply with
-              | Messages.Sync_rep { objects } ->
-                List.iter
-                  (fun (oid, version, value) ->
-                    match Hashtbl.find_opt best oid with
-                    | Some (v, _) when v >= version -> ()
-                    | _ -> Hashtbl.replace best oid (version, value))
-                  objects
-              | Messages.Read_ok _ | Messages.Read_abort _ | Messages.Vote _
-              | Messages.Status_rep _ | Messages.Ack | Messages.Batch_commit_rep _ ->
-                ())
-            replies;
-          let snapshot =
-            Hashtbl.fold (fun oid (version, value) acc -> (oid, version, value) :: acc)
-              best []
-            |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
-          in
-          install_phase t st op ~snapshot ~on_done
-        end)
+  pull t ~src ~dsts:(sync_quorum st.sh_tq ~salt:src)
+    ~retry:(fun () ->
+      Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
+          snapshot_phase t st op ~on_done))
+    (fun replies -> install_phase t st op ~snapshot:(frontier replies) ~on_done)
 
 and install_phase t st op ~snapshot ~on_done =
   let old_members = Quorum.Tree_quorum.members st.sh_tq in
@@ -708,35 +718,16 @@ and install_phase t st op ~snapshot ~on_done =
       (fun (oid, version, value) -> Store.Replica.sync_copy store ~oid ~version ~value)
       snapshot
   | None -> ());
-  handoff_phase t st op ~snapshot ~tries:0 ~on_done
-
-(* Re-replicate the committed frontier to every reachable member of the
-   incoming view.  Old- and new-view quorums need not intersect, so
-   without this push a new-view read quorum could miss a write committed
-   under the old view.  [sync_copy] is version-guarded and idempotent, so
-   duplicates and stale rows are harmless.  Members that are down right
-   now are skipped — their recovery resync refreshes them from the
-   (post-handoff) current view. *)
-and handoff_phase t st op ~snapshot ~tries ~on_done =
+  (* Handoff: re-replicate the committed frontier to every reachable
+     member of the incoming view.  Old- and new-view quorums need not
+     intersect, so without this push a new-view read quorum could miss a
+     write committed under the old view.  Members that are down right now
+     are skipped — their recovery resync refreshes them from the
+     (post-handoff) current view. *)
   let src = reconfig_subject op in
-  let dsts =
-    List.filter
-      (fun n -> n <> src && not (Sim.Network.is_failed t.network n))
-      (Quorum.Tree_quorum.members st.sh_tq)
-  in
-  if dsts = [] then unwedge_phase t st op ~on_done
-  else
-    Sim.Rpc.multicall t.rpc ~kind:Messages.handoff_kind ~src ~dsts
-      ~timeout:t.config.Config.request_timeout
-      (Messages.Handoff { objects = snapshot })
-      ~on_done:(fun ~replies:_ ~missing ->
-        let missing_alive =
-          List.filter (fun n -> not (Sim.Network.is_failed t.network n)) missing
-        in
-        if missing_alive <> [] && tries < 10 then
-          Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout
-            (fun () -> handoff_phase t st op ~snapshot ~tries:(tries + 1) ~on_done)
-        else unwedge_phase t st op ~on_done)
+  push t ~src ~objects:snapshot
+    ~dsts:(fun () -> live_others t ~src (Quorum.Tree_quorum.members st.sh_tq))
+    (fun () -> unwedge_phase t st op ~on_done)
 
 and unwedge_phase t st op ~on_done =
   st.sh_wedged := false;
@@ -885,91 +876,38 @@ and launch_shard_op t op ~on_done =
       (fun () -> shard_snapshot_phase t op ~involved ~on_done)
   end
 
-(* Pull the source shard's committed frontier through its (outgoing-view)
-   read ∪ write quorum union, exactly like the membership snapshot — the
-   data a move or split redistributes must cover every committed write. *)
+(* Pull the source shard's committed frontier through its outgoing-view
+   sync quorum, exactly like the membership snapshot — the data a move or
+   split redistributes must cover every committed write. *)
 and shard_snapshot_phase t op ~involved ~on_done =
   let src_shard = shard_op_source t op in
   let st = t.sharding.states.(src_shard) in
   let salt = List.hd (Quorum.Tree_quorum.members st.sh_tq) in
-  let quorum =
-    let of_opt q = Option.value ~default:[] q in
-    List.sort_uniq Int.compare
-      (of_opt (Quorum.Tree_quorum.read_quorum ~salt st.sh_tq)
-      @ of_opt (Quorum.Tree_quorum.write_quorum ~salt st.sh_tq))
-  in
-  let retry () =
-    Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
-        shard_snapshot_phase t op ~involved ~on_done)
-  in
-  match quorum with
-  | [] -> retry ()
-  | dsts ->
-    Sim.Rpc.multicall t.rpc ~kind:Messages.sync_req_kind ~src:salt ~dsts
-      ~timeout:t.config.Config.request_timeout Messages.Sync_req
-      ~on_done:(fun ~replies ~missing ->
-        if missing <> [] then retry ()
-        else begin
-          let best = Hashtbl.create 256 in
-          List.iter
-            (fun (_, reply) ->
-              match reply with
-              | Messages.Sync_rep { objects } ->
-                List.iter
-                  (fun (oid, version, value) ->
-                    match Hashtbl.find_opt best oid with
-                    | Some (v, _) when v >= version -> ()
-                    | _ -> Hashtbl.replace best oid (version, value))
-                  objects
-              | Messages.Read_ok _ | Messages.Read_abort _ | Messages.Vote _
-              | Messages.Status_rep _ | Messages.Ack | Messages.Batch_commit_rep _ ->
-                ())
-            replies;
-          let snapshot =
-            Hashtbl.fold (fun oid (version, value) acc -> (oid, version, value) :: acc)
-              best []
-            |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
-          in
-          match op with
-          | Move_object { oid; to_shard } ->
-            shard_move_install t ~oid ~to_shard ~src_shard ~snapshot ~involved
-              ~on_done
-          | Split_shard shard ->
-            shard_split_install t ~shard ~snapshot ~involved ~on_done
-        end)
+  pull t ~src:salt ~dsts:(sync_quorum st.sh_tq ~salt)
+    ~retry:(fun () ->
+      Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
+          shard_snapshot_phase t op ~involved ~on_done))
+    (fun replies ->
+      let snapshot = frontier replies in
+      match op with
+      | Move_object { oid; to_shard } ->
+        shard_move_install t ~oid ~to_shard ~src_shard ~snapshot ~involved ~on_done
+      | Split_shard shard -> shard_split_install t ~shard ~snapshot ~involved ~on_done)
 
 (* Move: push the object's committed row to the destination shard's
-   members, then flip the directory entry and bump both epochs. *)
+   members that are live before the first try (one fixed set for every
+   retry), then flip the directory entry and bump both epochs. *)
 and shard_move_install t ~oid ~to_shard ~src_shard ~snapshot ~involved ~on_done =
-  let row =
-    List.filter (fun (o, _, _) -> o = oid) snapshot
+  let row = List.filter (fun (o, _, _) -> o = oid) snapshot in
+  let dsts =
+    List.filter
+      (fun n -> not (Sim.Network.is_failed t.network n))
+      (Quorum.Tree_quorum.members t.sharding.states.(to_shard).sh_tq)
   in
-  let push ~tries ~k =
-    let dst = t.sharding.states.(to_shard) in
-    let dsts =
-      List.filter
-        (fun n -> not (Sim.Network.is_failed t.network n))
-        (Quorum.Tree_quorum.members dst.sh_tq)
-    in
-    if row = [] || dsts = [] then k ()
-    else
-      let rec attempt tries =
-        Sim.Rpc.multicall t.rpc ~kind:Messages.handoff_kind
-          ~src:(List.hd (Quorum.Tree_quorum.members t.sharding.states.(src_shard).sh_tq))
-          ~dsts ~timeout:t.config.Config.request_timeout
-          (Messages.Handoff { objects = row })
-          ~on_done:(fun ~replies:_ ~missing ->
-            let missing_alive =
-              List.filter (fun n -> not (Sim.Network.is_failed t.network n)) missing
-            in
-            if missing_alive <> [] && tries < 10 then
-              Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout
-                (fun () -> attempt (tries + 1))
-            else k ())
-      in
-      attempt tries
-  in
-  push ~tries:0 ~k:(fun () ->
+  let src = List.hd (Quorum.Tree_quorum.members t.sharding.states.(src_shard).sh_tq) in
+  push t ~src ~objects:row
+    ~dsts:(fun () -> if row = [] then [] else dsts)
+    (fun () ->
       t.sharding.dir.(oid) <- to_shard;
       List.iter
         (fun s ->
@@ -1036,28 +974,9 @@ and shard_split_install t ~shard ~snapshot ~involved ~on_done =
     ~b:(List.length moved) ~shard:new_id;
   (* Level every member of both halves to the committed frontier. *)
   let src = List.hd keep in
-  let rec push tries =
-    let dsts =
-      List.filter
-        (fun nd -> nd <> src && not (Sim.Network.is_failed t.network nd))
-        old_members
-    in
-    if snapshot = [] || dsts = [] then
-      finish_shard_op t ~involved:(new_id :: involved) ~on_done
-    else
-      Sim.Rpc.multicall t.rpc ~kind:Messages.handoff_kind ~src ~dsts
-        ~timeout:t.config.Config.request_timeout
-        (Messages.Handoff { objects = snapshot })
-        ~on_done:(fun ~replies:_ ~missing ->
-          let missing_alive =
-            List.filter (fun nd -> not (Sim.Network.is_failed t.network nd)) missing
-          in
-          if missing_alive <> [] && tries < 10 then
-            Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout
-              (fun () -> push (tries + 1))
-          else finish_shard_op t ~involved:(new_id :: involved) ~on_done)
-  in
-  push 0
+  push t ~src ~objects:snapshot
+    ~dsts:(fun () -> if snapshot = [] then [] else live_others t ~src old_members)
+    (fun () -> finish_shard_op t ~involved:(new_id :: involved) ~on_done)
 
 and finish_shard_op t ~involved ~on_done =
   List.iter

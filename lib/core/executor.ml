@@ -518,13 +518,42 @@ let dep_status exec deps =
   in
   go None deps
 
-(* A commit vote as [(commit, lock_conflict)]; [None] for any other reply,
-   which counts as a veto that witnesses nothing. *)
-let vote_of = function
-  | Messages.Vote { commit; lock_conflict } -> Some (commit, lock_conflict)
-  | Messages.Read_ok _ | Messages.Read_abort _ | Messages.Sync_rep _
-  | Messages.Status_rep _ | Messages.Ack | Messages.Batch_commit_rep _ ->
-    None
+(* A commit round's votes on one entry: [all_commit] unless some voter
+   vetoed it (any other reply counts as a veto that witnesses nothing),
+   [lock_conflict] if some veto was a foreign lease, and the voters that
+   vetoed it as stale. *)
+type tally = { all_commit : bool; lock_conflict : bool; stale_witnesses : int list }
+
+let tally root ~replies ~entry =
+  let rec go all_commit lock_conflict stale = function
+    | [] -> { all_commit; lock_conflict; stale_witnesses = stale }
+    | (voter, reply) :: rest -> (
+      match reply with
+      | Messages.Votes { commits; conflicts } ->
+        let commit = commits.(entry) and conflict = conflicts.(entry) in
+        trace root ~kind:Obs.Sem.vote_recv ~oid:(-1) ~a:voter
+          ~b:((if commit then 1 else 0) lor if conflict then 2 else 0)
+          ~x:0.;
+        go (all_commit && commit) (lock_conflict || conflict)
+          (if commit || conflict then stale else voter :: stale)
+          rest
+      | Messages.Read_ok _ | Messages.Read_abort _ | Messages.Sync_rep _
+      | Messages.Status_rep _ | Messages.Ack ->
+        go false lock_conflict stale rest)
+  in
+  go true false [] replies
+
+(* A vetoed entry: stale vetoes witness versions the read quorum missed, so
+   later reads include those voters (see [extra_read_peers]).  A lock
+   conflict may resolve as soon as the holder finishes its 2PC, so while
+   the budget lasts the entry retries instead of aborting. *)
+let veto root votes ~retry ~abort =
+  widen_to_witnesses root votes.stale_witnesses;
+  if votes.lock_conflict && root.commit_lock_budget > 0 then begin
+    root.commit_lock_budget <- root.commit_lock_budget - 1;
+    retry ()
+  end
+  else abort ()
 
 let fresh_scope ~depth ~thunk ~cont =
   { depth; thunk; cont; rset = Rwset.empty; wset = Rwset.empty }
@@ -716,8 +745,8 @@ and handle_read_replies root ~oid ~write ~k ~replies ~missing =
           match reply with
           | Messages.Read_abort { target } ->
             Some (match acc with None -> target | Some t -> Stdlib.min t target)
-          | Messages.Read_ok _ | Messages.Vote _ | Messages.Sync_rep _ | Messages.Status_rep _
-          | Messages.Ack | Messages.Batch_commit_rep _ ->
+          | Messages.Read_ok _ | Messages.Votes _ | Messages.Sync_rep _
+          | Messages.Status_rep _ | Messages.Ack ->
             acc)
         None replies
     in
@@ -735,8 +764,8 @@ and handle_read_replies root ~oid ~write ~k ~replies ~missing =
                   | Some (v, _) when v >= version -> acc
                   | Some _ | None -> Some (version, value)
                 end
-              | Messages.Read_abort _ | Messages.Vote _ | Messages.Sync_rep _ | Messages.Status_rep _
-              | Messages.Ack | Messages.Batch_commit_rep _ ->
+              | Messages.Read_abort _ | Messages.Votes _ | Messages.Sync_rep _
+              | Messages.Status_rep _ | Messages.Ack ->
                 acc)
             None replies
         in
@@ -1058,18 +1087,7 @@ and send_commit root ~scope ~value =
                round = root.commit_round; peers })
           ~on_done:(fun ~replies ~missing ->
             if still_current root generation then begin
-              let votes =
-                List.map (fun (voter, reply) -> (voter, vote_of reply)) replies
-              in
-              if Obs.Tracer.enabled exec.tracer then
-                List.iter
-                  (function
-                    | voter, Some (commit, lock_conflict) ->
-                      trace root ~kind:Obs.Sem.vote_recv ~oid:(-1) ~a:voter
-                        ~b:((if commit then 1 else 0) lor if lock_conflict then 2 else 0)
-                        ~x:0.
-                    | _, None -> ())
-                  votes;
+              let votes = tally root ~replies ~entry:0 in
               let contacted = part :: List.map fst prepared in
               if missing <> [] || exec.quorums.epoch ~shard:s <> send_epoch then begin
                 (* A write-quorum member failed mid-2PC, or a
@@ -1080,35 +1098,12 @@ and send_commit root ~scope ~value =
                 release_parts contacted;
                 retry ()
               end
-              else if
-                List.for_all
-                  (function _, Some (commit, _) -> commit | _, None -> false)
-                  votes
-              then prepare ((part, send_epoch) :: prepared) rest
+              else if votes.all_commit then prepare ((part, send_epoch) :: prepared) rest
               else begin
                 release_parts contacted;
-                (* Stale vetoes (no lock conflict) witness versions the read
-                   quorum missed — see [extra_read_peers]. *)
-                let stale_witnesses =
-                  List.filter_map
-                    (function
-                      | n, Some (false, false) -> Some n
-                      | _, (Some _ | None) -> None)
-                    votes
-                in
-                widen_to_witnesses root stale_witnesses;
-                let any_lock_conflict =
-                  List.exists (function _, Some (_, lock) -> lock | _, None -> false) votes
-                in
-                if any_lock_conflict && root.commit_lock_budget > 0 then begin
-                  (* Ablation knob: a lock conflict may resolve as soon as the
-                     holder finishes its 2PC; optionally retry the commit
-                     before aborting. *)
-                  root.commit_lock_budget <- root.commit_lock_budget - 1;
-                  schedule root ~delay:(jittered exec.rng exec.config.ct_retry_delay)
-                    (fun () -> send_commit root ~scope ~value)
-                end
-                else abort_2pc ()
+                veto root votes ~abort:abort_2pc ~retry:(fun () ->
+                    schedule root ~delay:(jittered exec.rng exec.config.ct_retry_delay)
+                      (fun () -> send_commit root ~scope ~value))
               end
             end)
     and decide prepared =
@@ -1464,24 +1459,7 @@ and decide_batch exec ~bq ~entries ~writes_by_entry ~reads_by_entry
       end
       else begin
         let scope = p.p_scope in
-        let all_commit = ref true in
-        let lock_conflict = ref false in
-        List.iter
-          (fun (voter, reply) ->
-            match reply with
-            | Messages.Batch_commit_rep { commits; conflicts } ->
-              if not commits.(i) then all_commit := false;
-              if conflicts.(i) then lock_conflict := true;
-              if Obs.Tracer.enabled exec.tracer then
-                trace root ~kind:Obs.Sem.vote_recv ~oid:(-1) ~a:voter
-                  ~b:
-                    ((if commits.(i) then 1 else 0)
-                    lor if conflicts.(i) then 2 else 0)
-                  ~x:0.
-            | Messages.Read_ok _ | Messages.Read_abort _ | Messages.Vote _
-            | Messages.Sync_rep _ | Messages.Status_rep _ | Messages.Ack ->
-              all_commit := false)
-          replies;
+        let votes = tally root ~replies ~entry:i in
         match dep_status exec root.spec_deps with
         | `Failed dep | `Undecided dep ->
           (* A predecessor this entry read from aborted (or was requeued
@@ -1493,7 +1471,7 @@ and decide_batch exec ~bq ~entries ~writes_by_entry ~reads_by_entry
           trace root ~kind:Obs.Sem.batch_decide ~oid:(-1) ~a:batch_id ~b:0 ~x:0.;
           speculation_abort root ~dep
         | `Ok ->
-          if !all_commit && now_ <= root.lock_deadline then begin
+          if votes.all_commit && now_ <= root.lock_deadline then begin
             record_commit root ~scope ~window_start:sent_at;
             Sim.Rpc.acked_multicast exec.rpc ~kind:Messages.apply_kind
               ~src:root.node ~dsts:quorum ~timeout:exec.config.request_timeout
@@ -1511,50 +1489,24 @@ and decide_batch exec ~bq ~entries ~writes_by_entry ~reads_by_entry
               committed_now := root.txn_id :: !committed_now;
             finish root (Committed p.p_value)
           end
-          else if !all_commit then begin
+          else if votes.all_commit then begin
             (* votes arrived past the coordinator's lease horizon *)
             Metrics.note_commit_deadline_abort exec.metrics;
             trace root ~kind:Obs.Sem.deadline_abort ~oid:(-1) ~a:(-1) ~b:(-1)
               ~x:root.lock_deadline;
             release_locks root ~quorum ~locks:locks_by_entry.(i);
-            record_spec_outcome exec ~txn:root.txn_id ~committed:false;
-            drop_images exec ~txn:root.txn_id ~wset:scope.wset;
-            trace root ~kind:Obs.Sem.batch_decide ~oid:(-1) ~a:batch_id ~b:0
-              ~x:0.;
-            root_abort root
+            abort_entry root ~scope ~batch_id
           end
           else begin
             release_locks root ~quorum ~locks:locks_by_entry.(i);
-            let stale_witnesses =
-              List.filter_map
-                (fun (voter, reply) ->
-                  match reply with
-                  | Messages.Batch_commit_rep { commits; conflicts } ->
-                    if (not commits.(i)) && not conflicts.(i) then Some voter
-                    else None
-                  | Messages.Read_ok _ | Messages.Read_abort _ | Messages.Vote _
-                  | Messages.Sync_rep _ | Messages.Status_rep _ | Messages.Ack ->
-                    None)
-                replies
-            in
-            widen_to_witnesses root stale_witnesses;
-            if !lock_conflict && root.commit_lock_budget > 0 then begin
-              (* The conflict may clear by the next round (e.g. a foreign
-                 Apply still in flight): straight back into the queue, on
-                 its oldest side so the entry still decides before any
-                 reader of its images.  No outcome is recorded and the
-                 images are republished — readers still legitimately
-                 depend on this entry. *)
-              root.commit_lock_budget <- root.commit_lock_budget - 1;
-              requeue_commit root ~scope ~value:p.p_value ~bq
-            end
-            else begin
-              record_spec_outcome exec ~txn:root.txn_id ~committed:false;
-              drop_images exec ~txn:root.txn_id ~wset:scope.wset;
-              trace root ~kind:Obs.Sem.batch_decide ~oid:(-1) ~a:batch_id ~b:0
-                ~x:0.;
-              root_abort root
-            end
+            (* A retry goes straight back into the queue, on its oldest
+               side so the entry still decides before any reader of its
+               images.  No outcome is recorded and the images are
+               republished — readers still legitimately depend on this
+               entry. *)
+            veto root votes
+              ~retry:(fun () -> requeue_commit root ~scope ~value:p.p_value ~bq)
+              ~abort:(fun () -> abort_entry root ~scope ~batch_id)
           end
       end
     done;
@@ -1565,6 +1517,13 @@ and decide_batch exec ~bq ~entries ~writes_by_entry ~reads_by_entry
        flight (or requeued on a lock conflict above) cuts immediately *)
     if bq.bq_queue <> [] then cut_batch exec ~bq
   end
+
+(* A batch entry that aborts after its round: its readers fail fast. *)
+and abort_entry root ~scope ~batch_id =
+  record_spec_outcome root.exec ~txn:root.txn_id ~committed:false;
+  drop_images root.exec ~txn:root.txn_id ~wset:scope.wset;
+  trace root ~kind:Obs.Sem.batch_decide ~oid:(-1) ~a:batch_id ~b:0 ~x:0.;
+  root_abort root
 
 and finish root outcome =
   if not root.finished then begin

@@ -161,17 +161,16 @@ type request =
 type reply =
   | Read_ok of { oid : Ids.obj_id; version : int; value : Txn.value }
   | Read_abort of { target : int }
-  | Vote of { commit : bool; lock_conflict : bool }
   | Sync_rep of { objects : (Ids.obj_id * int * Txn.value) list }
   | Status_rep of { committed : bool; objects : (Ids.obj_id * int * Txn.value) list }
       (* [committed]: this replica observed the transaction's Apply;
          [objects]: its current copies of the queried oids, so a decided
          commit's write can be adopted by the asking replica *)
   | Ack  (* acknowledges idempotent one-way messages (Apply, Release) *)
-  | Batch_commit_rep of { commits : bool array; conflicts : bool array }
-      (* per-entry votes, indexed like the request's [txns]; [conflicts]
-         mirrors Vote.lock_conflict (the entry failed on a foreign lease,
-         not hopeless staleness) *)
+  | Votes of { commits : bool array; conflicts : bool array }
+      (* one vote per entry of a Batch_commit_req (indexed like [txns]),
+         or the single entry of a Commit_req; [conflicts]: the entry
+         failed on a foreign lease, not hopeless staleness *)
 
 (* Accounting labels, interned once at module load so the network layer
    counts messages with an array increment rather than a string lookup. *)

@@ -7,8 +7,10 @@
     (see DESIGN.md, semantics notes).
 
     Commit requests implement the vote phase of 2PC: the replica validates
-    the full data-set and, on success, locks the write-set objects.  Apply
-    and Release are the one-way second phase.
+    the full data-set and, on success, locks the write-set objects.  A
+    [Commit_req] is a batch of one: both it and [Batch_commit_req] are
+    answered with {!Votes}, one entry per transaction.  Apply and Release
+    are the one-way second phase.
 
     The bulk payloads ({!dataset}, {!writes}) are structures of flat [int]
     arrays rather than lists of records: a steady-state commit wave builds
@@ -126,9 +128,6 @@ type reply =
   | Read_abort of { target : int }
       (** validation failed; [target] is [abortClosed] (a scope depth) or
           [abortChk] (a checkpoint id) depending on the executor's mode *)
-  | Vote of { commit : bool; lock_conflict : bool }
-      (** [lock_conflict] distinguishes protected-object conflicts (the
-          holder may release soon) from version staleness (hopeless) *)
   | Sync_rep of { objects : (Ids.obj_id * int * Txn.value) list }
       (** committed state snapshot: (oid, version, value); locks and PR/PW
           lists are transient and not transferred *)
@@ -140,10 +139,12 @@ type reply =
   | Ack
       (** acknowledges the idempotent one-way messages (Apply / Release) so
           they can be retransmitted over lossy links *)
-  | Batch_commit_rep of { commits : bool array; conflicts : bool array }
-      (** per-entry votes, indexed like the request's [txns]; [conflicts]
-          mirrors [Vote.lock_conflict] (the entry failed on a foreign
-          lease, not hopeless staleness) *)
+  | Votes of { commits : bool array; conflicts : bool array }
+      (** the commit vote: one entry per [Batch_commit_req] entry (indexed
+          like its [txns]), and exactly one for a [Commit_req], which is the
+          one-entry batch.  [conflicts.(i)] distinguishes a foreign lease
+          (the holder may release soon) from version staleness
+          (hopeless) *)
 
 (** {2 Message-accounting labels}
 

@@ -10,9 +10,6 @@ let oid_valid store ~txn ~oid ~version =
     in
     (not stale) && not locked
 
-let entry_valid store ~txn (entry : Messages.dataset_entry) =
-  oid_valid store ~txn ~oid:entry.oid ~version:entry.version
-
 (* [max_int] as the "no invalid entry yet" sentinel keeps the loop free of
    option allocation; owner tags are small non-negative ints. *)
 let validate store ~txn ~(dataset : Messages.dataset) =

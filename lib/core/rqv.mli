@@ -15,10 +15,3 @@ val validate :
     entries' owners are dropped from the replica's PR/PW lists, as in
     Algorithm 1 line 8.  An indexed loop over the flat data-set: no
     allocation until the final [Some]. *)
-
-val oid_valid : Store.Replica.t -> txn:Ids.txn_id -> oid:Ids.obj_id -> version:int -> bool
-(** Single-row check against the local copy (the 2PC vote path loops this
-    over the flat data-set). *)
-
-val entry_valid : Store.Replica.t -> txn:Ids.txn_id -> Messages.dataset_entry -> bool
-(** {!oid_valid} over the row-record view (tests). *)

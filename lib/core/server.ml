@@ -134,8 +134,8 @@ let commit_evidence t ~held ~replies =
   let status_rep f (_, reply) =
     match reply with
     | Messages.Status_rep { committed; objects } -> f ~committed ~objects
-    | Messages.Read_ok _ | Messages.Read_abort _ | Messages.Vote _
-    | Messages.Sync_rep _ | Messages.Ack | Messages.Batch_commit_rep _ ->
+    | Messages.Read_ok _ | Messages.Read_abort _ | Messages.Votes _
+    | Messages.Sync_rep _ | Messages.Ack ->
       false
   in
   if List.exists (status_rep (fun ~committed ~objects:_ -> committed)) replies then
@@ -169,8 +169,8 @@ let rescue_commit t term ~txn ~oids ~replies ~evidence =
             if Store.Replica.mem t.store oid then
               Store.Replica.sync_copy t.store ~oid ~version ~value)
           objects
-      | Messages.Read_ok _ | Messages.Read_abort _ | Messages.Vote _
-      | Messages.Sync_rep _ | Messages.Ack | Messages.Batch_commit_rep _ ->
+      | Messages.Read_ok _ | Messages.Read_abort _ | Messages.Votes _
+      | Messages.Sync_rep _ | Messages.Ack ->
         ())
     replies;
   release_lease t ~txn ~oids:(still_held t ~txn oids);
@@ -281,236 +281,226 @@ let enable_termination ?(node_alive = fun _ -> true) t ~engine ~watch_lane ~rpc
   Store.Replica.set_on_restore t.store (fun ~oid ~owner ~expires ->
       watch_granted t ~txn:owner ~oids:[ oid ] ~expires)
 
-(* --- request handlers --------------------------------------------------- *)
+(* --- the commit vote (PROTOCOL.md §9) ------------------------------------ *)
 
-let handle_commit t ~txn ~(dataset : Messages.dataset) ~locks ~round ~peers =
-  let n = Messages.dataset_len dataset in
-  let valid = ref true in
-  let i = ref 0 in
-  while !valid && !i < n do
-    if
-      not
-        (Rqv.oid_valid t.store ~txn ~oid:dataset.ds_oids.(!i)
-           ~version:dataset.ds_versions.(!i))
-    then valid := false
-    else incr i
-  done;
-  if not !valid then begin
-    let lock_conflict = ref false in
-    let j = ref 0 in
-    while (not !lock_conflict) && !j < n do
-      let oid = dataset.ds_oids.(!j) in
-      if
-        Store.Replica.mem t.store oid
-        && Store.Replica.is_protected t.store ~oid ~against:txn
-        && Store.Replica.version t.store oid <= dataset.ds_versions.(!j)
-      then lock_conflict := true
-      else incr j
-    done;
-    Some (Messages.Vote { commit = false; lock_conflict = !lock_conflict })
-  end
-  else begin
-    (* Lock the write set.  All-or-nothing: locking can only fail if another
-       transaction protected an object between the validation above and now,
-       which cannot happen within one synchronous handler — but we stay
-       defensive and roll back partial locks. *)
-    let expires = lease_expiry t in
-    let rec lock_all acquired = function
-      | [] -> true
-      | oid :: rest ->
-        if Store.Replica.try_lock ~expires ~round t.store ~oid ~txn then
-          lock_all (oid :: acquired) rest
-        else begin
-          (* Round-guarded: this roll-back may be running for a reordered
-             stale Commit_req whose re-grants renewed a newer round's
-             locks — those must survive. *)
-          List.iter
-            (fun o -> Store.Replica.unlock ~round t.store ~oid:o ~txn)
-            acquired;
-          false
-        end
-    in
-    if lock_all [] locks then begin
-      if locks <> [] then begin
+(* A batch round's in-batch state.  A [Commit_req] is the one-entry batch
+   with nothing before it, so it votes with none.  [overlay]: oid -> version
+   the latest locally-valid predecessor installs; [chain]: oid -> the entry
+   holding the in-batch lease; [decided]: the request's recently committed
+   transactions. *)
+type batch = {
+  overlay : (Ids.obj_id, int) Hashtbl.t;
+  chain : (Ids.obj_id, Ids.txn_id) Hashtbl.t;
+  decided : Ids.txn_id array;
+}
+
+type verdict = Commit | Stale | Conflict
+
+let stored_version store oid =
+  if Store.Replica.mem store oid then Store.Replica.version store oid else -1
+
+(* The version an entry validates [oid] against: the overlay's, else the
+   local copy's; [-1] when the object is not hosted here. *)
+let visible store batch oid =
+  match batch with
+  | Some b -> (
+    match Hashtbl.find b.overlay oid with
+    | v -> v
+    | exception Not_found -> stored_version store oid)
+  | None -> stored_version store oid
+
+(* The in-batch lease holder of [oid], or [-1]. *)
+let chain_holder b oid = match Hashtbl.find b.chain oid with h -> h | exception Not_found -> -1
+
+let rec decided_mem (decided : Ids.txn_id array) owner i =
+  i < Array.length decided && (decided.(i) = owner || decided_mem decided owner (i + 1))
+
+(* Whether the lease on hosted [oid] vetoes [txn]'s row.  In-batch leases
+   are not conflicts: predecessors hand them over.  Neither is a moribund
+   lease of a [decided] transaction — but only when the reader's base
+   version is strictly ahead of the version visible here ([row > visible]),
+   i.e. it read past the decided write.  At [row = visible] the reader saw
+   the pre-commit value, and the lease must veto it exactly as in the
+   vote-to-apply window of a lone commit. *)
+let lease_blocks store batch ~txn oid ~row ~visible =
+  match Store.Replica.lease_of store oid with
+  | None -> false
+  | Some lease -> (
+    let owner = lease.Store.Replica.owner in
+    owner <> txn
+    &&
+    match batch with
+    | None -> true
+    | Some b ->
+      chain_holder b oid <> owner
+      && not (row > visible && decided_mem b.decided owner 0))
+
+(* Rows [r, hi) are hosted, not stale and not vetoed by a lease. *)
+let rec rows_valid store batch ~txn (dataset : Messages.dataset) r hi =
+  r >= hi
+  ||
+  let oid = dataset.ds_oids.(r) and row = dataset.ds_versions.(r) in
+  let v = visible store batch oid in
+  v >= 0
+  && row >= v
+  && (not (lease_blocks store batch ~txn oid ~row ~visible:v))
+  && rows_valid store batch ~txn dataset (r + 1) hi
+
+(* The conflict probe of a failed validation: a foreign lease on a
+   not-yet-superseded read is retryable; staleness is hopeless. *)
+let rec lock_conflict store batch ~txn (dataset : Messages.dataset) r hi =
+  r < hi
+  &&
+  let oid = dataset.ds_oids.(r) and row = dataset.ds_versions.(r) in
+  let v = visible store batch oid in
+  (v >= 0 && v <= row && lease_blocks store batch ~txn oid ~row ~visible:v)
+  || lock_conflict store batch ~txn dataset (r + 1) hi
+
+(* The owner [txn] takes hosted [oid]'s lease over from, or [-1]: the
+   in-batch predecessor, or a [decided] owner whose Apply (which would
+   release it) is still in flight.  The write base was validated, and a
+   base read past a decided write has [row > visible], so the override
+   already vetted this. *)
+let handover_from store batch ~txn oid =
+  match (batch, Store.Replica.lease_of store oid) with
+  | Some b, Some lease ->
+    let owner = lease.Store.Replica.owner in
+    if owner <> txn && (chain_holder b oid = owner || decided_mem b.decided owner 0)
+    then owner
+    else -1
+  | (Some _ | None), _ -> -1
+
+(* Lock the hosted oids of [locks], all or nothing.  The displaced lease of
+   a handover is kept ([Replica.handover]): it may be the only protection
+   for a committed write whose Apply was lost, and releasing the successor
+   (speculation abort, requeue) must restore it, not strand the object
+   unleased.  Failure is unreachable in a synchronous handler (validation
+   already rejected foreign leases), but stays defensive: the locks taken
+   are rolled back newest first, round-guarded, since this may run for a
+   reordered stale request whose re-grants renewed a newer round's locks —
+   those must survive. *)
+let rec lock_all store batch ~txn ~round ~expires = function
+  | [] -> true
+  | oid :: rest ->
+    if not (Store.Replica.mem store oid) then lock_all store batch ~txn ~round ~expires rest
+    else begin
+      let prev_owner = handover_from store batch ~txn oid in
+      (if prev_owner >= 0 then
+         Store.Replica.handover ~expires ~round store ~oid ~prev_owner ~txn
+       else Store.Replica.try_lock ~expires ~round store ~oid ~txn)
+      && (lock_all store batch ~txn ~round ~expires rest
+         || (Store.Replica.unlock ~round store ~oid ~txn;
+             false))
+    end
+
+let rec all_hosted store = function
+  | [] -> true
+  | oid :: rest -> Store.Replica.mem store oid && all_hosted store rest
+
+(* One transaction's vote: validate its rows [lo, hi) of [dataset], then
+   lock the hosted objects of its write set [locks].  The request is
+   heartbeat traffic for [txn] first.  Invalid entries leave no trace: they
+   touch neither overlay nor locks, so a batch successor validates against
+   the store exactly as if the entry had never been queued — mirroring the
+   coordinator, which aborts them without applying.  Only batch entries
+   count as validations. *)
+let vote t batch ~txn ~round ~expires ~(dataset : Messages.dataset) ~lo ~hi ~locks
+    ~peers =
+  let store = t.store in
+  if leases_on t then Store.Replica.renew store ~txn ~expires;
+  let counted = Option.is_some batch in
+  if counted then t.validations_run <- t.validations_run + 1;
+  let verdict =
+    if not (rows_valid store batch ~txn dataset lo hi) then begin
+      if counted then t.validations_failed <- t.validations_failed + 1;
+      if lock_conflict store batch ~txn dataset lo hi then Conflict else Stale
+    end
+    else if lock_all store batch ~txn ~round ~expires locks then begin
+      (* The watcher keeps its list alive as long as the lease: reuse the
+         request's own list when every object is hosted here (always, for
+         a [Commit_req]: its locks are data-set rows, which validation
+         found hosted) instead of a copy the GC would promote. *)
+      let locked =
+        if all_hosted store locks then locks
+        else List.filter (Store.Replica.mem store) locks
+      in
+      if locked <> [] then begin
         (* Cross-shard 2PC: pin the other participant shards' quorum
            members so a termination round for these leases also asks them
            (the commit decision may only be evidenced over there). *)
-        if peers <> [] then Store.Replica.set_status_peers t.store ~txn peers;
-        watch_granted t ~txn ~oids:locks ~expires
+        if peers <> [] then Store.Replica.set_status_peers store ~txn peers;
+        watch_granted t ~txn ~oids:locked ~expires
       end;
-      Some (Messages.Vote { commit = true; lock_conflict = false })
+      Commit
     end
-    else Some (Messages.Vote { commit = false; lock_conflict = true })
-  end
+    else Conflict
+  in
+  trace t ~kind:Obs.Sem.vote ~txn ~oid:(-1)
+    ~a:(match verdict with Commit -> 1 | Stale | Conflict -> 0)
+    ~b:(match verdict with Conflict -> 1 | Commit | Stale -> 0)
+    ~x:0.;
+  verdict
 
-(* --- batch commit (PROTOCOL.md §9) -------------------------------------- *)
+(* The three one-entry replies, built once: reply payloads are never
+   mutated after sending (see Messages), so sharing them is safe across
+   runs and domains, and a vote allocates no reply that the round would
+   keep alive (and promote) until its last voter answers. *)
+let one_vote commit conflict =
+  Messages.Votes { commits = [| commit |]; conflicts = [| conflict |] }
 
-(* Validate and lock a whole commit queue in one quorum round.  Entries are
-   processed in queue order; each validates against an overlay of the
-   versions its locally-valid predecessors will install, so a chain of
-   speculative transactions (each having read the previous one's
-   uncommitted write image) votes commit in a single round trip.  Leases
-   move down the chain: when a locally-valid predecessor holds the
-   in-batch lease on an object a later entry also writes, the grant is
-   handed over to the successor (the predecessor's second phase stays
-   safe — Apply installs version-guarded and its Release is round-guarded,
-   so out-of-order arrivals compose).  Invalid entries leave no trace:
-   they touch neither overlay nor locks, so their successors validate
-   against the store exactly as if the entry had never been queued —
-   mirroring the coordinator, which aborts them without applying. *)
+let voted_commit = one_vote true false
+let voted_stale = one_vote false false
+let voted_conflict = one_vote false true
+
+let handle_commit t ~txn ~dataset ~locks ~round ~peers =
+  match
+    vote t None ~txn ~round ~expires:(lease_expiry t) ~dataset ~lo:0
+      ~hi:(Messages.dataset_len dataset) ~locks ~peers
+  with
+  | Commit -> voted_commit
+  | Stale -> voted_stale
+  | Conflict -> voted_conflict
+
+(* Validate and lock a whole commit queue in one quorum round, in queue
+   order; each entry validates against the overlay of the versions its
+   locally-valid predecessors will install, so a chain of speculative
+   transactions (each having read the previous one's uncommitted write
+   image) votes commit in a single round trip.  Leases move down the
+   chain: the predecessor's second phase stays safe — Apply installs
+   version-guarded and its Release is round-guarded, so out-of-order
+   arrivals compose. *)
 let handle_batch_commit t ~(txns : Ids.txn_id array) ~(rounds : int array)
-    ~(ds_offsets : int array) ~(dataset : Messages.dataset)
-    ~(wr_offsets : int array) ~(writes : Messages.writes)
-    ~(decided : Ids.txn_id array) =
+    ~(ds_offsets : int array) ~dataset ~(wr_offsets : int array)
+    ~(writes : Messages.writes) ~decided =
   let n = Array.length txns in
   let commits = Array.make n false in
   let conflicts = Array.make n false in
-  (* oid -> version the latest locally-valid predecessor installs *)
-  let overlay : (Ids.obj_id, int) Hashtbl.t = Hashtbl.create 16 in
-  (* oid -> batch entry currently holding the in-batch lease *)
-  let chain : (Ids.obj_id, Ids.txn_id) Hashtbl.t = Hashtbl.create 16 in
-  let decided_owner o = Array.exists (fun d -> d = o) decided in
+  let overlay = Hashtbl.create 16 and chain = Hashtbl.create 16 in
+  let batch = Some { overlay; chain; decided } in
   let expires = lease_expiry t in
   for i = 0 to n - 1 do
-    let txn = txns.(i) in
-    (* the batch is heartbeat traffic for every queued transaction *)
-    if leases_on t then Store.Replica.renew t.store ~txn ~expires;
-    t.validations_run <- t.validations_run + 1;
-    (* In-batch leases are not conflicts: predecessors hand them over.
-       Neither is a moribund lease of a [decided] transaction — but only
-       when the reader's base version is strictly ahead of the version
-       visible here ([row > visible]), i.e. it read past the decided write.
-       At [row = visible] the reader saw the pre-commit value, and the
-       lease must veto it exactly as in the vote-to-apply window of the
-       sequential protocol. *)
-    let lease_blocks oid ~row ~visible =
-      match Store.Replica.lease_of t.store oid with
-      | Some lease ->
-        let owner = lease.Store.Replica.owner in
-        owner <> txn
-        && (match Hashtbl.find_opt chain oid with
-           | Some holder -> owner <> holder
-           | None -> true)
-        && not (decided_owner owner && row > visible)
-      | None -> false
-    in
-    let visible oid =
-      match Hashtbl.find_opt overlay oid with
-      | Some v -> Some v
-      | None ->
-        if Store.Replica.mem t.store oid then
-          Some (Store.Replica.version t.store oid)
-        else None
-    in
-    let valid = ref true in
-    let lo = ds_offsets.(i) and hi = ds_offsets.(i + 1) in
-    let r = ref lo in
-    while !valid && !r < hi do
-      let oid = dataset.ds_oids.(!r) in
-      let row = dataset.ds_versions.(!r) in
-      (match visible oid with
-      | None -> valid := false
-      | Some v -> if row < v || lease_blocks oid ~row ~visible:v then valid := false);
-      if !valid then incr r
+    let txn = txns.(i) and wlo = wr_offsets.(i) and whi = wr_offsets.(i + 1) in
+    let locks = ref [] in
+    for r = whi - 1 downto wlo do
+      locks := writes.wr_oids.(r) :: !locks
     done;
-    if not !valid then begin
-      t.validations_failed <- t.validations_failed + 1;
-      (* Mirror handle_commit's conflict probe: a foreign lease on a
-         not-yet-superseded read is retryable; staleness is hopeless. *)
-      let j = ref lo in
-      while (not conflicts.(i)) && !j < hi do
-        let oid = dataset.ds_oids.(!j) in
-        let row = dataset.ds_versions.(!j) in
-        (match visible oid with
-        | Some v when v <= row && lease_blocks oid ~row ~visible:v ->
-          conflicts.(i) <- true
-        | Some _ | None -> ());
-        incr j
-      done
-    end
-    else begin
-      let wlo = wr_offsets.(i) and whi = wr_offsets.(i + 1) in
-      let rec lock_all acquired r =
-        if r >= whi then true
-        else begin
-          let oid = writes.wr_oids.(r) in
-          if not (Store.Replica.mem t.store oid) then lock_all acquired (r + 1)
-          else begin
-            (* Hand the lease down the chain — from the in-batch
-               predecessor, or from a [decided] owner whose Apply (which
-               would release it) is still in flight.  The write base was
-               validated above, and a base read past a decided write has
-               [row > visible], so the override already vetted this.  The
-               displaced lease is kept ([Replica.handover]): it may be the
-               only protection for a committed write whose Apply was lost,
-               and releasing the successor (speculation abort, requeue)
-               must restore it, not strand the object unleased. *)
-            let prev_owner =
-              match Store.Replica.lease_of t.store oid with
-              | Some lease ->
-                let owner = lease.Store.Replica.owner in
-                if
-                  owner <> txn
-                  && ((match Hashtbl.find_opt chain oid with
-                      | Some holder -> owner = holder
-                      | None -> false)
-                     || decided_owner owner)
-                then Some owner
-                else None
-              | None -> None
-            in
-            let locked =
-              match prev_owner with
-              | Some prev_owner ->
-                Store.Replica.handover ~expires ~round:rounds.(i) t.store ~oid
-                  ~prev_owner ~txn
-              | None ->
-                Store.Replica.try_lock ~expires ~round:rounds.(i) t.store ~oid ~txn
-            in
-            if locked then lock_all (oid :: acquired) (r + 1)
-            else begin
-              (* Unreachable in a synchronous handler (validation already
-                 rejected foreign leases); stay defensive like
-                 handle_commit and roll back round-guarded. *)
-              List.iter
-                (fun o -> Store.Replica.unlock ~round:rounds.(i) t.store ~oid:o ~txn)
-                acquired;
-              false
-            end
-          end
+    match
+      vote t batch ~txn ~round:rounds.(i) ~expires ~dataset ~lo:ds_offsets.(i)
+        ~hi:ds_offsets.(i + 1) ~locks:!locks ~peers:[]
+    with
+    | Commit ->
+      commits.(i) <- true;
+      for r = whi - 1 downto wlo do
+        let oid = writes.wr_oids.(r) in
+        if Store.Replica.mem t.store oid then begin
+          Hashtbl.replace chain oid txn;
+          Hashtbl.replace overlay oid writes.wr_versions.(r)
         end
-      in
-      if lock_all [] wlo then begin
-        let locked = ref [] in
-        for r = whi - 1 downto wlo do
-          let oid = writes.wr_oids.(r) in
-          if Store.Replica.mem t.store oid then begin
-            Hashtbl.replace chain oid txn;
-            Hashtbl.replace overlay oid writes.wr_versions.(r);
-            locked := oid :: !locked
-          end
-        done;
-        if !locked <> [] then watch_granted t ~txn ~oids:!locked ~expires;
-        commits.(i) <- true
-      end
-      else conflicts.(i) <- true
-    end;
-    trace t ~kind:Obs.Sem.vote ~txn ~oid:(-1)
-      ~a:(if commits.(i) then 1 else 0)
-      ~b:(if conflicts.(i) then 1 else 0)
-      ~x:0.
+      done
+    | Conflict -> conflicts.(i) <- true
+    | Stale -> ()
   done;
-  Messages.Batch_commit_rep { commits; conflicts }
-
-let trace_vote t ~txn reply =
-  (match reply with
-  | Some (Messages.Vote { commit; lock_conflict }) ->
-    trace t ~kind:Obs.Sem.vote ~txn ~oid:(-1)
-      ~a:(if commit then 1 else 0)
-      ~b:(if lock_conflict then 1 else 0)
-      ~x:0.
-  | _ -> ());
-  reply
+  Messages.Votes { commits; conflicts }
 
 let handle_apply t ~txn ~(writes : Messages.writes) ~reads =
   let foreign = ref false in
@@ -585,12 +575,11 @@ let handle_handoff t ~objects =
 
 let request_txn = function
   | Messages.Read_req { txn; _ } -> Some txn
-  | Messages.Commit_req { txn; _ } -> Some txn
   | Messages.Apply { txn; _ } -> Some txn
   | Messages.Release { txn; _ } -> Some txn
   | Messages.Sync_req | Messages.Status_req _ | Messages.Handoff _ -> None
-  (* per-entry renewal happens inside handle_batch_commit *)
-  | Messages.Batch_commit_req _ -> None
+  (* a commit vote renews per entry, inside [vote] *)
+  | Messages.Commit_req _ | Messages.Batch_commit_req _ -> None
 
 let handle t ~src:_ request =
   (* Any traffic from a transaction is a heartbeat for the leases it holds
@@ -603,7 +592,7 @@ let handle t ~src:_ request =
   | Messages.Read_req { txn; oid; dataset; write_intent; record } ->
     handle_read t ~txn ~oid ~dataset ~write_intent ~record
   | Messages.Commit_req { txn; dataset; locks; round; peers } ->
-    trace_vote t ~txn (handle_commit t ~txn ~dataset ~locks ~round ~peers)
+    Some (handle_commit t ~txn ~dataset ~locks ~round ~peers)
   | Messages.Apply { txn; writes; reads } ->
     trace t ~kind:Obs.Sem.apply ~txn ~oid:(-1) ~a:(Messages.writes_len writes)
       ~b:(-1) ~x:0.;

@@ -8,7 +8,13 @@
       local copy of the requested object; register root transactions in the
       PR/PW lists.
     - [Commit_req]: 2PC vote — validate the full data-set, lock the
-      write-set objects on success.
+      write-set objects on success.  It is the one-entry batch: the same
+      per-transaction vote as [Batch_commit_req], with no predecessors.
+    - [Batch_commit_req]: vote on each queued transaction in order, each
+      validated against the versions its locally-valid predecessors
+      install and taking over their in-batch leases (PROTOCOL.md §9).
+      Both commit requests are answered with [Votes], one entry per
+      transaction, and every vote renews the transaction's leases.
     - [Apply]: 2PC second phase — install writes that are newer than the
       local copy, release locks, clear PR/PW entries; acked so the
       coordinator can retransmit over lossy links.
@@ -75,4 +81,7 @@ val handle : t -> src:int -> Messages.request -> Messages.reply option
     whether it is sent back depends on the RPC layer's [wants_reply]. *)
 
 val validations_run : t -> int
+(** Rqv runs on a read's piggybacked data-set plus batch-entry votes; a
+    [Commit_req] vote is not counted. *)
+
 val validations_failed : t -> int

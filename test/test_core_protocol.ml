@@ -176,7 +176,7 @@ let test_server_commit_vote_and_apply () =
       Server.handle server ~src:5
         (Messages.Commit_req { txn = 9; dataset; locks = [ 2 ]; round = 1; peers = [] })
     with
-    | Some (Messages.Vote { commit = true; _ }) -> ()
+    | Some (Messages.Votes { commits = [| true |]; _ }) -> ()
     | Some _ | None -> Alcotest.fail "expected commit vote"
   end;
   Alcotest.(check bool) "lock taken" true
@@ -187,7 +187,7 @@ let test_server_commit_vote_and_apply () =
       Server.handle server ~src:6
         (Messages.Commit_req { txn = 10; dataset; locks = [ 2 ]; round = 1; peers = [] })
     with
-    | Some (Messages.Vote { commit = false; lock_conflict = true }) -> ()
+    | Some (Messages.Votes { commits = [| false |]; conflicts = [| true |] }) -> ()
     | Some _ | None -> Alcotest.fail "expected lock-conflict denial"
   end;
   (* Apply installs the write and releases the lock. *)
@@ -217,7 +217,7 @@ let test_server_stale_commit_denied () =
            peers = [];
          })
   with
-  | Some (Messages.Vote { commit = false; lock_conflict }) ->
+  | Some (Messages.Votes { commits = [| false |]; conflicts = [| lock_conflict |] }) ->
     Alcotest.(check bool) "version conflict, not lock" false lock_conflict
   | Some _ | None -> Alcotest.fail "expected denial"
 
@@ -326,7 +326,119 @@ let test_oracle_window_tolerance () =
   Oracle.note_commit oracle ~txn:2 ~decision:14. ~window_start:7. ~reads:[ (1, 0) ] ~writes:[];
   Alcotest.(check bool) "overlapping window ok" true (Result.is_ok (Oracle.check oracle))
 
-let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ rwset_add_find ]
+(* --- Commit vote: Commit_req = one-entry Batch_commit_req ---------------- *)
+
+(* A generated replica state: per hosted object a version and an optional
+   lease [(owner, round, expires)]; the voting transaction is [vote_txn],
+   so an owner equal to it is an own lease (an earlier round's), any other
+   a foreign one.  Oids [1, hosted] live on the replica, the rest up to
+   [max_oid] do not.  The request reads [rows] (oid, base version) and
+   locks [locks], a subset of the hosted oids. *)
+let vote_txn = 1
+let max_oid = 6
+
+type vote_case = {
+  hosted : int;
+  copies : (int * (int * int * float) option) list;  (** per hosted oid *)
+  rows : (int * int) list;
+  locks : int list;
+  round : int;
+}
+
+let vote_case_gen =
+  let open QCheck.Gen in
+  let* hosted = int_range 1 (max_oid - 1) in
+  let lease =
+    opt
+      (triple (int_range vote_txn (vote_txn + 2)) (int_range 0 3)
+         (oneofl [ 100.; 900.; Float.infinity ]))
+  in
+  let* copies = list_repeat hosted (pair (int_range 0 3) lease) in
+  let* rows = small_list (pair (int_range 1 max_oid) (int_range 0 3)) in
+  let* locks = small_list (int_range 1 hosted) in
+  let* round = int_range 1 3 in
+  return
+    {
+      hosted;
+      copies;
+      rows = List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) rows;
+      locks = List.sort_uniq Int.compare locks;
+      round;
+    }
+
+let print_vote_case c =
+  let lease = function
+    | None -> "-"
+    | Some (owner, round, expires) -> Printf.sprintf "%d/r%d/%g" owner round expires
+  in
+  Printf.sprintf "hosted=%d copies=[%s] rows=[%s] locks=[%s] round=%d" c.hosted
+    (String.concat "; "
+       (List.map (fun (v, l) -> Printf.sprintf "v%d %s" v (lease l)) c.copies))
+    (String.concat "; " (List.map (fun (o, v) -> Printf.sprintf "%d@%d" o v) c.rows))
+    (String.concat "; " (List.map string_of_int c.locks))
+    c.round
+
+(* Stage [c] on node 0 of a fresh cluster (leases and termination armed,
+   clock at 0, so a grant or renewal stamps expiry 800), hand it [request],
+   and return the one-entry verdict plus every hosted object's lease. *)
+let vote_outcome c request =
+  let cluster = Cluster.create ~nodes:5 ~seed:7 (Config.default Config.Flat) in
+  let server = Cluster.server_of cluster ~node:0 in
+  let store = Server.store server in
+  List.iteri
+    (fun i (version, lease) ->
+      let oid = i + 1 in
+      Store.Replica.ensure store ~oid ~init:(Store.Value.Int 0);
+      if version > 0 then
+        Store.Replica.apply store ~oid ~version ~value:(Store.Value.Int version) ~txn:99;
+      Option.iter
+        (fun (owner, round, expires) ->
+          ignore (Store.Replica.try_lock ~expires ~round store ~oid ~txn:owner))
+        lease)
+    c.copies;
+  let verdict =
+    match Server.handle server ~src:3 (request c) with
+    | Some (Messages.Votes { commits = [| commit |]; conflicts = [| conflict |] }) ->
+      (commit, conflict)
+    | Some _ | None -> Alcotest.fail "expected a one-entry vote"
+  in
+  let leases =
+    List.init c.hosted (fun i ->
+        Option.map
+          (fun (l : Store.Replica.lease) -> (l.owner, l.round, l.expires))
+          (Store.Replica.lease_of store (i + 1)))
+  in
+  (verdict, leases)
+
+let vote_dataset c =
+  Messages.dataset_of_list
+    (List.map (fun (oid, version) -> { Messages.oid; version; owner = 0 }) c.rows)
+
+let commit_req c =
+  Messages.Commit_req
+    { txn = vote_txn; dataset = vote_dataset c; locks = c.locks; round = c.round; peers = [] }
+
+let one_entry_batch c =
+  let dataset = vote_dataset c in
+  let writes = Messages.writes_of_list (List.map (fun oid -> (oid, 0, Store.Value.Unit)) c.locks) in
+  Messages.Batch_commit_req
+    {
+      txns = [| vote_txn |];
+      rounds = [| c.round |];
+      ds_offsets = [| 0; Messages.dataset_len dataset |];
+      dataset;
+      wr_offsets = [| 0; Messages.writes_len writes |];
+      writes;
+      decided = [||];
+    }
+
+let commit_vote_is_one_entry_batch =
+  QCheck.Test.make ~name:"commit vote = one-entry batch vote" ~count:300
+    (QCheck.make ~print:print_vote_case vote_case_gen)
+    (fun c -> vote_outcome c commit_req = vote_outcome c one_entry_batch)
+
+let qcheck_cases =
+  List.map QCheck_alcotest.to_alcotest [ rwset_add_find; commit_vote_is_one_entry_batch ]
 
 let suite =
   [

@@ -88,12 +88,12 @@ let test_kind_interned_after_create () =
 (* --- allocation budget -------------------------------------------------- *)
 
 (* Steady-state commit cost in minor-heap words, measured exactly as
-   [bench alloc] measures it (same 13-node closed-loop bank workload).
+   [bench wall] measures it (same 13-node closed-loop bank workload).
    The pooled-envelope + flat-payload hot path measures ~7_100 minor
    words per committed transaction; the budget is that figure plus the
    >20%-regression allowance from the benchmark gate, rounded up for
    cross-machine slack.  If this trips, something reintroduced per-event
-   or per-message allocation — run [bench alloc] to bisect. *)
+   or per-message allocation — run [bench wall] to bisect. *)
 let minor_words_budget = 9_500.
 
 let test_allocation_budget () =

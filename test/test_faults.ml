@@ -365,7 +365,7 @@ let test_status_rescues_decided_commit () =
             peers = [];
           })
    with
-  | Some (Messages.Vote { commit = true; _ }) -> ()
+  | Some (Messages.Votes { commits = [| true |]; _ }) -> ()
   | _ -> Alcotest.fail "replica 7 refused the vote");
   Alcotest.(check bool) "lease held at replica 7" true
     (Cluster.held_leases cluster <> []);

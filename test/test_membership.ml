@@ -229,7 +229,7 @@ let test_sync_races_lease_rescue () =
             peers = [];
           })
    with
-  | Some (Messages.Vote { commit = true; _ }) -> ()
+  | Some (Messages.Votes { commits = [| true |]; _ }) -> ()
   | _ -> Alcotest.fail "replica 7 refused the vote");
   Alcotest.(check bool) "lease held at replica 7" true (Cluster.held_leases cluster <> []);
   List.iter

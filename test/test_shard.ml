@@ -148,7 +148,7 @@ let test_cross_shard_conflict_aborts_atomically () =
                peers = [];
              })
       with
-      | Some (Messages.Vote { commit = true; _ }) -> ()
+      | Some (Messages.Votes { commits = [| true |]; _ }) -> ()
       | _ -> Alcotest.failf "staged lock refused at node %d" node)
     shard1_wq;
   let outcome = ref None in
@@ -250,7 +250,7 @@ let test_rescue_from_other_shard () =
                peers = shard0_wq;
              })
       with
-      | Some (Messages.Vote { commit = true; _ }) -> ()
+      | Some (Messages.Votes { commits = [| true |]; _ }) -> ()
       | _ -> Alcotest.failf "shard 1 node %d refused the vote" node)
     shard1_wq;
   Alcotest.(check bool) "shard 1 holds the locks" true

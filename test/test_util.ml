@@ -1,5 +1,5 @@
 (* Unit and property tests for the util substrate: RNG determinism and
-   distributions, streaming stats, histograms, tables. *)
+   distributions, streaming stats, HDR histograms, tables. *)
 
 let test_rng_deterministic () =
   let a = Util.Rng.create 42 and b = Util.Rng.create 42 in
@@ -74,18 +74,6 @@ let stats_merge_matches_sequential =
       && Float.abs (Util.Stats.stddev merged -. Util.Stats.stddev all) < 1e-6
       && Util.Stats.count merged = Util.Stats.count all)
 
-let test_histogram () =
-  let h = Util.Histogram.create ~buckets:4 ~lo:0. ~hi:8. () in
-  List.iter (Util.Histogram.add h) [ -1.; 0.; 1.; 3.; 5.; 7.; 9.; 100. ];
-  Alcotest.(check int) "count" 8 (Util.Histogram.count h);
-  Alcotest.(check int) "underflow" 1 (Util.Histogram.underflow h);
-  Alcotest.(check int) "overflow" 2 (Util.Histogram.overflow h);
-  let buckets = Util.Histogram.bucket_counts h in
-  Alcotest.(check int) "buckets" 4 (Array.length buckets);
-  let total_in_range = Array.fold_left (fun acc (_, _, n) -> acc + n) 0 buckets in
-  Alcotest.(check int) "in-range total" 5 total_in_range;
-  Alcotest.(check bool) "render non-empty" true (String.length (Util.Histogram.render h) > 0)
-
 let test_hdr_percentiles () =
   let h = Util.Hdr.create () in
   Alcotest.(check (float 0.)) "empty percentile" 0. (Util.Hdr.percentile h 50.);
@@ -158,7 +146,6 @@ let suite =
     Alcotest.test_case "rng split independence" `Quick test_rng_split_independent;
     Alcotest.test_case "zipf skew shape" `Quick test_zipf_skew_prefers_small;
     Alcotest.test_case "stats accumulators" `Quick test_stats;
-    Alcotest.test_case "histogram buckets" `Quick test_histogram;
     Alcotest.test_case "hdr percentiles" `Quick test_hdr_percentiles;
     Alcotest.test_case "hdr merge and clamp" `Quick test_hdr_merge_and_clamp;
     Alcotest.test_case "table rendering" `Quick test_table_render;
