@@ -46,14 +46,19 @@ let setup cluster (params : Workload.params) =
     Array.fold_left (fun n b -> if Array.length b > 0 then n + 1 else n) 0 by_shard
   in
   let xshard = populated > 1 in
-  let pick_cross rng a =
+  (* [by_shard] is fixed at setup, but the account's home is read live:
+     after a move, [a]'s old bucket still lists it.  Redraw rather than
+     return [a] itself — [transfer a a] reads [a] twice and writes it
+     twice, creating [amount] out of thin air. *)
+  let rec pick_cross rng a =
     let home = Cluster.shard_of_oid cluster accounts.(a) in
     let rec target () =
       let s = Workload.pick_shard rng params ~shards in
       if s = home || Array.length by_shard.(s) = 0 then target () else s
     in
     let s = target () in
-    by_shard.(s).(Util.Rng.int rng (Array.length by_shard.(s)))
+    let b = by_shard.(s).(Util.Rng.int rng (Array.length by_shard.(s))) in
+    if b = a then pick_cross rng a else b
   in
   let pick_two rng =
     let a = Workload.pick_key rng params in

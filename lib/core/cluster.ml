@@ -1,32 +1,20 @@
-type reconfig =
-  | Join of int
+(* A view change: a membership change on one shard, or an edit of the
+   object -> shard directory.  Every kind runs the same fenced pipeline. *)
+type view_change =
+  | Join of { node : int; shard : int }
   | Leave of int
   | Replace of { leaving : int; joining : int }
-
-(* Shard-directory operations: relocate one object or split a shard's
-   member set (and object population) in two.  Like membership
-   reconfigurations they run wedged and epoch-fenced, but they operate on
-   the {e object -> shard} mapping rather than a shard's member list. *)
-type shard_op =
-  | Move_object of { oid : int; to_shard : int }
-  | Split_shard of int
+  | Move of { oid : int; to_shard : int }
+  | Split of int
 
 (* One shard: an independent membership view over a disjoint slice of the
-   machines, with its own quorum tree, epoch, wedge flag and
-   reconfiguration queue.  The epoch and wedge are refs so the executor's
-   quorum closures and the RPC fencing hook — built before the cluster
-   record — share them. *)
+   machines, with its own quorum tree, epoch and wedge flag.  The epoch and
+   wedge are refs so the executor's quorum closures and the RPC fencing
+   hook — built before the cluster record — share them. *)
 type shard_state = {
-  sh_id : int;
   sh_tq : Quorum.Tree_quorum.t;
   sh_epoch : int ref;
   sh_wedged : bool ref;
-  mutable sh_reconfig_active : bool;
-  (* Reconfigurations waiting behind the active one, in submission order.
-     FIFO matters: a replace may legitimately re-use a machine an earlier
-     queued operation decommissions, so reordering would make a valid
-     schedule fail validation. *)
-  sh_pending : (reconfig * (unit -> unit) option) Queue.t;
 }
 
 (* The shard directory and per-shard state.  [states] and [dir] are
@@ -44,8 +32,6 @@ type sharding = {
          the default mapping stays stable across the run. *)
   home : int array; (* node -> the shard it replicates *)
   read_level : int; (* for quorum trees minted by splits *)
-  mutable shard_op_active : bool;
-  shard_pending : (shard_op * (unit -> unit) option) Queue.t;
 }
 
 type t = {
@@ -60,7 +46,12 @@ type t = {
   oracle : Oracle.t option;
   config : Config.t;
   ids : Ids.gen;
-  rng : Util.Rng.t;
+  mutable changing : bool; (* a view change is between wedge and done *)
+  (* View changes waiting behind the active one, in submission order.
+     FIFO matters: a replace may legitimately re-use a machine an earlier
+     queued change decommissions, so reordering would make a valid
+     schedule fail validation. *)
+  pending : (view_change * (unit -> unit) option) Queue.t;
 }
 
 let min_members = 3
@@ -127,23 +118,26 @@ let shard_of_oid t oid = shard_of_oid_s t.sharding oid
 let shard_members t ~shard =
   Quorum.Tree_quorum.members t.sharding.states.(shard).sh_tq
 
-let shard_epoch t ~shard = !(t.sharding.states.(shard).sh_epoch)
 let home_shard_of t ~node = t.sharding.home.(node)
 
-(* Memoisation lives in [Tree_quorum] (generation-keyed, per salt), so these
-   are plain delegations; an unconstructible quorum degrades to [[]], as do
-   all quorums while a reconfiguration has the shard wedged — callers
-   treat an empty quorum as "retry politely".  The per-node accessors serve
-   the node's {e home} shard (the objects it replicates). *)
-let read_quorum_of t ~node =
-  let st = t.sharding.states.(t.sharding.home.(node)) in
+(* A shard's read or write quorum salted by [salt].  Memoisation lives in
+   [Tree_quorum] (generation-keyed, per salt); an unconstructible quorum
+   degrades to [[]], as do all quorums while a view change has the shard
+   wedged — callers treat an empty quorum as "retry politely". *)
+let quorum ~write st ~salt =
   if !(st.sh_wedged) then []
-  else Option.value ~default:[] (Quorum.Tree_quorum.read_quorum ~salt:node st.sh_tq)
+  else
+    Option.value ~default:[]
+      (if write then Quorum.Tree_quorum.write_quorum ~salt st.sh_tq
+       else Quorum.Tree_quorum.read_quorum ~salt st.sh_tq)
+
+(* The per-node accessors serve the node's {e home} shard (the objects it
+   replicates). *)
+let read_quorum_of t ~node =
+  quorum ~write:false t.sharding.states.(t.sharding.home.(node)) ~salt:node
 
 let write_quorum_of t ~node =
-  let st = t.sharding.states.(t.sharding.home.(node)) in
-  if !(st.sh_wedged) then []
-  else Option.value ~default:[] (Quorum.Tree_quorum.write_quorum ~salt:node st.sh_tq)
+  quorum ~write:true t.sharding.states.(t.sharding.home.(node)) ~salt:node
 
 let nodes t = Array.length t.servers
 
@@ -205,12 +199,13 @@ let frontier replies =
 (* Push [objects] from [src] to the nodes [dsts ()] names ([Handoff]), then
    call [k].  While a destination that is still alive has not acked, retry
    a timeout later, at most ten times; each try asks [dsts] again, and an
-   empty set skips straight to [k].  [sync_copy] is version-guarded and
-   idempotent, so duplicates and stale rows are harmless. *)
+   empty set or nothing to push skips straight to [k].  [sync_copy] is
+   version-guarded and idempotent, so duplicates and stale rows are
+   harmless. *)
 let rec push t ~src ~dsts ~objects ?(tries = 0) k =
-  match dsts () with
-  | [] -> k ()
-  | targets ->
+  match (objects, dsts ()) with
+  | [], _ | _, [] -> k ()
+  | _, targets ->
     Sim.Rpc.multicall t.rpc ~kind:Messages.handoff_kind ~src ~dsts:targets
       ~timeout:t.config.Config.request_timeout
       (Messages.Handoff { objects })
@@ -363,19 +358,11 @@ let create ?(nodes = 13) ?(spares = 0) ?(seed = 1) ?topology ?(service_time = 0.
         in
         if start > 0 then
           Quorum.Tree_quorum.set_members tq (List.init size (fun i -> start + i));
-        {
-          sh_id = s;
-          sh_tq = tq;
-          sh_epoch = ref 0;
-          sh_wedged = ref false;
-          sh_reconfig_active = false;
-          sh_pending = Queue.create ();
-        })
+        { sh_tq = tq; sh_epoch = ref 0; sh_wedged = ref false })
   in
   let home = Array.make total 0 in
-  Array.iter
-    (fun st ->
-      List.iter (fun n -> home.(n) <- st.sh_id) (Quorum.Tree_quorum.members st.sh_tq))
+  Array.iteri
+    (fun s st -> List.iter (fun n -> home.(n) <- s) (Quorum.Tree_quorum.members st.sh_tq))
     states;
   let sharding =
     {
@@ -385,8 +372,6 @@ let create ?(nodes = 13) ?(spares = 0) ?(seed = 1) ?topology ?(service_time = 0.
       dir_default = shards;
       home;
       read_level;
-      shard_op_active = false;
-      shard_pending = Queue.create ();
     }
   in
   (* Membership fence: every envelope is stamped with its shard's epoch at
@@ -409,19 +394,9 @@ let create ?(nodes = 13) ?(spares = 0) ?(seed = 1) ?topology ?(service_time = 0.
   let quorums =
     {
       Executor.read_quorum =
-        (fun ~shard ~node ->
-          let st = sharding.states.(shard) in
-          if !(st.sh_wedged) then []
-          else
-            Option.value ~default:[]
-              (Quorum.Tree_quorum.read_quorum ~salt:node st.sh_tq));
+        (fun ~shard ~node -> quorum ~write:false sharding.states.(shard) ~salt:node);
       write_quorum =
-        (fun ~shard ~node ->
-          let st = sharding.states.(shard) in
-          if !(st.sh_wedged) then []
-          else
-            Option.value ~default:[]
-              (Quorum.Tree_quorum.write_quorum ~salt:node st.sh_tq));
+        (fun ~shard ~node -> quorum ~write:true sharding.states.(shard) ~salt:node);
       node_alive = (fun node -> not (Sim.Network.is_failed network node));
       epoch = (fun ~shard -> !(sharding.states.(shard).sh_epoch));
       shard_of = (fun oid -> shard_of_oid_s sharding oid);
@@ -485,7 +460,8 @@ let create ?(nodes = 13) ?(spares = 0) ?(seed = 1) ?topology ?(service_time = 0.
       oracle;
       config;
       ids;
-      rng = Util.Rng.create (seed + 4);
+      changing = false;
+      pending = Queue.create ();
     }
   in
   Sim.Failure.on_recover failure (fun ~node ~was_killed ->
@@ -503,15 +479,12 @@ let create ?(nodes = 13) ?(spares = 0) ?(seed = 1) ?topology ?(service_time = 0.
   t
 
 let engine t = t.engine
-let tracer t = Sim.Engine.tracer t.engine
 let network t = t.network
 let executor t = t.executor
 let metrics t = t.metrics
 let oracle t = t.oracle
-let config t = t.config
 let failure t = t.failure
 let ids t = t.ids
-let rng t = t.rng
 let now t = Sim.Engine.now t.engine
 
 (* Objects live on their owning shard's members only; the directory entry
@@ -552,89 +525,28 @@ let suspect_node_at ?clear_after t ~at ~node =
   Sim.Failure.schedule_false_suspicion ?clear_after t.failure ~at ~node
 
 (* ------------------------------------------------------------------ *)
-(* Epoch-based reconfiguration: join / graceful leave / replace — now
-   per shard.
+(* View changes.  Every change to a shard's members or to the object
+   directory runs one fenced pipeline, one change at a time across the
+   whole cluster (PROTOCOL.md §8):
 
-   Every operation runs the same fenced state machine on one shard:
+   1. wedge the involved shards — every quorum closure returns [[]], so
+      executors and lease watchdogs retry politely — and wait two request
+      timeouts for in-flight rounds to land or expire; a joiner comes back
+      on the network now so it can take part in the state transfer;
+   2. pull the source shard's committed frontier through a read ∪ write
+      quorum of its {e outgoing} view ([Sync_req], as [resync] does);
+   3. install the new members or directory entries, bump every involved
+      epoch, and let a joiner adopt the frontier locally;
+   4. push the frontier ([Handoff]) to the reachable incoming-view
+      members: old- and new-view quorums need not intersect, so without
+      it a new-view read quorum could miss an old-view commit.  A move
+      pushes its one row first and flips the directory after;
+   5. unwedge — envelopes stamped with an old epoch are now fenced;
+   6. drain a leaver, then fail it off the network.  Departed nodes
+      return to the spare pool and may be re-joined later.
 
-   1. {b wedge} — the shard's quorum construction is suspended (every
-      quorum closure returns [[]], so executors and lease watchdogs retry
-      politely), and the machine waits two request timeouts for in-flight
-      quorum rounds to land or expire.  A joining node is revived on the
-      network now so it can serve the state transfer.  Other shards run
-      undisturbed.
-   2. {b snapshot} — the subject node pulls a read ∪ write quorum of the
-      shard's {e outgoing} view ([Sync_req], the same path crash recovery
-      uses) and keeps the per-object maximum version: quorum intersection
-      in the old view guarantees this covers every committed write.
-   3. {b install} — the new member list is installed ([set_members]
-      rebuilds the quorum tree), the shard epoch is bumped, and — for
-      joins and replaces — the joiner adopts the snapshot locally.
-   4. {b handoff} — the snapshot is pushed ([Handoff], version-guarded
-      and idempotent) to every reachable member of the incoming view, so
-      new-view quorums intersect the committed prefix even where old- and
-      new-view quorums do not intersect each other.
-   5. {b unwedge} — quorums resume under the new epoch.  Envelopes
-      stamped with the old epoch are now fenced.
-   6. {b departure} (leave/replace) — the leaver drains: once it holds no
-      leases and hosts no live coordinators it is failed off the network
-      and its volatile state cleared.  Departed nodes return to the spare
-      pool and may be re-joined later (rolling restarts). *)
-
-let reconfig_code = function Join _ -> 0 | Leave _ -> 1 | Replace _ -> 2
-
-(* The node that sources the snapshot and handoff: the joiner where there
-   is one (it must state-sync anyway), else the leaver. *)
-let reconfig_subject = function
-  | Join node -> node
-  | Leave node -> node
-  | Replace { joining; _ } -> joining
-
-let reconfig_joining = function
-  | Join node -> Some node
-  | Leave _ -> None
-  | Replace { joining; _ } -> Some joining
-
-let reconfig_leaving = function
-  | Join _ -> None
-  | Leave node -> Some node
-  | Replace { leaving; _ } -> Some leaving
-
-let validate_reconfig t st op =
-  let total = nodes t in
-  (* A machine serves at most one shard, so joining is checked against the
-     union view; leaving against the shard's own members. *)
-  let mem = members t in
-  let shard_mem = Quorum.Tree_quorum.members st.sh_tq in
-  let check_joining node =
-    if node < 0 || node >= total then
-      invalid_arg
-        (Printf.sprintf "Cluster: cannot join node %d: no such machine (capacity %d)"
-           node total);
-    if List.mem node mem then
-      invalid_arg
-        (Printf.sprintf
-           "Cluster: cannot join node %d: already a member (t=%.1f epoch=%d view=[%s])"
-           node (Sim.Engine.now t.engine) !(st.sh_epoch)
-           (String.concat ";" (List.map string_of_int mem)))
-  in
-  let check_leaving node =
-    if not (List.mem node shard_mem) then
-      invalid_arg (Printf.sprintf "Cluster: cannot remove node %d: not a member" node)
-  in
-  match op with
-  | Join node -> check_joining node
-  | Leave node ->
-    check_leaving node;
-    if List.length shard_mem - 1 < min_members then
-      invalid_arg
-        (Printf.sprintf
-           "Cluster: cannot remove node %d: %d members is below the quorum-viable \
-            minimum (%d)"
-           node (List.length shard_mem) min_members)
-  | Replace { leaving; joining } ->
-    check_leaving leaving;
-    check_joining joining
+   The kinds differ only in data: the source node, the involved shards,
+   what the install edits, and whether the push set is fixed up front. *)
 
 let trace_view t ~kind ~node ~a ~b ~shard =
   let tracer = Sim.Engine.tracer t.engine in
@@ -642,300 +554,96 @@ let trace_view t ~kind ~node ~a ~b ~shard =
     Obs.Tracer.emit8 tracer ~time:(Sim.Engine.now t.engine) ~kind ~node ~txn:(-1)
       ~oid:(-1) ~a ~b ~x:(Float.of_int shard)
 
-let rec start_reconfig t st op ~on_done =
-  if st.sh_reconfig_active || not (Queue.is_empty st.sh_pending) then
-    (* One view change at a time per shard: queue behind the active one,
-       FIFO, and validate only when actually starting — a queued replace
-       may re-use a machine an earlier operation is still decommissioning.
-       The queue check matters even when nothing is active:
-       [finish_reconfig] drains the queue after a grace delay, and an
-       operation arriving inside that gap must not jump ahead of the ones
-       already waiting. *)
-    Queue.add (op, on_done) st.sh_pending
-  else launch_reconfig t st op ~on_done
+let kind_code = function
+  | Join _ -> 0 | Leave _ -> 1 | Replace _ -> 2 | Move _ -> 3 | Split _ -> 4
 
-and launch_reconfig t st op ~on_done =
-  begin
-    validate_reconfig t st op;
-    st.sh_reconfig_active <- true;
-    st.sh_wedged := true;
-    trace_view t ~kind:Obs.Sem.view_wedge
-      ~node:(reconfig_subject op)
-      ~a:(reconfig_code op)
-      ~b:(match reconfig_joining op with Some j -> j | None -> -1)
-      ~shard:st.sh_id;
-    (* A joiner comes back on the network now — still outside the view —
-       so it can pull the snapshot and receive the handoff. *)
-    (match reconfig_joining op with
-    | Some j ->
-      Sim.Network.revive t.network j;
-      Array.iter (fun s -> Quorum.Tree_quorum.revive s.sh_tq j) t.sharding.states;
-      Sim.Failure.clear_suspicion t.failure j
-    | None -> ());
-    (* Let in-flight quorum rounds land or time out before snapshotting:
-       the wedge stops new rounds, and two request timeouts bound the
-       stragglers (a round started just before the wedge plus its reply). *)
-    Sim.Engine.schedule t.engine ~delay:(2. *. t.config.Config.request_timeout)
-      (fun () -> snapshot_phase t st op ~on_done)
-  end
+let joiner = function
+  | Join { node; _ } | Replace { joining = node; _ } -> Some node
+  | Leave _ | Move _ | Split _ -> None
 
-(* Pull the committed frontier of the outgoing view through its sync
-   quorum, as [resync] does. *)
-and snapshot_phase t st op ~on_done =
-  let src = reconfig_subject op in
-  pull t ~src ~dsts:(sync_quorum st.sh_tq ~salt:src)
-    ~retry:(fun () ->
-      Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
-          snapshot_phase t st op ~on_done))
-    (fun replies -> install_phase t st op ~snapshot:(frontier replies) ~on_done)
+let leaver = function
+  | Leave node | Replace { leaving = node; _ } -> Some node
+  | Join _ | Move _ | Split _ -> None
 
-and install_phase t st op ~snapshot ~on_done =
-  let old_members = Quorum.Tree_quorum.members st.sh_tq in
-  let new_members =
-    match op with
-    | Join node -> node :: old_members
-    | Leave node -> List.filter (fun n -> n <> node) old_members
-    | Replace { leaving; joining } ->
-      joining :: List.filter (fun n -> n <> leaving) old_members
+(* The node a membership change is about, the traces' [node]: the joiner,
+   else the leaver; -1 for directory changes. *)
+let subject change =
+  match joiner change with Some n -> n | None -> Option.value ~default:(-1) (leaver change)
+
+(* The shards a change wedges and re-epochs, the source shard first (a
+   split adds the shard it creates at install). *)
+let involved t = function
+  | Join { shard; _ } | Split shard -> [ shard ]
+  | Leave node | Replace { leaving = node; _ } -> [ t.sharding.home.(node) ]
+  | Move { oid; to_shard } -> [ t.sharding.dir.(oid); to_shard ]
+
+(* Checked when the change starts, against the view of that moment. *)
+let validate t change =
+  let fail fmt = Printf.ksprintf invalid_arg ("Cluster: " ^^ fmt) in
+  let total = nodes t and nsh = shard_count t in
+  let check_joining node ~shard =
+    if node < 0 || node >= total then
+      fail "cannot join node %d: no such machine (capacity %d)" node total;
+    let mem = members t in
+    if List.mem node mem then
+      fail "cannot join node %d: already a member (t=%.1f epoch=%d view=[%s])" node
+        (now t)
+        !(t.sharding.states.(shard).sh_epoch)
+        (String.concat ";" (List.map string_of_int mem))
   in
-  Quorum.Tree_quorum.set_members st.sh_tq new_members;
-  incr st.sh_epoch;
-  Metrics.note_view_change t.metrics;
-  trace_view t ~kind:Obs.Sem.view_change
-    ~node:(reconfig_subject op)
-    ~a:!(st.sh_epoch)
-    ~b:(List.length new_members)
-    ~shard:st.sh_id;
-  (* The joiner adopts the snapshot directly — this is the Sync_req /
-     Sync_rep catch-up path, applied locally instead of over the wire —
-     and becomes one of this shard's replicas. *)
-  (match reconfig_joining op with
-  | Some j ->
-    t.sharding.home.(j) <- st.sh_id;
-    let store = Server.store t.servers.(j) in
-    Store.Replica.reset_transients store;
-    List.iter
-      (fun (oid, version, value) -> Store.Replica.sync_copy store ~oid ~version ~value)
-      snapshot
-  | None -> ());
-  (* Handoff: re-replicate the committed frontier to every reachable
-     member of the incoming view.  Old- and new-view quorums need not
-     intersect, so without this push a new-view read quorum could miss a
-     write committed under the old view.  Members that are down right now
-     are skipped — their recovery resync refreshes them from the
-     (post-handoff) current view. *)
-  let src = reconfig_subject op in
-  push t ~src ~objects:snapshot
-    ~dsts:(fun () -> live_others t ~src (Quorum.Tree_quorum.members st.sh_tq))
-    (fun () -> unwedge_phase t st op ~on_done)
-
-and unwedge_phase t st op ~on_done =
-  st.sh_wedged := false;
-  match reconfig_leaving op with
-  | None -> finish_reconfig t st op ~on_done
-  | Some node -> drain_departure t st op ~node ~polls:0 ~on_done
-
-(* Graceful departure: wait until the leaver neither holds write-lock
-   leases nor hosts a live coordinator, then take it off the network and
-   clear its volatile state — exactly what a crash would do, except
-   nothing of value is lost.  The poll count is bounded: a coordinator
-   wedged behind a partition would otherwise hold the machine hostage,
-   and killing it after the grace window is the fail-stop the protocol
-   already tolerates. *)
-and drain_departure t st op ~node ~polls ~on_done =
-  let holds_leases = Store.Replica.held_leases (Server.store t.servers.(node)) <> [] in
-  let hosts_roots =
-    List.exists (fun (n, _) -> n = node) (Executor.in_flight t.executor)
+  let check_leaving node =
+    if
+      node < 0 || node >= total
+      || not (List.mem node (shard_members t ~shard:t.sharding.home.(node)))
+    then fail "cannot remove node %d: not a member" node
   in
-  if (holds_leases || hosts_roots) && polls < 20 then
-    Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
-        drain_departure t st op ~node ~polls:(polls + 1) ~on_done)
-  else begin
-    Sim.Network.fail t.network node;
-    Store.Replica.reset_transients (Server.store t.servers.(node));
-    Executor.kill_node t.executor ~node;
-    finish_reconfig t st op ~on_done
-  end
-
-and finish_reconfig t st op ~on_done =
-  trace_view t ~kind:Obs.Sem.view_done ~node:(reconfig_subject op) ~a:!(st.sh_epoch)
-    ~b:(reconfig_code op) ~shard:st.sh_id;
-  st.sh_reconfig_active <- false;
-  (match on_done with Some f -> f () | None -> ());
-  kick_pending t st
-
-(* Drain one queued reconfiguration after a quiet timeout, so retried
-   transactions see the new quorums before the next wedge.  The head
-   stays queued until the drain fires: [start_reconfig]'s queue check
-   keeps later arrivals behind it.  If a shard-directory operation
-   grabbed the shard meanwhile, poll again — its own finish also kicks,
-   and a drained queue makes the extra poll a no-op. *)
-and kick_pending t st =
-  if not (Queue.is_empty st.sh_pending) then
-    Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
-        if st.sh_reconfig_active then kick_pending t st
-        else
-          match Queue.take_opt st.sh_pending with
-          | None -> ()
-          | Some (next, next_done) -> launch_reconfig t st next ~on_done:next_done)
-
-let schedule_reconfig ?on_done ?(shard = 0) t ~at op =
-  Sim.Engine.schedule t.engine
-    ~delay:(Float.max 0. (at -. now t))
-    (fun () ->
-      if shard < 0 || shard >= shard_count t then
-        invalid_arg
-          (Printf.sprintf "Cluster: no such shard %d (%d shards)" shard
-             (shard_count t));
-      start_reconfig t t.sharding.states.(shard) op ~on_done)
-
-let join_node_at ?on_done ?shard t ~at ~node =
-  schedule_reconfig ?on_done ?shard t ~at (Join node)
-
-let leave_node_at ?on_done ?shard t ~at ~node =
-  schedule_reconfig ?on_done ?shard t ~at (Leave node)
-
-let replace_node_at ?on_done ?shard t ~at ~leaving ~joining =
-  schedule_reconfig ?on_done ?shard t ~at (Replace { leaving; joining })
-
-(* ------------------------------------------------------------------ *)
-(* Shard-directory operations: move one object between shards, or split a
-   shard in two.  Same wedge / snapshot / install / handoff / unwedge
-   discipline as membership reconfiguration, but the involved shards are
-   wedged together and both epochs bump — commit rounds in flight against
-   either view must re-fetch quorums, and stale envelopes fence. *)
-
-let shard_op_code = function Move_object _ -> 3 | Split_shard _ -> 4
-
-let validate_shard_op t op =
-  let nsh = shard_count t in
-  match op with
-  | Move_object { oid; to_shard } ->
+  match change with
+  | Join { node; shard } ->
+    if shard < 0 || shard >= nsh then fail "no such shard %d (%d shards)" shard nsh;
+    check_joining node ~shard
+  | Leave node ->
+    check_leaving node;
+    let shard = t.sharding.home.(node) in
+    let size = List.length (shard_members t ~shard) - 1 in
+    if size < min_members then
+      fail
+        "cannot remove node %d: shard %d would have %d members, below the \
+         quorum-viable minimum (%d)"
+        node shard size min_members
+  | Replace { leaving; joining } ->
+    check_leaving leaving;
+    check_joining joining ~shard:t.sharding.home.(leaving)
+  | Move { oid; to_shard } ->
     if to_shard < 0 || to_shard >= nsh then
-      invalid_arg
-        (Printf.sprintf "Cluster: cannot move object %d: no such shard %d (%d shards)"
-           oid to_shard nsh);
+      fail "cannot move object %d: no such shard %d (%d shards)" oid to_shard nsh;
     if oid < 0 || oid >= t.sharding.dir_len then
-      invalid_arg
-        (Printf.sprintf "Cluster: cannot move object %d: not an allocated object" oid);
+      fail "cannot move object %d: not an allocated object" oid;
     if t.sharding.dir.(oid) = to_shard then
-      invalid_arg
-        (Printf.sprintf "Cluster: cannot move object %d: already on shard %d" oid
-           to_shard)
-  | Split_shard shard ->
+      fail "cannot move object %d: already on shard %d" oid to_shard
+  | Split shard ->
     if shard < 0 || shard >= nsh then
-      invalid_arg
-        (Printf.sprintf "Cluster: cannot split shard %d: no such shard (%d shards)"
-           shard nsh);
+      fail "cannot split shard %d: no such shard (%d shards)" shard nsh;
     let m = List.length (shard_members t ~shard) in
     if m < 2 * min_members then
-      invalid_arg
-        (Printf.sprintf
-           "Cluster: cannot split shard %d: %d members cannot form two quorum-viable \
-            shards (minimum %d each)"
-           shard m min_members)
-
-let shard_op_source t = function
-  | Move_object { oid; _ } -> t.sharding.dir.(oid)
-  | Split_shard shard -> shard
-
-let involved_shards t = function
-  | Move_object { oid; to_shard } -> [ t.sharding.dir.(oid); to_shard ]
-  | Split_shard shard -> [ shard ]
-
-let rec start_shard_op t op ~on_done =
-  if t.sharding.shard_op_active || not (Queue.is_empty t.sharding.shard_pending)
-  then Queue.add (op, on_done) t.sharding.shard_pending
-  else launch_shard_op t op ~on_done
-
-and launch_shard_op t op ~on_done =
-  validate_shard_op t op;
-  let involved = involved_shards t op in
-  if
-    List.exists (fun s -> t.sharding.states.(s).sh_reconfig_active) involved
-  then
-    (* a membership reconfiguration owns one of the shards: poll until
-       it finishes (its queue drain cannot start us — shard ops live in
-       their own queue) *)
-    Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
-        launch_shard_op t op ~on_done)
-  else begin
-    t.sharding.shard_op_active <- true;
-    List.iter
-      (fun s ->
-        let st = t.sharding.states.(s) in
-        st.sh_reconfig_active <- true;
-        st.sh_wedged := true)
-      involved;
-    trace_view t ~kind:Obs.Sem.view_wedge ~node:(-1) ~a:(shard_op_code op)
-      ~b:(match op with Move_object { oid; _ } -> oid | Split_shard _ -> -1)
-      ~shard:(shard_op_source t op);
-    (* Same grace window as membership ops: let in-flight quorum rounds
-       land or expire under the wedge before touching the directory. *)
-    Sim.Engine.schedule t.engine ~delay:(2. *. t.config.Config.request_timeout)
-      (fun () -> shard_snapshot_phase t op ~involved ~on_done)
-  end
-
-(* Pull the source shard's committed frontier through its outgoing-view
-   sync quorum, exactly like the membership snapshot — the data a move or
-   split redistributes must cover every committed write. *)
-and shard_snapshot_phase t op ~involved ~on_done =
-  let src_shard = shard_op_source t op in
-  let st = t.sharding.states.(src_shard) in
-  let salt = List.hd (Quorum.Tree_quorum.members st.sh_tq) in
-  pull t ~src:salt ~dsts:(sync_quorum st.sh_tq ~salt)
-    ~retry:(fun () ->
-      Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
-          shard_snapshot_phase t op ~involved ~on_done))
-    (fun replies ->
-      let snapshot = frontier replies in
-      match op with
-      | Move_object { oid; to_shard } ->
-        shard_move_install t ~oid ~to_shard ~src_shard ~snapshot ~involved ~on_done
-      | Split_shard shard -> shard_split_install t ~shard ~snapshot ~involved ~on_done)
-
-(* Move: push the object's committed row to the destination shard's
-   members that are live before the first try (one fixed set for every
-   retry), then flip the directory entry and bump both epochs. *)
-and shard_move_install t ~oid ~to_shard ~src_shard ~snapshot ~involved ~on_done =
-  let row = List.filter (fun (o, _, _) -> o = oid) snapshot in
-  let dsts =
-    List.filter
-      (fun n -> not (Sim.Network.is_failed t.network n))
-      (Quorum.Tree_quorum.members t.sharding.states.(to_shard).sh_tq)
-  in
-  let src = List.hd (Quorum.Tree_quorum.members t.sharding.states.(src_shard).sh_tq) in
-  push t ~src ~objects:row
-    ~dsts:(fun () -> if row = [] then [] else dsts)
-    (fun () ->
-      t.sharding.dir.(oid) <- to_shard;
-      List.iter
-        (fun s ->
-          let st = t.sharding.states.(s) in
-          incr st.sh_epoch;
-          Metrics.note_view_change t.metrics;
-          trace_view t ~kind:Obs.Sem.view_change ~node:(-1) ~a:!(st.sh_epoch)
-            ~b:(List.length (Quorum.Tree_quorum.members st.sh_tq))
-            ~shard:s)
-        involved;
-      finish_shard_op t ~involved ~on_done)
+      fail
+        "cannot split shard %d: %d members cannot form two quorum-viable shards \
+         (minimum %d each)"
+        shard m min_members
 
 (* Split: the first half of the member list keeps the shard, the second
-   half becomes a brand-new shard; the shard's objects alternate between
-   the halves (even directory positions stay, odd ones move).  Both halves
-   get the full committed frontier pushed — their new, smaller quorums
-   need not intersect the old shard's write quorums. *)
-and shard_split_install t ~shard ~snapshot ~involved ~on_done =
+   half becomes a brand-new shard, wedged like its parent; the shard's
+   objects alternate between the halves (even directory positions stay,
+   odd ones move).  Returns the new shard's id. *)
+let split_shard t shard =
   let st = t.sharding.states.(shard) in
   let old_members = Quorum.Tree_quorum.members st.sh_tq in
-  let n = List.length old_members in
-  let keep_n = (n + 1) / 2 in
+  let keep_n = (List.length old_members + 1) / 2 in
   let keep = List.filteri (fun i _ -> i < keep_n) old_members in
   let moved = List.filteri (fun i _ -> i >= keep_n) old_members in
   let new_id = Array.length t.sharding.states in
   let ntq =
-    Quorum.Tree_quorum.create ~read_level:t.sharding.read_level
-      ~capacity:(nodes t) ~nodes:(List.length moved) ()
+    Quorum.Tree_quorum.create ~read_level:t.sharding.read_level ~capacity:(nodes t)
+      ~nodes:(List.length moved) ()
   in
   Quorum.Tree_quorum.set_members ntq moved;
   (* Carry the failure knowledge over: liveness flags are keyed by
@@ -943,7 +651,6 @@ and shard_split_install t ~shard ~snapshot ~involved ~on_done =
      quorums before its recovery resync. *)
   List.iter (Quorum.Tree_quorum.mark_failed ntq) (Quorum.Tree_quorum.failed st.sh_tq);
   Quorum.Tree_quorum.set_members st.sh_tq keep;
-  (* Odd-indexed objects of the shard move to the new half. *)
   let idx = ref 0 in
   for oid = 0 to t.sharding.dir_len - 1 do
     if t.sharding.dir.(oid) = shard then begin
@@ -952,64 +659,155 @@ and shard_split_install t ~shard ~snapshot ~involved ~on_done =
     end
   done;
   List.iter (fun nd -> t.sharding.home.(nd) <- new_id) moved;
-  incr st.sh_epoch;
-  Metrics.note_view_change t.metrics;
-  trace_view t ~kind:Obs.Sem.view_change ~node:(-1) ~a:!(st.sh_epoch)
-    ~b:(List.length keep) ~shard;
-  let nst =
-    {
-      sh_id = new_id;
-      sh_tq = ntq;
-      sh_epoch = ref !(st.sh_epoch);
-      sh_wedged = ref true;
-      sh_reconfig_active = true;
-      sh_pending = Queue.create ();
-    }
-  in
-  t.sharding.states <-
-    Array.init (new_id + 1) (fun i ->
-        if i < new_id then t.sharding.states.(i) else nst);
-  Metrics.note_view_change t.metrics;
-  trace_view t ~kind:Obs.Sem.view_change ~node:(-1) ~a:!(nst.sh_epoch)
-    ~b:(List.length moved) ~shard:new_id;
-  (* Level every member of both halves to the committed frontier. *)
-  let src = List.hd keep in
-  push t ~src ~objects:snapshot
-    ~dsts:(fun () -> if snapshot = [] then [] else live_others t ~src old_members)
-    (fun () -> finish_shard_op t ~involved:(new_id :: involved) ~on_done)
+  let nst = { sh_tq = ntq; sh_epoch = ref !(st.sh_epoch); sh_wedged = ref true } in
+  t.sharding.states <- Array.append t.sharding.states [| nst |];
+  new_id
 
-and finish_shard_op t ~involved ~on_done =
+(* Install the change's new view and bump every involved shard's epoch;
+   a joiner then adopts the pulled frontier directly (the Sync_req /
+   Sync_rep catch-up path, applied locally) and becomes one of the shard's
+   replicas.  Returns the involved shards, a split's new one included. *)
+let install t change shards ~snapshot =
+  let shards =
+    match change with
+    | Join _ | Leave _ | Replace _ ->
+      let tq = t.sharding.states.(List.hd shards).sh_tq in
+      let stay =
+        List.filter (fun n -> Some n <> leaver change) (Quorum.Tree_quorum.members tq)
+      in
+      Quorum.Tree_quorum.set_members tq (Option.to_list (joiner change) @ stay);
+      shards
+    | Move { oid; to_shard } ->
+      t.sharding.dir.(oid) <- to_shard;
+      shards
+    | Split shard -> shards @ [ split_shard t shard ]
+  in
   List.iter
     (fun s ->
       let st = t.sharding.states.(s) in
-      st.sh_wedged := false;
-      st.sh_reconfig_active <- false;
-      trace_view t ~kind:Obs.Sem.view_done ~node:(-1) ~a:!(st.sh_epoch) ~b:(-1)
+      incr st.sh_epoch;
+      Metrics.note_view_change t.metrics;
+      trace_view t ~kind:Obs.Sem.view_change ~node:(subject change) ~a:!(st.sh_epoch)
+        ~b:(List.length (Quorum.Tree_quorum.members st.sh_tq))
         ~shard:s)
-    (List.sort_uniq Int.compare involved);
-  t.sharding.shard_op_active <- false;
-  (match on_done with Some f -> f () | None -> ());
-  (* Membership reconfigurations queued while we held these shards. *)
-  List.iter
-    (fun s -> kick_pending t t.sharding.states.(s))
-    (List.sort_uniq Int.compare involved);
-  if not (Queue.is_empty t.sharding.shard_pending) then
-    Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
-        if not t.sharding.shard_op_active then
-          match Queue.take_opt t.sharding.shard_pending with
-          | None -> ()
-          | Some (next, next_done) -> launch_shard_op t next ~on_done:next_done)
+    shards;
+  Option.iter
+    (fun j ->
+      t.sharding.home.(j) <- List.hd shards;
+      let store = Server.store t.servers.(j) in
+      Store.Replica.reset_transients store;
+      List.iter
+        (fun (oid, version, value) -> Store.Replica.sync_copy store ~oid ~version ~value)
+        snapshot)
+    (joiner change);
+  shards
 
-let schedule_shard_op ?on_done t ~at op =
+let rec launch t change ~on_done =
+  validate t change;
+  let shards = involved t change in
+  t.changing <- true;
+  List.iter (fun s -> t.sharding.states.(s).sh_wedged := true) shards;
+  trace_view t ~kind:Obs.Sem.view_wedge ~node:(subject change) ~a:(kind_code change)
+    ~b:
+      (match change with
+      | Move { oid; _ } -> oid
+      | _ -> Option.value ~default:(-1) (joiner change))
+    ~shard:(List.hd shards);
+  Option.iter
+    (fun j ->
+      Sim.Network.revive t.network j;
+      readmit t j)
+    (joiner change);
+  (* The wedge stops new rounds; two request timeouts bound the stragglers
+     (a round started just before the wedge plus its reply). *)
+  Sim.Engine.schedule t.engine ~delay:(2. *. t.config.Config.request_timeout) (fun () ->
+      pull_phase t change shards ~on_done)
+
+(* The source node — the subject, else the source shard's first member —
+   pulls the committed frontier of the source shard's outgoing view. *)
+and pull_phase t change shards ~on_done =
+  let tq = t.sharding.states.(List.hd shards).sh_tq in
+  let src =
+    match subject change with -1 -> List.hd (Quorum.Tree_quorum.members tq) | n -> n
+  in
+  pull t ~src ~dsts:(sync_quorum tq ~salt:src)
+    ~retry:(fun () ->
+      Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
+          pull_phase t change shards ~on_done))
+    (fun replies ->
+      let snapshot = frontier replies in
+      let unwedge shards () =
+        List.iter (fun s -> t.sharding.states.(s).sh_wedged := false) shards;
+        drain t change shards ~polls:0 ~on_done
+      in
+      match change with
+      | Move { oid; to_shard } ->
+        (* Push the row to the destination members live before the first
+           try, then flip the directory. *)
+        let dsts = live_others t ~src (shard_members t ~shard:to_shard) in
+        push t ~src ~dsts:(fun () -> dsts)
+          ~objects:(List.filter (fun (o, _, _) -> o = oid) snapshot)
+          (fun () -> unwedge (install t change shards ~snapshot) ())
+      | Join _ | Leave _ | Replace _ | Split _ ->
+        (* Members down right now are skipped: their recovery resync
+           refreshes them from the post-push view. *)
+        let shards = install t change shards ~snapshot in
+        push t ~src ~objects:snapshot
+          ~dsts:(fun () ->
+            live_others t ~src
+              (List.sort Int.compare
+                 (List.concat_map (fun shard -> shard_members t ~shard) shards)))
+          (unwedge shards))
+
+(* Graceful departure: wait until the leaver neither holds write-lock
+   leases nor hosts a live coordinator, then take it off the network and
+   clear its volatile state — exactly what a crash would do, except
+   nothing of value is lost.  The poll count is bounded: a coordinator
+   wedged behind a partition would otherwise hold the machine hostage,
+   and killing it after the grace window is the fail-stop the protocol
+   already tolerates. *)
+and drain t change shards ~polls ~on_done =
+  match leaver change with
+  | None -> finish t change shards ~on_done
+  | Some node
+    when polls < 20
+         && (Store.Replica.held_leases (Server.store t.servers.(node)) <> []
+            || List.exists (fun (n, _) -> n = node) (Executor.in_flight t.executor)) ->
+    Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
+        drain t change shards ~polls:(polls + 1) ~on_done)
+  | Some node ->
+    Sim.Network.fail t.network node;
+    Store.Replica.reset_transients (Server.store t.servers.(node));
+    Executor.kill_node t.executor ~node;
+    finish t change shards ~on_done
+
+(* Done: start the next queued change after a quiet timeout, so retried
+   transactions see the new quorums before the next wedge.  The head stays
+   queued until then, so [start] keeps later arrivals behind it. *)
+and finish t change shards ~on_done =
+  List.iter
+    (fun s ->
+      trace_view t ~kind:Obs.Sem.view_done ~node:(subject change)
+        ~a:!(t.sharding.states.(s).sh_epoch) ~b:(kind_code change) ~shard:s)
+    (List.sort_uniq Int.compare shards);
+  t.changing <- false;
+  Option.iter (fun f -> f ()) on_done;
+  if not (Queue.is_empty t.pending) then
+    Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
+        match Queue.take_opt t.pending with
+        | Some (next, on_done) -> launch t next ~on_done
+        | None -> ())
+
+let view_change_at ?on_done t ~at change =
   Sim.Engine.schedule t.engine
     ~delay:(Float.max 0. (at -. now t))
-    (fun () -> start_shard_op t op ~on_done)
-
-let move_object_at ?on_done t ~at ~oid ~to_shard =
-  schedule_shard_op ?on_done t ~at (Move_object { oid; to_shard })
-
-let split_shard_at ?on_done t ~at ~shard =
-  schedule_shard_op ?on_done t ~at (Split_shard shard)
+    (fun () ->
+      (* Queue behind the active change.  The queue check matters even when
+         nothing is active: [finish] starts the head after a grace delay,
+         and a change arriving inside that gap must not jump ahead of it. *)
+      if t.changing || not (Queue.is_empty t.pending) then
+        Queue.add (change, on_done) t.pending
+      else launch t change ~on_done)
 
 let run_for t duration =
   Sim.Engine.run ~until:(Sim.Engine.now t.engine +. duration) t.engine

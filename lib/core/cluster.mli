@@ -11,25 +11,24 @@
     are cached and recomputed when a failure is detected.
 
     {b Membership is a first-class mutable view}: the cluster tracks an
-    epoch number and the current member set, and supports three
-    reconfiguration operations runnable mid-experiment — {!join_node_at}
-    (a spare machine state-syncs and enters the next view),
-    {!leave_node_at} (graceful decommission with lease drain and state
-    handoff), and {!replace_node_at} (atomic swap, for rolling restarts).
-    Every protocol envelope carries the sender's epoch; traffic from a
-    superseded view is fenced (see {!Sim.Rpc.set_fencing}).  Departed
-    nodes return to the spare pool and may be joined again later.
+    epoch number and the current member set.  A {!view_change} — a node
+    joining (a spare machine state-syncs and enters the next view), a
+    graceful leave (lease drain and state handoff), an atomic replace (for
+    rolling restarts), an object move or a shard split — runs mid-experiment
+    through {!view_change_at}.  Every protocol envelope carries the sender's
+    epoch; traffic from a superseded view is fenced (see
+    {!Sim.Rpc.set_fencing}).  Departed nodes return to the spare pool and
+    may be joined again later.
 
     {b The object space can be sharded}: with [~shards:k], the machines are
     partitioned into [k] disjoint shards, each with its own member view,
-    epoch, quorum tree and reconfiguration queue; a shard directory maps
-    every object to its owning shard.  Transactions touching one shard run
-    today's one-round commit; transactions spanning shards commit through
-    a presumed-abort two-phase protocol across the participant shards'
-    write quorums (PROTOCOL.md §10).  {!move_object_at} and
-    {!split_shard_at} reshape the directory mid-run.  With the default
-    [~shards:1] everything below behaves — byte-identically — as the
-    unsharded cluster. *)
+    epoch and quorum tree; a shard directory maps every object to its
+    owning shard.  Transactions touching one shard run today's one-round
+    commit; transactions spanning shards commit through a presumed-abort
+    two-phase protocol across the participant shards' write quorums
+    (PROTOCOL.md §10).  Moves and splits reshape the directory mid-run.
+    With the default [~shards:1] everything below behaves —
+    byte-identically — as the unsharded cluster. *)
 
 type t
 
@@ -63,8 +62,8 @@ val create :
 
     [spares] (default 0) provisions that many extra machines beyond
     [nodes]: they exist on the topology but start decommissioned (network
-    down, outside the view) until a {!join_node_at} or {!replace_node_at}
-    brings them in.  {!nodes} reports total capacity ([nodes + spares]);
+    down, outside the view) until a [Join] or [Replace] view change brings
+    them in.  {!nodes} reports total capacity ([nodes + spares]);
     {!members} is the current view.
 
     [shards] (default 1) partitions the initial members into that many
@@ -74,13 +73,10 @@ val create :
 
 val engine : t -> Sim.Engine.t
 
-(** The tracer the cluster was built with ({!Obs.Tracer.null} when off). *)
-val tracer : t -> Obs.Tracer.t
 val network : t -> (Messages.request, Messages.reply) Sim.Rpc.envelope Sim.Network.t
 val executor : t -> Executor.t
 val metrics : t -> Metrics.t
 val oracle : t -> Oracle.t option
-val config : t -> Config.t
 val failure : t -> Sim.Failure.t
 
 val nodes : t -> int
@@ -94,15 +90,16 @@ val members : t -> int list
 val is_member : t -> int -> bool
 
 val epoch : t -> int
-(** The cluster-wide view epoch: 0 at creation, bumped by every completed
-    view change on any shard (with one shard, exactly that shard's
-    epoch). *)
+(** The cluster-wide view epoch: the sum of the shard epochs, 0 at
+    creation (with one shard, exactly that shard's epoch).  A view change
+    bumps the epoch of every shard it involves; a split's new shard starts
+    at its parent's new epoch. *)
 
 (** {2 Shards} *)
 
 val shard_count : t -> int
-(** Number of shards (1 unless created with [~shards] or grown by
-    {!split_shard_at}). *)
+(** Number of shards (1 unless created with [~shards] or grown by a
+    [Split]). *)
 
 val shard_of_oid : t -> Ids.obj_id -> int
 (** The shard directory: which shard owns this object right now. *)
@@ -110,15 +107,11 @@ val shard_of_oid : t -> Ids.obj_id -> int
 val shard_members : t -> shard:int -> int list
 (** One shard's current member view, sorted ascending. *)
 
-val shard_epoch : t -> shard:int -> int
-(** One shard's view epoch (each shard fences its own traffic). *)
-
 val home_shard_of : t -> node:int -> int
 (** The shard a node replicates (spares report the shard they last
     served, 0 before any join). *)
 
 val ids : t -> Ids.gen
-val rng : t -> Util.Rng.t
 val now : t -> float
 
 val alloc_object : t -> init:Txn.value -> Ids.obj_id
@@ -128,7 +121,7 @@ val alloc_object : t -> init:Txn.value -> Ids.obj_id
 val install_object : t -> oid:Ids.obj_id -> init:Txn.value -> unit
 (** (Re)install an object at version 0 on every member of its owning
     shard — setup-time only.  Nodes joining later receive state through
-    the reconfiguration handoff instead. *)
+    the view-change pipeline instead. *)
 
 val store_of : t -> node:int -> Store.Replica.t
 (** Direct replica access, for tests and white-box assertions. *)
@@ -163,69 +156,52 @@ val suspect_node_at : ?clear_after:float -> t -> at:float -> node:int -> unit
 (** Inject a false suspicion: the live node is excluded from new quorums at
     [at] and (if [clear_after] is given) re-admitted that much later. *)
 
-(** {2 Reconfiguration}
+(** {2 View changes}
 
-    All three operations run the same fenced state machine: wedge (quorum
-    construction pauses; in-flight rounds land or expire), snapshot (the
-    committed frontier is pulled through an outgoing-view read ∪ write
-    quorum, the crash-recovery [Sync_req] path), install (the member list
-    and quorum tree are replaced, the epoch is bumped), handoff (the
-    frontier is re-replicated to every reachable incoming-view member),
-    unwedge, and — when a node departs — a graceful drain (the leaver
-    sheds its leases and live coordinators before going dark).
+    Every change to a shard's members or to the object directory runs the
+    same fenced pipeline (PROTOCOL.md §8): wedge the involved shards
+    (quorum construction pauses; in-flight rounds land or expire), pull
+    the source shard's committed frontier through an outgoing-view read ∪
+    write quorum (the crash-recovery [Sync_req] path), install the new
+    view and bump every involved shard's epoch, push the frontier to the
+    reachable incoming-view members, unwedge, and — when a node departs —
+    drain the leaver (it sheds its leases and live coordinators before
+    going dark).
 
-    Operations are validated when they fire, against the membership at
-    that moment: joining an existing member (of any shard), removing a
-    non-member, or shrinking a shard below the quorum-viable minimum (3)
-    raises [Invalid_argument].  Concurrent operations on one shard queue
-    behind the active one; different shards reconfigure independently.
-    [on_done] fires when the state machine completes.  [shard] (default
-    0) selects the shard the operation applies to. *)
+    One change runs at a time across the whole cluster; later ones queue
+    FIFO, and each starts one request timeout after the previous one
+    finishes.  A change is validated when it starts, against the view of
+    that moment: joining an existing member (of any shard) or a machine
+    outside the capacity, removing a non-member, shrinking a shard below
+    the quorum-viable minimum (3), moving to a nonexistent shard, moving
+    an unallocated or already-resident object, or splitting a shard that
+    cannot yield two quorum-viable halves (< 6 members) raises
+    [Invalid_argument]. *)
 
-val join_node_at :
-  ?on_done:(unit -> unit) -> ?shard:int -> t -> at:float -> node:int -> unit
-(** Bring a non-member machine (a spare, or a previously departed node)
-    into [shard]'s view at simulated time [at]. *)
+type view_change =
+  | Join of { node : int; shard : int }
+      (** bring a non-member machine (a spare, or a previously departed
+          node) into [shard]'s view *)
+  | Leave of int
+      (** gracefully decommission a member of its home shard: state is
+          handed off and leases drained before it leaves the network *)
+  | Replace of { leaving : int; joining : int }
+      (** atomic swap on [leaving]'s home shard — one epoch bump covers
+          both the departure and the arrival (rolling-restart building
+          block) *)
+  | Move of { oid : Ids.obj_id; to_shard : int }
+      (** relocate one object: its committed row is pushed to the
+          destination shard's members before the directory entry flips;
+          both shards' epochs bump *)
+  | Split of int
+      (** split a shard in two: the first half of the member list keeps
+          the shard id, the second half becomes a brand-new shard (id
+          {!shard_count}), and the shard's objects alternate between the
+          halves *)
 
-val leave_node_at :
-  ?on_done:(unit -> unit) -> ?shard:int -> t -> at:float -> node:int -> unit
-(** Gracefully decommission a member: state is handed off and leases
-    drained before the node leaves the network. *)
-
-val replace_node_at :
-  ?on_done:(unit -> unit) ->
-  ?shard:int ->
-  t ->
-  at:float ->
-  leaving:int ->
-  joining:int ->
-  unit
-(** Atomic swap — one epoch bump covers both the departure and the
-    arrival (rolling-restart building block). *)
-
-(** {2 Shard-directory operations}
-
-    Both run the same wedge / snapshot / install / handoff / unwedge
-    machine as membership reconfiguration, wedging every involved shard
-    together and bumping each involved shard's epoch (stale commit rounds
-    fence).  Validation happens when the operation fires: a malformed
-    request — moving to a nonexistent shard, moving an unallocated or
-    already-resident object, splitting a shard that cannot yield two
-    quorum-viable halves (< 6 members) — raises [Invalid_argument].
-    Shard-directory operations run one at a time, queued FIFO, and wait
-    politely for any membership reconfiguration holding an involved
-    shard. *)
-
-val move_object_at :
-  ?on_done:(unit -> unit) -> t -> at:float -> oid:Ids.obj_id -> to_shard:int -> unit
-(** Relocate one object: its committed row is pushed to the destination
-    shard's members before the directory entry flips. *)
-
-val split_shard_at : ?on_done:(unit -> unit) -> t -> at:float -> shard:int -> unit
-(** Split a shard in two: the first half of the member list keeps the
-    shard id, the second half becomes a brand-new shard (id
-    {!shard_count}), and the shard's objects alternate between the
-    halves. *)
+val view_change_at : ?on_done:(unit -> unit) -> t -> at:float -> view_change -> unit
+(** Submit [change] at simulated time [at].  [on_done] fires when its
+    pipeline completes. *)
 
 val run_for : t -> float -> unit
 (** Advance simulated time by the given number of milliseconds. *)

@@ -66,7 +66,7 @@ val note_stall : t -> unit
     while transactions were in flight. *)
 
 val note_view_change : t -> unit
-(** A reconfiguration installed a new membership view (epoch bump). *)
+(** A view change bumped one shard's epoch. *)
 
 val note_speculative_read : t -> unit
 (** Batch mode: a read was served from a queued transaction's write image

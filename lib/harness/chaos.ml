@@ -197,11 +197,24 @@ let generate knobs ~seed =
      operation is valid when it fires.  Departed nodes recycle through the
      spare pool, so a schedule can leave a node and join it back later.
      All the churn draws happen after the classic ones: a knobs record with
-     [reconfigs = 0] reproduces pre-churn schedules byte-for-byte. *)
+     [reconfigs = 0] reproduces pre-churn schedules byte-for-byte.
+
+     Sharded clusters also track each shard's size, so a leave never takes
+     its shard below 3 members (a join lands in shard 0, a replace's joiner
+     takes the leaver's shard).  Unsharded, the global floor already
+     implies this, so those schedules draw exactly as before. *)
+  let shrunk = Array.make knobs.shards false in
   if knobs.reconfigs > 0 then begin
     let members = ref (List.init knobs.nodes Fun.id) in
     let pool = ref (List.init knobs.spares (fun i -> knobs.nodes + i)) in
     let floor = Stdlib.max 3 ((knobs.nodes / 2) + 1) in
+    let home =
+      Array.init (knobs.nodes + knobs.spares) (fun n ->
+          if n < knobs.nodes then initial_shard_of ~nodes:knobs.nodes ~shards:knobs.shards n
+          else 0)
+    in
+    let sizes = Array.make knobs.shards 0 in
+    Array.iteri (fun n s -> if n < knobs.nodes then sizes.(s) <- sizes.(s) + 1) home;
     let n_ops = Util.Rng.int rng (knobs.reconfigs + 1) in
     let slot i =
       (0.20 *. h)
@@ -210,11 +223,10 @@ let generate knobs ~seed =
     in
     for i = 0 to n_ops - 1 do
       let leavable = List.filter (fun n -> not (List.mem n !busy)) !members in
-      let can_shrink = List.length !members > floor && leavable <> [] in
+      let shrinkable = List.filter (fun n -> sizes.(home.(n)) > 3) leavable in
+      let can_shrink = List.length !members > floor && shrinkable <> [] in
       let can_join = !pool <> [] in
-      let pick_leaver () =
-        List.nth leavable (Util.Rng.int rng (List.length leavable))
-      in
+      let pick among = List.nth among (Util.Rng.int rng (List.length among)) in
       let take_spare () =
         match !pool with
         | j :: rest ->
@@ -234,16 +246,21 @@ let generate knobs ~seed =
         | `Join ->
           let j = take_spare () in
           members := j :: !members;
+          home.(j) <- 0;
+          sizes.(0) <- sizes.(0) + 1;
           add (Scenario.Join { node = j; at = slot i })
         | `Leave ->
-          let l = pick_leaver () in
+          let l = pick shrinkable in
           members := List.filter (fun n -> n <> l) !members;
+          sizes.(home.(l)) <- sizes.(home.(l)) - 1;
+          shrunk.(home.(l)) <- true;
           pool := !pool @ [ l ];
           add (Scenario.Leave { node = l; at = slot i })
         | `Replace ->
-          let l = pick_leaver () in
+          let l = pick leavable in
           let j = take_spare () in
           members := j :: List.filter (fun n -> n <> l) !members;
+          home.(j) <- home.(l);
           pool := !pool @ [ l ];
           add (Scenario.Replace { leaving = l; joining = j; at = slot i }))
     done
@@ -251,9 +268,11 @@ let generate knobs ~seed =
   (* Shard-directory churn: up to [shard_ops] sequential moves/splits,
      tracked against a mirror of the runtime directory (splits re-home the
      odd-indexed objects of the split shard, exactly as the cluster does)
-     so every drawn operation is valid when it fires.  These draws come
-     after every classic one: [shards = 1] or [shard_ops = 0] reproduces
-     the pre-shard schedule byte-for-byte. *)
+     so every drawn operation is valid when it fires.  A shard the churn
+     above shrinks is never split: its size at the split, and the size of
+     the half a later leave hits, depend on the interleaving.  These draws
+     come after every classic one: [shards = 1] or [shard_ops = 0]
+     reproduces the pre-shard schedule byte-for-byte. *)
   if knobs.shards > 1 && knobs.shard_ops > 0 then begin
     let dir = Array.init knobs.accounts (fun oid -> oid mod knobs.shards) in
     let sizes =
@@ -269,7 +288,8 @@ let generate knobs ~seed =
     in
     for i = 0 to n_ops - 1 do
       let splittable =
-        List.mapi (fun s n -> (s, n)) !sizes |> List.filter (fun (_, n) -> n >= 6)
+        List.mapi (fun s n -> (s, n)) !sizes
+        |> List.filter (fun (s, n) -> n >= 6 && not (s < knobs.shards && shrunk.(s)))
       in
       if splittable <> [] && Util.Rng.chance rng 0.3 then begin
         let s, n = List.nth splittable (Util.Rng.int rng (List.length splittable)) in
@@ -572,16 +592,6 @@ let run_one ?(config = Config.default Config.Closed) ?tracer ?batch_commit
     xshard_commits = Metrics.cross_shard_commits metrics;
     xshard_aborts = Metrics.cross_shard_aborts metrics;
   }
-
-(* Offline protocol-invariant pass over a traced run.  Chaos schedules
-   change the membership view mid-run, and the structural write-quorum rule
-   is view-dependent (a dead leaf contributes nothing; a dead interior node
-   is substituted by all its children), so validating voter sets against
-   the static full-liveness tree would flag legitimate fault-window commits.
-   The trace does not record the view, so we rely on the checker's
-   view-independent fallback: pairwise intersection across committed voter
-   sets.  [qr-dtm trace] (no fault injection) does use the structural rule. *)
-let check_trace _knobs tracer = Obs.Online.replay (Obs.Tracer.events tracer)
 
 let failures results = List.filter (fun r -> not (passed r)) results
 

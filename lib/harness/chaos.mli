@@ -49,6 +49,10 @@ val rolling_knobs : knobs
 (** Preset for {!generate_rolling}: 16 s horizon, 2 spares, at most 1
     crash. *)
 
+val initial_shard_of : nodes:int -> shards:int -> int -> int
+(** The shard an initial member replicates in {!Core.Cluster.create}'s
+    contiguous layout of [nodes] members over [shards] shards. *)
+
 val generate : knobs -> seed:int -> Scenario.event list
 (** The fault schedule for [seed] — pure, so tooling can show what a seed
     does without running it.  With [reconfigs > 0] the schedule also draws
@@ -57,10 +61,11 @@ val generate : knobs -> seed:int -> Scenario.event list
     evolving member set (a [knobs] with [reconfigs = 0] reproduces the
     pre-churn schedule for the same seed byte-for-byte).  With
     [shards > 1] crash draws are post-filtered so no schedule kills an
-    entire shard, and [shard_ops > 0] additionally draws object moves and
-    shard splits against a mirror of the evolving directory; all the
-    shard draws come after the classic ones, so unsharded schedules are
-    byte-identical. *)
+    entire shard, churn never draws a leave that takes a shard below 3
+    members, and [shard_ops > 0] additionally draws object moves and
+    shard splits against a mirror of the evolving directory (never
+    splitting a shard the churn shrinks); all the shard draws come after
+    the classic ones, so unsharded schedules are byte-identical. *)
 
 val generate_rolling : knobs -> seed:int -> Scenario.event list
 (** A rolling-restart schedule: every initial node is replaced exactly
@@ -119,13 +124,6 @@ val run_one :
     restart.  Clients are membership-aware: one whose home node was
     decommissioned resubmits through the next member up (a {e crashed}
     home is still a member, so crash-death semantics are unchanged). *)
-
-val check_trace : knobs -> Obs.Tracer.t -> Obs.Online.violation list
-(** Run the offline protocol checker over a traced chaos run.  Voter sets
-    are validated by pairwise intersection (the checker's view-independent
-    fallback) rather than the structural tree rule: chaos schedules change
-    the membership view mid-run and the structural rule only holds within
-    one view. *)
 
 val failures : result list -> result list
 

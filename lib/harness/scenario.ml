@@ -342,9 +342,8 @@ let validate ?members ?(shards = 1) ?shard_members ~nodes events =
           | Recover { node; at } -> Some (at, `Recover node)
           | Join { node; at } -> Some (at, `Join node)
           | Leave { node; at } -> Some (at, `Leave node)
-          | Suspect _ | Partition _ | Drop _ | Duplicate _ | Spike _ | Flaky _
-          | Replace _ ->
-            None)
+          | Replace { leaving; joining; at } -> Some (at, `Replace (leaving, joining))
+          | Suspect _ | Partition _ | Drop _ | Duplicate _ | Spike _ | Flaky _ -> None)
         events
       |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
     in
@@ -417,10 +416,24 @@ let validate ?members ?(shards = 1) ?shard_members ~nodes events =
           if not !tracking then walk rest
           else
             match shard_of_node n with
+            | Some s when List.length !(mems.(s)) - 1 < min_members ->
+              err
+                "leave at %g: removing node %d leaves shard %d with %d members, \
+                 below the quorum-viable minimum (%d)"
+                at n s
+                (List.length !(mems.(s)) - 1)
+                min_members
             | Some s ->
               mems.(s) := List.filter (fun m -> m <> n) !(mems.(s));
               walk rest
-            | None -> walk rest))
+            | None -> walk rest)
+        | `Replace (l, j) -> (
+          (* The joiner takes the leaver's shard. *)
+          if !tracking then
+            match shard_of_node l with
+            | Some s -> mems.(s) := j :: List.filter (fun m -> m <> l) !(mems.(s))
+            | None -> ());
+          walk rest)
     in
     walk dated
   in
@@ -490,6 +503,18 @@ let leave t =
 
 let at_time cluster ~at f =
   Sim.Engine.schedule_at (Core.Cluster.engine cluster) ~time:at f
+
+(* The cluster view change a membership or directory event requests.
+   Joins land in shard 0: the DSL carries no shard. *)
+let view_change : event -> Core.Cluster.view_change option = function
+  | Join { node; _ } -> Some (Join { node; shard = 0 })
+  | Leave { node; _ } -> Some (Leave node)
+  | Replace { leaving; joining; _ } -> Some (Replace { leaving; joining })
+  | ShardMove { oid; to_shard; _ } -> Some (Move { oid; to_shard })
+  | ShardSplit { shard; _ } -> Some (Split shard)
+  | Crash _ | Recover _ | Suspect _ | Partition _ | Drop _ | Duplicate _ | Spike _
+  | Flaky _ ->
+    None
 
 (* Degraded windows for one-shot fault conditions: a crash ends when the
    matching recovery *fires* (state transfer follows, but its duration is
@@ -572,34 +597,15 @@ let install_event t event =
         Sim.Network.set_link_faults network ~a ~b
           { Sim.Network.no_faults with Sim.Network.drop = p })
       (fun () -> Sim.Network.clear_link_faults network ~a ~b)
-  (* Reconfigurations are degraded windows too: quorum construction is
-     wedged for part of the state machine, and the window closes only when
-     the operation (including any departure drain) completes. *)
-  | Join { node; at } ->
+  (* View changes are degraded windows too: quorum construction is wedged
+     for part of the pipeline, and the window closes only when the change
+     (including any departure drain) completes. *)
+  | Join { at; _ } | Leave { at; _ } | Replace { at; _ } | ShardMove { at; _ }
+  | ShardSplit { at; _ } ->
     at_time cluster ~at (fun () -> enter t);
-    Core.Cluster.join_node_at ~on_done:(fun () -> leave t) cluster ~at ~node
-  | Leave { node; at } ->
-    at_time cluster ~at (fun () -> enter t);
-    (* Departures run on the subject's home shard's reconfiguration
-       machine (resolved against the install-time layout; shard 0 — the
-       legacy path — on unsharded clusters). *)
-    Core.Cluster.leave_node_at
-      ~shard:(Core.Cluster.home_shard_of cluster ~node)
-      ~on_done:(fun () -> leave t) cluster ~at ~node
-  | Replace { leaving; joining; at } ->
-    at_time cluster ~at (fun () -> enter t);
-    Core.Cluster.replace_node_at
-      ~shard:(Core.Cluster.home_shard_of cluster ~node:leaving)
-      ~on_done:(fun () -> leave t)
-      cluster ~at ~leaving ~joining
-  (* Shard-directory operations wedge the involved shards while the handoff
-     runs, so they open degraded windows just like reconfigurations. *)
-  | ShardMove { oid; to_shard; at } ->
-    at_time cluster ~at (fun () -> enter t);
-    Core.Cluster.move_object_at ~on_done:(fun () -> leave t) cluster ~at ~oid ~to_shard
-  | ShardSplit { shard; at } ->
-    at_time cluster ~at (fun () -> enter t);
-    Core.Cluster.split_shard_at ~on_done:(fun () -> leave t) cluster ~at ~shard
+    Option.iter
+      (Core.Cluster.view_change_at ~on_done:(fun () -> leave t) cluster ~at)
+      (view_change event)
 
 let install cluster events =
   let shards = Core.Cluster.shard_count cluster in

@@ -74,9 +74,11 @@ val validate :
     with the count evolving across splits: a [shardmove] to a shard that
     does not exist when it fires and a [shardsplit] of an unknown shard
     are rejected.  When [shard_members] supplies the initial per-shard
-    member lists (index = shard id), a [shardsplit] of a shard with fewer
-    than 6 members (two quorum-viable halves) and a crash schedule that
-    takes down the {e last} live member of any shard are also rejected;
+    member lists (index = shard id), a [leave] that takes its shard below
+    3 members, a [shardsplit] of a shard with fewer than 6 members (two
+    quorum-viable halves) and a crash schedule that takes down the
+    {e last} live member of any shard are also rejected (a [join] lands
+    in shard 0, a [replace]'s joiner in the leaver's shard);
     these layout-dependent checks are suspended after the first split,
     whose rearrangement is decided at runtime.  [install] runs all of
     this automatically with the cluster's actual layout. *)

@@ -70,17 +70,20 @@ let rescue = Kind.intern "rescue"
 let sync_start = Kind.intern "sync.start" (* node state-transferring in *)
 let sync_done = Kind.intern "sync.done" (* a = #sync replies merged *)
 
-(* -- Membership / reconfiguration (emitted by Core.Cluster; [node] = the
-      subject of the operation, or -1 for cluster-wide events). -- *)
+(* -- View changes (emitted by Core.Cluster; [node] = the joiner, else the
+      leaver, or -1 for a directory change; x = the shard). -- *)
 
 let view_wedge = Kind.intern "view.wedge"
-(* reconfiguration started; a = op (0 join / 1 leave / 2 replace), b = the
-   joining node (or -1) *)
+(* view change started, on its source shard; a = kind (0 join / 1 leave /
+   2 replace / 3 move / 4 split), b = the joining node for a membership
+   change, the moved oid for a move, else -1 *)
 
 let view_change = Kind.intern "view.change"
-(* new view installed; a = new epoch, b = member count *)
+(* one shard's new view installed; a = new epoch, b = member count *)
 
-let view_done = Kind.intern "view.done" (* reconfiguration complete; a = epoch *)
+let view_done = Kind.intern "view.done"
+(* view change complete, once per involved shard; a = the shard's epoch,
+   b = kind (as in view.wedge) *)
 let epoch_fence = Kind.intern "epoch.fence"
 (* stale-epoch message rejected at [node]; a = src, b = message epoch,
    x = the receiver's epoch *)

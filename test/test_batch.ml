@@ -109,7 +109,7 @@ let test_mid_batch_epoch_bump () =
   List.iter (fun node -> client node 8) [ 0; 1; 2; 3; 4; 5 ];
   (* the join wedges admission and bumps the epoch while batches are in
      flight; in-flight rounds must walk away and requeue, not decide *)
-  Cluster.join_node_at cluster ~at:40. ~node:7;
+  Cluster.view_change_at cluster ~at:40. (Join { node = 7; shard = 0 });
   Cluster.drain cluster;
   Alcotest.(check int) "all increments committed" 48 !committed;
   Alcotest.(check bool) "epoch bumped" true (Cluster.epoch cluster > 0);

@@ -140,6 +140,55 @@ let test_bank_transfer_conserves () =
     (Store.Value.to_int (Benchmarks.Workload.latest_value cluster ~oid:accounts.(3))
     = Benchmarks.Bank.initial_balance + 250)
 
+(* [Bank.setup] buckets accounts by shard once, but a cross-shard pick
+   reads the account's home live.  After a move, the moved account's old
+   bucket still lists it, and drawing it as its own counterpart makes
+   [transfer a a]: two reads of [a], then writes of [x - amt] and
+   [x + amt] — money from nowhere.  Every transfer must name two
+   accounts. *)
+let test_bank_cross_pick_never_self () =
+  let cluster =
+    Cluster.create ~nodes:6 ~shards:2 ~seed:55 ~with_oracle:false
+      (Config.default Config.Closed)
+  in
+  let instance =
+    Benchmarks.Bank.benchmark.setup cluster
+      {
+        Benchmarks.Workload.default_params with
+        objects = 4;
+        read_ratio = 0.;
+        cross_shard_prob = 1.;
+      }
+  in
+  Alcotest.(check int) "account 0 starts on shard 0" 0 (Cluster.shard_of_oid cluster 0);
+  Cluster.view_change_at cluster ~at:1. (Move { oid = 0; to_shard = 1 });
+  Cluster.drain cluster;
+  Alcotest.(check int) "account 0 moved to shard 1" 1 (Cluster.shard_of_oid cluster 0);
+  let writes = ref [] in
+  let rec eval = function
+    | Txn.Return v -> v
+    | Txn.Read (_, k) -> eval (k (Store.Value.Int Benchmarks.Bank.initial_balance))
+    | Txn.Write (oid, _, k) ->
+      writes := oid :: !writes;
+      eval (k ())
+    | Txn.Nested (body, k) -> eval (k (eval (body ())))
+    | Txn.Open { body; k; _ } -> eval (k (eval (body ())))
+    | Txn.Checkpoint k -> eval (k ())
+    | Txn.Fail msg -> Alcotest.failf "eval hit %s" msg
+  in
+  let rng = Util.Rng.create 7 in
+  for _ = 1 to 200 do
+    ignore (eval (instance.generate rng ()))
+  done;
+  (* A transfer writes its source, then its destination. *)
+  let rec self_transfers = function
+    | a :: b :: rest -> (if a = b then 1 else 0) + self_transfers rest
+    | [ _ ] | [] -> 0
+  in
+  Alcotest.(check int) "600 transfers drawn" 1200 (List.length !writes);
+  Alcotest.(check int) "no transfer from an account to itself" 0
+    (self_transfers (List.rev !writes))
+
 let test_skiplist_height_deterministic () =
   for key = 0 to 200 do
     let h = Benchmarks.Skiplist.height_of key in
@@ -156,6 +205,7 @@ let suite =
     Alcotest.test_case "vacation reserve decrements" `Quick test_vacation_reserve_decrements;
     Alcotest.test_case "vacation never oversells" `Quick test_vacation_never_oversells;
     Alcotest.test_case "bank transfer conserves" `Quick test_bank_transfer_conserves;
+    Alcotest.test_case "bank cross pick never self" `Quick test_bank_cross_pick_never_self;
     Alcotest.test_case "skiplist height deterministic" `Quick
       test_skiplist_height_deterministic;
   ]

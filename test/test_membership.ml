@@ -102,10 +102,10 @@ let test_join_syncs_state_and_extends_view () =
   Alcotest.(check int) "initial epoch" 0 (Cluster.epoch cluster);
   Alcotest.(check int) "capacity includes the spare" 6 (Cluster.nodes cluster);
   let joined = ref false in
-  Cluster.join_node_at cluster
+  Cluster.view_change_at cluster
     ~on_done:(fun () -> joined := true)
     ~at:(Cluster.now cluster +. 10.)
-    ~node:5;
+    (Join { node = 5; shard = 0 });
   Cluster.drain cluster;
   Alcotest.(check bool) "join completed" true !joined;
   Alcotest.(check (list int)) "view extended" [ 0; 1; 2; 3; 4; 5 ] (Cluster.members cluster);
@@ -128,10 +128,10 @@ let test_leave_hands_off_and_shrinks_view () =
     increment cluster ~node:i oid
   done;
   let left = ref false in
-  Cluster.leave_node_at cluster
+  Cluster.view_change_at cluster
     ~on_done:(fun () -> left := true)
     ~at:(Cluster.now cluster +. 10.)
-    ~node:4;
+    (Leave 4);
   Cluster.drain cluster;
   Alcotest.(check bool) "leave completed" true !left;
   Alcotest.(check (list int)) "view shrank" [ 0; 1; 2; 3 ] (Cluster.members cluster);
@@ -164,10 +164,10 @@ let test_rolling_replaces_recycle_departed_nodes () =
   let t0 = Cluster.now cluster in
   List.iteri
     (fun i (leaving, joining) ->
-      Cluster.replace_node_at cluster
+      Cluster.view_change_at cluster
         ~on_done:(fun () -> incr completed)
         ~at:(t0 +. 10. +. (10. *. Float.of_int i))
-        ~leaving ~joining)
+        (Replace { leaving; joining }))
     [ (0, 5); (1, 0); (2, 1); (3, 2); (4, 3) ];
   Cluster.drain cluster;
   Alcotest.(check int) "all five replaces completed" 5 !completed;
@@ -183,23 +183,110 @@ let test_rolling_replaces_recycle_departed_nodes () =
 let test_departed_node_cannot_be_removed_again () =
   let cluster = Cluster.create ~nodes:5 ~seed:74 (Config.default Config.Closed) in
   let left = ref false in
-  Cluster.leave_node_at cluster ~on_done:(fun () -> left := true) ~at:10. ~node:4;
+  Cluster.view_change_at cluster ~on_done:(fun () -> left := true) ~at:10. (Leave 4);
   Cluster.drain cluster;
   Alcotest.(check bool) "leave completed" true !left;
   Alcotest.check_raises "removing a non-member raises"
     (Invalid_argument "Cluster: cannot remove node 4: not a member")
     (fun () ->
-      Cluster.leave_node_at cluster ~at:(Cluster.now cluster) ~node:4;
+      Cluster.view_change_at cluster ~at:(Cluster.now cluster) (Leave 4);
       Cluster.drain cluster);
   (* Shrinking below the quorum-viable minimum is rejected too. *)
   let try_leave node =
-    Cluster.leave_node_at cluster ~at:(Cluster.now cluster) ~node;
+    Cluster.view_change_at cluster ~at:(Cluster.now cluster) (Leave node);
     Cluster.drain cluster
   in
   try_leave 3;
-  (try try_leave 2 with Invalid_argument _ -> ());
+  Alcotest.check_raises "the message states the size after the leave"
+    (Invalid_argument
+       "Cluster: cannot remove node 2: shard 0 would have 2 members, below the \
+        quorum-viable minimum (3)")
+    (fun () -> try_leave 2);
   Alcotest.(check (list int)) "view never shrinks below 3" [ 0; 1; 2 ]
     (Cluster.members cluster)
+
+(* {2 One queue across kinds}
+
+   A leave, a move into the same shard and a join, submitted at the same
+   instant, run one at a time in submission order, each starting at least
+   one request timeout after the previous one finished. *)
+
+let test_view_changes_queue_across_kinds () =
+  let config = Config.default Config.Closed in
+  let tracer = Obs.Tracer.create () in
+  let cluster = Cluster.create ~nodes:8 ~spares:1 ~shards:2 ~seed:76 ~tracer config in
+  let oids = List.init 4 (fun i -> Cluster.alloc_object cluster ~init:(Store.Value.Int i)) in
+  Alcotest.(check (list int)) "shard 1 starts as nodes 4-7" [ 4; 5; 6; 7 ]
+    (Cluster.shard_members cluster ~shard:1);
+  let finished = ref [] in
+  List.iter
+    (fun (name, change) ->
+      Cluster.view_change_at cluster
+        ~on_done:(fun () -> finished := name :: !finished)
+        ~at:10. change)
+    [
+      ("leave", Cluster.Leave 5);
+      ("move", Cluster.Move { oid = List.hd oids; to_shard = 1 });
+      ("join", Cluster.Join { node = 8; shard = 1 });
+    ];
+  Cluster.drain cluster;
+  Alcotest.(check (list string)) "on_done in submission order" [ "leave"; "move"; "join" ]
+    (List.rev !finished);
+  let views =
+    List.filter
+      (fun e -> e.Obs.Tracer.ekind = Obs.Sem.view_wedge || e.ekind = Obs.Sem.view_done)
+      (Obs.Tracer.events tracer)
+  in
+  (* One wedge, then one done per involved shard: the move holds both. *)
+  let shape =
+    List.map
+      (fun e ->
+        ( (if e.Obs.Tracer.ekind = Obs.Sem.view_wedge then "wedge" else "done"),
+          int_of_float e.x ))
+      views
+  in
+  Alcotest.(check (list (pair string int)))
+    "wedge/done sequence"
+    [
+      ("wedge", 1); ("done", 1); ("wedge", 0); ("done", 0); ("done", 1); ("wedge", 1);
+      ("done", 1);
+    ]
+    shape;
+  let rec gaps last_done = function
+    | [] -> ()
+    | e :: rest when e.Obs.Tracer.ekind = Obs.Sem.view_wedge ->
+      Option.iter
+        (fun d ->
+          Alcotest.(check bool)
+            (Printf.sprintf "wedge at %.1f waits a timeout after done at %.1f"
+               e.Obs.Tracer.time d)
+            true
+            (e.time -. d >= config.Config.request_timeout))
+        last_done;
+      gaps last_done rest
+    | e :: rest -> gaps (Some e.Obs.Tracer.time) rest
+  in
+  gaps None views;
+  (* Each done reports the shard's epoch and the change's kind code. *)
+  let dones =
+    List.filter_map
+      (fun e ->
+        if e.Obs.Tracer.ekind = Obs.Sem.view_done then Some (int_of_float e.x, e.a, e.b)
+        else None)
+      views
+  in
+  Alcotest.(check (list (triple int int int)))
+    "(shard, epoch, kind) per done"
+    [ (1, 1, 1); (0, 1, 3); (1, 2, 3); (1, 3, 0) ]
+    dones;
+  Alcotest.(check int) "cluster epoch sums the shards" 4 (Cluster.epoch cluster);
+  Alcotest.(check int) "one view change per bumped epoch" 4
+    (Metrics.view_changes (Cluster.metrics cluster));
+  Alcotest.(check (list int)) "final shard 1 view" [ 4; 6; 7; 8 ]
+    (Cluster.shard_members cluster ~shard:1);
+  Alcotest.(check int) "object moved" 1 (Cluster.shard_of_oid cluster (List.hd oids));
+  expect_counter cluster ~node:8 ~oid:(List.hd oids) 0;
+  expect_consistent cluster
 
 (* {2 State transfer racing lease termination}
 
@@ -250,7 +337,8 @@ let test_sync_races_lease_rescue () =
   | None -> ());
   (* Now race a join against the lease's termination pipeline. *)
   let joined = ref false in
-  Cluster.join_node_at cluster ~on_done:(fun () -> joined := true) ~at:1. ~node:9;
+  Cluster.view_change_at cluster ~on_done:(fun () -> joined := true) ~at:1.
+    (Join { node = 9; shard = 0 });
   Cluster.drain cluster;
   Alcotest.(check bool) "join completed" true !joined;
   Alcotest.(check int) "epoch bumped" 1 (Cluster.epoch cluster);
@@ -280,7 +368,7 @@ let test_latest_value_ignores_departed_replicas () =
   for i = 0 to 3 do
     increment cluster ~node:i oid
   done;
-  Cluster.leave_node_at cluster ~at:(Cluster.now cluster +. 5.) ~node:4;
+  Cluster.view_change_at cluster ~at:(Cluster.now cluster +. 5.) (Leave 4);
   Cluster.drain cluster;
   (* Plant a bogus higher version on the departed machine: a verdict that
      scanned all capacity instead of the current members would pick it up. *)
@@ -497,6 +585,8 @@ let suite =
       test_rolling_replaces_recycle_departed_nodes;
     Alcotest.test_case "malformed reconfigurations are rejected" `Quick
       test_departed_node_cannot_be_removed_again;
+    Alcotest.test_case "view changes queue across kinds" `Quick
+      test_view_changes_queue_across_kinds;
     Alcotest.test_case "state transfer races lease rescue" `Quick
       test_sync_races_lease_rescue;
     Alcotest.test_case "verdicts read only current members" `Quick

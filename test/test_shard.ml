@@ -310,6 +310,8 @@ let test_validate_rejects_bad_shard_ops () =
     [ Harness.Scenario.ShardSplit { shard = 1; at = 100. } ];
   expect_invalid ~why:"split of nonexistent shard"
     [ Harness.Scenario.ShardSplit { shard = 7; at = 100. } ];
+  expect_invalid ~why:"leave below a shard's quorum-viable minimum"
+    [ Harness.Scenario.Leave { node = 1; at = 100. } ];
   expect_invalid ~why:"killing a shard's last live member"
     [
       Harness.Scenario.Crash { node = 3; at = 10. };
