@@ -40,10 +40,9 @@ let print_series series = print_string (Harness.Report.render series)
 (* {2 The shared run flags}
 
    [run], [scenario], [trace] and [chaos] set up a run from the same
-   flags, each defined once here.  A command passes its own defaults; a
-   flag group it leaves out is not offered, and its fields keep the
-   neutral values below (the bank workload, no duration, one shard, no
-   checks). *)
+   flags, each defined once here.  A command passes its defaults as a
+   [shared] record; a flag group it leaves out is not offered, and its
+   fields keep those defaults. *)
 
 type shared = {
   bench : Benchmarks.Workload.benchmark;
@@ -56,62 +55,94 @@ type shared = {
   shards : int;
   cross_shard_prob : float;
   shard_skew : float;
+  objects : int option;  (** [None]: the benchmark's paper operating point *)
+  calls : int;
+  reads : float;
+  skew : float;
   batch_commit : bool;
   check_online : bool;
 }
 
-let shared_term ?duration ?(bench = true) ?(spares = false) ?(sharding = true)
-    ?(shard_skew = true) ?(checks = true) ~nodes ~clients ~seed () =
+(* The scenario command's defaults; a chaos repro line names every flag
+   that differs from them. *)
+let scenario_defaults =
+  {
+    bench = Benchmarks.Bank.benchmark;
+    mode = Core.Config.Closed;
+    nodes = 13;
+    clients = 16;
+    duration = 5_000.;
+    seed = 97;
+    spares = None;
+    shards = 1;
+    cross_shard_prob = 0.;
+    shard_skew = 0.;
+    objects = None;
+    calls = 3;
+    reads = 0.5;
+    skew = 0.5;
+    batch_commit = false;
+    check_online = false;
+  }
+
+let shared_term ?(bench = true) ?(duration = true) ?(spares = false) ?(sharding = true)
+    ?(shard_skew = true) ?(checks = true) (d : shared) =
   let open Term.Syntax in
-  let offered present neutral arg = if present then arg else Term.const neutral in
+  let offered present default arg = if present then arg else Term.const default in
   let+ bench =
-    offered bench Benchmarks.Bank.benchmark
-      (Term.map (Option.value ~default:Benchmarks.Bank.benchmark) bench_arg)
+    offered bench d.bench (Term.map (Option.value ~default:d.bench) bench_arg)
   and+ mode =
     let doc = "Execution model: flat, closed or checkpoint." in
     let modes = List.map (fun m -> (Core.Config.mode_name m, m)) Harness.Figures.modes in
-    Arg.(value & opt (enum modes) Core.Config.Closed & info [ "mode" ] ~docv:"MODE" ~doc)
-  and+ nodes = Arg.(value & opt int nodes & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size.")
+    Arg.(value & opt (enum modes) d.mode & info [ "mode" ] ~docv:"MODE" ~doc)
+  and+ nodes = Arg.(value & opt int d.nodes & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size.")
   and+ clients =
-    Arg.(value & opt int clients & info [ "clients" ] ~docv:"N" ~doc:"Closed-loop clients.")
+    Arg.(value & opt int d.clients & info [ "clients" ] ~docv:"N" ~doc:"Closed-loop clients.")
   and+ duration =
-    match duration with
-    | Some d -> Arg.(value & opt float d & info [ "duration" ] ~docv:"MS" ~doc:"Window, ms.")
-    | None -> Term.const 0.
+    offered duration d.duration
+      Arg.(value & opt float d.duration & info [ "duration" ] ~docv:"MS" ~doc:"Window, ms.")
   and+ seed =
     let doc = "Run seed (chaos: the first seed; runs use SEED..SEED+N-1)." in
-    Arg.(value & opt int seed & info [ "seed" ] ~docv:"SEED" ~doc)
+    Arg.(value & opt int d.seed & info [ "seed" ] ~docv:"SEED" ~doc)
   and+ spares =
     let doc =
       "Stand-by machines outside the initial view (join/replace targets); default 0, \
        or 2 for chaos --rolling."
     in
-    offered spares None Arg.(value & opt (some int) None & info [ "spares" ] ~docv:"N" ~doc)
+    offered spares d.spares Arg.(value & opt (some int) None & info [ "spares" ] ~docv:"N" ~doc)
   and+ shards =
     let doc =
       "Shards the object space is partitioned into (each shard runs its own \
        member view, epoch and tree quorum; needs at least 3 nodes per shard). \
        1 reproduces the unsharded protocol byte-for-byte."
     in
-    offered sharding 1 Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
+    offered sharding d.shards Arg.(value & opt int d.shards & info [ "shards" ] ~docv:"N" ~doc)
   and+ cross_shard_prob =
     let doc =
       "Fraction of workload operations steered across shard boundaries \
        (bank transfer pairs spanning two shards; hashmap keys homed on a \
        drawn shard).  Requires --shards > 1 to have any effect."
     in
-    offered sharding 0. Arg.(value & opt float 0. & info [ "cross-shard-prob" ] ~docv:"P" ~doc)
+    offered sharding d.cross_shard_prob
+      Arg.(value & opt float d.cross_shard_prob & info [ "cross-shard-prob" ] ~docv:"P" ~doc)
   and+ shard_skew =
     let doc = "Zipf skew of the target-shard draw on cross-shard operations (0 = uniform)." in
-    offered (sharding && shard_skew) 0.
-      Arg.(value & opt float 0. & info [ "shard-skew" ] ~docv:"S" ~doc)
+    offered (sharding && shard_skew) d.shard_skew
+      Arg.(value & opt float d.shard_skew & info [ "shard-skew" ] ~docv:"S" ~doc)
+  and+ objects =
+    Arg.(value & opt (some int) d.objects & info [ "objects" ] ~docv:"N" ~doc:"Population size.")
+  and+ calls =
+    Arg.(value & opt int d.calls & info [ "calls" ] ~docv:"N" ~doc:"Closed-nested calls per txn.")
+  and+ reads =
+    Arg.(value & opt float d.reads & info [ "reads" ] ~docv:"R" ~doc:"Read ratio in [0,1].")
+  and+ skew = Arg.(value & opt float d.skew & info [ "skew" ] ~docv:"S" ~doc:"Zipf key skew.")
   and+ batch_commit =
     let doc =
       "Speculative batch-commit mode (PROTOCOL.md §9): coordinators queue commit \
        requests and decide each batch with a single quorum round; queued successors \
        read predecessors' uncommitted write images speculatively."
     in
-    offered checks false Arg.(value & flag & info [ "batch-commit" ] ~doc)
+    offered checks d.batch_commit Arg.(value & flag & info [ "batch-commit" ] ~doc)
   and+ check_online =
     let doc =
       "Attach the online protocol checker (Obs.Online) through a tracer sink: every \
@@ -121,7 +152,7 @@ let shared_term ?duration ?(bench = true) ?(spares = false) ?(sharding = true)
        message faults only (loss, duplication, spikes, flaky links), by pairwise \
        intersection otherwise.  Any violation exits 1."
     in
-    offered checks false Arg.(value & flag & info [ "check-online" ] ~doc)
+    offered checks d.check_online Arg.(value & flag & info [ "check-online" ] ~doc)
   in
   {
     bench;
@@ -134,28 +165,57 @@ let shared_term ?duration ?(bench = true) ?(spares = false) ?(sharding = true)
     shards;
     cross_shard_prob;
     shard_skew;
+    objects;
+    calls;
+    reads;
+    skew;
     batch_commit;
     check_online;
   }
 
-(* The paper's operating point for the chosen benchmark, with the shard
-   flags applied. *)
-let params_of ?objects ?(calls = 3) ?(reads = 0.5) ?(skew = 0.5) f =
-  {
-    Benchmarks.Workload.objects =
-      Option.value objects ~default:(Harness.Figures.benchmark_objects f.bench.name);
-    calls;
-    read_ratio = reads;
-    key_skew = skew;
-    cross_shard_prob = f.cross_shard_prob;
-    shard_skew = f.shard_skew;
-  }
-
-let spec_of ~tracer f params =
+let spec_of ?(tracer = Obs.Tracer.null) f =
   Harness.Experiment.spec ~nodes:f.nodes
     ~spares:(Option.value f.spares ~default:0)
     ~seed:f.seed ~tracer ~batch_commit:f.batch_commit ~shards:f.shards
-    ~config:(Core.Config.default f.mode) ~benchmark:f.bench ~params ()
+    ~config:(Core.Config.default f.mode) ~benchmark:f.bench
+    ~params:
+      {
+        Benchmarks.Workload.objects =
+          Option.value f.objects ~default:(Harness.Figures.benchmark_objects f.bench.name);
+        calls = f.calls;
+        read_ratio = f.reads;
+        key_skew = f.skew;
+        cross_shard_prob = f.cross_shard_prob;
+        shard_skew = f.shard_skew;
+      }
+    ()
+
+(* The [qr-dtm scenario] command that replays a chaos run of [events]
+   from flags [f] over [horizon] ms: every flag whose value differs from
+   the scenario command's default. *)
+let repro_line f ~horizon ~seed events =
+  let s = spec_of f and d = spec_of scenario_defaults in
+  let num = Harness.Scenario.float_to_string in
+  let flag name show value default = if value = default then [] else [ name; show value ] in
+  let switch name on = if on then [ name ] else [] in
+  String.concat " "
+    ([ "qr-dtm"; "scenario"; "'" ^ Harness.Scenario.to_string events ^ "'"; "--seed";
+       string_of_int seed ]
+    @ flag "--bench" Fun.id s.benchmark.name d.benchmark.name
+    @ flag "--mode" Core.Config.mode_name f.mode scenario_defaults.mode
+    @ flag "--nodes" string_of_int s.nodes d.nodes
+    @ flag "--clients" string_of_int f.clients scenario_defaults.clients
+    @ flag "--duration" num horizon scenario_defaults.duration
+    @ flag "--spares" string_of_int s.spares d.spares
+    @ flag "--shards" string_of_int s.shards d.shards
+    @ flag "--cross-shard-prob" num s.params.cross_shard_prob d.params.cross_shard_prob
+    @ flag "--shard-skew" num s.params.shard_skew d.params.shard_skew
+    @ flag "--objects" string_of_int s.params.objects d.params.objects
+    @ flag "--calls" string_of_int s.params.calls d.params.calls
+    @ flag "--reads" num s.params.read_ratio d.params.read_ratio
+    @ flag "--skew" num s.params.key_skew d.params.key_skew
+    @ switch "--batch-commit" f.batch_commit
+    @ switch "--check-online" f.check_online)
 
 (* {2 The online checker}
 
@@ -205,10 +265,11 @@ let online_clean ?(who = "online checker") checker =
     false
 
 (* The end of a [run] or [scenario]: the checker's verdict, then exit 1
-   unless the invariant, the oracle and the checker all passed. *)
-let finish ~invariant ~consistent online =
+   unless the run [passed] (invariant, oracle, no stall) and the checker
+   saw no violation. *)
+let finish ~passed online =
   let clean = Option.fold ~none:true ~some:(fun ck -> online_clean ck) online in
-  if not (invariant = Ok () && consistent = Ok () && clean) then exit 1
+  if not (passed && clean) then exit 1
 
 let figure_cmd =
   let number_arg =
@@ -249,18 +310,6 @@ let summary_cmd =
   Cmd.v info Term.(const run $ scale_arg $ jobs_arg)
 
 let run_cmd =
-  let reads_arg =
-    Arg.(value & opt float 0.5 & info [ "reads" ] ~docv:"R" ~doc:"Read ratio in [0,1].")
-  in
-  let calls_arg =
-    Arg.(value & opt int 3 & info [ "calls" ] ~docv:"N" ~doc:"Closed-nested calls per txn.")
-  in
-  let objects_arg =
-    Arg.(value & opt (some int) None & info [ "objects" ] ~docv:"N" ~doc:"Population size.")
-  in
-  let skew_arg =
-    Arg.(value & opt float 0.5 & info [ "skew" ] ~docv:"S" ~doc:"Zipf key skew.")
-  in
   let open_loop_arg =
     let doc =
       "Open-loop mode: Poisson arrivals at $(docv) requests per second of simulated \
@@ -277,28 +326,27 @@ let run_cmd =
     let doc = "Admission cap per node for --open-loop; arrivals beyond it queue and accrue queueing delay." in
     Arg.(value & opt int 4 & info [ "max-per-node" ] ~docv:"N" ~doc)
   in
-  let run f reads calls objects skew open_loop population max_per_node =
+  let run f open_loop population max_per_node =
     let tracer, online = online_checker f [] in
-    let spec = spec_of ~tracer f (params_of ?objects ~calls ~reads ~skew f) in
+    let spec = spec_of ~tracer f in
     match open_loop with
     | Some rate ->
       let r =
         Harness.Openloop.run ~duration:f.duration ~population ~max_per_node ~rate spec
       in
       Format.printf "%a@." Harness.Openloop.pp_result r;
-      finish ~invariant:r.invariant ~consistent:r.consistent online
+      finish ~passed:(r.invariant = Ok () && r.consistent = Ok ()) online
     | None ->
       let r = Harness.Experiment.run ~clients:f.clients ~duration:f.duration spec in
       Format.printf "%a@." Harness.Experiment.pp_result r;
-      finish ~invariant:r.invariant ~consistent:r.consistent online
+      finish ~passed:(Harness.Experiment.passed r) online
   in
   let info = Cmd.info "run" ~doc:"Run one custom experiment point" in
   Cmd.v info
     Term.(
       const run
-      $ shared_term ~nodes:13 ~clients:26 ~seed:97 ~duration:10_000. ()
-      $ reads_arg $ calls_arg $ objects_arg $ skew_arg $ open_loop_arg $ population_arg
-      $ max_per_node_arg)
+      $ shared_term { scenario_defaults with clients = 26; duration = 10_000. }
+      $ open_loop_arg $ population_arg $ max_per_node_arg)
 
 let scenario_cmd =
   let events_arg =
@@ -311,54 +359,37 @@ let scenario_cmd =
     let scenario =
       Arg.conv
         ( (fun s -> Result.map_error (fun m -> `Msg m) (Harness.Scenario.parse s)),
-          fun ppf events ->
-            Format.pp_print_string ppf (Harness.Chaos.render_schedule events) )
+          fun ppf events -> Format.pp_print_string ppf (Harness.Scenario.to_string events) )
     in
     Arg.(required & pos 0 (some scenario) None & info [] ~docv:"SPEC" ~doc)
   in
   let run events f =
-    let spares = Option.value f.spares ~default:0 in
     match
       Harness.Scenario.validate
         ~members:(List.init f.nodes Fun.id)
         ~shards:f.shards
-        ~shard_members:
-          (List.init f.shards (fun s ->
-               List.filter
-                 (fun n -> Harness.Chaos.initial_shard_of ~nodes:f.nodes ~shards:f.shards n = s)
-                 (List.init f.nodes Fun.id)))
-        ~nodes:(f.nodes + spares) events
+        ~shard_members:(Core.Cluster.initial_shards ~nodes:f.nodes ~shards:f.shards)
+        ~nodes:(f.nodes + Option.value f.spares ~default:0)
+        events
     with
     | Error msg -> `Error (false, "bad scenario: " ^ msg)
     | Ok () ->
-      let crashed = Harness.Scenario.crashed_nodes events in
-      let client_nodes =
-        List.init f.nodes Fun.id |> List.filter (fun n -> not (List.mem n crashed))
-      in
       let tracer, online = online_checker f events in
-      let tracker = ref None in
       let r =
-        Harness.Experiment.run ~clients:f.clients ~duration:f.duration ~client_nodes
-          ~prepare:(fun cluster -> tracker := Some (Harness.Scenario.install cluster events))
-          (spec_of ~tracer f (params_of f))
+        Harness.Chaos.run ~clients:f.clients ~horizon:f.duration (spec_of ~tracer f) events
       in
-      Format.printf "%a@." Harness.Experiment.pp_result r;
-      Option.iter
-        (fun t -> Format.printf "%a@." Harness.Scenario.pp_report (Harness.Scenario.report t))
-        !tracker;
-      finish ~invariant:r.invariant ~consistent:r.consistent online;
+      Format.printf "%a@.%a@.%a@." Harness.Experiment.pp_result r.run
+        Harness.Scenario.pp_report (Option.get r.run.report) Harness.Chaos.pp_result r;
+      finish ~passed:(Harness.Chaos.passed r) online;
       `Ok ()
   in
   let info =
     Cmd.info "scenario"
       ~doc:"Run a workload under an injected fault scenario (crashes, partitions, loss, \
-            membership changes, shard moves/splits)"
+            membership changes, shard moves/splits), exactly as chaos runs a schedule: \
+            clients on every node, no warm-up, --duration ms of load"
   in
-  Cmd.v info
-    Term.(
-      ret
-        (const run $ events_arg
-        $ shared_term ~nodes:13 ~clients:16 ~seed:97 ~duration:5_000. ~spares:true ()))
+  Cmd.v info Term.(ret (const run $ events_arg $ shared_term ~spares:true scenario_defaults))
 
 let write_file path contents =
   let oc = open_out path in
@@ -401,7 +432,7 @@ let trace_cmd =
     let tele = Option.map (fun _ -> Obs.Telemetry.create ~window) telemetry in
     let result =
       Harness.Experiment.run ~clients:f.clients ~duration:f.duration ?telemetry:tele
-        (spec_of ~tracer f (params_of f))
+        (spec_of ~tracer f)
     in
     Format.eprintf "%a@." Harness.Experiment.pp_result result;
     Format.eprintf "trace: %d events captured@." (Obs.Tracer.length tracer);
@@ -460,9 +491,15 @@ let trace_cmd =
   Cmd.v info
     Term.(
       const run
-      $ shared_term ~nodes:13 ~clients:26 ~seed:97 ~duration:5_000. ~sharding:false
-          ~checks:false ()
+      $ shared_term ~sharding:false ~checks:false { scenario_defaults with clients = 26 }
       $ txn_arg $ out_arg $ telemetry_arg $ window_arg $ capacity_arg $ check_arg)
+
+(* Chaos's workload is {!Harness.Chaos.default_spec}'s, with 18 clients. *)
+let chaos_defaults =
+  let s = Harness.Chaos.default_spec in
+  let p = s.params in
+  { scenario_defaults with mode = s.config.mode; nodes = s.nodes; clients = 18; seed = s.seed;
+    objects = Some p.objects; calls = p.calls; reads = p.read_ratio; skew = p.key_skew }
 
 let chaos_cmd =
   let runs_arg =
@@ -530,36 +567,36 @@ let chaos_cmd =
     let preset = if rolling then Harness.Chaos.rolling_knobs else Harness.Chaos.default_knobs in
     let knobs =
       {
-        Harness.Chaos.default_knobs with
-        nodes = f.nodes;
-        clients = f.clients;
-        horizon = Option.value horizon ~default:preset.horizon;
+        Harness.Chaos.horizon = Option.value horizon ~default:preset.horizon;
         max_crashes = (if rolling then min max_crashes preset.max_crashes else max_crashes);
-        spares = Option.value f.spares ~default:preset.spares;
         reconfigs;
-        shards = f.shards;
         shard_ops;
-        cross_shard_prob = f.cross_shard_prob;
       }
     in
+    let f = { f with spares = Some (Option.value f.spares ~default:(if rolling then 2 else 0)) } in
+    let spec_at ?tracer seed = { (spec_of ?tracer f) with seed } in
     let generate = if rolling then Harness.Chaos.generate_rolling else Harness.Chaos.generate in
-    match generate knobs ~seed:f.seed with
+    let repro seed events = repro_line f ~horizon:knobs.horizon ~seed events in
+    match List.init runs (fun i -> generate knobs (spec_at (f.seed + i))) with
     | exception Invalid_argument msg -> `Error (false, msg)
-    | _ when show ->
-      for s = f.seed to f.seed + runs - 1 do
-        Printf.printf "seed %d: %s\n" s
-          (Harness.Chaos.render_schedule (generate knobs ~seed:s))
-      done;
+    | schedules when show ->
+      List.iteri
+        (fun i events ->
+          Printf.printf "seed %d: %s\n" (f.seed + i) (Harness.Scenario.to_string events))
+        schedules;
       `Ok ()
-    | _ ->
-      let config = Core.Config.default f.mode and batch_commit = f.batch_commit in
+    | schedules ->
       let checker_failed = ref false in
       let results =
-        List.init runs (fun i ->
+        List.mapi
+          (fun i events ->
             let seed = f.seed + i in
             (* Same seeds, same verdicts: tracing never perturbs a run. *)
-            let tracer, online = online_checker ~fail_fast f (generate knobs ~seed) in
-            match Harness.Chaos.run_one ~config ~tracer ~batch_commit ~rolling knobs ~seed with
+            let tracer, online = online_checker ~fail_fast f events in
+            match
+              Harness.Chaos.run ~clients:f.clients ~horizon:knobs.horizon (spec_at ~tracer seed)
+                events
+            with
             | r ->
               let who = Printf.sprintf "online checker (seed %d)" seed in
               Option.iter
@@ -568,24 +605,25 @@ let chaos_cmd =
               r
             | exception Obs.Online.Violation v ->
               (* fail-fast: the checker aborted the run from inside the
-                 emission path; dump the schedule for replay and stop. *)
+                 emission path; write the repro line and stop. *)
               Printf.eprintf "online checker (seed %d, fail-fast): %s\n" seed
                 (Obs.Online.pp_violation v);
               Option.iter
                 (fun path ->
                   write_file path
                     (Printf.sprintf "# seed %d (online checker fail-fast)\n%s\n" seed
-                       (Harness.Chaos.render_schedule (generate knobs ~seed))))
+                       (repro seed events)))
                 failures_to;
               exit 1)
+          schedules
       in
       let failed = Harness.Chaos.failures results in
       if json then print_endline (Harness.Chaos.results_to_json results)
       else begin
         List.iter
-          (fun r ->
+          (fun (r : Harness.Chaos.result) ->
             if verbose || not (Harness.Chaos.passed r) then
-              Format.printf "%a@." Harness.Chaos.pp_result r)
+              Format.printf "%a@.%s@." Harness.Chaos.pp_result r (repro r.seed r.events))
           results;
         print_endline (Harness.Chaos.summary results)
       end;
@@ -596,8 +634,7 @@ let chaos_cmd =
               (String.concat ""
                  (List.map
                     (fun (r : Harness.Chaos.result) ->
-                      Printf.sprintf "# seed %d\n%s\n" r.seed
-                        (Harness.Chaos.render_schedule r.events))
+                      Printf.sprintf "# seed %d\n%s\n" r.seed (repro r.seed r.events))
                     failed)))
         failures_to;
       let checker_inconclusive = ref false in
@@ -608,10 +645,11 @@ let chaos_cmd =
             (if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
             List.iter
               (fun (r : Harness.Chaos.result) ->
-                let seed = r.Harness.Chaos.seed in
+                let seed = r.seed in
                 let tracer = Obs.Tracer.create () in
                 let replay =
-                  Harness.Chaos.run_one ~config ~tracer ~batch_commit ~rolling knobs ~seed
+                  Harness.Chaos.run ~clients:f.clients ~horizon:knobs.horizon
+                    (spec_at ~tracer seed) r.events
                 in
                 warn_dropped tracer;
                 (* Chaos changes the view mid-run and the trace does not
@@ -659,8 +697,8 @@ let chaos_cmd =
     Term.(
       ret
         (const run
-        $ shared_term ~nodes:9 ~clients:18 ~seed:1 ~bench:false ~spares:true
-            ~shard_skew:false ()
+        $ shared_term ~bench:false ~duration:false ~spares:true ~shard_skew:false
+            chaos_defaults
         $ runs_arg $ horizon_arg $ crashes_arg $ reconfigs_arg $ shard_ops_arg
         $ rolling_arg $ json_arg $ failures_arg $ verbose_arg $ show_arg $ trace_dir_arg
         $ trace_all_arg $ fail_fast_arg))

@@ -304,6 +304,12 @@ let rec resync t ~node ~started ~was_killed =
         if was_killed then
           Metrics.note_recovery t.metrics ~duration:(Sim.Engine.now t.engine -. started))
 
+let initial_shards ~nodes ~shards =
+  let base = nodes / shards and rem = nodes mod shards in
+  List.init shards (fun s ->
+      let start = (s * base) + Stdlib.min s rem in
+      List.init (base + if s < rem then 1 else 0) (fun i -> start + i))
+
 let create ?(nodes = 13) ?(spares = 0) ?(seed = 1) ?topology ?(service_time = 0.25)
     ?(read_level = 1) ?(detection_delay = 50.) ?(detection_jitter = 0.)
     ?(with_oracle = true) ?(tracer = Obs.Tracer.null) ?(batch_commit = false)
@@ -349,16 +355,16 @@ let create ?(nodes = 13) ?(spares = 0) ?(seed = 1) ?topology ?(service_time = 0.
      exist only as capacity (dark until a join maps a position onto
      them). *)
   let states =
-    Array.init shards (fun s ->
-        let base = nodes / shards and rem = nodes mod shards in
-        let size = base + if s < rem then 1 else 0 in
-        let start = (s * base) + Stdlib.min s rem in
-        let tq =
-          Quorum.Tree_quorum.create ~read_level ~capacity:total ~nodes:size ()
-        in
-        if start > 0 then
-          Quorum.Tree_quorum.set_members tq (List.init size (fun i -> start + i));
-        { sh_tq = tq; sh_epoch = ref 0; sh_wedged = ref false })
+    Array.of_list
+      (List.map
+         (fun members ->
+           let tq =
+             Quorum.Tree_quorum.create ~read_level ~capacity:total
+               ~nodes:(List.length members) ()
+           in
+           if List.hd members > 0 then Quorum.Tree_quorum.set_members tq members;
+           { sh_tq = tq; sh_epoch = ref 0; sh_wedged = ref false })
+         (initial_shards ~nodes ~shards))
   in
   let home = Array.make total 0 in
   Array.iteri

@@ -71,6 +71,11 @@ val create :
     until moved.  Raises [Invalid_argument] unless every shard gets at
     least 3 members. *)
 
+val initial_shards : nodes:int -> shards:int -> int list list
+(** The initial member list of each shard of {!create}: [nodes] members
+    split into [shards] contiguous, near-equal ranges, the larger ones
+    first. *)
+
 val engine : t -> Sim.Engine.t
 
 val network : t -> (Messages.request, Messages.reply) Sim.Rpc.envelope Sim.Network.t

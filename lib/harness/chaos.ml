@@ -1,59 +1,43 @@
 (* Chaos testing: seeded random fault schedules against a live workload,
-   checked by two oracles after the run drains to quiescence —
+   checked after the run quiesces —
 
    - safety: the 1-copy-serializability oracle plus the bank invariant
      (total balance conserved, robust to clients that die mid-run);
-   - liveness: a watchdog that samples commit progress on a fixed grid and
-     flags any window with in-flight transactions but zero new commits,
-     capturing the held leases and live coordinators for the stall report.
+   - liveness: {!Experiment.run}'s watchdog, which flags any window with
+     in-flight transactions but zero new commits.
 
-   Every run is a pure function of its seed: the schedule is drawn from a
-   dedicated [Util.Rng.t] and the cluster/workload reuse the same seed, so
-   a failing seed replays exactly.  Unlike the curated failure experiments
-   (which keep clients off crash victims), chaos places clients on every
-   node — crashing a node that hosts active coordinators is precisely the
-   scenario the lease-termination protocol exists for. *)
+   Chaos only generates: a schedule is a pure function of the knobs and
+   the run spec (its seed included), and it runs through the same
+   {!Experiment.run} as [qr-dtm scenario], with clients on every node and
+   no warm-up, so a printed schedule replays exactly.  Unlike the curated
+   failure experiments (which keep clients off crash victims), the
+   clients' nodes crash too — crashing a node that hosts active
+   coordinators is precisely the scenario the lease-termination protocol
+   exists for. *)
 
 open Core
 
-type knobs = {
-  nodes : int;
-  clients : int;
-  horizon : float;
-  max_crashes : int;
-  read_level : int;
-  accounts : int;
-  calls : int;
-  read_ratio : float;
-  spares : int;
-  reconfigs : int;
-  shards : int;
-  shard_ops : int;
-  cross_shard_prob : float;
-}
+type knobs = { horizon : float; max_crashes : int; reconfigs : int; shard_ops : int }
 
-let default_knobs =
-  {
-    nodes = 9;
-    clients = 18;
-    horizon = 8_000.;
-    max_crashes = 2;
-    read_level = 1;
-    accounts = 24;
-    calls = 3;
-    read_ratio = 0.3;
-    spares = 0;
-    reconfigs = 0;
-    shards = 1;
-    shard_ops = 0;
-    cross_shard_prob = 0.;
-  }
+let default_knobs = { horizon = 8_000.; max_crashes = 2; reconfigs = 0; shard_ops = 0 }
 
-(* Rolling-restart preset: enough spares to keep a replacement pipeline
-   going, a longer horizon so every initial node can be swapped out once,
-   and a tame crash budget (the churn itself is the fault load). *)
-let rolling_knobs =
-  { default_knobs with horizon = 16_000.; spares = 2; max_crashes = 1; reconfigs = 0 }
+(* Rolling-restart preset: a longer horizon so every initial node can be
+   swapped out once, and a tame crash budget (the churn itself is the
+   fault load). *)
+let rolling_knobs = { default_knobs with horizon = 16_000.; max_crashes = 1 }
+
+let default_spec =
+  Experiment.spec ~nodes:9 ~seed:1 ~config:(Config.default Config.Closed)
+    ~benchmark:Benchmarks.Bank.benchmark
+    ~params:
+      {
+        Benchmarks.Workload.default_params with
+        objects = 24;
+        calls = 3;
+        read_ratio = 0.3;
+        key_skew = 0.5;
+      }
+    ()
 
 (* {2 Schedule generation} *)
 
@@ -64,20 +48,14 @@ let distinct_nodes rng ~nodes ~count =
 
 let span rng a b = a +. Util.Rng.float rng (b -. a)
 
-(* Mirror of [Cluster.create]'s contiguous initial partition: which shard
-   a node replicates before any split rearranges the layout. *)
-let initial_shard_of ~nodes ~shards n =
-  let base = nodes / shards and rem = nodes mod shards in
-  let rec find s =
-    let start = (s * base) + Stdlib.min s rem in
-    let size = base + if s < rem then 1 else 0 in
-    if n < start + size then s else find (s + 1)
-  in
-  find 0
-
-let generate knobs ~seed =
-  let rng = Util.Rng.create (seed lxor 0x5eed_cafe) in
+let generate knobs (spec : Experiment.spec) =
+  let nodes = spec.nodes and spares = spec.spares and shards = spec.shards in
+  let rng = Util.Rng.create (spec.seed lxor 0x5eed_cafe) in
   let h = knobs.horizon in
+  (* Cluster.create's initial layout: each shard's members, each node's shard. *)
+  let layout = Cluster.initial_shards ~nodes ~shards in
+  let shard_of = Array.make nodes 0 in
+  List.iteri (fun s members -> List.iter (fun n -> shard_of.(n) <- s) members) layout;
   let events = ref [] in
   let add e = events := e :: !events in
   (* Nodes already cast in another fault's role; membership churn below
@@ -88,23 +66,19 @@ let generate knobs ~seed =
      complement to finish with. *)
   let n_crashes = Util.Rng.int rng (knobs.max_crashes + 1) in
   let crash_victims =
-    let drawn = distinct_nodes rng ~nodes:knobs.nodes ~count:n_crashes in
-    if knobs.shards <= 1 then drawn
+    let drawn = distinct_nodes rng ~nodes ~count:n_crashes in
+    if shards <= 1 then drawn
     else begin
       (* Sharded clusters: never schedule the simultaneous death of an
          entire shard — no surviving replica could serve its slice or
          hold rescue evidence, and Scenario.validate rejects exactly
          that.  Post-filtering keeps the draw sequence (and so every
          unsharded schedule) unchanged. *)
-      let killed = Array.make knobs.shards 0 in
-      let size s =
-        let base = knobs.nodes / knobs.shards and rem = knobs.nodes mod knobs.shards in
-        base + if s < rem then 1 else 0
-      in
+      let killed = Array.make shards 0 in
       List.filter
         (fun node ->
-          let s = initial_shard_of ~nodes:knobs.nodes ~shards:knobs.shards node in
-          if killed.(s) + 1 < size s then begin
+          let s = shard_of.(node) in
+          if killed.(s) + 1 < List.length (List.nth layout s) then begin
             killed.(s) <- killed.(s) + 1;
             true
           end
@@ -122,14 +96,14 @@ let generate knobs ~seed =
     crash_victims;
   (* A minority partition: both sides are named so the scenario layer
      suspects exactly the minority (the majority side keeps its quorums). *)
-  if Util.Rng.chance rng 0.5 && knobs.nodes >= 4 then begin
-    let minority_size = 1 + Util.Rng.int rng (knobs.nodes / 3) in
-    let minority = distinct_nodes rng ~nodes:knobs.nodes ~count:minority_size in
+  if Util.Rng.chance rng 0.5 && nodes >= 4 then begin
+    let minority_size = 1 + Util.Rng.int rng (nodes / 3) in
+    let minority = distinct_nodes rng ~nodes ~count:minority_size in
     let majority =
       (* Spares and later joiners must land in the majority group:
          unnamed nodes fall into the network's implicit extra group and
          would be cut off from {e both} sides. *)
-      List.init (knobs.nodes + knobs.spares) Fun.id
+      List.init (nodes + spares) Fun.id
       |> List.filter (fun n -> not (List.mem n minority))
     in
     busy := minority @ !busy;
@@ -167,7 +141,7 @@ let generate knobs ~seed =
            duration = Some (span rng (0.10 *. h) (0.30 *. h));
          });
   if Util.Rng.chance rng 0.4 then begin
-    match distinct_nodes rng ~nodes:knobs.nodes ~count:2 with
+    match distinct_nodes rng ~nodes ~count:2 with
     | [ a; b ] ->
       add
         (Scenario.Flaky
@@ -181,7 +155,7 @@ let generate knobs ~seed =
     | _ -> ()
   end;
   if Util.Rng.chance rng 0.3 then begin
-    let node = Util.Rng.int rng knobs.nodes in
+    let node = Util.Rng.int rng nodes in
     busy := node :: !busy;
     add
       (Scenario.Suspect
@@ -203,18 +177,13 @@ let generate knobs ~seed =
      its shard below 3 members (a join lands in shard 0, a replace's joiner
      takes the leaver's shard).  Unsharded, the global floor already
      implies this, so those schedules draw exactly as before. *)
-  let shrunk = Array.make knobs.shards false in
+  let shrunk = Array.make shards false in
   if knobs.reconfigs > 0 then begin
-    let members = ref (List.init knobs.nodes Fun.id) in
-    let pool = ref (List.init knobs.spares (fun i -> knobs.nodes + i)) in
-    let floor = Stdlib.max 3 ((knobs.nodes / 2) + 1) in
-    let home =
-      Array.init (knobs.nodes + knobs.spares) (fun n ->
-          if n < knobs.nodes then initial_shard_of ~nodes:knobs.nodes ~shards:knobs.shards n
-          else 0)
-    in
-    let sizes = Array.make knobs.shards 0 in
-    Array.iteri (fun n s -> if n < knobs.nodes then sizes.(s) <- sizes.(s) + 1) home;
+    let members = ref (List.init nodes Fun.id) in
+    let pool = ref (List.init spares (fun i -> nodes + i)) in
+    let floor = Stdlib.max 3 ((nodes / 2) + 1) in
+    let home = Array.append shard_of (Array.make spares 0) in
+    let sizes = Array.of_list (List.map List.length layout) in
     let n_ops = Util.Rng.int rng (knobs.reconfigs + 1) in
     let slot i =
       (0.20 *. h)
@@ -273,12 +242,10 @@ let generate knobs ~seed =
      the half a later leave hits, depend on the interleaving.  These draws
      come after every classic one: [shards = 1] or [shard_ops = 0]
      reproduces the pre-shard schedule byte-for-byte. *)
-  if knobs.shards > 1 && knobs.shard_ops > 0 then begin
-    let dir = Array.init knobs.accounts (fun oid -> oid mod knobs.shards) in
-    let sizes =
-      let base = knobs.nodes / knobs.shards and rem = knobs.nodes mod knobs.shards in
-      ref (List.init knobs.shards (fun s -> base + if s < rem then 1 else 0))
-    in
+  if shards > 1 && knobs.shard_ops > 0 then begin
+    let objects = spec.params.objects in
+    let dir = Array.init objects (fun oid -> oid mod shards) in
+    let sizes = ref (List.map List.length layout) in
     let shard_count () = List.length !sizes in
     let n_ops = Util.Rng.int rng (knobs.shard_ops + 1) in
     let slot i =
@@ -289,7 +256,7 @@ let generate knobs ~seed =
     for i = 0 to n_ops - 1 do
       let splittable =
         List.mapi (fun s n -> (s, n)) !sizes
-        |> List.filter (fun (s, n) -> n >= 6 && not (s < knobs.shards && shrunk.(s)))
+        |> List.filter (fun (s, n) -> n >= 6 && not (s < shards && shrunk.(s)))
       in
       if splittable <> [] && Util.Rng.chance rng 0.3 then begin
         let s, n = List.nth splittable (Util.Rng.int rng (List.length splittable)) in
@@ -309,7 +276,7 @@ let generate knobs ~seed =
         add (Scenario.ShardSplit { shard = s; at = slot i })
       end
       else begin
-        let oid = Util.Rng.int rng knobs.accounts in
+        let oid = Util.Rng.int rng objects in
         let cur = dir.(oid) in
         let to_shard =
           if shard_count () = 1 then cur
@@ -333,18 +300,18 @@ let generate knobs ~seed =
    two nodes whose replacement comes last.  Groups name every machine —
    spares included — because unnamed nodes fall into the network's
    implicit extra group. *)
-let generate_rolling knobs ~seed =
-  if knobs.spares < 1 then
-    invalid_arg "Chaos.generate_rolling: rolling restarts need spares >= 1";
-  if knobs.nodes < 5 then invalid_arg "Chaos.generate_rolling: needs nodes >= 5";
-  let rng = Util.Rng.create (seed lxor 0x0011_ee77) in
+let generate_rolling knobs (spec : Experiment.spec) =
+  let nodes = spec.nodes and spares = spec.spares in
+  if spares < 1 then invalid_arg "Chaos.generate_rolling: rolling restarts need spares >= 1";
+  if nodes < 5 then invalid_arg "Chaos.generate_rolling: needs nodes >= 5";
+  let rng = Util.Rng.create (spec.seed lxor 0x0011_ee77) in
   let h = knobs.horizon in
-  let total = knobs.nodes + knobs.spares in
+  let total = nodes + spares in
   let events = ref [] in
   let add e = events := e :: !events in
   (* One early crash/recover, fully healed before the churn begins. *)
   if knobs.max_crashes > 0 then begin
-    let node = Util.Rng.int rng (knobs.nodes - 2) in
+    let node = Util.Rng.int rng (nodes - 2) in
     let at = span rng (0.03 *. h) (0.06 *. h) in
     add (Scenario.Crash { node; at });
     add (Scenario.Recover { node; at = at +. span rng (0.04 *. h) (0.08 *. h) })
@@ -352,7 +319,7 @@ let generate_rolling knobs ~seed =
   (* Minority partition over the two nodes replaced last, so the churn and
      the partition overlap without ever wedging a reconfiguration on an
      unreachable subject. *)
-  let minority = [ knobs.nodes - 2; knobs.nodes - 1 ] in
+  let minority = [ nodes - 2; nodes - 1 ] in
   let majority =
     List.init total Fun.id |> List.filter (fun n -> not (List.mem n minority))
   in
@@ -371,10 +338,10 @@ let generate_rolling knobs ~seed =
      each leaver re-enters the pool, so [spares >= 1] suffices for any
      cluster size. *)
   let pool = Queue.create () in
-  for s = 0 to knobs.spares - 1 do
-    Queue.add (knobs.nodes + s) pool
+  for s = 0 to spares - 1 do
+    Queue.add (nodes + s) pool
   done;
-  for i = 0 to knobs.nodes - 1 do
+  for i = 0 to nodes - 1 do
     let joining = Queue.pop pool in
     Queue.add i pool;
     add
@@ -382,222 +349,35 @@ let generate_rolling knobs ~seed =
          {
            leaving = i;
            joining;
-           at = (0.22 *. h) +. (Float.of_int i *. (0.68 *. h /. Float.of_int knobs.nodes));
+           at = (0.22 *. h) +. (Float.of_int i *. (0.68 *. h /. Float.of_int nodes));
          })
   done;
   List.rev !events
 
-let render_schedule events =
-  String.concat "; " (List.map (Format.asprintf "%a" Scenario.pp_event) events)
-
 (* {2 Running one schedule} *)
 
-type stall = {
-  stall_at : float;
-  stall_in_flight : (int * Core.Ids.txn_id) list;
-  stall_leases : (int * Core.Ids.obj_id * int * float) list;
-}
+type result = { seed : int; events : Scenario.event list; run : Experiment.result }
 
-type result = {
-  seed : int;
-  events : Scenario.event list;
-  commits : int;
-  root_aborts : int;
-  oracle : (unit, string) Stdlib.result;
-  invariant : (unit, string) Stdlib.result;
-  stalls : stall list;
-  report : Scenario.report;
-  quiesced_at : float;
-  view_changes : int;
-  fenced : int;
-  final_epoch : int;
-  shards : int;
-  xshard_commits : int;
-  xshard_aborts : int;
-}
+let report r = Option.get r.run.Experiment.report
 
-let passed r = r.oracle = Ok () && r.invariant = Ok () && r.stalls = []
+let passed r = Experiment.passed r.run
 
-(* The watchdog window must dwarf every legitimate no-progress interval:
-   the full lease-termination pipeline (lease horizon, grace, the bounded
-   status rounds) and the longest contiguous fault window in the schedule
-   (plus failure detection), with a 2x safety factor so slow-but-alive
-   configurations don't trip it. *)
-let stall_window (config : Config.t) events =
-  let termination =
-    config.lease_duration +. config.status_grace
-    +. (Float.of_int config.status_attempts *. config.request_timeout)
-  in
-  (* A reconfiguration legitimately pauses commits for its wedge (two
-     request timeouts), a snapshot/handoff round or two, and — when a node
-     departs — a lease drain bounded by the lease horizon; overlapping a
-     partition can stretch the snapshot until the heal, which the fault
-     window of the partition itself already covers. *)
-  let reconfig_span =
-    (8. *. config.request_timeout) +. config.lease_duration
-  in
-  let longest_fault =
-    List.fold_left
-      (fun acc event ->
-        let window =
-          match event with
-          | Scenario.Crash _ | Scenario.Recover _ -> 0.
-          | Scenario.Suspect { duration; _ } | Scenario.Partition { duration; _ } ->
-            duration
-          | Scenario.Drop { duration; _ }
-          | Scenario.Duplicate { duration; _ }
-          | Scenario.Spike { duration; _ }
-          | Scenario.Flaky { duration; _ } ->
-            Option.value ~default:0. duration
-          | Scenario.Join _ | Scenario.Leave _ | Scenario.Replace _ -> reconfig_span
-          (* Shard ops wedge the involved shards for the same pipeline:
-             grace, snapshot, handoff, unwedge. *)
-          | Scenario.ShardMove _ | Scenario.ShardSplit _ -> reconfig_span
-        in
-        Float.max acc window)
-      0. events
-  in
-  let crash_outages =
-    (* pair each crash with its node's next recovery *)
-    List.fold_left
-      (fun acc event ->
-        match event with
-        | Scenario.Crash { node; at } ->
-          let recovery =
-            List.fold_left
-              (fun best e ->
-                match e with
-                | Scenario.Recover { node = n; at = r } when n = node && r >= at ->
-                  Float.min best r
-                | _ -> best)
-              Float.infinity events
-          in
-          if Float.is_finite recovery then Float.max acc (recovery -. at) else acc
-        | _ -> acc)
-      0. events
-  in
-  2. *. (termination +. Float.max longest_fault crash_outages) +. 1_000.
-
-let run_one ?(config = Config.default Config.Closed) ?tracer ?batch_commit
-    ?(rolling = false) knobs ~seed =
-  let events =
-    if rolling then generate_rolling knobs ~seed else generate knobs ~seed
-  in
-  let cluster, instance =
-    Experiment.setup
-      (Experiment.spec ~nodes:knobs.nodes ~spares:knobs.spares ~seed
-         ~read_level:knobs.read_level ?tracer ?batch_commit ~shards:knobs.shards ~config
-         ~benchmark:Benchmarks.Bank.benchmark
-         ~params:
-           {
-             Benchmarks.Workload.default_params with
-             objects = knobs.accounts;
-             calls = knobs.calls;
-             read_ratio = knobs.read_ratio;
-             key_skew = 0.5;
-             cross_shard_prob = knobs.cross_shard_prob;
-           }
-         ())
-  in
-  let tracker = Scenario.install cluster events in
-  (* Closed-loop clients on EVERY node, crash victims included.  A client
-     whose node dies is killed with it (Executor.kill_node): its root never
-     reports back and it stops resubmitting — exactly a testbed thread
-     dying with its machine. *)
-  let client_rng = Util.Rng.create (seed * 7919) in
-  let stop = ref false in
-  (* Clients are membership-aware: a client whose home node has been
-     decommissioned resubmits through the next member up (wrapping), like
-     an application reconnecting after its server was rotated out.  A
-     {e crashed} home stays a member, so crash-death semantics are
-     unchanged — the client dies with its machine. *)
-  let route home =
-    if Cluster.is_member cluster home then home
-    else
-      let members = Cluster.members cluster in
-      match List.find_opt (fun n -> n > home) members with
-      | Some n -> n
-      | None -> List.hd members
-  in
-  let rec client node rng =
-    if not !stop then begin
-      let program = instance.Benchmarks.Workload.generate rng in
-      Cluster.submit cluster ~node:(route node) program ~on_done:(fun _ ->
-          client node rng)
-    end
-  in
-  for c = 0 to knobs.clients - 1 do
-    client (c mod knobs.nodes) (Util.Rng.split client_rng)
-  done;
-  Sim.Engine.schedule_at (Cluster.engine cluster) ~time:knobs.horizon (fun () ->
-      stop := true);
-  (* Liveness watchdog: drive the engine in watchdog-window steps instead of
-     draining blindly, so a livelock shows up as a stall report rather than
-     a hang.  A window with no new commits but live coordinators (or any
-     non-quiescent engine once progress has ceased entirely) is a stall;
-     after [max_idle] commit-free windows past the horizon the run is
-     abandoned and reported.  Termination is structural: post-horizon
-     commits are bounded by the surviving clients, so the loop runs at most
-     that many progressing windows plus [max_idle]. *)
-  let window = stall_window config events in
-  let stalls = ref [] in
-  let metrics = Cluster.metrics cluster in
-  let engine = Cluster.engine cluster in
-  let note_stall () =
-    Metrics.note_stall metrics;
-    stalls :=
-      {
-        stall_at = Cluster.now cluster;
-        stall_in_flight = Cluster.in_flight cluster;
-        stall_leases = Cluster.held_leases cluster;
-      }
-      :: !stalls
-  in
-  let max_idle = 3 in
-  let rec drive ~last_commits ~idle =
-    if Sim.Engine.pending engine > 0 then begin
-      Cluster.run_for cluster window;
-      let commits = Metrics.commits metrics in
-      if Sim.Engine.pending engine > 0 then begin
-        let progressed = commits > last_commits in
-        if (not progressed) && Cluster.in_flight cluster <> [] then note_stall ();
-        let idle =
-          if progressed || Cluster.now cluster <= knobs.horizon then 0 else idle + 1
-        in
-        if idle >= max_idle then begin
-          (* Abandoned non-quiescent: events keep firing but nothing
-             commits — a liveness failure even with no coordinator alive
-             (e.g. a recovery or status loop that never converges). *)
-          if !stalls = [] then note_stall ()
-        end
-        else drive ~last_commits:commits ~idle
-      end
-    end
-  in
-  drive ~last_commits:0 ~idle:0;
+let run ~clients ~horizon (spec : Experiment.spec) events =
   {
-    seed;
+    seed = spec.seed;
     events;
-    commits = Metrics.commits metrics;
-    root_aborts = Metrics.root_aborts metrics;
-    oracle = Cluster.check_consistency cluster;
-    invariant = instance.Benchmarks.Workload.check ();
-    stalls = List.rev !stalls;
-    report = Scenario.report tracker;
-    quiesced_at = Cluster.now cluster;
-    view_changes = Metrics.view_changes metrics;
-    fenced = Cluster.fenced_messages cluster;
-    final_epoch = Cluster.epoch cluster;
-    shards = Cluster.shard_count cluster;
-    xshard_commits = Metrics.cross_shard_commits metrics;
-    xshard_aborts = Metrics.cross_shard_aborts metrics;
+    run = Experiment.run ~clients ~warmup:0. ~duration:horizon ~events spec;
   }
+
+let run_one ?(rolling = false) ~clients knobs spec =
+  let generate = if rolling then generate_rolling else generate in
+  run ~clients ~horizon:knobs.horizon spec (generate knobs spec)
 
 let failures results = List.filter (fun r -> not (passed r)) results
 
 (* {2 Rendering} *)
 
-let pp_stall ppf s =
+let pp_stall ppf (s : Experiment.stall) =
   let flight =
     String.concat ", "
       (List.map (fun (node, txn) -> Printf.sprintf "txn %d@node %d" txn node) s.stall_in_flight)
@@ -611,8 +391,10 @@ let pp_stall ppf s =
   in
   Format.fprintf ppf "stall @%.0f in-flight [%s] leases [%s]" s.stall_at flight leases
 
+let status = function Ok () -> "ok" | Error msg -> "FAILED: " ^ msg
+
 let pp_result ppf r =
-  let status = function Ok () -> "ok" | Error msg -> "FAILED: " ^ msg in
+  let rp = report r in
   Format.fprintf ppf
     "@[<v>seed %d: %s@,\
      schedule: %s@,\
@@ -622,14 +404,14 @@ let pp_result ppf r =
      views[changes=%d epoch=%d fenced=%d]@]"
     r.seed
     (if passed r then "PASS" else "FAIL")
-    (render_schedule r.events) r.commits r.root_aborts r.quiesced_at (status r.oracle)
-    (status r.invariant) r.report.Scenario.lease_expirations
-    r.report.Scenario.presumed_aborts r.report.Scenario.rescued_commits
-    r.report.Scenario.retransmit_exhausted r.view_changes r.final_epoch r.fenced;
-  if r.shards > 1 then
-    Format.fprintf ppf "@,shards[n=%d xshard_commits=%d xshard_aborts=%d]" r.shards
-      r.xshard_commits r.xshard_aborts;
-  List.iter (fun s -> Format.fprintf ppf "@,%a" pp_stall s) r.stalls
+    (Scenario.to_string r.events) rp.total_commits rp.root_aborts rp.taken_at
+    (status r.run.consistent) (status r.run.invariant) rp.lease_expirations
+    rp.presumed_aborts rp.rescued_commits rp.retransmit_exhausted rp.view_changes
+    rp.final_epoch rp.fenced_messages;
+  if rp.shards > 1 then
+    Format.fprintf ppf "@,shards[n=%d xshard_commits=%d xshard_aborts=%d]" rp.shards
+      rp.cross_shard_commits rp.cross_shard_aborts;
+  List.iter (fun s -> Format.fprintf ppf "@,%a" pp_stall s) r.run.stalls
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -645,24 +427,24 @@ let json_escape s =
   Buffer.contents buf
 
 let result_to_json r =
+  let rp = report r in
   let status = function Ok () -> {|"ok"|} | Error msg -> Printf.sprintf "%S" (json_escape msg) in
   let base =
     Printf.sprintf
       {|{"seed":%d,"pass":%b,"schedule":"%s","commits":%d,"root_aborts":%d,"quiesced_at":%.1f,"oracle":%s,"invariant":%s,"stalls":%d,"lease_expired":%d,"presumed_abort":%d,"status_rescued_commits":%d,"stalls_detected":%d,"retransmit_exhausted":%d,"view_changes":%d,"final_epoch":%d,"fenced":%d|}
       r.seed (passed r)
-      (json_escape (render_schedule r.events))
-      r.commits r.root_aborts r.quiesced_at (status r.oracle) (status r.invariant)
-      (List.length r.stalls) r.report.Scenario.lease_expirations
-      r.report.Scenario.presumed_aborts r.report.Scenario.rescued_commits
-      r.report.Scenario.stalls_detected r.report.Scenario.retransmit_exhausted
-      r.view_changes r.final_epoch r.fenced
+      (json_escape (Scenario.to_string r.events))
+      rp.total_commits rp.root_aborts rp.taken_at (status r.run.consistent)
+      (status r.run.invariant) (List.length r.run.stalls) rp.lease_expirations
+      rp.presumed_aborts rp.rescued_commits rp.stalls_detected rp.retransmit_exhausted
+      rp.view_changes rp.final_epoch rp.fenced_messages
   in
   (* Shard fields only on sharded runs, so unsharded JSON is unchanged. *)
   let sharded =
-    if r.shards <= 1 then ""
+    if rp.shards <= 1 then ""
     else
       Printf.sprintf {|,"shards":%d,"cross_shard_commits":%d,"cross_shard_aborts":%d|}
-        r.shards r.xshard_commits r.xshard_aborts
+        rp.shards rp.cross_shard_commits rp.cross_shard_aborts
   in
   base ^ sharded ^ "}"
 
@@ -671,22 +453,23 @@ let results_to_json results =
 
 let summary results =
   let failed = failures results in
-  let total f = List.fold_left (fun acc r -> acc + f r) 0 results in
-  let xc = total (fun r -> r.xshard_commits) and xa = total (fun r -> r.xshard_aborts) in
+  let total f = List.fold_left (fun acc r -> acc + f (report r)) 0 results in
+  let xc = total (fun rp -> rp.cross_shard_commits)
+  and xa = total (fun rp -> rp.cross_shard_aborts) in
   Printf.sprintf
     "chaos: %d/%d schedules passed; commits=%d presumed_aborts=%d rescued=%d \
      lease_expirations=%d stalls=%d retransmit_give_ups=%d view_changes=%d \
      fenced=%d%s%s"
     (List.length results - List.length failed)
     (List.length results)
-    (total (fun r -> r.commits))
-    (total (fun r -> r.report.Scenario.presumed_aborts))
-    (total (fun r -> r.report.Scenario.rescued_commits))
-    (total (fun r -> r.report.Scenario.lease_expirations))
-    (total (fun r -> List.length r.stalls))
-    (total (fun r -> r.report.Scenario.retransmit_exhausted))
-    (total (fun r -> r.view_changes))
-    (total (fun r -> r.fenced))
+    (total (fun rp -> rp.total_commits))
+    (total (fun rp -> rp.presumed_aborts))
+    (total (fun rp -> rp.rescued_commits))
+    (total (fun rp -> rp.lease_expirations))
+    (List.fold_left (fun acc r -> acc + List.length r.run.stalls) 0 results)
+    (total (fun rp -> rp.retransmit_exhausted))
+    (total (fun rp -> rp.view_changes))
+    (total (fun rp -> rp.fenced_messages))
     (if xc = 0 && xa = 0 then ""
      else Printf.sprintf " cross_shard[commits=%d aborts=%d]" xc xa)
     (if failed = [] then ""

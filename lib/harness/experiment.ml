@@ -1,5 +1,11 @@
 open Core
 
+type stall = {
+  stall_at : float;
+  stall_in_flight : (int * Ids.txn_id) list;
+  stall_leases : (int * Ids.obj_id * int * float) list;
+}
+
 type result = {
   label : string;
   duration : float;
@@ -26,9 +32,13 @@ type result = {
   cross_shard_commits : int;
   cross_shard_aborts : int;
   cross_shard_share : float;
+  stalls : stall list;
+  report : Scenario.report option;
   invariant : (unit, string) Stdlib.result;
   consistent : (unit, string) Stdlib.result;
 }
+
+let passed r = r.invariant = Ok () && r.consistent = Ok () && r.stalls = []
 
 let pp_result fmt r =
   let status = function Ok () -> "ok" | Error msg -> "FAILED: " ^ msg in
@@ -44,91 +54,48 @@ let pp_result fmt r =
      output stays byte-stable. *)
   if r.cross_shard_commits > 0 || r.cross_shard_aborts > 0 then
     Format.fprintf fmt " xshard[commits=%d aborts=%d share=%.3f]"
-      r.cross_shard_commits r.cross_shard_aborts r.cross_shard_share
+      r.cross_shard_commits r.cross_shard_aborts r.cross_shard_share;
+  if r.stalls <> [] then Format.fprintf fmt " stalls=%d" (List.length r.stalls)
 
-(* Snapshot of every counter at the close of the measurement window. *)
-type snapshot = {
-  s_commits : int;
-  s_ro : int;
-  s_root_aborts : int;
-  s_partial : int;
-  s_ct : int;
-  s_chk : int;
-  s_msgs : int;
-  s_by_kind : (string * int) list;
-  s_remote : int;
-  s_local : int;
-  s_mean : float;
-  s_p50 : float;
-  s_p95 : float;
-  s_p99 : float;
-  s_spec_aborts : int;
-  s_batches : int;
-  s_occ_p50 : float;
-  s_occ_p95 : float;
-  s_xs_commits : int;
-  s_xs_aborts : int;
-  s_xs_share : float;
-}
-
-let snapshot_of metrics ~messages ~by_kind =
-  let latencies = Metrics.latency_stats metrics in
-  {
-    s_commits = Metrics.commits metrics;
-    s_ro = Metrics.read_only_commits metrics;
-    s_root_aborts = Metrics.root_aborts metrics;
-    s_partial = Metrics.partial_aborts metrics;
-    s_ct = Metrics.ct_commits metrics;
-    s_chk = Metrics.checkpoints metrics;
-    s_msgs = messages;
-    s_by_kind = by_kind;
-    s_remote = Metrics.remote_reads metrics;
-    s_local = Metrics.local_reads metrics;
-    s_mean = Util.Stats.mean latencies;
-    s_p50 = Metrics.latency_percentile metrics 50.;
-    s_p95 = Metrics.latency_percentile metrics 95.;
-    s_p99 = Metrics.latency_percentile metrics 99.;
-    s_spec_aborts = Metrics.speculation_aborts metrics;
-    s_batches = Metrics.batches metrics;
-    s_occ_p50 = Metrics.batch_occupancy_percentile metrics 50.;
-    s_occ_p95 = Metrics.batch_occupancy_percentile metrics 95.;
-    s_xs_commits = Metrics.cross_shard_commits metrics;
-    s_xs_aborts = Metrics.cross_shard_aborts metrics;
-    s_xs_share = Metrics.cross_shard_share metrics;
-  }
-
-let result_of_snapshot ~label ~duration ~invariant ~consistent s =
-  let attempts = s.s_commits + s.s_root_aborts + s.s_partial in
+(* Every counter at the close of the measurement window.  The checks,
+   stalls and fault report are filled in once the run has quiesced. *)
+let measure metrics ~label ~duration ~messages ~by_kind =
+  let commits = Metrics.commits metrics
+  and root_aborts = Metrics.root_aborts metrics
+  and partial_aborts = Metrics.partial_aborts metrics in
+  let attempts = commits + root_aborts + partial_aborts in
   {
     label;
     duration;
-    commits = s.s_commits;
-    read_only_commits = s.s_ro;
-    throughput = (if duration <= 0. then 0. else Float.of_int s.s_commits /. (duration /. 1000.));
-    root_aborts = s.s_root_aborts;
-    partial_aborts = s.s_partial;
+    commits;
+    read_only_commits = Metrics.read_only_commits metrics;
+    throughput = (if duration <= 0. then 0. else Float.of_int commits /. (duration /. 1000.));
+    root_aborts;
+    partial_aborts;
     abort_rate =
       (if attempts = 0 then 0.
-       else Float.of_int (s.s_root_aborts + s.s_partial) /. Float.of_int attempts);
-    ct_commits = s.s_ct;
-    checkpoints = s.s_chk;
-    messages = s.s_msgs;
-    messages_by_kind = s.s_by_kind;
-    remote_reads = s.s_remote;
-    local_reads = s.s_local;
-    mean_latency = s.s_mean;
-    p50_latency = s.s_p50;
-    p95_latency = s.s_p95;
-    p99_latency = s.s_p99;
-    speculation_aborts = s.s_spec_aborts;
-    batches = s.s_batches;
-    batch_occupancy_p50 = s.s_occ_p50;
-    batch_occupancy_p95 = s.s_occ_p95;
-    cross_shard_commits = s.s_xs_commits;
-    cross_shard_aborts = s.s_xs_aborts;
-    cross_shard_share = s.s_xs_share;
-    invariant;
-    consistent;
+       else Float.of_int (root_aborts + partial_aborts) /. Float.of_int attempts);
+    ct_commits = Metrics.ct_commits metrics;
+    checkpoints = Metrics.checkpoints metrics;
+    messages;
+    messages_by_kind = by_kind;
+    remote_reads = Metrics.remote_reads metrics;
+    local_reads = Metrics.local_reads metrics;
+    mean_latency = Util.Stats.mean (Metrics.latency_stats metrics);
+    p50_latency = Metrics.latency_percentile metrics 50.;
+    p95_latency = Metrics.latency_percentile metrics 95.;
+    p99_latency = Metrics.latency_percentile metrics 99.;
+    speculation_aborts = Metrics.speculation_aborts metrics;
+    batches = Metrics.batches metrics;
+    batch_occupancy_p50 = Metrics.batch_occupancy_percentile metrics 50.;
+    batch_occupancy_p95 = Metrics.batch_occupancy_percentile metrics 95.;
+    cross_shard_commits = Metrics.cross_shard_commits metrics;
+    cross_shard_aborts = Metrics.cross_shard_aborts metrics;
+    cross_shard_share = Metrics.cross_shard_share metrics;
+    stalls = [];
+    report = None;
+    invariant = Ok ();
+    consistent = Ok ();
   }
 
 type spec = {
@@ -172,78 +139,181 @@ let setup s =
   in
   (cluster, s.benchmark.setup cluster s.params)
 
-let run ?(clients = 26) ?(warmup = 2_000.) ?(duration = 30_000.) ?client_nodes ?prepare
-    ?telemetry spec =
+(* The watchdog window must dwarf every legitimate no-progress interval:
+   the full lease-termination pipeline (lease horizon, grace, the bounded
+   status rounds) and the longest contiguous fault window in the schedule
+   (plus failure detection), with a 2x safety factor so slow-but-alive
+   configurations don't trip it. *)
+let stall_window (config : Config.t) events =
+  let termination =
+    config.lease_duration +. config.status_grace
+    +. (Float.of_int config.status_attempts *. config.request_timeout)
+  in
+  (* A view change legitimately pauses commits for its wedge (two request
+     timeouts), a pull/push round or two, and — when a node departs — a
+     lease drain bounded by the lease horizon; overlapping a partition can
+     stretch the pull until the heal, which the fault window of the
+     partition itself already covers. *)
+  let view_change_span = (8. *. config.request_timeout) +. config.lease_duration in
+  (* How long one event can hold commits back; a crash lasts until its
+     node's next recovery (an unrecovered crash counts for nothing). *)
+  let window = function
+    | Scenario.Crash { node; at } ->
+      let recovery =
+        List.fold_left
+          (fun best e ->
+            match e with
+            | Scenario.Recover { node = n; at = r } when n = node && r >= at -> Float.min best r
+            | _ -> best)
+          Float.infinity events
+      in
+      if Float.is_finite recovery then recovery -. at else 0.
+    | Scenario.Recover _ -> 0.
+    | Scenario.Suspect { duration; _ } | Scenario.Partition { duration; _ } -> duration
+    | Scenario.Drop { duration; _ }
+    | Scenario.Duplicate { duration; _ }
+    | Scenario.Spike { duration; _ }
+    | Scenario.Flaky { duration; _ } ->
+      Option.value ~default:0. duration
+    | Scenario.Join _ | Scenario.Leave _ | Scenario.Replace _ | Scenario.ShardMove _
+    | Scenario.ShardSplit _ ->
+      view_change_span
+  in
+  2. *. (termination +. List.fold_left (fun acc e -> Float.max acc (window e)) 0. events)
+  +. 1_000.
+
+(* The drive loop: run the engine to quiescence one watchdog [window] at
+   a time, so a livelock shows up as a stall report rather than a hang.
+   After each window the watchdog judges progress: a window with no new
+   commits but live coordinators is a stall; after [max_idle] commit-free
+   windows past [horizon] the run is abandoned and reported.  Termination
+   is structural: commits past the horizon are bounded by the surviving
+   clients.  Telemetry samples on its own grid inside the windows,
+   pull-model: no tick enters the engine, so a sampled run stays
+   byte-identical to an unsampled one. *)
+let drive cluster ~horizon ~window telemetry =
+  let engine = Cluster.engine cluster and metrics = Cluster.metrics cluster in
+  let pending () = Sim.Engine.pending engine > 0 in
+  let stalls = ref [] in
+  let note_stall () =
+    Metrics.note_stall metrics;
+    stalls :=
+      {
+        stall_at = Cluster.now cluster;
+        stall_in_flight = Cluster.in_flight cluster;
+        stall_leases = Cluster.held_leases cluster;
+      }
+      :: !stalls
+  in
+  let advance =
+    match telemetry with
+    | None -> fun target -> Sim.Engine.run ~until:target engine
+    | Some tele ->
+      let next = ref (Sim.Engine.now engine) in
+      let sample () =
+        Obs.Telemetry.record tele ~time:!next ~commits:(Metrics.commits metrics)
+          ~aborts:(Metrics.total_aborts metrics)
+          ~in_flight:(List.length (Cluster.in_flight cluster))
+          ~lease_expirations:(Metrics.lease_expirations metrics)
+          ~speculation_aborts:(Metrics.speculation_aborts metrics)
+          ~batches:(Metrics.batches metrics)
+          ~cross_shard_commits:(Metrics.cross_shard_commits metrics)
+          ~cross_shard_aborts:(Metrics.cross_shard_aborts metrics)
+          ~by_kind:(Cluster.messages_by_kind cluster) ();
+        next := !next +. Obs.Telemetry.window tele
+      in
+      sample ();
+      fun target ->
+        while pending () && !next <= target do
+          Sim.Engine.run ~until:!next engine;
+          sample ()
+        done;
+        let cut = pending () in
+        Sim.Engine.run ~until:target engine;
+        (* Quiesced between two sample points: nothing changes before the
+           next one, so take it now. *)
+        if cut && not (pending ()) then sample ()
+  in
+  (* Progress is new commits, or a counter reset (the end of warm-up). *)
+  let progress () = (Metrics.resets metrics, Metrics.commits metrics) in
+  let max_idle = 3 in
+  let rec go ~target ~last ~idle =
+    if pending () then begin
+      advance target;
+      if pending () then begin
+        let ((resets, commits) as now) = progress () in
+        let progressed = resets <> fst last || commits > snd last in
+        if (not progressed) && Cluster.in_flight cluster <> [] then note_stall ();
+        let idle = if progressed || Cluster.now cluster <= horizon then 0 else idle + 1 in
+        if idle < max_idle then go ~target:(target +. window) ~last:now ~idle
+          (* Abandoned non-quiescent: events keep firing but nothing
+             commits — a liveness failure even with no coordinator alive
+             (e.g. a recovery or status loop that never converges). *)
+        else if !stalls = [] then note_stall ()
+      end
+    end
+  in
+  go ~target:(Sim.Engine.now engine +. window) ~last:(progress ()) ~idle:0;
+  List.rev !stalls
+
+let run ?(clients = 26) ?(warmup = 2_000.) ?(duration = 30_000.) ?client_nodes
+    ?(events = []) ?telemetry spec =
   let cluster, instance = setup spec in
-  Option.iter (fun f -> f cluster) prepare;
+  let tracker = Scenario.install cluster events in
   let client_rng = Util.Rng.create (spec.seed * 7919) in
   let stop = ref false in
+  (* Clients are membership-aware: a client whose home node has been
+     decommissioned resubmits through the next member up (wrapping), like
+     an application reconnecting after its server was rotated out.  A
+     {e crashed} home stays a member, and the client dies with its machine
+     (Executor.kill_node): its root never reports back and it stops
+     resubmitting, as a testbed thread dies with its machine. *)
+  let route home =
+    if Cluster.is_member cluster home then home
+    else
+      let members = Cluster.members cluster in
+      match List.find_opt (fun n -> n > home) members with
+      | Some n -> n
+      | None -> List.hd members
+  in
   let rec client node rng =
     if not !stop then begin
       let program = instance.generate rng in
-      Cluster.submit cluster ~node program ~on_done:(fun _ -> client node rng)
+      Cluster.submit cluster ~node:(route node) program ~on_done:(fun _ -> client node rng)
     end
   in
-  (* Clients live on [client_nodes] (default: everywhere).  A client whose
-     node fail-stops would otherwise spin on dropped requests forever —
-     failure experiments place clients on surviving nodes only, matching a
-     testbed where a dead machine's threads die with it. *)
   let placements = Array.of_list (Option.value ~default:(List.init spec.nodes Fun.id) client_nodes) in
   for c = 0 to clients - 1 do
     client placements.(c mod Array.length placements) (Util.Rng.split client_rng)
   done;
   (* Warm-up, then zero the counters; snapshot at window close; then stop
      admission and drain so the invariant checks see quiescent replicas. *)
+  let horizon = warmup +. duration in
+  let label =
+    Printf.sprintf "%s/%s" spec.benchmark.name (Config.mode_name spec.config.Config.mode)
+  in
   let snap = ref None in
-  Sim.Engine.schedule_at (Cluster.engine cluster) ~time:warmup (fun () ->
-      Cluster.reset_counters cluster);
-  Sim.Engine.schedule_at (Cluster.engine cluster) ~time:(warmup +. duration) (fun () ->
+  if warmup > 0. then
+    Sim.Engine.schedule_at (Cluster.engine cluster) ~time:warmup (fun () ->
+        Cluster.reset_counters cluster);
+  Sim.Engine.schedule_at (Cluster.engine cluster) ~time:horizon (fun () ->
       stop := true;
       snap :=
         Some
-          (snapshot_of (Cluster.metrics cluster)
+          (measure (Cluster.metrics cluster) ~label ~duration
              ~messages:(Cluster.messages_sent cluster)
              ~by_kind:(Cluster.messages_by_kind cluster)));
-  (* Telemetry is pull-model: the harness alternates bounded [run_for]
-     windows with counter samples.  No tick event ever enters the engine,
-     so the drain still terminates and traced/untraced runs stay
-     byte-identical. *)
-  (match telemetry with
-  | None -> Cluster.drain cluster
-  | Some tele ->
-    let engine = Cluster.engine cluster in
-    let window = Obs.Telemetry.window tele in
-    let metrics = Cluster.metrics cluster in
-    let sample () =
-      Obs.Telemetry.record tele ~time:(Sim.Engine.now engine)
-        ~commits:(Metrics.commits metrics)
-        ~aborts:(Metrics.total_aborts metrics)
-        ~in_flight:(List.length (Cluster.in_flight cluster))
-        ~lease_expirations:(Metrics.lease_expirations metrics)
-        ~speculation_aborts:(Metrics.speculation_aborts metrics)
-        ~batches:(Metrics.batches metrics)
-        ~cross_shard_commits:(Metrics.cross_shard_commits metrics)
-        ~cross_shard_aborts:(Metrics.cross_shard_aborts metrics)
-        ~by_kind:(Cluster.messages_by_kind cluster) ()
-    in
-    sample ();
-    while Sim.Engine.pending engine > 0 do
-      Cluster.run_for cluster window;
-      sample ()
-    done);
-  let s =
-    match !snap with
-    | Some s -> s
-    | None -> invalid_arg "Experiment.run: snapshot event never fired"
+  let stalls =
+    drive cluster ~horizon ~window:(stall_window spec.config events) telemetry
   in
+  let report = Some (Scenario.report tracker) in
   let invariant = instance.check () in
   let consistent =
     if spec.with_oracle then Cluster.check_consistency cluster else Ok ()
   in
-  let label =
-    Printf.sprintf "%s/%s" spec.benchmark.name (Config.mode_name spec.config.Config.mode)
-  in
-  result_of_snapshot ~label ~duration ~invariant ~consistent s
+  match !snap with
+  | Some s -> { s with stalls; report; invariant; consistent }
+  | None -> invalid_arg "Experiment.run: snapshot event never fired"
 
 (* --- generic systems -------------------------------------------------- *)
 
@@ -328,8 +398,8 @@ let run_system system ?(clients = 26) ?(warmup = 2_000.) ?(duration = 30_000.) ~
   system.run_for duration;
   stop := true;
   let s =
-    snapshot_of system.metrics ~messages:(system.messages ()) ~by_kind:[]
+    measure system.metrics ~label:system.name ~duration ~messages:(system.messages ())
+      ~by_kind:[]
   in
   system.drain ();
-  result_of_snapshot ~label:system.name ~duration ~invariant:(Ok ())
-    ~consistent:(system.check ()) s
+  { s with consistent = system.check () }

@@ -1,10 +1,21 @@
 (** Single-configuration experiment runner.
 
-    One run = build a cluster, set up a benchmark, drive closed-loop
-    clients through warm-up and a measurement window, snapshot the counters
-    at the window's close, drain, and verify both the benchmark invariant
-    and the 1-copy oracle.  All defaults mirror the paper's testbed scaled
-    to the simulator (see DESIGN.md). *)
+    One run = build a cluster, set up a benchmark, install a fault
+    schedule, drive closed-loop clients through warm-up and a measurement
+    window, snapshot the counters at the window's close, drive the engine
+    to quiescence under a liveness watchdog, and verify both the benchmark
+    invariant and the 1-copy oracle.  [qr-dtm run], [scenario] and [chaos]
+    and the figures all run through {!run}.  All defaults mirror the
+    paper's testbed scaled to the simulator (see DESIGN.md). *)
+
+type stall = {
+  stall_at : float;
+  stall_in_flight : (int * Core.Ids.txn_id) list;  (** (node, txn) *)
+  stall_leases : (int * Core.Ids.obj_id * int * float) list;
+      (** (replica, oid, owner txn, expiry) *)
+}
+(** A watchdog window with transactions in flight but no new commit, or
+    a run abandoned without quiescing. *)
 
 type result = {
   label : string;
@@ -34,17 +45,24 @@ type result = {
       (** commits decided through the cross-shard 2PC (0 unsharded) *)
   cross_shard_aborts : int;  (** cross-shard 2PC rounds ending in abort *)
   cross_shard_share : float;  (** fraction of commits that were cross-shard *)
+  stalls : stall list;  (** the liveness watchdog's findings, in time order *)
+  report : Scenario.report option;
+      (** the fault report, taken once the run quiesced ([None] from
+          {!run_system}) *)
   invariant : (unit, string) Stdlib.result;
   consistent : (unit, string) Stdlib.result;
 }
+
+val passed : result -> bool
+(** Invariant ok, oracle ok, no stalls. *)
 
 val pp_result : Format.formatter -> result -> unit
 
 (** {2 Run setup}
 
-    Every QR-DTM driver — the closed loop below, {!Openloop.run} and
-    {!Chaos.run_one} — builds its cluster and workload from one [spec]
-    through {!setup}; each driver adds only its own knobs. *)
+    Both QR-DTM drivers — the closed loop below and {!Openloop.run} —
+    build their cluster and workload from one [spec] through {!setup};
+    each driver adds only its own knobs. *)
 
 type spec = {
   nodes : int;  (** initial members *)
@@ -88,16 +106,27 @@ val run :
   ?warmup:float ->
   ?duration:float ->
   ?client_nodes:int list ->
-  ?prepare:(Core.Cluster.t -> unit) ->
+  ?events:Scenario.event list ->
   ?telemetry:Obs.Telemetry.t ->
   spec ->
   result
 (** The closed loop: 26 clients (2 per node) by default, 2 s warm-up,
-    30 s measurement.  Clients default to the initial members only.
-    [prepare] runs after setup and before the clients start — e.g. to
-    schedule failures (Fig. 10).  [telemetry] samples windowed time series
-    while the run drains, pull-model, without scheduling any engine
-    events, so it never perturbs results (nor does [spec.tracer]). *)
+    30 s measurement.  Client [c] lives on [client_nodes.(c mod n)]
+    (default: every initial member) and draws its transactions from its
+    own split of a [seed * 7919] generator.  Clients are membership-aware:
+    one whose node left the view resubmits through the next member up; one
+    whose node crashed dies with it.
+
+    [events] (default none) is installed with {!Scenario.install} before
+    the clients start; it raises [Invalid_argument] when
+    {!Scenario.validate} rejects them.  After the measurement window the
+    engine runs to quiescence in watchdog windows sized from the config
+    and the schedule; commit-free windows with transactions in flight are
+    reported in [stalls], and a run that stops committing past the window
+    without quiescing is abandoned with a stall.  [telemetry] samples
+    windowed time series on its own grid while the engine runs,
+    pull-model, without scheduling any engine event, so it never perturbs
+    results (nor does [spec.tracer]). *)
 
 (** {2 Generic systems (Fig. 9 baselines)}
 

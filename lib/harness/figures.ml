@@ -268,11 +268,10 @@ let fig10 ?(scale = quick) () =
       Sweep.averaged ~trials:scale.trials (fun ~seed ->
           Experiment.run ~clients ~warmup:scale.warmup ~duration:scale.duration
             ~client_nodes:survivors
-            ~prepare:(fun cluster ->
-              List.iteri
-                (fun i node ->
-                  Cluster.fail_node_at cluster ~at:(100. +. (50. *. Float.of_int i)) ~node)
-                victims)
+            ~events:
+              (List.mapi
+                 (fun i node -> Scenario.Crash { node; at = 100. +. (50. *. Float.of_int i) })
+                 victims)
             (Experiment.spec ~nodes ~read_level ~seed ~service_time
                ~config:(Config.default Config.Closed) ~benchmark ~params ()))
     in

@@ -42,35 +42,43 @@ type event =
   | ShardMove of { oid : int; to_shard : int; at : float }
   | ShardSplit of { shard : int; at : float }
 
-let pp_event ppf = function
-  | Crash { node; at } -> Format.fprintf ppf "crash %d @%g" node at
-  | Recover { node; at } -> Format.fprintf ppf "recover %d @%g" node at
-  | Suspect { node; at; duration } ->
-    Format.fprintf ppf "suspect %d @%g for %g" node at duration
+(* Times and probabilities print losslessly: the shortest of [%.15g] and
+   [%.17g] that parses back to the same float, so a printed schedule
+   replays as the one that was generated. *)
+let float_to_string f =
+  let short = Printf.sprintf "%.15g" f in
+  if Float.equal (float_of_string short) f then short else Printf.sprintf "%.17g" f
+
+let pp_event ppf event =
+  let f = float_to_string in
+  let pr fmt = Format.fprintf ppf fmt in
+  let for_ = Option.iter (fun d -> pr " for %s" (f d)) in
+  match event with
+  | Crash { node; at } -> pr "crash %d @%s" node (f at)
+  | Recover { node; at } -> pr "recover %d @%s" node (f at)
+  | Suspect { node; at; duration } -> pr "suspect %d @%s for %s" node (f at) (f duration)
   | Partition { groups; at; duration } ->
     let group g = String.concat "," (List.map string_of_int g) in
-    Format.fprintf ppf "partition %s @%g for %g"
-      (String.concat "|" (List.map group groups))
-      at duration
+    pr "partition %s @%s for %s" (String.concat "|" (List.map group groups)) (f at) (f duration)
   | Drop { p; at; duration } ->
-    Format.fprintf ppf "drop %g @%g" p at;
-    Option.iter (Format.fprintf ppf " for %g") duration
+    pr "drop %s @%s" (f p) (f at);
+    for_ duration
   | Duplicate { p; at; duration } ->
-    Format.fprintf ppf "dup %g @%g" p at;
-    Option.iter (Format.fprintf ppf " for %g") duration
+    pr "dup %s @%s" (f p) (f at);
+    for_ duration
   | Spike { p; factor; at; duration } ->
-    Format.fprintf ppf "spike %g %g @%g" p factor at;
-    Option.iter (Format.fprintf ppf " for %g") duration
+    pr "spike %s %s @%s" (f p) (f factor) (f at);
+    for_ duration
   | Flaky { a; b; p; at; duration } ->
-    Format.fprintf ppf "flaky %d-%d %g @%g" a b p at;
-    Option.iter (Format.fprintf ppf " for %g") duration
-  | Join { node; at } -> Format.fprintf ppf "join %d @%g" node at
-  | Leave { node; at } -> Format.fprintf ppf "leave %d @%g" node at
-  | Replace { leaving; joining; at } ->
-    Format.fprintf ppf "replace %d %d @%g" leaving joining at
-  | ShardMove { oid; to_shard; at } ->
-    Format.fprintf ppf "shardmove %d %d @%g" oid to_shard at
-  | ShardSplit { shard; at } -> Format.fprintf ppf "shardsplit %d @%g" shard at
+    pr "flaky %d-%d %s @%s" a b (f p) (f at);
+    for_ duration
+  | Join { node; at } -> pr "join %d @%s" node (f at)
+  | Leave { node; at } -> pr "leave %d @%s" node (f at)
+  | Replace { leaving; joining; at } -> pr "replace %d %d @%s" leaving joining (f at)
+  | ShardMove { oid; to_shard; at } -> pr "shardmove %d %d @%s" oid to_shard (f at)
+  | ShardSplit { shard; at } -> pr "shardsplit %d @%s" shard (f at)
+
+let to_string events = String.concat "; " (List.map (Format.asprintf "%a" pp_event) events)
 
 (* {2 Parsing} *)
 
@@ -186,10 +194,6 @@ let parse spec =
   with
   | events -> Ok events
   | exception Parse_error msg -> Error msg
-
-let crashed_nodes events =
-  List.filter_map (function Crash { node; _ } -> Some node | _ -> None) events
-  |> List.sort_uniq Int.compare
 
 (* {2 Validation} *)
 
@@ -635,10 +639,12 @@ let install cluster events =
   t
 
 type report = {
+  taken_at : float;
   events : int;
   degraded_time : float;
   degraded_commits : int;
   total_commits : int;
+  root_aborts : int;
   syncs : int;
   recoveries : int;
   mean_recovery_time : float;
@@ -653,6 +659,9 @@ type report = {
   view_changes : int;
   fenced_messages : int;
   final_epoch : int;
+  shards : int;
+  cross_shard_commits : int;
+  cross_shard_aborts : int;
 }
 
 let report t =
@@ -665,10 +674,12 @@ let report t =
   let metrics = Core.Cluster.metrics t.cluster in
   let recovery_stats = Core.Metrics.recovery_time_stats metrics in
   {
+    taken_at = Core.Cluster.now t.cluster;
     events = List.length t.events;
     degraded_time = t.degraded_time +. open_time;
     degraded_commits = t.degraded_commits + open_commits;
     total_commits = Core.Metrics.commits metrics;
+    root_aborts = Core.Metrics.root_aborts metrics;
     syncs = Core.Metrics.syncs metrics;
     recoveries = Core.Metrics.recoveries metrics;
     mean_recovery_time =
@@ -685,6 +696,9 @@ let report t =
     view_changes = Core.Metrics.view_changes metrics;
     fenced_messages = Core.Cluster.fenced_messages t.cluster;
     final_epoch = Core.Cluster.epoch t.cluster;
+    shards = Core.Cluster.shard_count t.cluster;
+    cross_shard_commits = Core.Metrics.cross_shard_commits metrics;
+    cross_shard_aborts = Core.Metrics.cross_shard_aborts metrics;
   }
 
 let pp_report ppf r =

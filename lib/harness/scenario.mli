@@ -42,15 +42,19 @@ type event =
   | ShardMove of { oid : int; to_shard : int; at : float }
   | ShardSplit of { shard : int; at : float }
 
+val float_to_string : float -> string
+(** The shortest of [%.15g] and [%.17g] that parses back to the same
+    float: every time, duration and probability prints this way. *)
+
 val pp_event : Format.formatter -> event -> unit
+
+val to_string : event list -> string
+(** The DSL text of a schedule, events joined by ["; "]; lossless, so
+    [parse (to_string s)] gives back [s] exactly. *)
 
 val parse : string -> (event list, string) result
 (** Parse a scenario string.  Empty chunks are skipped, so trailing [;] is
     fine.  Probabilities must lie in [[0;1]]; times must be non-negative. *)
-
-val crashed_nodes : event list -> int list
-(** Nodes hit by a [crash] event, ascending and de-duplicated — use to keep
-    closed-loop clients off nodes that will die. *)
 
 val validate :
   ?members:int list ->
@@ -90,10 +94,13 @@ type tracker
 
 val install : Core.Cluster.t -> event list -> tracker
 (** Schedule every event against the cluster's engine.  Call before running
-    the workload (e.g. as [Experiment.run ~prepare]).  Raises
+    the workload ({!Experiment.run} does, with its [events]).  Raises
     [Invalid_argument] when {!validate} rejects the events. *)
 
 type report = {
+  taken_at : float;
+      (** simulated ms when the report was taken; after a drained run, the
+          time it quiesced *)
   events : int;
   degraded_time : float;  (** total ms with at least one fault in force *)
   degraded_commits : int;
@@ -101,6 +108,7 @@ type report = {
           counter reset (the end of warm-up) counts only the commits after
           it, as [total_commits] does *)
   total_commits : int;
+  root_aborts : int;
   syncs : int;  (** state-transfer rounds started *)
   recoveries : int;  (** completed restart-to-re-admission cycles *)
   mean_recovery_time : float;  (** ms; [0.] when no recoveries *)
@@ -116,6 +124,9 @@ type report = {
   view_changes : int;  (** reconfigurations completed (epoch bumps) *)
   fenced_messages : int;  (** stale-epoch envelopes dropped by the fence *)
   final_epoch : int;  (** the view epoch when the report was taken *)
+  shards : int;  (** shard count (splits can grow it) *)
+  cross_shard_commits : int;  (** commits decided through the cross-shard 2PC *)
+  cross_shard_aborts : int;  (** cross-shard 2PC rounds ending in abort *)
 }
 
 val report : tracker -> report

@@ -127,18 +127,11 @@ let test_mid_batch_epoch_bump () =
 (* Batch mode under the chaos harness: same verdict machinery as the
    sequential protocol (1-copy oracle, bank invariant, stall watchdog). *)
 let test_batch_chaos () =
-  let knobs =
-    {
-      Harness.Chaos.default_knobs with
-      nodes = 7;
-      clients = 8;
-      horizon = 3_000.;
-      max_crashes = 1;
-    }
-  in
+  let knobs = { Harness.Chaos.default_knobs with horizon = 3_000.; max_crashes = 1 } in
   List.iter
     (fun seed ->
-      let r = Harness.Chaos.run_one ~batch_commit:true knobs ~seed in
+      let spec = { Harness.Chaos.default_spec with nodes = 7; seed; batch_commit = true } in
+      let r = Harness.Chaos.run_one ~clients:8 knobs spec in
       if not (Harness.Chaos.passed r) then
         Alcotest.failf "batch chaos seed %d failed:@.%a" seed
           Harness.Chaos.pp_result r)

@@ -14,7 +14,7 @@ let bank_params =
   { Benchmarks.Workload.default_params with objects = 48; calls = 2; read_ratio = 0.5; key_skew = 0.4 }
 
 let chaos_knobs =
-  { Harness.Chaos.default_knobs with clients = 8; horizon = 3_000.; max_crashes = 1 }
+  { Harness.Chaos.default_knobs with horizon = 3_000.; max_crashes = 1 }
 
 (* --- batch commit on/off ------------------------------------------------ *)
 
@@ -26,10 +26,13 @@ let chaos_knobs =
 let test_batch_mode_verdict_equivalence () =
   List.iter
     (fun seed ->
-      let on = Harness.Chaos.run_one chaos_knobs ~batch_commit:true ~seed in
-      let off = Harness.Chaos.run_one chaos_knobs ~batch_commit:false ~seed in
+      let run batch_commit =
+        Harness.Chaos.run_one ~clients:8 chaos_knobs
+          { Harness.Chaos.default_spec with seed; batch_commit }
+      in
+      let on = run true and off = run false in
       let verdict (r : Harness.Chaos.result) =
-        (Harness.Chaos.passed r, r.oracle, r.invariant)
+        (Harness.Chaos.passed r, r.run.consistent, r.run.invariant)
       in
       if not (Harness.Chaos.passed on) then
         Alcotest.failf "seed %d: batch-mode chaos failed:@.%a" seed

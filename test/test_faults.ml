@@ -148,15 +148,11 @@ let scenario_run ~seed ~duration spec =
       shard_skew = 0.;
     }
   in
-  let tracker = ref None in
   let result =
-    Harness.Experiment.run ~clients:26 ~duration
-      ~prepare:(fun cluster -> tracker := Some (Harness.Scenario.install cluster events))
+    Harness.Experiment.run ~clients:26 ~duration ~events
       (Harness.Experiment.spec ~seed ~config:(Config.default Config.Closed) ~benchmark ~params ())
   in
-  match !tracker with
-  | Some tracker -> (result, Harness.Scenario.report tracker)
-  | None -> Alcotest.fail "scenario never installed"
+  (result, Option.get result.report)
 
 (* The members a partition spec leaves unnamed form one more group, in the
    suspicions as in the network: naming only the minority must suspect the
@@ -224,11 +220,6 @@ let test_scenario_parse_errors () =
   expect_error "explode 3 @1"; (* unknown verb *)
   expect_error "flaky 0+2 0.5 @1"; (* malformed link *)
   expect_error "partition | @1 for 5" (* empty group *)
-
-let test_scenario_crashed_nodes () =
-  let events = parse_ok "crash 5 @1; crash 2 @2; crash 5 @9; recover 5 @20; drop 0.1 @0" in
-  Alcotest.(check (list int)) "sorted, deduplicated" [ 2; 5 ]
-    (Harness.Scenario.crashed_nodes events)
 
 (* {2 Scenario validation} *)
 
@@ -405,24 +396,25 @@ let test_status_rescues_decided_commit () =
 
 (* {2 Chaos harness} *)
 
-let small_knobs =
-  { Harness.Chaos.default_knobs with clients = 8; horizon = 3000.; max_crashes = 1 }
+let small_knobs = { Harness.Chaos.default_knobs with horizon = 3000.; max_crashes = 1 }
+
+let small_run seed =
+  Harness.Chaos.run_one ~clients:8 small_knobs { Harness.Chaos.default_spec with seed }
 
 let test_chaos_deterministic () =
-  let a = Harness.Chaos.run_one small_knobs ~seed:5 in
-  let b = Harness.Chaos.run_one small_knobs ~seed:5 in
+  let a = small_run 5 and b = small_run 5 in
+  let report r = Option.get r.Harness.Chaos.run.report in
   Alcotest.(check string) "same schedule"
-    (Harness.Chaos.render_schedule a.Harness.Chaos.events)
-    (Harness.Chaos.render_schedule b.Harness.Chaos.events);
-  Alcotest.(check int) "same commits" a.Harness.Chaos.commits b.Harness.Chaos.commits;
-  Alcotest.(check int) "same aborts" a.Harness.Chaos.root_aborts b.Harness.Chaos.root_aborts;
-  Alcotest.(check (float 0.)) "same quiescence time" a.Harness.Chaos.quiesced_at
-    b.Harness.Chaos.quiesced_at
+    (Harness.Scenario.to_string a.Harness.Chaos.events)
+    (Harness.Scenario.to_string b.Harness.Chaos.events);
+  Alcotest.(check int) "same commits" (report a).total_commits (report b).total_commits;
+  Alcotest.(check int) "same aborts" (report a).root_aborts (report b).root_aborts;
+  Alcotest.(check (float 0.)) "same quiescence time" (report a).taken_at (report b).taken_at
 
 let test_chaos_small_batch () =
   List.iter
     (fun seed ->
-      let r = Harness.Chaos.run_one small_knobs ~seed in
+      let r = small_run seed in
       if not (Harness.Chaos.passed r) then
         Alcotest.failf "seed %d failed:@ %a" r.Harness.Chaos.seed
           (fun fmt -> Format.fprintf fmt "%a" Harness.Chaos.pp_result)
@@ -430,7 +422,7 @@ let test_chaos_small_batch () =
       Alcotest.(check bool)
         (Printf.sprintf "seed %d made progress" r.Harness.Chaos.seed)
         true
-        (r.Harness.Chaos.commits > 0))
+        ((Option.get r.run.report).total_commits > 0))
     [ 1; 2; 3 ]
 
 let suite =
@@ -446,7 +438,6 @@ let suite =
       test_degraded_window_spans_reset;
     Alcotest.test_case "scenario parse" `Quick test_scenario_parse;
     Alcotest.test_case "scenario parse errors" `Quick test_scenario_parse_errors;
-    Alcotest.test_case "scenario crashed nodes" `Quick test_scenario_crashed_nodes;
     Alcotest.test_case "scenario validation" `Quick test_scenario_validation;
     Alcotest.test_case "coordinator crash mid-2PC: presumed abort" `Quick
       test_coordinator_crash_presumed_abort;

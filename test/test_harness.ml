@@ -130,6 +130,72 @@ let test_run_system_qr_and_baselines () =
       (fun () -> Harness.Experiment.decent_system ~nodes:7 ~seed:23 ());
     ]
 
+(* {2 Schedules replay exactly} *)
+
+(* A random chaos draw: generator, knobs and the spec fields a schedule
+   depends on (seed, nodes, spares, shards, objects). *)
+let schedule_gen =
+  let open QCheck.Gen in
+  let* rolling = bool and* seed = int_bound 1_000_000 and* nodes = int_range 5 15 in
+  let* spares = int_range (if rolling then 1 else 0) 3
+  and* shards = int_range 1 (min 3 (nodes / 3))
+  and* objects = int_range 8 64
+  and* horizon = float_range 1_000. 20_000.
+  and* max_crashes = int_bound 3
+  and* reconfigs = int_bound 3
+  and* shard_ops = int_bound 3 in
+  let spec = Harness.Chaos.default_spec in
+  let spec =
+    { spec with seed; nodes; spares; shards; params = { spec.params with objects } }
+  in
+  let knobs = { Harness.Chaos.horizon; max_crashes; reconfigs; shard_ops } in
+  return
+    ((if rolling then Harness.Chaos.generate_rolling else Harness.Chaos.generate) knobs spec)
+
+(* Polymorphic compare orders floats as [Float.compare], so [compare _ _ = 0]
+   is [Float.equal] on every time, duration and probability. *)
+let schedule_roundtrip =
+  QCheck.Test.make ~name:"parse (print s) = s for chaos schedules" ~count:300
+    (QCheck.make ~print:Harness.Scenario.to_string schedule_gen)
+    (fun events ->
+      match Harness.Scenario.parse (Harness.Scenario.to_string events) with
+      | Ok parsed -> compare parsed events = 0
+      | Error msg -> QCheck.Test.fail_report msg)
+
+(* A chaos run and a run of its printed schedule through the runner agree
+   on every field: schedule, counters, verdicts, stalls and fault report. *)
+let test_chaos_replays_exactly () =
+  let spec = Harness.Chaos.default_spec and knobs = Harness.Chaos.default_knobs in
+  List.iter
+    (fun (family, rolling, (knobs : Harness.Chaos.knobs), (spec : Harness.Experiment.spec), seeds) ->
+      List.iter
+        (fun seed ->
+          let spec = { spec with seed } in
+          let r = Harness.Chaos.run_one ~rolling ~clients:18 knobs spec in
+          let events =
+            match Harness.Scenario.parse (Harness.Scenario.to_string r.events) with
+            | Ok events -> events
+            | Error msg -> Alcotest.failf "%s seed %d: reparse failed: %s" family seed msg
+          in
+          let replay = Harness.Chaos.run ~clients:18 ~horizon:knobs.horizon spec events in
+          Alcotest.(check string)
+            (Printf.sprintf "%s seed %d: same verdict" family seed)
+            (Format.asprintf "%a" Harness.Chaos.pp_result r)
+            (Format.asprintf "%a" Harness.Chaos.pp_result replay);
+          if compare r replay <> 0 then
+            Alcotest.failf "%s seed %d: replay differs in some field" family seed)
+        seeds)
+    [
+      ("default", false, knobs, spec, [ 7; 8 ]);
+      ("rolling", true, Harness.Chaos.rolling_knobs, { spec with spares = 2 }, [ 5; 6 ]);
+      ("batch", false, knobs, { spec with batch_commit = true }, [ 503; 504 ]);
+      ( "sharded",
+        false,
+        { knobs with shard_ops = 2 },
+        { spec with shards = 3; params = { spec.params with cross_shard_prob = 0.3 } },
+        [ 964; 965 ] );
+    ]
+
 let suite =
   [
     Alcotest.test_case "experiment smoke" `Quick test_experiment_smoke;
@@ -140,4 +206,6 @@ let suite =
     Alcotest.test_case "report rendering" `Quick test_report_rendering;
     Alcotest.test_case "pct change" `Quick test_pct_change;
     Alcotest.test_case "run_system over all DTMs" `Quick test_run_system_qr_and_baselines;
+    QCheck_alcotest.to_alcotest schedule_roundtrip;
+    Alcotest.test_case "chaos runs replay exactly" `Quick test_chaos_replays_exactly;
   ]

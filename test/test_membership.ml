@@ -507,36 +507,36 @@ let test_checker_epoch_fencing_rule () =
 
 (* {2 Churn generators} *)
 
-let churn_knobs =
-  { Harness.Chaos.default_knobs with spares = 2; reconfigs = 3; horizon = 6_000. }
+let churn_knobs = { Harness.Chaos.default_knobs with reconfigs = 3; horizon = 6_000. }
+let churn_spec seed = { Harness.Chaos.default_spec with seed; spares = 2 }
 
 let test_churn_schedule_deterministic_and_valid () =
-  let a = Harness.Chaos.generate churn_knobs ~seed:42 in
-  let b = Harness.Chaos.generate churn_knobs ~seed:42 in
+  let a = Harness.Chaos.generate churn_knobs (churn_spec 42) in
+  let b = Harness.Chaos.generate churn_knobs (churn_spec 42) in
   Alcotest.(check bool) "same seed, same schedule" true (a = b);
   (* Membership churn rides on top of the classic schedule: switching it
      off reproduces the pre-churn prefix byte-for-byte. *)
-  let classic = Harness.Chaos.generate { churn_knobs with reconfigs = 0 } ~seed:42 in
+  let classic = Harness.Chaos.generate { churn_knobs with reconfigs = 0 } (churn_spec 42) in
   let prefix n l = List.filteri (fun i _ -> i < n) l in
   Alcotest.(check bool) "classic schedule is a prefix" true
     (prefix (List.length classic) a = classic);
   (* Every generated schedule must pass static membership validation. *)
   for seed = 1 to 40 do
-    let events = Harness.Chaos.generate churn_knobs ~seed in
+    let spec = churn_spec seed in
+    let events = Harness.Chaos.generate churn_knobs spec in
     match
-      Harness.Scenario.validate
-        ~members:(List.init churn_knobs.Harness.Chaos.nodes Fun.id)
-        ~nodes:(churn_knobs.Harness.Chaos.nodes + churn_knobs.Harness.Chaos.spares)
-        events
+      Harness.Scenario.validate ~members:(List.init spec.nodes Fun.id)
+        ~nodes:(spec.nodes + spec.spares) events
     with
     | Ok () -> ()
     | Error msg -> Alcotest.failf "seed %d generated an invalid schedule: %s" seed msg
   done
 
 let test_rolling_schedule_replaces_every_node () =
-  let knobs = { Harness.Chaos.rolling_knobs with nodes = 7 } in
+  let knobs = Harness.Chaos.rolling_knobs in
+  let spec seed = { Harness.Chaos.default_spec with seed; nodes = 7; spares = 2 } in
   for seed = 1 to 20 do
-    let events = Harness.Chaos.generate_rolling knobs ~seed in
+    let events = Harness.Chaos.generate_rolling knobs (spec seed) in
     let leavers =
       List.filter_map
         (function Harness.Scenario.Replace { leaving; _ } -> Some leaving | _ -> None)
@@ -547,8 +547,7 @@ let test_rolling_schedule_replaces_every_node () =
       (Printf.sprintf "seed %d replaces every node once" seed)
       [ 0; 1; 2; 3; 4; 5; 6 ] leavers;
     match
-      Harness.Scenario.validate ~members:(List.init 7 Fun.id)
-        ~nodes:(7 + knobs.Harness.Chaos.spares) events
+      Harness.Scenario.validate ~members:(List.init 7 Fun.id) ~nodes:(7 + 2) events
     with
     | Ok () -> ()
     | Error msg -> Alcotest.failf "seed %d rolling schedule invalid: %s" seed msg
@@ -557,20 +556,21 @@ let test_rolling_schedule_replaces_every_node () =
     (Invalid_argument "Chaos.generate_rolling: rolling restarts need spares >= 1")
     (fun () ->
       ignore
-        (Harness.Chaos.generate_rolling
-           { Harness.Chaos.rolling_knobs with spares = 0 }
-           ~seed:1))
+        (Harness.Chaos.generate_rolling knobs { (spec 1) with spares = 0 }))
 
 let test_rolling_chaos_run_passes () =
   (* Seed 3 at this size once exposed a reconfiguration-queue reordering
      bug (a replace validated against a view an earlier queued replace had
      yet to leave); keep it as a regression anchor. *)
-  let knobs = { Harness.Chaos.rolling_knobs with nodes = 7; clients = 10 } in
-  let result = Harness.Chaos.run_one ~rolling:true knobs ~seed:3 in
+  let result =
+    Harness.Chaos.run_one ~rolling:true ~clients:10 Harness.Chaos.rolling_knobs
+      { Harness.Chaos.default_spec with seed = 3; nodes = 7; spares = 2 }
+  in
+  let report = Option.get result.run.report in
   Alcotest.(check bool) "rolling run passed" true (Harness.Chaos.passed result);
-  Alcotest.(check int) "every node replaced once" 7 result.Harness.Chaos.view_changes;
-  Alcotest.(check int) "final epoch" 7 result.Harness.Chaos.final_epoch;
-  Alcotest.(check bool) "made commit progress" true (result.Harness.Chaos.commits > 0)
+  Alcotest.(check int) "every node replaced once" 7 report.view_changes;
+  Alcotest.(check int) "final epoch" 7 report.final_epoch;
+  Alcotest.(check bool) "made commit progress" true (report.total_commits > 0)
 
 let suite =
   [

@@ -9,11 +9,11 @@ let violation =
 
 (* Run one chaos seed with a big ring (no truncation) and a streaming
    checker attached as the tracer's sink; return both verdicts. *)
-let both_verdicts ?(batch_commit = false) ?(rolling = false) knobs ~seed =
+let both_verdicts ?(spec = Harness.Chaos.default_spec) ?rolling knobs ~seed =
   let tracer = Obs.Tracer.create () in
   let online = Obs.Online.create () in
   Obs.Online.attach online tracer;
-  let result = Harness.Chaos.run_one ~tracer ~batch_commit ~rolling knobs ~seed in
+  let result = Harness.Chaos.run_one ?rolling ~clients:18 knobs { spec with seed; tracer } in
   Alcotest.(check int)
     (Printf.sprintf "seed %d: untruncated trace" seed)
     0
@@ -22,12 +22,10 @@ let both_verdicts ?(batch_commit = false) ?(rolling = false) knobs ~seed =
   let offline_v = Obs.Online.replay (Obs.Tracer.events tracer) in
   (result, online, online_v, offline_v)
 
-let check_seeds ?batch_commit ?rolling knobs seeds =
+let check_seeds ?spec ?rolling knobs seeds =
   List.iter
     (fun seed ->
-      let _, _, online_v, offline_v =
-        both_verdicts ?batch_commit ?rolling knobs ~seed
-      in
+      let _, _, online_v, offline_v = both_verdicts ?spec ?rolling knobs ~seed in
       Alcotest.(check (list violation))
         (Printf.sprintf "seed %d: online verdict = offline verdict" seed)
         offline_v online_v;
@@ -44,27 +42,27 @@ let test_equivalence_classic () =
   check_seeds Harness.Chaos.default_knobs [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
 let test_equivalence_churn () =
-  let knobs =
-    { Harness.Chaos.default_knobs with spares = 2; reconfigs = 2 }
-  in
-  check_seeds knobs [ 11; 12; 13; 14 ]
+  check_seeds
+    ~spec:{ Harness.Chaos.default_spec with spares = 2 }
+    { Harness.Chaos.default_knobs with reconfigs = 2 }
+    [ 11; 12; 13; 14 ]
 
 let test_equivalence_rolling () =
-  check_seeds ~rolling:true Harness.Chaos.rolling_knobs [ 21; 22 ]
+  check_seeds ~rolling:true
+    ~spec:{ Harness.Chaos.default_spec with spares = 2 }
+    Harness.Chaos.rolling_knobs [ 21; 22 ]
 
 let test_equivalence_batch () =
-  check_seeds ~batch_commit:true Harness.Chaos.default_knobs [ 31; 32; 33 ]
+  check_seeds
+    ~spec:{ Harness.Chaos.default_spec with batch_commit = true }
+    Harness.Chaos.default_knobs [ 31; 32; 33 ]
 
 let test_equivalence_shard () =
-  let knobs =
-    {
-      Harness.Chaos.default_knobs with
-      shards = 2;
-      shard_ops = 2;
-      cross_shard_prob = 0.3;
-    }
-  in
-  check_seeds knobs [ 41; 42; 43 ]
+  let spec = Harness.Chaos.default_spec in
+  check_seeds
+    ~spec:{ spec with shards = 2; params = { spec.params with cross_shard_prob = 0.3 } }
+    { Harness.Chaos.default_knobs with shard_ops = 2 }
+    [ 41; 42; 43 ]
 
 (* The sink sees every emission before ring eviction: a checker attached
    to a tiny ring reaches the same verdict as one attached to an
@@ -77,7 +75,10 @@ let test_truncation_immunity () =
   let tiny = Obs.Tracer.create ~capacity:256 () in
   let online = Obs.Online.create () in
   Obs.Online.attach online tiny;
-  let _ = Harness.Chaos.run_one ~tracer:tiny knobs ~seed in
+  let _ =
+    Harness.Chaos.run_one ~clients:18 knobs
+      { Harness.Chaos.default_spec with seed; tracer = tiny }
+  in
   Alcotest.(check bool) "tiny ring truncated" true (Obs.Tracer.dropped tiny > 0);
   Alcotest.(check bool) "sink saw more than the ring holds" true
     (Obs.Online.events_seen online > Obs.Tracer.length tiny);
@@ -92,7 +93,8 @@ let test_bounded_memory () =
   let _, online, _, _ = both_verdicts knobs ~seed:3 in
   let tracer = Obs.Tracer.create () in
   let distinct = Hashtbl.create 1024 in
-  ignore (Harness.Chaos.run_one ~tracer knobs ~seed:3);
+  let spec = { Harness.Chaos.default_spec with seed = 3; tracer } in
+  ignore (Harness.Chaos.run_one ~clients:18 knobs spec);
   Obs.Tracer.iter tracer (fun e ->
       if e.Obs.Tracer.txn >= 0 then Hashtbl.replace distinct e.txn ());
   let txns = Hashtbl.length distinct in
@@ -104,7 +106,7 @@ let test_bounded_memory () =
     (Printf.sprintf "peak tracked (%d) bounded by in-flight, not trace (%d)"
        peak txns)
     true
-    (peak <= (4 * knobs.Harness.Chaos.clients) + knobs.Harness.Chaos.nodes);
+    (peak <= (4 * 18) + spec.nodes);
   Alcotest.(check bool)
     (Printf.sprintf "retired state freed (still tracking %d)"
        (Obs.Online.tracked_txns online))

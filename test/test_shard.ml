@@ -357,43 +357,35 @@ let test_shard_ops_parse_roundtrip () =
   ] ->
     ()
   | _ -> Alcotest.fail "unexpected parse");
-  let rendered =
-    String.concat "; "
-      (List.map
-         (fun e -> Format.asprintf "%a" Harness.Scenario.pp_event e)
-         events)
-  in
-  match Harness.Scenario.parse rendered with
+  match Harness.Scenario.parse (Harness.Scenario.to_string events) with
   | Ok reparsed -> Alcotest.(check bool) "round-trip" true (reparsed = events)
   | Error msg -> Alcotest.failf "reparse failed: %s" msg
 
 (* {2 Shard chaos} *)
 
-let shard_knobs =
-  {
-    Harness.Chaos.default_knobs with
-    shards = 3;
-    shard_ops = 2;
-    cross_shard_prob = 0.3;
-  }
+let shard_knobs = { Harness.Chaos.default_knobs with shard_ops = 2 }
+
+let shard_run seed =
+  let spec = Harness.Chaos.default_spec in
+  Harness.Chaos.run_one ~clients:18 shard_knobs
+    { spec with seed; shards = 3; params = { spec.params with cross_shard_prob = 0.3 } }
 
 (* Same seed, same knobs, run twice: byte-identical result (schedule,
    counters, quiescence time), exercising moves/splits and cross-shard
    traffic under chaos. *)
 let test_shard_chaos_deterministic () =
-  let one () = Harness.Chaos.run_one shard_knobs ~seed:5 in
-  let r1 = one () and r2 = one () in
+  let r1 = shard_run 5 and r2 = shard_run 5 in
   Alcotest.(check string) "byte-identical verdict"
     (Harness.Chaos.result_to_json r1)
     (Harness.Chaos.result_to_json r2);
   Alcotest.(check bool) "seed 5 passes" true (Harness.Chaos.passed r1);
   Alcotest.(check bool) "cross-shard traffic exercised" true
-    (r1.Harness.Chaos.xshard_commits > 0)
+    ((Option.get r1.run.report).cross_shard_commits > 0)
 
 let test_shard_chaos_seeds_pass () =
   List.iter
     (fun seed ->
-      let r = Harness.Chaos.run_one shard_knobs ~seed in
+      let r = shard_run seed in
       if not (Harness.Chaos.passed r) then
         Alcotest.failf "shard chaos seed %d failed: %s" seed
           (Format.asprintf "%a" Harness.Chaos.pp_result r))
