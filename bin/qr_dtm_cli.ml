@@ -85,11 +85,25 @@ let scenario_defaults =
     check_online = false;
   }
 
+(* A run no cluster can take is a usage error (exit 124), caught before
+   any command sets it up. *)
+let shape_error (f : shared) =
+  let outside_unit p = not (p >= 0. && p <= 1.) in
+  match Core.Cluster.layout_error ~nodes:f.nodes ~shards:f.shards with
+  | Some msg -> Some (Printf.sprintf "--nodes %d --shards %d: %s" f.nodes f.shards msg)
+  | None ->
+    if Option.fold ~none:false ~some:(fun n -> n < 1) f.objects then
+      Some "--objects must be at least 1"
+    else if outside_unit f.reads then Some "--reads must be in [0, 1]"
+    else if outside_unit f.cross_shard_prob then Some "--cross-shard-prob must be in [0, 1]"
+    else None
+
 let shared_term ?(bench = true) ?(duration = true) ?(spares = false) ?(sharding = true)
     ?(shard_skew = true) ?(checks = true) (d : shared) =
   let open Term.Syntax in
   let offered present default arg = if present then arg else Term.const default in
-  let+ bench =
+  Term.ret
+  @@ let+ bench =
     offered bench d.bench (Term.map (Option.value ~default:d.bench) bench_arg)
   and+ mode =
     let doc = "Execution model: flat, closed or checkpoint." in
@@ -154,24 +168,27 @@ let shared_term ?(bench = true) ?(duration = true) ?(spares = false) ?(sharding 
     in
     offered checks d.check_online Arg.(value & flag & info [ "check-online" ] ~doc)
   in
-  {
-    bench;
-    mode;
-    nodes;
-    clients;
-    duration;
-    seed;
-    spares;
-    shards;
-    cross_shard_prob;
-    shard_skew;
-    objects;
-    calls;
-    reads;
-    skew;
-    batch_commit;
-    check_online;
-  }
+  let f =
+    {
+      bench;
+      mode;
+      nodes;
+      clients;
+      duration;
+      seed;
+      spares;
+      shards;
+      cross_shard_prob;
+      shard_skew;
+      objects;
+      calls;
+      reads;
+      skew;
+      batch_commit;
+      check_online;
+    }
+  in
+  match shape_error f with Some msg -> `Error (true, msg) | None -> `Ok f
 
 let spec_of ?(tracer = Obs.Tracer.null) f =
   Harness.Experiment.spec ~nodes:f.nodes

@@ -279,9 +279,7 @@ let rec resync t ~node ~started ~was_killed =
       Obs.Tracer.emit tracer ~time:(Sim.Engine.now t.engine)
         ~kind:Obs.Sem.sync_start ~node ~a:(List.length dsts) ();
     (* Merged in reply order rather than through [frontier]: [sync_copy]
-       already keeps the maximum, and the order in which it installs
-       objects unknown here fixes the store's table order, which later
-       dumps expose. *)
+       already keeps the maximum. *)
     pull t ~src:node ~dsts ~retry (fun replies ->
         let store = Server.store t.servers.(node) in
         Store.Replica.reset_transients store;
@@ -304,6 +302,14 @@ let rec resync t ~node ~started ~was_killed =
         if was_killed then
           Metrics.note_recovery t.metrics ~duration:(Sim.Engine.now t.engine -. started))
 
+let layout_error ~nodes ~shards =
+  if shards < 1 then Some "shards must be >= 1"
+  else if nodes < shards * min_members then
+    Some
+      (Printf.sprintf "%d initial members cannot populate %d shards (minimum %d each)"
+         nodes shards min_members)
+  else None
+
 let initial_shards ~nodes ~shards =
   let base = nodes / shards and rem = nodes mod shards in
   List.init shards (fun s ->
@@ -314,12 +320,7 @@ let create ?(nodes = 13) ?(spares = 0) ?(seed = 1) ?topology ?(service_time = 0.
     ?(read_level = 1) ?(detection_delay = 50.) ?(detection_jitter = 0.)
     ?(with_oracle = true) ?(tracer = Obs.Tracer.null) ?(batch_commit = false)
     ?(shards = 1) config =
-  if shards < 1 then invalid_arg "Cluster: shards must be >= 1";
-  if nodes < shards * min_members then
-    invalid_arg
-      (Printf.sprintf
-         "Cluster: %d initial members cannot populate %d shards (minimum %d each)"
-         nodes shards min_members);
+  Option.iter (fun msg -> invalid_arg ("Cluster: " ^ msg)) (layout_error ~nodes ~shards);
   let total = nodes + spares in
   let engine = Sim.Engine.create ~tracer () in
   let topology =

@@ -71,6 +71,15 @@ val create :
     until moved.  Raises [Invalid_argument] unless every shard gets at
     least 3 members. *)
 
+val min_members : int
+(** The fewest members a shard may have: initially, and after any leave or
+    split. *)
+
+val layout_error : nodes:int -> shards:int -> string option
+(** Why [nodes] initial members cannot form [shards] shards of at least
+    {!min_members} each, or [None] when they can — the check {!create}
+    makes before raising. *)
+
 val initial_shards : nodes:int -> shards:int -> int list list
 (** The initial member list of each shard of {!create}: [nodes] members
     split into [shards] contiguous, near-equal ranges, the larger ones

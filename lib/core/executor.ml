@@ -127,7 +127,12 @@ and t = {
      [Messages.dataset] (three [Array.sub]s) only when a request is built.
      An executor runs inside one simulation (one domain) and never builds
      two data-sets at once, so sharing the scratch across roots is safe. *)
-  ds_slots : (int, int) Hashtbl.t; (* oid -> staged row; [full_dataset] dedup *)
+  (* [full_dataset]'s dedup, indexed by oid: [ds_slot.(oid)] is the staged
+     row of [oid] when [ds_stamp.(oid) = ds_gen], the current call's
+     generation; stale stamps read as absent, so no per-call clearing. *)
+  mutable ds_slot : int array;
+  mutable ds_stamp : int array;
+  mutable ds_gen : int;
   mutable ds_oids : int array;
   mutable ds_versions : int array;
   mutable ds_owners : int array;
@@ -181,7 +186,9 @@ let create ~engine ~rpc ~quorums ~config ~metrics ?oracle ?(batch_commit = false
     ids;
     rng = Util.Rng.create seed;
     tracer = Sim.Engine.tracer engine;
-    ds_slots = Hashtbl.create 64;
+    ds_slot = Array.make 64 0;
+    ds_stamp = Array.make 64 0;
+    ds_gen = 0;
     ds_oids = Array.make 64 0;
     ds_versions = Array.make 64 0;
     ds_owners = Array.make 64 0;
@@ -252,20 +259,21 @@ let owner_tag root =
   | Config.Closed -> (current_scope root).depth
   | Config.Checkpoint -> current_chk root
 
+(* [a] copied into a zeroed array of length [cap]. *)
+let grow_ints a cap =
+  let b = Array.make cap 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 (* Scratch data-set staging: append one row, growing the parallel arrays
    geometrically (they only ever grow; an executor outlives its roots). *)
 let ds_push exec ~oid ~version ~owner =
   let i = exec.ds_len in
   if i = Array.length exec.ds_oids then begin
-    let cap' = 2 * Array.length exec.ds_oids in
-    let grow a =
-      let b = Array.make cap' 0 in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-    in
-    exec.ds_oids <- grow exec.ds_oids;
-    exec.ds_versions <- grow exec.ds_versions;
-    exec.ds_owners <- grow exec.ds_owners
+    let cap = 2 * i in
+    exec.ds_oids <- grow_ints exec.ds_oids cap;
+    exec.ds_versions <- grow_ints exec.ds_versions cap;
+    exec.ds_owners <- grow_ints exec.ds_owners cap
   end;
   exec.ds_oids.(i) <- oid;
   exec.ds_versions.(i) <- version;
@@ -289,21 +297,33 @@ let ds_freeze exec =
    duplicate object ids (validation must name the ancestor-most owner). *)
 (* Validation is order-independent ([Rqv.validate] minimises the owner tag
    over the whole set), so the staging order never shows through; reusing
-   the scratch avoids the per-request table and per-entry allocations. *)
+   the scratch avoids per-request and per-entry allocations. *)
 let full_dataset root =
   let exec = root.exec in
-  Hashtbl.clear exec.ds_slots;
+  let gen = exec.ds_gen + 1 in
+  exec.ds_gen <- gen;
   exec.ds_len <- 0;
   let note (e : Rwset.entry) =
-    match Hashtbl.find exec.ds_slots e.oid with
-    | i ->
+    let oid = e.oid in
+    if oid >= Array.length exec.ds_stamp then begin
+      let cap = ref (2 * Array.length exec.ds_stamp) in
+      while !cap <= oid do
+        cap := 2 * !cap
+      done;
+      exec.ds_slot <- grow_ints exec.ds_slot !cap;
+      exec.ds_stamp <- grow_ints exec.ds_stamp !cap
+    end;
+    if exec.ds_stamp.(oid) = gen then begin
+      let i = exec.ds_slot.(oid) in
       if e.owner < exec.ds_owners.(i) then begin
         exec.ds_versions.(i) <- e.version;
         exec.ds_owners.(i) <- e.owner
       end
-    | exception Not_found ->
-      Hashtbl.add exec.ds_slots e.oid
-        (ds_push exec ~oid:e.oid ~version:e.version ~owner:e.owner)
+    end
+    else begin
+      exec.ds_stamp.(oid) <- gen;
+      exec.ds_slot.(oid) <- ds_push exec ~oid ~version:e.version ~owner:e.owner
+    end
   in
   List.iter
     (fun scope ->
@@ -440,15 +460,6 @@ let writes_of_wset (wset : Rwset.t) =
         incr i);
     w
   end
-
-let reads_of_rset (rset : Rwset.t) =
-  let n = Rwset.size rset in
-  let a = Array.make n 0 in
-  let i = ref 0 in
-  Rwset.iter rset (fun (e : Rwset.entry) ->
-      a.(!i) <- e.oid;
-      incr i);
-  a
 
 (* --- batch-commit state helpers (inert when batch_commit is off) -------- *)
 
@@ -686,10 +697,9 @@ and remote_fetch root ~oid ~write ~k =
       if rqv_active exec then dataset_slice exec (full_dataset root) ~shard
       else Messages.empty_dataset
     in
-    let record = (current_scope root).depth = 0 in
     let request =
       Messages.Read_req
-        { txn = root.txn_id; oid; dataset; write_intent = Option.is_some write; record }
+        { txn = root.txn_id; oid; dataset; write_intent = false; record = false }
     in
     let dsts =
       (* Widened-read witnesses from another shard cannot serve this
@@ -1127,7 +1137,6 @@ and send_commit root ~scope ~value =
       end
       else begin
         let writes = writes_of_wset scope.wset in
-        let reads = reads_of_rset scope.rset in
         record_commit root ~scope ~window_start;
         (* The FULL write set goes to every participant quorum: each shard
            installs its own rows and retains the foreign ones as commit
@@ -1142,7 +1151,7 @@ and send_commit root ~scope ~value =
         in
         Sim.Rpc.acked_multicast exec.rpc ~kind:Messages.apply_kind ~src:root.node
           ~dsts ~timeout:exec.config.request_timeout
-          (Messages.Apply { txn = root.txn_id; writes; reads });
+          (Messages.Apply { txn = root.txn_id; writes });
         if exec.batch_commit then begin
           (* Keep the speculation machinery coherent: successors may have
              read this root's inputs from committed images. *)
@@ -1314,7 +1323,6 @@ and cut_batch exec ~bq =
       let rounds = Array.make n 0 in
       let datasets = Array.make n Messages.empty_dataset in
       let writes_by_entry = Array.make n Messages.empty_writes in
-      let reads_by_entry = Array.make n [||] in
       let locks_by_entry = Array.make n [] in
       for i = 0 to n - 1 do
         let p = ea.(i) in
@@ -1335,7 +1343,6 @@ and cut_batch exec ~bq =
              sent_at +. exec.config.lease_duration -. exec.config.lease_safety_margin
            else Float.infinity);
         writes_by_entry.(i) <- writes_of_wset scope.wset;
-        reads_by_entry.(i) <- reads_of_rset scope.rset;
         trace root ~kind:Obs.Sem.batch_entry ~oid:(-1) ~a:batch_id ~b:i ~x:0.;
         trace root ~kind:Obs.Sem.commit_send ~oid:(-1) ~a:(List.length locks)
           ~b:quorum_size ~x:(Float.of_int bq.bq_shard)
@@ -1405,16 +1412,15 @@ and cut_batch exec ~bq =
         (Messages.Batch_commit_req
            { txns; rounds; ds_offsets; dataset; wr_offsets; writes; decided })
         ~on_done:(fun ~replies ~missing ->
-          decide_batch exec ~bq ~entries:ea ~writes_by_entry ~reads_by_entry
-            ~locks_by_entry ~quorum ~batch_id ~send_epoch ~sent_at ~replies
-            ~missing)
+          decide_batch exec ~bq ~entries:ea ~writes_by_entry ~locks_by_entry ~quorum
+            ~batch_id ~send_epoch ~sent_at ~replies ~missing)
   end
 
 (* Decide every entry of a batch round, in queue order.  The multicall
    timeout is an engine event, so this runs even if the sending node died
    mid-round — each entry's own liveness is checked individually. *)
-and decide_batch exec ~bq ~entries ~writes_by_entry ~reads_by_entry
-    ~locks_by_entry ~quorum ~batch_id ~send_epoch ~sent_at ~replies ~missing =
+and decide_batch exec ~bq ~entries ~writes_by_entry ~locks_by_entry ~quorum ~batch_id
+    ~send_epoch ~sent_at ~replies ~missing =
   let n = Array.length entries in
   if missing <> [] || exec.quorums.epoch ~shard:bq.bq_shard <> send_epoch then begin
     (* A quorum member failed mid-round, or a reconfiguration installed a
@@ -1475,9 +1481,7 @@ and decide_batch exec ~bq ~entries ~writes_by_entry ~reads_by_entry
             record_commit root ~scope ~window_start:sent_at;
             Sim.Rpc.acked_multicast exec.rpc ~kind:Messages.apply_kind
               ~src:root.node ~dsts:quorum ~timeout:exec.config.request_timeout
-              (Messages.Apply
-                 { txn = root.txn_id; writes = writes_by_entry.(i);
-                   reads = reads_by_entry.(i) });
+              (Messages.Apply { txn = root.txn_id; writes = writes_by_entry.(i) });
             Metrics.note_commit exec.metrics ~latency:(now_ -. root.born);
             trace root ~kind:Obs.Sem.txn_commit ~oid:(-1) ~a:(-1) ~b:0
               ~x:(now_ -. root.born);

@@ -113,11 +113,7 @@ type request =
              round — commit evidence for a cross-shard transaction may live
              exclusively on another shard's replicas *)
     }
-  | Apply of {
-      txn : Ids.txn_id;
-      writes : writes;
-      reads : Ids.obj_id array;
-    }
+  | Apply of { txn : Ids.txn_id; writes : writes }
   | Release of { txn : Ids.txn_id; oids : Ids.obj_id list; round : int }
       (* [round] is the commit round whose locks are being walked away
          from; at-least-once retransmission can deliver it after a later

@@ -58,8 +58,13 @@ type request =
       txn : Ids.txn_id;  (** root transaction id *)
       oid : Ids.obj_id;
       dataset : dataset;  (** entries to validate; empty skips Rqv *)
-      write_intent : bool;  (** register in PW instead of PR *)
-      record : bool;  (** root transactions only: track in PR/PW *)
+      write_intent : bool;
+      record : bool;
+          (** [write_intent] and [record] are ignored: they asked the
+              replica to register the reader in its PR/PW lists, which are
+              not kept (see {!Store.Replica}).  Coordinators send [false];
+              the fields remain until the layered benchmark, which builds
+              this request, stops naming them. *)
     }
   | Commit_req of {
       txn : Ids.txn_id;
@@ -79,7 +84,6 @@ type request =
   | Apply of {
       txn : Ids.txn_id;
       writes : writes;  (** (oid, new version, value) rows *)
-      reads : Ids.obj_id array;  (** for PR cleanup *)
     }
   | Release of { txn : Ids.txn_id; oids : Ids.obj_id list; round : int }
       (** walk away from [round]'s locks; replicas ignore it if a later
@@ -129,8 +133,8 @@ type reply =
       (** validation failed; [target] is [abortClosed] (a scope depth) or
           [abortChk] (a checkpoint id) depending on the executor's mode *)
   | Sync_rep of { objects : (Ids.obj_id * int * Txn.value) list }
-      (** committed state snapshot: (oid, version, value); locks and PR/PW
-          lists are transient and not transferred *)
+      (** committed state snapshot: (oid, version, value), ascending by
+          oid; locks are transient and not transferred *)
   | Status_rep of { committed : bool; objects : (Ids.obj_id * int * Txn.value) list }
       (** [committed]: this replica observed the transaction's Apply;
           [objects]: its current copies of the queried oids — a newer

@@ -19,7 +19,6 @@ let validate store ~txn ~(dataset : Messages.dataset) =
     let oid = Array.unsafe_get dataset.ds_oids i in
     if not (oid_valid store ~txn ~oid ~version:(Array.unsafe_get dataset.ds_versions i))
     then begin
-      Store.Replica.remove_txn store ~oid ~txn;
       let owner = Array.unsafe_get dataset.ds_owners i in
       if owner < !worst then worst := owner
     end

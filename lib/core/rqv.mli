@@ -11,7 +11,8 @@
 
 val validate :
   Store.Replica.t -> txn:Ids.txn_id -> dataset:Messages.dataset -> int option
-(** [None] when every entry is valid; [Some target] otherwise.  Invalid
-    entries' owners are dropped from the replica's PR/PW lists, as in
-    Algorithm 1 line 8.  An indexed loop over the flat data-set: no
-    allocation until the final [Some]. *)
+(** [None] when every entry is valid; [Some target] otherwise.  Algorithm 1
+    line 8 also drops the invalid entries' owners from the replica's PR/PW
+    lists; those lists are not kept here (see {!Store.Replica}), so
+    validation only reads the store.  An indexed loop over the flat
+    data-set: no allocation until the final [Some]. *)

@@ -65,7 +65,7 @@ let store t = t.store
 let validations_run t = t.validations_run
 let validations_failed t = t.validations_failed
 
-let handle_read t ~txn ~oid ~dataset ~write_intent ~record =
+let handle_read t ~txn ~oid ~dataset =
   let validated = Messages.dataset_len dataset > 0 in
   let verdict =
     if not validated then None
@@ -84,11 +84,7 @@ let handle_read t ~txn ~oid ~dataset ~write_intent ~record =
     begin
       match Store.Replica.find t.store oid with
       | None -> Some (Messages.Read_abort { target = 0 })
-      | Some copy ->
-        if record then
-          if write_intent then Store.Replica.add_writer t.store ~oid ~txn
-          else Store.Replica.add_reader t.store ~oid ~txn;
-        Some (Messages.Read_ok { oid; version = copy.version; value = copy.value })
+      | Some copy -> Some (Messages.Read_ok { oid; version = copy.version; value = copy.value })
     end
 
 (* --- lease termination -------------------------------------------------- *)
@@ -104,18 +100,13 @@ let lease_expiry t =
 let still_held t ~txn oids =
   List.filter
     (fun oid ->
-      Store.Replica.mem t.store oid
-      && match Store.Replica.lease_of t.store oid with
-         | Some lease -> lease.Store.Replica.owner = txn
-         | None -> false)
+      match Store.Replica.find t.store oid with
+      | Some { protected_by = Some lease; _ } -> lease.Store.Replica.owner = txn
+      | Some { protected_by = None; _ } | None -> false)
     oids
 
 let release_lease t ~txn ~oids =
-  List.iter
-    (fun oid ->
-      Store.Replica.unlock t.store ~oid ~txn;
-      Store.Replica.remove_txn t.store ~oid ~txn)
-    oids
+  List.iter (fun oid -> Store.Replica.unlock t.store ~oid ~txn) oids
 
 (* Cross-shard termination peers live exactly as long as the leases whose
    status rounds need them. *)
@@ -297,7 +288,7 @@ type batch = {
 type verdict = Commit | Stale | Conflict
 
 let stored_version store oid =
-  if Store.Replica.mem store oid then Store.Replica.version store oid else -1
+  match Store.Replica.find store oid with Some copy -> copy.version | None -> -1
 
 (* The version an entry validates [oid] against: the overlay's, else the
    local copy's; [-1] when the object is not hosted here. *)
@@ -502,15 +493,13 @@ let handle_batch_commit t ~(txns : Ids.txn_id array) ~(rounds : int array)
   done;
   Messages.Votes { commits; conflicts }
 
-let handle_apply t ~txn ~(writes : Messages.writes) ~reads =
+let handle_apply t ~txn ~(writes : Messages.writes) =
   let foreign = ref false in
   for i = 0 to Messages.writes_len writes - 1 do
     let oid = writes.wr_oids.(i) in
-    if Store.Replica.mem t.store oid then begin
+    if Store.Replica.mem t.store oid then
       Store.Replica.apply t.store ~oid ~version:writes.wr_versions.(i)
-        ~value:writes.wr_values.(i) ~txn;
-      Store.Replica.remove_txn t.store ~oid ~txn
-    end
+        ~value:writes.wr_values.(i) ~txn
     else foreign := true
   done;
   (* A row for an object not hosted here means this is a cross-shard
@@ -521,29 +510,15 @@ let handle_apply t ~txn ~(writes : Messages.writes) ~reads =
     Store.Replica.retain_writes t.store ~txn (Messages.writes_entries writes);
   (* Even a write-free Apply (all writes unknown here) is commit evidence. *)
   Store.Replica.note_applied t.store ~txn;
-  Array.iter
-    (fun oid -> if Store.Replica.mem t.store oid then Store.Replica.remove_txn t.store ~oid ~txn)
-    reads;
   drop_xpeers_if_done t ~txn
 
+(* [~round] makes [unlock] ignore a retransmitted Release from an
+   abandoned commit round that arrives after a later round of [txn]
+   re-locked here: the newer round's lock must survive. *)
 let handle_release t ~txn ~oids ~round =
   List.iter
     (fun oid ->
-      if Store.Replica.mem t.store oid then begin
-        let stale =
-          (* A retransmitted Release from an abandoned commit round,
-             arriving after a later round of [txn] re-locked here: the
-             newer round's lock (and its PR/PW bookkeeping) must survive. *)
-          match Store.Replica.lease_of t.store oid with
-          | Some lease ->
-            lease.Store.Replica.owner = txn && round < lease.Store.Replica.round
-          | None -> false
-        in
-        if not stale then begin
-          Store.Replica.unlock ~round t.store ~oid ~txn;
-          Store.Replica.remove_txn t.store ~oid ~txn
-        end
-      end)
+      if Store.Replica.mem t.store oid then Store.Replica.unlock ~round t.store ~oid ~txn)
     oids;
   drop_xpeers_if_done t ~txn
 
@@ -589,14 +564,13 @@ let handle t ~src:_ request =
       (fun txn -> Store.Replica.renew t.store ~txn ~expires:(lease_expiry t))
       (request_txn request);
   match request with
-  | Messages.Read_req { txn; oid; dataset; write_intent; record } ->
-    handle_read t ~txn ~oid ~dataset ~write_intent ~record
+  | Messages.Read_req { txn; oid; dataset; _ } -> handle_read t ~txn ~oid ~dataset
   | Messages.Commit_req { txn; dataset; locks; round; peers } ->
     Some (handle_commit t ~txn ~dataset ~locks ~round ~peers)
-  | Messages.Apply { txn; writes; reads } ->
+  | Messages.Apply { txn; writes } ->
     trace t ~kind:Obs.Sem.apply ~txn ~oid:(-1) ~a:(Messages.writes_len writes)
       ~b:(-1) ~x:0.;
-    handle_apply t ~txn ~writes ~reads;
+    handle_apply t ~txn ~writes;
     (* Acked so the coordinator can retransmit over lossy links; Apply is
        idempotent (version-guarded), so duplicates are harmless. *)
     Some Messages.Ack

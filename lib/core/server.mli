@@ -5,8 +5,8 @@
     slot, see {!Sim.Network}):
 
     - [Read_req]: run Rqv over the carried data-set (if any), then serve the
-      local copy of the requested object; register root transactions in the
-      PR/PW lists.
+      local copy of the requested object.  Reads are invisible: the paper's
+      PR/PW registration is omitted, as nothing here reads those lists.
     - [Commit_req]: 2PC vote — validate the full data-set, lock the
       write-set objects on success.  It is the one-entry batch: the same
       per-transaction vote as [Batch_commit_req], with no predecessors.
@@ -16,8 +16,8 @@
       Both commit requests are answered with [Votes], one entry per
       transaction, and every vote renews the transaction's leases.
     - [Apply]: 2PC second phase — install writes that are newer than the
-      local copy, release locks, clear PR/PW entries; acked so the
-      coordinator can retransmit over lossy links.
+      local copy and release locks; acked so the coordinator can
+      retransmit over lossy links.
     - [Release]: abort path — drop locks held by the transaction (acked,
       idempotent).
     - [Sync_req]: crash-recovery catch-up — reply with a snapshot of the

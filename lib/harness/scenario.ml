@@ -197,7 +197,7 @@ let parse spec =
 
 (* {2 Validation} *)
 
-let min_members = 3
+let min_members = Core.Cluster.min_members
 
 let validate ?members ?(shards = 1) ?shard_members ~nodes events =
   let members =

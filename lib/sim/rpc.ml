@@ -21,7 +21,8 @@
    [set_fencing] every epoch is 0 and the layer behaves exactly as before. *)
 type ('req, 'rep) pending = {
   req : 'req;
-  mutable awaiting : int list;
+  dsts : int list;
+  mutable outstanding : int;  (* distinct [dsts] that have not replied *)
   mutable replies : (int * 'rep) list;
   mutable finished : bool;
   complete : replies:(int * 'rep) list -> missing:int list -> unit;
@@ -95,12 +96,13 @@ let handle_envelope t ~node ~src env =
       t.fenced <- t.fenced + 1;
       trace_fence t ~node ~src ~msg_epoch:epoch ~cur_epoch:cur
     end
-    else if (not p.finished) && List.mem src p.awaiting then begin
+    else if (not p.finished) && not (List.mem_assoc src p.replies) then begin
       (* A finished call has completed or timed out, so a late reply is
-         discarded; [awaiting] also discards duplicates. *)
-      p.awaiting <- List.filter (fun n -> n <> src) p.awaiting;
+         discarded; a source already in [replies] is a duplicate.  Only
+         [dsts] receive the call, so only they reply. *)
+      p.outstanding <- p.outstanding - 1;
       p.replies <- (src, payload) :: p.replies;
-      if p.awaiting = [] then begin
+      if p.outstanding = 0 then begin
         p.finished <- true;
         p.complete ~replies:(List.rev p.replies) ~missing:[]
       end
@@ -136,7 +138,14 @@ let set_fencing t ~epoch_of ~fenceable =
 let multicall t ?kind ~src ~dsts ~timeout req ~on_done =
   if dsts = [] then on_done ~replies:[] ~missing:[]
   else begin
-    let p = { req; awaiting = dsts; replies = []; finished = false; complete = on_done } in
+    let rec distinct n = function
+      | [] -> n
+      | d :: rest -> distinct (if List.mem d rest then n else n + 1) rest
+    in
+    let p =
+      { req; dsts; outstanding = distinct 0 dsts; replies = []; finished = false;
+        complete = on_done }
+    in
     Network.multicast_batch t.network ?kind ~src ~dsts (Call { p; epoch = t.epoch_of req });
     let engine = Network.engine t.network in
     Engine.schedule_in engine t.timeouts
@@ -144,13 +153,14 @@ let multicall t ?kind ~src ~dsts ~timeout req ~on_done =
       (fun () ->
         if not p.finished then begin
           p.finished <- true;
+          let missing = List.filter (fun d -> not (List.mem_assoc d p.replies)) p.dsts in
           if Obs.Tracer.enabled t.tracer then
             Obs.Tracer.emit8 t.tracer ~time:(Engine.now engine)
               ~kind:Obs.Sem.rpc_timeout ~node:src ~txn:(-1) ~oid:(-1)
-              ~a:(List.length p.awaiting)
+              ~a:(List.length missing)
               ~b:(match kind with Some k -> k | None -> Network.Kind.other)
               ~x:0.;
-          p.complete ~replies:(List.rev p.replies) ~missing:p.awaiting
+          p.complete ~replies:(List.rev p.replies) ~missing
         end)
   end
 

@@ -23,22 +23,17 @@ type copy = {
   mutable protected_by : lease option;
 }
 
-(* PR/PW lists are bounded: entries are removed on commit/abort
-   notifications, but a lost notification (failed node) must not leak, so we
-   cap each list and evict the oldest entry. *)
-let pr_pw_cap = 64
-
 (* Recently-applied transaction ids, kept so a status query ("did txn T
    decide commit?") can be answered from local evidence.  Bounded: an entry
    is only needed while some replica may still hold T's lease, i.e. for one
    lease horizon. *)
 let applied_cap = 4096
 
-type lists = { mutable readers : int list; mutable writers : int list }
-
 type t = {
-  objects : (int, copy) Hashtbl.t;
-  lists : (int, lists) Hashtbl.t;
+  (* Indexed by oid (dense, from 0: [Ids.fresh_obj]); [None] where this
+     replica hosts no copy.  Grown by doubling when an oid past the end is
+     installed; an oid that is negative or past the end is not hosted. *)
+  mutable objects : copy option array;
   by_txn : (int, int list ref) Hashtbl.t;  (* txn -> oids it holds leases on *)
   applied : (int, unit) Hashtbl.t;
   applied_order : int Queue.t;
@@ -71,8 +66,7 @@ type t = {
 
 let create () =
   {
-    objects = Hashtbl.create 256;
-    lists = Hashtbl.create 256;
+    objects = Array.make 256 None;
     by_txn = Hashtbl.create 16;
     applied = Hashtbl.create 64;
     applied_order = Queue.create ();
@@ -99,15 +93,30 @@ let trace_lease t ~ekind ~oid ~txn ~a ~x =
     Obs.Tracer.emit8 t.tracer ~time:(t.clock ()) ~kind:ekind ~node:t.trace_node
       ~txn ~oid ~a ~b:(-1) ~x
 
+let find t oid =
+  if oid >= 0 && oid < Array.length t.objects then Array.unsafe_get t.objects oid
+  else None
+
+let mem t oid = match find t oid with Some _ -> true | None -> false
+
+let set t oid copy =
+  if oid < 0 then invalid_arg (Printf.sprintf "Store: negative object id %d" oid);
+  let n = Array.length t.objects in
+  if oid >= n then begin
+    let cap = ref (2 * n) in
+    while !cap <= oid do
+      cap := 2 * !cap
+    done;
+    let objects = Array.make !cap None in
+    Array.blit t.objects 0 objects 0 n;
+    t.objects <- objects
+  end;
+  t.objects.(oid) <- Some copy
+
 let ensure t ~oid ~init =
-  if not (Hashtbl.mem t.objects oid) then
-    Hashtbl.replace t.objects oid { version = 0; value = init; protected_by = None }
+  if not (mem t oid) then set t oid { version = 0; value = init; protected_by = None }
 
-let install t ~oid ~init =
-  Hashtbl.replace t.objects oid { version = 0; value = init; protected_by = None }
-
-let mem t oid = Hashtbl.mem t.objects oid
-let find t oid = Hashtbl.find_opt t.objects oid
+let install t ~oid ~init = set t oid { version = 0; value = init; protected_by = None }
 
 let get t oid =
   match find t oid with
@@ -212,13 +221,22 @@ let renew t ~txn ~expires =
       | Some _ | None -> ())
     (leased_oids t ~txn)
 
+(* [f oid copy acc] over the hosted copies, highest oid first, so a list
+   built by consing comes out ascending. *)
+let fold_hosted t f init =
+  let acc = ref init in
+  for oid = Array.length t.objects - 1 downto 0 do
+    match t.objects.(oid) with Some copy -> acc := f oid copy !acc | None -> ()
+  done;
+  !acc
+
 let held_leases t =
-  Hashtbl.fold
+  fold_hosted t
     (fun oid copy acc ->
       match copy.protected_by with
       | Some lease -> (oid, lease.owner, lease.expires) :: acc
       | None -> acc)
-    t.objects []
+    []
 
 (* --- applied-transaction evidence --------------------------------------- *)
 
@@ -275,55 +293,18 @@ let apply t ~oid ~version ~value ~txn =
   | None -> ());
   unlock ~restore:false t ~oid ~txn
 
-let lists_of t oid =
-  match Hashtbl.find_opt t.lists oid with
-  | Some l -> l
-  | None ->
-    let l = { readers = []; writers = [] } in
-    Hashtbl.replace t.lists oid l;
-    l
-
-let bounded_add txn entries =
-  if List.mem txn entries then entries
-  else begin
-    let entries = txn :: entries in
-    if List.length entries > pr_pw_cap then
-      List.filteri (fun i _ -> i < pr_pw_cap) entries
-    else entries
-  end
-
-let add_reader t ~oid ~txn =
-  let l = lists_of t oid in
-  l.readers <- bounded_add txn l.readers
-
-let add_writer t ~oid ~txn =
-  let l = lists_of t oid in
-  l.writers <- bounded_add txn l.writers
-
-let remove_txn t ~oid ~txn =
-  match Hashtbl.find_opt t.lists oid with
-  | None -> ()
-  | Some l ->
-    l.readers <- List.filter (fun id -> id <> txn) l.readers;
-    l.writers <- List.filter (fun id -> id <> txn) l.writers
-
-let readers t oid = match Hashtbl.find_opt t.lists oid with None -> [] | Some l -> l.readers
-let writers t oid = match Hashtbl.find_opt t.lists oid with None -> [] | Some l -> l.writers
-let object_count t = Hashtbl.length t.objects
-
 (* --- crash-recovery state transfer ------------------------------------- *)
 
-(* Committed state only: locks and PR/PW lists are transient and are not
-   shipped to a recovering peer. *)
-let dump t =
-  Hashtbl.fold (fun oid copy acc -> (oid, copy.version, copy.value) :: acc) t.objects []
+(* Committed state only, ascending by oid: locks are transient and are
+   not shipped to a recovering peer. *)
+let dump t = fold_hosted t (fun oid copy acc -> (oid, copy.version, copy.value) :: acc) []
 
 (* Merge one copy received from a sync quorum: adopt it if strictly newer
    (a newer version also invalidates any stale local lease), install it if
    the object is unknown locally. *)
 let sync_copy t ~oid ~version ~value =
-  match Hashtbl.find_opt t.objects oid with
-  | None -> Hashtbl.replace t.objects oid { version; value; protected_by = None }
+  match find t oid with
+  | None -> set t oid { version; value; protected_by = None }
   | Some copy ->
     if version > copy.version then begin
       begin
@@ -338,19 +319,19 @@ let sync_copy t ~oid ~version ~value =
       copy.protected_by <- None
     end
 
-(* A crashed process loses its volatile state: leases it granted, PR/PW
-   registrations and apply evidence die with it.  Called when the node
-   rejoins. *)
+(* A crashed process loses its volatile state: the leases it granted and
+   its apply evidence die with it.  Called when the node rejoins. *)
 let reset_transients t =
-  Hashtbl.iter
-    (fun oid copy ->
-      (match copy.protected_by with
-      | Some lease ->
-        trace_lease t ~ekind:Obs.Sem.lease_release ~oid ~txn:lease.owner ~a:2 ~x:0.
-      | None -> ());
-      copy.protected_by <- None)
+  Array.iteri
+    (fun oid -> function
+      | Some copy ->
+        (match copy.protected_by with
+        | Some lease ->
+          trace_lease t ~ekind:Obs.Sem.lease_release ~oid ~txn:lease.owner ~a:2 ~x:0.
+        | None -> ());
+        copy.protected_by <- None
+      | None -> ())
     t.objects;
-  Hashtbl.reset t.lists;
   Hashtbl.reset t.by_txn;
   Hashtbl.reset t.applied;
   Hashtbl.reset t.retained;

@@ -1,9 +1,14 @@
 (** Per-replica versioned object store.
 
-    Every QR node holds a copy of every object (paper §II property 1): a
-    value, a monotonically increasing version, a [protected] lock set during
-    the vote phase of 2PC, and the potential-readers / potential-writers
-    lists (PR/PW) the paper's contention management bookkeeping uses. *)
+    A replica hosts a copy of each object of the shards it is a member of
+    (unsharded, every object: paper §II property 1) — installed at setup,
+    or received through state transfer on recovery or a view change.  A
+    copy is a value, a monotonically increasing version and a [protected]
+    lease set during the vote phase of 2PC.  Copies are indexed by object
+    id, which is dense from 0.  The paper's potential-readers /
+    potential-writers (PR/PW) lists are not kept: they feed contention
+    management, which this implementation does not have, and no protocol
+    step reads them. *)
 
 type lease = {
   owner : int;
@@ -41,21 +46,25 @@ val instrument : t -> tracer:Obs.Tracer.t -> node:int -> clock:(unit -> float) -
     the replica stays silent. *)
 
 val ensure : t -> oid:int -> init:Value.t -> unit
-(** Install the object with version 0 if absent; no-op otherwise. *)
+(** Install the object with version 0 if absent; no-op otherwise.
+    @raise Invalid_argument on a negative oid (so do {!install} and
+    {!sync_copy}). *)
 
 val install : t -> oid:int -> init:Value.t -> unit
 (** Unconditionally (re)install the object with version 0 and no lock;
     setup-time only — never call once transactions are running. *)
 
 val mem : t -> int -> bool
+
 val find : t -> int -> copy option
+(** The hosted copy, or [None] — also for a negative oid or one past every
+    installed oid.  Allocates nothing. *)
 
 val get : t -> int -> copy
 (** @raise Invalid_argument if the object was never installed. *)
 
 val version : t -> int -> int
-(** Version of the local copy; objects are installed everywhere before any
-    transaction runs, so a missing object is a harness bug.
+(** Version of the local copy.
     @raise Invalid_argument on missing object. *)
 
 val is_protected : t -> oid:int -> against:int -> bool
@@ -102,7 +111,8 @@ val leased_oids : t -> txn:int -> int list
 (** Objects currently leased by [txn]. *)
 
 val held_leases : t -> (int * int * float) list
-(** Every live lease as [(oid, owner txn, expires)] — stall diagnostics. *)
+(** Every live lease as [(oid, owner txn, expires)], ascending by oid —
+    stall diagnostics. *)
 
 val note_applied : t -> txn:int -> unit
 (** Record that [txn]'s 2PC second phase reached this replica (bounded
@@ -136,21 +146,10 @@ val apply : t -> oid:int -> version:int -> value:Value.t -> txn:int -> unit
     (stale applies from lagging quorum members are ignored), releasing the
     lock if [txn] held it, and recording [txn] as applied. *)
 
-val add_reader : t -> oid:int -> txn:int -> unit
-val add_writer : t -> oid:int -> txn:int -> unit
-
-val remove_txn : t -> oid:int -> txn:int -> unit
-(** Drop [txn] from the PR/PW lists of [oid]. *)
-
-val readers : t -> int -> int list
-val writers : t -> int -> int list
-
-val object_count : t -> int
-
 val dump : t -> (int * int * Value.t) list
-(** Snapshot of committed state as [(oid, version, value)] triples — the
-    payload of a crash-recovery [Sync_rep].  Locks and PR/PW lists are
-    transient and not included. *)
+(** Snapshot of committed state as [(oid, version, value)] triples,
+    ascending by oid — the payload of a crash-recovery [Sync_rep].  Leases
+    are transient and not included. *)
 
 val sync_copy : t -> oid:int -> version:int -> value:Value.t -> unit
 (** Merge one copy received during catch-up: adopt it if strictly newer
@@ -158,5 +157,7 @@ val sync_copy : t -> oid:int -> version:int -> value:Value.t -> unit
     is unknown locally, ignore it otherwise. *)
 
 val reset_transients : t -> unit
-(** Clear every lock and all PR/PW lists — a crashed process loses its
-    volatile state; called when the node rejoins after recovery. *)
+(** Clear every lease (walking the copies in ascending oid order, which
+    orders their [lease.release] trace events) and the apply evidence — a
+    crashed process loses its volatile state; called when the node rejoins
+    after recovery. *)

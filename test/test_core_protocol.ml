@@ -156,13 +156,12 @@ let test_server_read () =
   match
     Server.handle server ~src:5
       (Messages.Read_req
-         { txn = 1; oid = 1; dataset = Messages.empty_dataset; write_intent = false; record = true })
+         { txn = 1; oid = 1; dataset = Messages.empty_dataset; write_intent = false; record = false })
   with
   | Some (Messages.Read_ok { oid; version; value }) ->
     Alcotest.(check int) "oid" 1 oid;
     Alcotest.(check int) "version" 0 version;
-    Alcotest.check value_testable "value" (Store.Value.Int 0) value;
-    Alcotest.(check (list int)) "PR updated" [ 1 ] (Store.Replica.readers (Server.store server) 1)
+    Alcotest.check value_testable "value" (Store.Value.Int 0) value
   | Some _ | None -> Alcotest.fail "expected Read_ok"
 
 let test_server_commit_vote_and_apply () =
@@ -193,12 +192,7 @@ let test_server_commit_vote_and_apply () =
   (* Apply installs the write and releases the lock. *)
   ignore
     (Server.handle server ~src:5
-       (Messages.Apply
-          {
-            txn = 9;
-            writes = Messages.writes_of_list [ (2, 1, Store.Value.Int 5) ];
-            reads = [| 1 |];
-          }));
+       (Messages.Apply { txn = 9; writes = Messages.writes_of_list [ (2, 1, Store.Value.Int 5) ] }));
   Alcotest.(check int) "version bumped" 1 (Store.Replica.version (Server.store server) 2);
   Alcotest.(check bool) "lock released" false
     (Store.Replica.is_protected (Server.store server) ~oid:2 ~against:999)

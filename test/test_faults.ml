@@ -365,11 +365,7 @@ let test_status_rescues_decided_commit () =
       ignore
         (Server.handle (Cluster.server_of cluster ~node) ~src:3
            (Messages.Apply
-              {
-                txn;
-                writes = Messages.writes_of_list [ (oid, 1, Store.Value.Int 7) ];
-                reads = [||];
-              })))
+              { txn; writes = Messages.writes_of_list [ (oid, 1, Store.Value.Int 7) ] })))
     [ 0; 2; 3; 8 ];
   (* The oracle must know about the decided commit, as the coordinator
      would have reported it. *)

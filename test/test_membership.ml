@@ -324,11 +324,7 @@ let test_sync_races_lease_rescue () =
       ignore
         (Server.handle (Cluster.server_of cluster ~node) ~src:3
            (Messages.Apply
-              {
-                txn;
-                writes = Messages.writes_of_list [ (oid, 1, Store.Value.Int 7) ];
-                reads = [||];
-              })))
+              { txn; writes = Messages.writes_of_list [ (oid, 1, Store.Value.Int 7) ] })))
     [ 0; 2; 3; 8 ];
   (match Cluster.oracle cluster with
   | Some oracle ->

@@ -265,7 +265,7 @@ let test_rescue_from_other_shard () =
     (fun node ->
       ignore
         (Server.handle (Cluster.server_of cluster ~node) ~src:0
-           (Messages.Apply { txn; writes; reads = [||] })))
+           (Messages.Apply { txn; writes })))
     shard0_wq;
   (match Cluster.oracle cluster with
   | Some oracle ->

@@ -478,8 +478,8 @@ let fanout_matches_send_loop =
       let _, _, _, overflow = batched in
       overflow = 0 && batched = looped)
 
-let make_rpc ?(nodes = 4) () =
-  let engine = Sim.Engine.create () in
+let make_rpc ?tracer ?(nodes = 4) () =
+  let engine = Sim.Engine.create ?tracer () in
   let topology = Sim.Topology.uniform ~latency:10. ~nodes () in
   let network = Sim.Network.create ~engine ~topology ~service_time:0.5 ~jitter:0. () in
   let rpc = Sim.Rpc.create ~network () in
@@ -561,7 +561,7 @@ let test_rpc_multicall_late_reply_discarded () =
 (* Every message on the links to nodes 1-3 is delivered twice, so each
    node serves the request twice and node 0 receives four replies from it.
    Node 3's link is also spiked, so the duplicates from nodes 1 and 2 land
-   while the call still awaits node 3: only the awaiting guard can discard
+   while the call still awaits node 3: only the duplicate guard can discard
    them.  [on_done] fires once, with each replier once, in arrival order. *)
 let test_rpc_multicall_duplicate_reply_counted_once () =
   let engine, network, rpc = make_rpc () in
@@ -586,22 +586,31 @@ let test_rpc_multicall_duplicate_reply_counted_once () =
     [ ([ (1, 101); (2, 102); (3, 103) ], []) ]
     !calls
 
+(* [missing] keeps the order of [dsts], and the timeout's trace event
+   counts the outstanding destinations. *)
 let test_rpc_multicall_missing_is_exact () =
-  let engine, network, rpc = make_rpc ~nodes:6 () in
+  let tracer = Obs.Tracer.create () in
+  let engine, network, rpc = make_rpc ~tracer ~nodes:6 () in
   for node = 0 to 5 do
     Sim.Rpc.serve rpc ~node (fun ~src:_ req -> Some req)
   done;
   Sim.Network.fail network 2;
   Sim.Network.fail network 4;
   let result = ref None in
-  Sim.Rpc.multicall rpc ~src:0 ~dsts:[ 1; 2; 3; 4; 5 ] ~timeout:200. 9
+  Sim.Rpc.multicall rpc ~src:0 ~dsts:[ 5; 4; 3; 2; 1 ] ~timeout:200. 9
     ~on_done:(fun ~replies ~missing ->
-      result := Some (List.sort compare (List.map fst replies), List.sort compare missing));
+      result := Some (List.sort compare (List.map fst replies), missing));
   Sim.Engine.run engine;
   Alcotest.(check (option (pair (list int) (list int))))
     "missing names exactly the non-repliers"
-    (Some ([ 1; 3; 5 ], [ 2; 4 ]))
-    !result
+    (Some ([ 1; 3; 5 ], [ 4; 2 ]))
+    !result;
+  Alcotest.(check (list int))
+    "timeout traces the outstanding count" [ 2 ]
+    (List.filter_map
+       (fun (e : Obs.Tracer.event) ->
+         if e.ekind = Obs.Sem.rpc_timeout then Some e.a else None)
+       (Obs.Tracer.events tracer))
 
 let test_rpc_acked_send_retransmits () =
   (* The link starts fully lossy, then heals at t=70; acked_send keeps
