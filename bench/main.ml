@@ -11,9 +11,10 @@
       simulator hot path's throughput and GC words per committed
       transaction, emitting BENCH_harness.json (see EXPERIMENTS.md for the
       format).
-   3. `openloop`: the open-loop (Poisson-arrival) driver at an offered load
-      below and far above the cluster's capacity, emitting
-      BENCH_openloop.json and sanity-gating the saturation signature:
+   3. `openloop`: open-loop (Poisson-arrival) load through
+      `Harness.Experiment.run` at an offered load below and far above the
+      cluster's capacity, emitting BENCH_openloop.json and sanity-gating
+      the saturation signature:
       under load, achieved tracks offered; past saturation, queueing delay
       dominates while service latency stays bounded.
 
@@ -124,7 +125,8 @@ let figures () =
 (* --- Ablations --------------------------------------------------------- *)
 
 let run_mode ?(config_of = Config.default) mode =
-  Harness.Experiment.run ~clients:scale.clients ~warmup:scale.warmup
+  Harness.Experiment.run ~load:(Closed { clients = scale.clients; client_nodes = None })
+    ~warmup:scale.warmup
     ~duration:scale.duration
     (Harness.Experiment.spec ~seed:7 ~config:(config_of mode)
        ~benchmark:Benchmarks.Bank.benchmark
@@ -188,7 +190,8 @@ let ablation_checkpoint_tuning () =
 let ablation_read_level () =
   let point level =
     let result =
-      Harness.Experiment.run ~clients:scale.clients ~warmup:scale.warmup
+      Harness.Experiment.run ~load:(Closed { clients = scale.clients; client_nodes = None })
+        ~warmup:scale.warmup
         ~duration:scale.duration
         (Harness.Experiment.spec ~seed:9 ~read_level:level
            ~config:(Config.default Config.Closed) ~benchmark:Benchmarks.Bank.benchmark
@@ -506,7 +509,8 @@ type batch_stats = {
 
 let measure_batch () =
   let point ~batch_commit =
-    Harness.Experiment.run ~clients:24 ~warmup:500. ~duration:3_000.
+    Harness.Experiment.run ~load:(Closed { clients = 24; client_nodes = None })
+      ~warmup:500. ~duration:3_000.
       (Harness.Experiment.spec ~nodes:9 ~seed:131 ~batch_commit
          ~config:(Config.default Config.Flat)
          ~benchmark:Benchmarks.Bank.benchmark
@@ -625,17 +629,36 @@ let emit_sim_fields oc ~(untraced : eps_stats) ~(traced : eps_stats)
 (* Measure untraced and traced hot-path stats; the delta is the cost of
    emitting ~1 ring-buffer write per protocol step.  The headline
    [events_per_second] stays the tracing-disabled figure — the
-   zero-overhead-when-disabled claim is what the --baseline gate guards. *)
+   zero-overhead-when-disabled claim is what the --baseline gate guards.
+
+   One stretch is ~160k events, a fraction of a second, so a single
+   untraced/traced pair mostly measures host noise (on a 2-core host,
+   single pairs on the same code read from -0.9% to 27.7%).  The stretches alternate, so a
+   slow patch of the host hits both sides, and each side reports its
+   median stretch. *)
+let stretches = 11
+
 let measure_simulator () =
-  let untraced = events_per_second () in
-  let traced = events_per_second ~tracer:(Obs.Tracer.create ()) () in
-  let tracing_overhead_pct =
+  let pairs =
+    List.init stretches (fun _ ->
+        let untraced = events_per_second () in
+        (untraced, events_per_second ~tracer:(Obs.Tracer.create ()) ()))
+  in
+  let median runs =
+    List.nth (List.sort (fun a b -> Float.compare a.eps b.eps) runs) (stretches / 2)
+  in
+  let untraced = median (List.map fst pairs) and traced = median (List.map snd pairs) in
+  let overhead (untraced : eps_stats) (traced : eps_stats) =
     if traced.eps > 0. then ((untraced.eps /. traced.eps) -. 1.) *. 100. else 0.
   in
-  Printf.printf "  simulator: %.0f events/s (%d events, bank workload)\n%!"
-    untraced.eps untraced.events;
+  let tracing_overhead_pct = overhead untraced traced in
+  Printf.printf "  simulator: %.0f events/s (%d events, bank workload, median of %d)\n%!"
+    untraced.eps untraced.events stretches;
   Printf.printf "  simulator (traced): %.0f events/s (tracing overhead %.2f%%)\n%!"
     traced.eps tracing_overhead_pct;
+  Printf.printf "  tracing overhead per pair:%s\n%!"
+    (String.concat ""
+       (List.map (fun (u, t) -> Printf.sprintf " %.1f%%" (overhead u t)) pairs));
   Printf.printf
     "  allocation: %.0f minor + %.0f major words/commit (traced: %.0f minor)\n%!"
     untraced.minor_words_per_commit untraced.major_words_per_commit
@@ -763,7 +786,8 @@ let wall_bench () =
    up while service latency stays flat. *)
 let openloop_bench () =
   let point ~rate ~duration =
-    Harness.Openloop.run ~warmup:500. ~duration ~rate ~population:1_000_000
+    Harness.Experiment.run ~warmup:500. ~duration
+      ~load:(Open { rate; population = 1_000_000; max_per_node = 4 })
       (Harness.Experiment.spec ~nodes:5 ~seed:19
          ~config:(Config.default Config.Closed)
          ~benchmark:Benchmarks.Counter.benchmark
@@ -773,9 +797,9 @@ let openloop_bench () =
   in
   print_endline "open-loop bench: Poisson arrivals, 1M logical clients (counter workload)";
   let under = point ~rate:150. ~duration:8_000. in
-  Format.printf "  %a@." Harness.Openloop.pp_result under;
+  Format.printf "  %a@." Harness.Experiment.pp_result under;
   let over = point ~rate:5_000. ~duration:3_000. in
-  Format.printf "  %a@." Harness.Openloop.pp_result over;
+  Format.printf "  %a@." Harness.Experiment.pp_result over;
   let out = if cli.out = "BENCH_harness.json" then "BENCH_openloop.json" else cli.out in
   let oc = open_out out in
   Printf.fprintf oc
@@ -785,8 +809,8 @@ let openloop_bench () =
     \  \"under_saturation\": %s,\n\
     \  \"over_saturation\": %s\n\
      }\n"
-    (Harness.Openloop.to_json under)
-    (Harness.Openloop.to_json over);
+    (Harness.Experiment.to_json under)
+    (Harness.Experiment.to_json over);
   close_out oc;
   Printf.printf "wrote %s\n%!" out;
   let fail msg =
@@ -799,6 +823,7 @@ let openloop_bench () =
   (match under.consistent with
   | Ok () -> ()
   | Error m -> fail ("under-saturation oracle: " ^ m));
+  let under = Option.get under.open_loop and over = Option.get over.open_loop in
   if under.achieved_load < 0.8 *. under.offered_load
      || under.achieved_load > 1.2 *. under.offered_load then
     fail

@@ -92,8 +92,9 @@ let shape_error (f : shared) =
   match Core.Cluster.layout_error ~nodes:f.nodes ~shards:f.shards with
   | Some msg -> Some (Printf.sprintf "--nodes %d --shards %d: %s" f.nodes f.shards msg)
   | None ->
-    if Option.fold ~none:false ~some:(fun n -> n < 1) f.objects then
-      Some "--objects must be at least 1"
+    let least = f.bench.min_objects in
+    if Option.fold ~none:false ~some:(fun n -> n < least) f.objects then
+      Some (Printf.sprintf "--objects must be at least %d for %s" least f.bench.name)
     else if outside_unit f.reads then Some "--reads must be in [0, 1]"
     else if outside_unit f.cross_shard_prob then Some "--cross-shard-prob must be in [0, 1]"
     else None
@@ -327,43 +328,57 @@ let summary_cmd =
   Cmd.v info Term.(const run $ scale_arg $ jobs_arg)
 
 let run_cmd =
-  let open_loop_arg =
-    let doc =
-      "Open-loop mode: Poisson arrivals at $(docv) requests per second of simulated \
-       time over a logical client population (--population), instead of closed-loop \
-       clients.  Reports p50/p95/p99 service latency and queueing delay separately."
-    in
-    Arg.(value & opt (some float) None & info [ "open-loop" ] ~docv:"RATE" ~doc)
-  in
-  let population_arg =
-    let doc = "Logical client population for --open-loop (clients are lazy: no per-client state)." in
-    Arg.(value & opt int 1_000_000 & info [ "population" ] ~docv:"N" ~doc)
-  in
-  let max_per_node_arg =
-    let doc = "Admission cap per node for --open-loop; arrivals beyond it queue and accrue queueing delay." in
-    Arg.(value & opt int 4 & info [ "max-per-node" ] ~docv:"N" ~doc)
-  in
-  let run f open_loop population max_per_node =
-    let tracer, online = online_checker f [] in
-    let spec = spec_of ~tracer f in
-    match open_loop with
-    | Some rate ->
-      let r =
-        Harness.Openloop.run ~duration:f.duration ~population ~max_per_node ~rate spec
+  (* The load: closed-loop --clients, or open-loop arrivals when
+     --open-loop is given; a load the library would reject is a usage
+     error. *)
+  let load_term =
+    let open Term.Syntax in
+    Term.ret
+    @@ let+ open_loop =
+      let doc =
+        "Open-loop mode: Poisson arrivals at $(docv) requests per second of simulated \
+         time over a logical client population (--population), instead of closed-loop \
+         clients.  Reports p50/p95/p99 service latency and queueing delay separately."
       in
-      Format.printf "%a@." Harness.Openloop.pp_result r;
-      finish ~passed:(r.invariant = Ok () && r.consistent = Ok ()) online
-    | None ->
-      let r = Harness.Experiment.run ~clients:f.clients ~duration:f.duration spec in
-      Format.printf "%a@." Harness.Experiment.pp_result r;
-      finish ~passed:(Harness.Experiment.passed r) online
+      Arg.(value & opt (some float) None & info [ "open-loop" ] ~docv:"RATE" ~doc)
+    and+ population =
+      let doc =
+        "Logical client population for --open-loop (clients are lazy: no per-client state)."
+      in
+      Arg.(value & opt int 1_000_000 & info [ "population" ] ~docv:"N" ~doc)
+    and+ max_per_node =
+      let doc =
+        "Admission cap per node for --open-loop; arrivals beyond it queue and accrue \
+         queueing delay."
+      in
+      Arg.(value & opt int 4 & info [ "max-per-node" ] ~docv:"N" ~doc)
+    in
+    match open_loop with
+    | None -> `Ok None
+    | Some rate -> (
+      let load = Harness.Experiment.Open { rate; population; max_per_node } in
+      match Harness.Experiment.load_error load with
+      | Some msg ->
+        `Error
+          ( true,
+            Printf.sprintf "--open-loop %g --population %d --max-per-node %d: %s" rate
+              population max_per_node msg )
+      | None -> `Ok (Some load))
+  in
+  let run f open_load =
+    let tracer, online = online_checker f [] in
+    let closed = Harness.Experiment.Closed { clients = f.clients; client_nodes = None } in
+    let load = Option.value open_load ~default:closed in
+    let r = Harness.Experiment.run ~load ~duration:f.duration (spec_of ~tracer f) in
+    Format.printf "%a@." Harness.Experiment.pp_result r;
+    finish ~passed:(Harness.Experiment.passed r) online
   in
   let info = Cmd.info "run" ~doc:"Run one custom experiment point" in
   Cmd.v info
     Term.(
       const run
       $ shared_term { scenario_defaults with clients = 26; duration = 10_000. }
-      $ open_loop_arg $ population_arg $ max_per_node_arg)
+      $ load_term)
 
 let scenario_cmd =
   let events_arg =
@@ -448,8 +463,9 @@ let trace_cmd =
     let tracer = Obs.Tracer.create ~capacity () in
     let tele = Option.map (fun _ -> Obs.Telemetry.create ~window) telemetry in
     let result =
-      Harness.Experiment.run ~clients:f.clients ~duration:f.duration ?telemetry:tele
-        (spec_of ~tracer f)
+      Harness.Experiment.run
+        ~load:(Closed { clients = f.clients; client_nodes = None })
+        ~duration:f.duration ?telemetry:tele (spec_of ~tracer f)
     in
     Format.eprintf "%a@." Harness.Experiment.pp_result result;
     Format.eprintf "trace: %d events captured@." (Obs.Tracer.length tracer);

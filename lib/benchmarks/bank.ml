@@ -19,7 +19,14 @@ let total_balance cluster ~accounts =
     (fun acc oid -> acc + Store.Value.to_int (Workload.latest_value cluster ~oid))
     0 accounts
 
+(* A transfer moves money between two distinct accounts. *)
+let min_accounts = 2
+
 let setup cluster (params : Workload.params) =
+  if params.objects < min_accounts then
+    invalid_arg
+      (Printf.sprintf "Bank.setup: %d accounts (a transfer needs %d)" params.objects
+         min_accounts);
   let accounts =
     Array.init params.objects (fun _ ->
         Cluster.alloc_object cluster ~init:(Store.Value.Int initial_balance))
@@ -88,4 +95,4 @@ let setup cluster (params : Workload.params) =
   in
   { Workload.generate; check }
 
-let benchmark = { Workload.name = "bank"; setup }
+let benchmark = { Workload.name = "bank"; min_objects = min_accounts; setup }

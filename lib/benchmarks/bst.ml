@@ -116,4 +116,4 @@ let setup cluster (params : Workload.params) =
   let check () = check_structure cluster h in
   { Workload.generate; check }
 
-let benchmark = { Workload.name = "bst"; setup }
+let benchmark = { Workload.name = "bst"; min_objects = 1; setup }

@@ -28,4 +28,4 @@ let setup cluster (params : Workload.params) =
   in
   { Workload.generate; check }
 
-let benchmark = { Workload.name = "counter"; setup }
+let benchmark = { Workload.name = "counter"; min_objects = 1; setup }

@@ -183,4 +183,4 @@ let setup cluster (params : Workload.params) =
   let check () = check_chains cluster h in
   { Workload.generate; check }
 
-let benchmark = { Workload.name = "hashmap"; setup }
+let benchmark = { Workload.name = "hashmap"; min_objects = 1; setup }

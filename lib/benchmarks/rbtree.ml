@@ -291,4 +291,4 @@ let setup cluster (params : Workload.params) =
   let check () = check_structure cluster h in
   { Workload.generate; check }
 
-let benchmark = { Workload.name = "rbtree"; setup }
+let benchmark = { Workload.name = "rbtree"; min_objects = 1; setup }

@@ -182,4 +182,4 @@ let setup cluster (params : Workload.params) =
   let check () = check_structure cluster h in
   { Workload.generate; check }
 
-let benchmark = { Workload.name = "slist"; setup }
+let benchmark = { Workload.name = "slist"; min_objects = 1; setup }

@@ -108,4 +108,4 @@ let setup cluster (params : Workload.params) =
   let check () = check_offers cluster h in
   { Workload.generate; check }
 
-let benchmark = { Workload.name = "vacation"; setup }
+let benchmark = { Workload.name = "vacation"; min_objects = 1; setup }

@@ -22,7 +22,11 @@ type instance = {
   check : unit -> (unit, string) result;
 }
 
-type benchmark = { name : string; setup : Core.Cluster.t -> params -> instance }
+type benchmark = {
+  name : string;
+  min_objects : int;
+  setup : Core.Cluster.t -> params -> instance;
+}
 
 let pick_key rng params = Util.Rng.zipf rng ~n:params.objects ~skew:params.key_skew
 

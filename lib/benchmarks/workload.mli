@@ -46,6 +46,7 @@ type instance = {
 
 type benchmark = {
   name : string;
+  min_objects : int;  (** the smallest [objects] the workload can run on *)
   setup : Core.Cluster.t -> params -> instance;
 }
 

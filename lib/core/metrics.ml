@@ -28,13 +28,12 @@ type t = {
   mutable batch_occupancy : Util.Stats.t;
   mutable cross_shard_commits : int;
   mutable cross_shard_aborts : int;
-  (* Open-loop driver channel (Harness.Openloop): constant-memory HDR
-     histograms so SLO percentiles survive millions of samples.  Queueing
+  (* Open-loop load channel (Harness.Experiment's open load): constant-memory
+     HDR histograms so SLO percentiles survive millions of samples.  Queueing
      delay (arrival -> admission) is kept apart from service latency
      (admission -> completion): under saturation the former grows without
      bound while the latter stays flat — conflating them is the classic
      closed-loop reporting mistake. *)
-  mutable open_arrivals : int;
   mutable open_completions : int;
   open_queue_delay : Util.Hdr.t;
   open_service : Util.Hdr.t;
@@ -71,7 +70,6 @@ let create () =
     batch_occupancy = Util.Stats.create ();
     cross_shard_commits = 0;
     cross_shard_aborts = 0;
-    open_arrivals = 0;
     open_completions = 0;
     open_queue_delay = Util.Hdr.create ();
     open_service = Util.Hdr.create ();
@@ -107,7 +105,6 @@ let reset t =
   t.batch_occupancy <- Util.Stats.create ();
   t.cross_shard_commits <- 0;
   t.cross_shard_aborts <- 0;
-  t.open_arrivals <- 0;
   t.open_completions <- 0;
   Util.Hdr.reset t.open_queue_delay;
   Util.Hdr.reset t.open_service
@@ -161,8 +158,6 @@ let note_cross_shard_abort t =
   (* counted alongside the root abort the 2PC failure also records *)
   t.cross_shard_aborts <- t.cross_shard_aborts + 1
 
-let note_open_loop_arrival t = t.open_arrivals <- t.open_arrivals + 1
-
 let note_open_loop_done t ~queue_delay ~service =
   t.open_completions <- t.open_completions + 1;
   Util.Hdr.add t.open_queue_delay queue_delay;
@@ -207,7 +202,6 @@ let batch_occupancy_percentile t p =
 
 let recovery_time_stats t = t.recovery_times
 let latency_stats t = t.latencies
-let open_loop_arrivals t = t.open_arrivals
 let open_loop_completions t = t.open_completions
 let open_queue_delay t = t.open_queue_delay
 let open_service t = t.open_service

@@ -92,10 +92,6 @@ val note_cross_shard_abort : t -> unit
     conflict aborts; the accompanying root abort is still counted by
     {!note_root_abort}. *)
 
-val note_open_loop_arrival : t -> unit
-(** Open-loop driver ({!Harness.Openloop}-style): one logical-client
-    request arrived (Poisson process), whether or not it was admitted yet. *)
-
 val note_open_loop_done : t -> queue_delay:float -> service:float -> unit
 (** An open-loop request completed: [queue_delay] is arrival-to-admission
     (time spent waiting behind the concurrency cap), [service] is
@@ -152,7 +148,6 @@ val recovery_time_stats : t -> Util.Stats.t
 
 val latency_stats : t -> Util.Stats.t
 
-val open_loop_arrivals : t -> int
 val open_loop_completions : t -> int
 
 val open_queue_delay : t -> Util.Hdr.t

@@ -366,7 +366,9 @@ let run ~clients ~horizon (spec : Experiment.spec) events =
   {
     seed = spec.seed;
     events;
-    run = Experiment.run ~clients ~warmup:0. ~duration:horizon ~events spec;
+    run =
+      Experiment.run ~load:(Closed { clients; client_nodes = None }) ~warmup:0.
+        ~duration:horizon ~events spec;
   }
 
 let run_one ?(rolling = false) ~clients knobs spec =

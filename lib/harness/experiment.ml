@@ -6,6 +6,24 @@ type stall = {
   stall_leases : (int * Ids.obj_id * int * float) list;
 }
 
+type open_stats = {
+  offered_load : float;
+  achieved_load : float;
+  population : int;
+  arrivals : int;
+  completions : int;
+  service_mean : float;
+  service_p50 : float;
+  service_p95 : float;
+  service_p99 : float;
+  queue_mean : float;
+  queue_p50 : float;
+  queue_p95 : float;
+  queue_p99 : float;
+  peak_backlog : int;
+  final_backlog : int;
+}
+
 type result = {
   label : string;
   duration : float;
@@ -33,6 +51,7 @@ type result = {
   cross_shard_aborts : int;
   cross_shard_share : float;
   stalls : stall list;
+  open_loop : open_stats option;
   report : Scenario.report option;
   invariant : (unit, string) Stdlib.result;
   consistent : (unit, string) Stdlib.result;
@@ -42,20 +61,65 @@ let passed r = r.invariant = Ok () && r.consistent = Ok () && r.stalls = []
 
 let pp_result fmt r =
   let status = function Ok () -> "ok" | Error msg -> "FAILED: " ^ msg in
-  Format.fprintf fmt
-    "%s: %.1f txn/s (%d commits, %d ro) aborts[root=%d partial=%d rate=%.3f] msgs=%d \
-     reads[remote=%d local=%d] latency[mean=%.1f p50=%.1f p95=%.1f p99=%.1f] \
-     invariant=%s oracle=%s"
-    r.label r.throughput r.commits r.read_only_commits r.root_aborts r.partial_aborts
-    r.abort_rate r.messages r.remote_reads r.local_reads r.mean_latency r.p50_latency
-    r.p95_latency r.p99_latency
-    (status r.invariant) (status r.consistent);
-  (* Rendered only for runs that saw cross-shard traffic, so unsharded
-     output stays byte-stable. *)
-  if r.cross_shard_commits > 0 || r.cross_shard_aborts > 0 then
-    Format.fprintf fmt " xshard[commits=%d aborts=%d share=%.3f]"
-      r.cross_shard_commits r.cross_shard_aborts r.cross_shard_share;
+  (match r.open_loop with
+  | None ->
+    Format.fprintf fmt
+      "%s: %.1f txn/s (%d commits, %d ro) aborts[root=%d partial=%d rate=%.3f] msgs=%d \
+       reads[remote=%d local=%d] latency[mean=%.1f p50=%.1f p95=%.1f p99=%.1f] \
+       invariant=%s oracle=%s"
+      r.label r.throughput r.commits r.read_only_commits r.root_aborts r.partial_aborts
+      r.abort_rate r.messages r.remote_reads r.local_reads r.mean_latency r.p50_latency
+      r.p95_latency r.p99_latency
+      (status r.invariant) (status r.consistent);
+    (* Rendered only for runs that saw cross-shard traffic, so unsharded
+       output stays byte-stable. *)
+    if r.cross_shard_commits > 0 || r.cross_shard_aborts > 0 then
+      Format.fprintf fmt " xshard[commits=%d aborts=%d share=%.3f]"
+        r.cross_shard_commits r.cross_shard_aborts r.cross_shard_share
+  | Some o ->
+    Format.fprintf fmt
+      "%s: offered=%.1f/s achieved=%.1f/s (pop=%d, %d arrivals, %d done) \
+       service[mean=%.2f p50=%.2f p95=%.2f p99=%.2f] queue[mean=%.2f p50=%.2f \
+       p95=%.2f p99=%.2f] backlog[peak=%d final=%d] invariant=%s oracle=%s"
+      r.label o.offered_load o.achieved_load o.population o.arrivals o.completions
+      o.service_mean o.service_p50 o.service_p95 o.service_p99 o.queue_mean o.queue_p50
+      o.queue_p95 o.queue_p99 o.peak_backlog o.final_backlog (status r.invariant)
+      (status r.consistent));
   if r.stalls <> [] then Format.fprintf fmt " stalls=%d" (List.length r.stalls)
+
+let to_json r =
+  let int = string_of_int and ms = Printf.sprintf "%.4f" in
+  let status = function Ok () -> "\"ok\"" | Error m -> Printf.sprintf "%S" m in
+  let open_fields f = Option.fold ~none:[] ~some:f r.open_loop in
+  let fields =
+    [ ("label", Printf.sprintf "%S" r.label); ("duration_ms", Printf.sprintf "%.1f" r.duration) ]
+    @ open_fields (fun o ->
+          [
+            ("offered_load_per_s", Printf.sprintf "%.3f" o.offered_load);
+            ("achieved_load_per_s", Printf.sprintf "%.3f" o.achieved_load);
+            ("population", int o.population);
+            ("arrivals", int o.arrivals);
+            ("completions", int o.completions);
+          ])
+    @ [ ("commits", int r.commits); ("aborts", int (r.root_aborts + r.partial_aborts)) ]
+    @ open_fields (fun o ->
+          [
+            ("service_mean_ms", ms o.service_mean);
+            ("service_p50_ms", ms o.service_p50);
+            ("service_p95_ms", ms o.service_p95);
+            ("service_p99_ms", ms o.service_p99);
+            ("queue_mean_ms", ms o.queue_mean);
+            ("queue_p50_ms", ms o.queue_p50);
+            ("queue_p95_ms", ms o.queue_p95);
+            ("queue_p99_ms", ms o.queue_p99);
+            ("peak_backlog", int o.peak_backlog);
+            ("final_backlog", int o.final_backlog);
+          ])
+    @ [ ("invariant", status r.invariant); ("oracle", status r.consistent) ]
+  in
+  "{\n"
+  ^ String.concat ",\n" (List.map (fun (k, v) -> Printf.sprintf "  %S: %s" k v) fields)
+  ^ "\n}"
 
 (* Every counter at the close of the measurement window.  The checks,
    stalls and fault report are filled in once the run has quiesced. *)
@@ -93,6 +157,7 @@ let measure metrics ~label ~duration ~messages ~by_kind =
     cross_shard_aborts = Metrics.cross_shard_aborts metrics;
     cross_shard_share = Metrics.cross_shard_share metrics;
     stalls = [];
+    open_loop = None;
     report = None;
     invariant = Ok ();
     consistent = Ok ();
@@ -256,11 +321,127 @@ let drive cluster ~horizon ~window telemetry =
   go ~target:(Sim.Engine.now engine +. window) ~last:(progress ()) ~idle:0;
   List.rev !stalls
 
-let run ?(clients = 26) ?(warmup = 2_000.) ?(duration = 30_000.) ?client_nodes
-    ?(events = []) ?telemetry spec =
+type load =
+  | Closed of { clients : int; client_nodes : int list option }
+  | Open of { rate : float; population : int; max_per_node : int }
+
+let load_error = function
+  | Closed _ -> None
+  | Open { rate; population; max_per_node } ->
+    if not (Float.is_finite rate && rate > 0.) then Some "rate must be positive and finite"
+    else if population < 1 then Some "population must be at least 1"
+    else if max_per_node < 1 then Some "max_per_node must be at least 1"
+    else None
+
+(* Deterministic per-arrival RNG: the "lazy client state".  A logical
+   client is nothing but a number; each of its requests is a pure function
+   of (seed, client, global arrival ordinal), so a million-client
+   population costs no resident memory at all. *)
+let client_rng ~seed ~client ~nth =
+  Util.Rng.create
+    ((seed * 0x9e3779b9) lxor (client * 0x85ebca6b) lxor (nth * 0xc2b2ae35))
+
+(* The open loop: Poisson arrivals until [stop], admitted per node up to
+   [max_per_node] and queued beyond it.  Returns the warm-up hook and the
+   window-close snapshot; the snapshot returns the stats once the run has
+   quiesced, when the latency histograms hold every completion. *)
+let start_open_loop cluster (instance : Benchmarks.Workload.instance) ~seed ~nodes ~stop
+    ~duration ~rate ~population ~max_per_node =
+  let engine = Cluster.engine cluster in
+  let metrics = Cluster.metrics cluster in
+  let arrival_rng = Util.Rng.create (seed * 7919) in
+  let mean_gap = 1000. /. rate (* ms between arrivals *) in
+  (* Per-node admission: [in_service] below the cap submits immediately;
+     beyond it the arrival waits in the node's FIFO and its queueing delay
+     is measured arrival -> admission. *)
+  let queues = Array.init nodes (fun _ -> Queue.create ()) in
+  let in_service = Array.make nodes 0 in
+  let backlog = ref 0 in
+  let peak_backlog = ref 0 in
+  let arrivals = ref 0 in
+  let rec submit ~node ~client ~nth ~arrived =
+    in_service.(node) <- in_service.(node) + 1;
+    let queue_delay = Sim.Engine.now engine -. arrived in
+    let program = instance.generate (client_rng ~seed ~client ~nth) in
+    let admitted = Sim.Engine.now engine in
+    Cluster.submit cluster ~node program ~on_done:(fun outcome ->
+        let now = Sim.Engine.now engine in
+        Metrics.note_open_loop_done metrics ~queue_delay ~service:(now -. admitted);
+        ignore (outcome : Executor.outcome);
+        in_service.(node) <- in_service.(node) - 1;
+        match Queue.take_opt queues.(node) with
+        | None -> ()
+        | Some (client, nth, arrived) ->
+          decr backlog;
+          submit ~node ~client ~nth ~arrived)
+  in
+  (* The arrival ordinal doubles as the per-request RNG salt: a client
+     firing twice draws two different transactions, and no per-client
+     counter (or any per-client state at all) needs to exist. *)
+  let total_arrivals = ref 0 in
+  let arrive () =
+    incr arrivals;
+    let client = Util.Rng.int arrival_rng population in
+    let nth = !total_arrivals in
+    incr total_arrivals;
+    let node = client mod nodes in
+    if in_service.(node) < max_per_node then
+      submit ~node ~client ~nth ~arrived:(Sim.Engine.now engine)
+    else begin
+      Queue.push (client, nth, Sim.Engine.now engine) queues.(node);
+      incr backlog;
+      if !backlog > !peak_backlog then peak_backlog := !backlog
+    end
+  in
+  let rec pump () =
+    if not !stop then begin
+      let gap = Util.Rng.exponential arrival_rng ~mean:mean_gap in
+      Sim.Engine.schedule_at engine
+        ~time:(Sim.Engine.now engine +. gap)
+        (fun () ->
+          if not !stop then begin
+            arrive ();
+            pump ()
+          end)
+    end
+  in
+  pump ();
+  let on_reset () =
+    arrivals := 0;
+    peak_backlog := !backlog
+  in
+  let close () =
+    let arrived = !arrivals
+    and completed = Metrics.open_loop_completions metrics
+    and final_backlog = !backlog in
+    fun () ->
+      let qd = Metrics.open_queue_delay metrics and sv = Metrics.open_service metrics in
+      {
+        offered_load = rate;
+        achieved_load =
+          (if duration <= 0. then 0. else Float.of_int completed /. (duration /. 1000.));
+        population;
+        arrivals = arrived;
+        completions = completed;
+        service_mean = Util.Hdr.mean sv;
+        service_p50 = Util.Hdr.percentile sv 50.;
+        service_p95 = Util.Hdr.percentile sv 95.;
+        service_p99 = Util.Hdr.percentile sv 99.;
+        queue_mean = Util.Hdr.mean qd;
+        queue_p50 = Util.Hdr.percentile qd 50.;
+        queue_p95 = Util.Hdr.percentile qd 95.;
+        queue_p99 = Util.Hdr.percentile qd 99.;
+        peak_backlog = !peak_backlog;
+        final_backlog;
+      }
+  in
+  (on_reset, close)
+
+let run ?(load = Closed { clients = 26; client_nodes = None }) ?(warmup = 2_000.)
+    ?(duration = 30_000.) ?(events = []) ?telemetry spec =
+  Option.iter (fun msg -> invalid_arg ("Experiment.run: " ^ msg)) (load_error load);
   let cluster, instance = setup spec in
   let tracker = Scenario.install cluster events in
-  let client_rng = Util.Rng.create (spec.seed * 7919) in
   let stop = ref false in
   (* Clients are membership-aware: a client whose home node has been
      decommissioned resubmits through the next member up (wrapping), like
@@ -276,33 +457,55 @@ let run ?(clients = 26) ?(warmup = 2_000.) ?(duration = 30_000.) ?client_nodes
       | Some n -> n
       | None -> List.hd members
   in
-  let rec client node rng =
-    if not !stop then begin
-      let program = instance.generate rng in
-      Cluster.submit cluster ~node:(route node) program ~on_done:(fun _ -> client node rng)
-    end
+  (* Either shape starts its load here: after the fault schedule, before
+     the warm-up and window-close events, so a run's (time, seq) order is
+     the one each shape had when it had its own driver. *)
+  let on_reset, close_open_loop =
+    match load with
+    | Closed { clients; client_nodes } ->
+      let client_rng = Util.Rng.create (spec.seed * 7919) in
+      let rec client node rng =
+        if not !stop then begin
+          let program = instance.generate rng in
+          Cluster.submit cluster ~node:(route node) program ~on_done:(fun _ ->
+              client node rng)
+        end
+      in
+      let placements =
+        Array.of_list (Option.value ~default:(List.init spec.nodes Fun.id) client_nodes)
+      in
+      for c = 0 to clients - 1 do
+        client placements.(c mod Array.length placements) (Util.Rng.split client_rng)
+      done;
+      (ignore, None)
+    | Open { rate; population; max_per_node } ->
+      let on_reset, close =
+        start_open_loop cluster instance ~seed:spec.seed ~nodes:spec.nodes ~stop ~duration
+          ~rate ~population ~max_per_node
+      in
+      (on_reset, Some close)
   in
-  let placements = Array.of_list (Option.value ~default:(List.init spec.nodes Fun.id) client_nodes) in
-  for c = 0 to clients - 1 do
-    client placements.(c mod Array.length placements) (Util.Rng.split client_rng)
-  done;
   (* Warm-up, then zero the counters; snapshot at window close; then stop
      admission and drain so the invariant checks see quiescent replicas. *)
   let horizon = warmup +. duration in
   let label =
-    Printf.sprintf "%s/%s" spec.benchmark.name (Config.mode_name spec.config.Config.mode)
+    Printf.sprintf "%s/%s%s" spec.benchmark.name
+      (Config.mode_name spec.config.Config.mode)
+      (if Option.is_some close_open_loop then "/open-loop" else "")
   in
   let snap = ref None in
   if warmup > 0. then
     Sim.Engine.schedule_at (Cluster.engine cluster) ~time:warmup (fun () ->
-        Cluster.reset_counters cluster);
+        Cluster.reset_counters cluster;
+        on_reset ());
   Sim.Engine.schedule_at (Cluster.engine cluster) ~time:horizon (fun () ->
       stop := true;
       snap :=
         Some
-          (measure (Cluster.metrics cluster) ~label ~duration
-             ~messages:(Cluster.messages_sent cluster)
-             ~by_kind:(Cluster.messages_by_kind cluster)));
+          ( measure (Cluster.metrics cluster) ~label ~duration
+              ~messages:(Cluster.messages_sent cluster)
+              ~by_kind:(Cluster.messages_by_kind cluster),
+            Option.map (fun close -> close ()) close_open_loop ));
   let stalls =
     drive cluster ~horizon ~window:(stall_window spec.config events) telemetry
   in
@@ -312,7 +515,9 @@ let run ?(clients = 26) ?(warmup = 2_000.) ?(duration = 30_000.) ?client_nodes
     if spec.with_oracle then Cluster.check_consistency cluster else Ok ()
   in
   match !snap with
-  | Some s -> { s with stalls; report; invariant; consistent }
+  | Some (s, open_loop) ->
+    { s with stalls; open_loop = Option.map (fun stats -> stats ()) open_loop; report;
+             invariant; consistent }
   | None -> invalid_arg "Experiment.run: snapshot event never fired"
 
 (* --- generic systems -------------------------------------------------- *)

@@ -28,7 +28,8 @@ let base_params name =
   }
 
 let run_point ~scale ~config ~benchmark ~params ~seed =
-  Experiment.run ~clients:scale.clients ~warmup:scale.warmup ~duration:scale.duration
+  Experiment.run ~load:(Closed { clients = scale.clients; client_nodes = None })
+    ~warmup:scale.warmup ~duration:scale.duration
     (Experiment.spec ~seed ~config ~benchmark ~params ())
 
 (* Every (x, mode, trial) point is an independent seeded simulation; the
@@ -266,8 +267,8 @@ let fig10 ?(scale = quick) () =
     let victims = failure_schedule ~nodes ~read_level ~count:failures in
     let result =
       Sweep.averaged ~trials:scale.trials (fun ~seed ->
-          Experiment.run ~clients ~warmup:scale.warmup ~duration:scale.duration
-            ~client_nodes:survivors
+          Experiment.run ~load:(Closed { clients; client_nodes = Some survivors })
+            ~warmup:scale.warmup ~duration:scale.duration
             ~events:
               (List.mapi
                  (fun i node -> Scenario.Crash { node; at = 100. +. (50. *. Float.of_int i) })

@@ -21,7 +21,8 @@ let rules violations =
 let test_batch_bank_smoke () =
   let tracer = Obs.Tracer.create ~capacity:(1 lsl 18) () in
   let r =
-    Harness.Experiment.run ~clients:24 ~warmup:500. ~duration:3_000.
+    Harness.Experiment.run ~load:(Closed { clients = 24; client_nodes = None })
+      ~warmup:500. ~duration:3_000.
       (Harness.Experiment.spec ~nodes:9 ~seed:71 ~tracer ~batch_commit:true
          ~config:(Config.default Config.Flat)
          ~benchmark:Benchmarks.Bank.benchmark ~params:contended_params ())

@@ -48,7 +48,8 @@ let test_batch_mode_self_identity () =
   List.iter
     (fun seed ->
       let run () =
-        Harness.Experiment.run ~clients:8 ~warmup:200. ~duration:1_000.
+        Harness.Experiment.run ~load:(Closed { clients = 8; client_nodes = None })
+          ~warmup:200. ~duration:1_000.
           (Harness.Experiment.spec ~seed ~batch_commit:true
              ~config:(Config.default Config.Flat)
              ~benchmark:Benchmarks.Bank.benchmark ~params:bank_params ())

@@ -149,7 +149,8 @@ let scenario_run ~seed ~duration spec =
     }
   in
   let result =
-    Harness.Experiment.run ~clients:26 ~duration ~events
+    Harness.Experiment.run ~load:(Closed { clients = 26; client_nodes = None })
+      ~duration ~events
       (Harness.Experiment.spec ~seed ~config:(Config.default Config.Closed) ~benchmark ~params ())
   in
   (result, Option.get result.report)

@@ -11,7 +11,8 @@ let contains haystack needle =
 
 let test_experiment_smoke () =
   let result =
-    Harness.Experiment.run ~clients:8 ~warmup:200. ~duration:1_500.
+    Harness.Experiment.run ~load:(Closed { clients = 8; client_nodes = None })
+      ~warmup:200. ~duration:1_500.
       (Harness.Experiment.spec ~seed:5 ~config:(Core.Config.default Core.Config.Closed)
          ~benchmark:Benchmarks.Bank.benchmark
          ~params:{ Benchmarks.Workload.default_params with objects = 64; calls = 2; read_ratio = 0.5; key_skew = 0.3 }
@@ -20,6 +21,7 @@ let test_experiment_smoke () =
   Alcotest.(check bool) "some commits" true (result.Harness.Experiment.commits > 0);
   Alcotest.(check bool) "throughput positive" true (result.throughput > 0.);
   Alcotest.(check bool) "messages counted" true (result.messages > 0);
+  Alcotest.(check bool) "closed load has no open-loop stats" true (result.open_loop = None);
   begin
     match result.invariant with
     | Ok () -> ()
@@ -34,7 +36,8 @@ let test_sweep_averaging () =
   let fake ~seed =
     incr calls;
     let base =
-      Harness.Experiment.run ~clients:4 ~warmup:100. ~duration:500.
+      Harness.Experiment.run ~load:(Closed { clients = 4; client_nodes = None })
+        ~warmup:100. ~duration:500.
         (Harness.Experiment.spec ~seed ~config:(Core.Config.default Core.Config.Flat)
            ~benchmark:Benchmarks.Counter.benchmark
            ~params:Benchmarks.Workload.default_params ())

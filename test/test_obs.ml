@@ -4,7 +4,8 @@
    audit. *)
 
 let run_traced ?(tracer = Obs.Tracer.null) ?telemetry ~seed () =
-  Harness.Experiment.run ~clients:4 ~warmup:200. ~duration:1_000. ?telemetry
+  Harness.Experiment.run ~load:(Closed { clients = 4; client_nodes = None })
+    ~warmup:200. ~duration:1_000. ?telemetry
     (Harness.Experiment.spec ~nodes:5 ~seed ~tracer
        ~config:(Core.Config.default Core.Config.Closed)
        ~benchmark:Benchmarks.Bank.benchmark

@@ -132,11 +132,12 @@ let test_fail_fast () =
     Alcotest.(check string) "rule" "lease-overlap" v.Obs.Online.rule);
   Alcotest.(check int) "on_violation fired once" 1 (List.length !seen)
 
-(* {2 Open-loop driver} *)
+(* {2 Open-loop load} *)
 
 let open_loop ?(rate = 200.) ?(population = 1_000_000) ?(duration = 5_000.) ()
     =
-  Harness.Openloop.run ~warmup:500. ~duration ~rate ~population
+  Harness.Experiment.run ~warmup:500. ~duration
+    ~load:(Open { rate; population; max_per_node = 4 })
     (Harness.Experiment.spec ~nodes:5 ~seed:19
        ~config:(Core.Config.default Core.Config.Closed)
        ~benchmark:Benchmarks.Counter.benchmark
@@ -149,29 +150,32 @@ let open_loop ?(rate = 200.) ?(population = 1_000_000) ?(duration = 5_000.) ()
          }
        ())
 
+let stats (r : Harness.Experiment.result) = Option.get r.open_loop
+
 let test_open_loop_underload () =
   let r = open_loop () in
-  Alcotest.(check bool) "invariant holds" true (r.Harness.Openloop.invariant = Ok ());
+  let o = stats r in
+  Alcotest.(check bool) "invariant holds" true (r.invariant = Ok ());
   Alcotest.(check bool) "oracle holds" true (r.consistent = Ok ());
   Alcotest.(check bool) "million-client population" true
-    (r.population = 1_000_000);
+    (o.population = 1_000_000);
   Alcotest.(check bool)
     (Printf.sprintf "achieved (%.1f/s) tracks offered (%.1f/s)"
-       r.achieved_load r.offered_load)
+       o.achieved_load o.offered_load)
     true
-    (r.achieved_load > 0.8 *. r.offered_load
-    && r.achieved_load < 1.2 *. r.offered_load);
+    (o.achieved_load > 0.8 *. o.offered_load
+    && o.achieved_load < 1.2 *. o.offered_load);
   Alcotest.(check bool)
-    (Printf.sprintf "underloaded queueing is small (p99=%.2fms)" r.queue_p99)
+    (Printf.sprintf "underloaded queueing is small (p99=%.2fms)" o.queue_p99)
     true
-    (r.queue_p99 < r.service_p99 *. 10.);
+    (o.queue_p99 < o.service_p99 *. 10.);
   Alcotest.(check bool) "percentiles ordered" true
-    (r.service_p50 <= r.service_p95 && r.service_p95 <= r.service_p99);
+    (o.service_p50 <= o.service_p95 && o.service_p95 <= o.service_p99);
   (* A transient handful can be queued at the window-close instant; a
      saturated run would close with hundreds. *)
   Alcotest.(check bool)
-    (Printf.sprintf "no saturated backlog (final=%d)" r.final_backlog)
-    true (r.final_backlog < 50)
+    (Printf.sprintf "no saturated backlog (final=%d)" o.final_backlog)
+    true (o.final_backlog < 50)
 
 let test_open_loop_deterministic () =
   let r1 = open_loop ~duration:2_000. () in
@@ -182,18 +186,34 @@ let test_open_loop_deterministic () =
    past service latency while service latency itself stays bounded —
    the separation that closed-loop drivers cannot show. *)
 let test_open_loop_saturation () =
-  let r = open_loop ~rate:5_000. ~duration:2_000. () in
+  let o = stats (open_loop ~rate:5_000. ~duration:2_000. ()) in
   Alcotest.(check bool)
     (Printf.sprintf "achieved (%.1f/s) saturates below offered (%.1f/s)"
-       r.achieved_load r.offered_load)
+       o.achieved_load o.offered_load)
     true
-    (r.achieved_load < 0.8 *. r.offered_load);
+    (o.achieved_load < 0.8 *. o.offered_load);
   Alcotest.(check bool)
     (Printf.sprintf "queueing (p50=%.1fms) dominates service (p99=%.2fms)"
-       r.queue_p50 r.service_p99)
+       o.queue_p50 o.service_p99)
     true
-    (r.queue_p50 > r.service_p99);
-  Alcotest.(check bool) "backlog at close" true (r.final_backlog > 0)
+    (o.queue_p50 > o.service_p99);
+  Alcotest.(check bool) "backlog at close" true (o.final_backlog > 0)
+
+(* A 3-member shard that loses a member for good livelocks (ROADMAP item
+   1, family 3).  Under open load the shared watchdog reports it and the
+   run returns, rather than draining forever. *)
+let test_open_loop_stall () =
+  let r =
+    Harness.Experiment.run ~warmup:0. ~duration:2_000.
+      ~load:(Open { rate = 200.; population = 1_000_000; max_per_node = 4 })
+      ~events:[ Harness.Scenario.Crash { node = 1; at = 500. } ]
+      (Harness.Experiment.spec ~nodes:9 ~shards:3 ~seed:1
+         ~config:(Core.Config.default Core.Config.Closed)
+         ~benchmark:Benchmarks.Bank.benchmark
+         ~params:Benchmarks.Workload.default_params ())
+  in
+  Alcotest.(check bool) "stalls reported" true (r.stalls <> []);
+  Alcotest.(check bool) "run does not pass" false (Harness.Experiment.passed r)
 
 let suite =
   [
@@ -212,4 +232,5 @@ let suite =
     Alcotest.test_case "open loop: deterministic" `Slow
       test_open_loop_deterministic;
     Alcotest.test_case "open loop: saturation" `Slow test_open_loop_saturation;
+    Alcotest.test_case "open loop: stall under crash" `Slow test_open_loop_stall;
   ]

@@ -12,7 +12,8 @@ let params =
   { Benchmarks.Workload.default_params with objects = 48; calls = 2; read_ratio = 0.5; key_skew = 0.5 }
 
 let run_once ~seed =
-  Harness.Experiment.run ~clients:6 ~warmup:200. ~duration:1_000.
+  Harness.Experiment.run ~load:(Closed { clients = 6; client_nodes = None })
+    ~warmup:200. ~duration:1_000.
     (Harness.Experiment.spec ~nodes:7 ~seed ~config:(Core.Config.default Core.Config.Closed)
        ~benchmark:Benchmarks.Bank.benchmark ~params ())
 
