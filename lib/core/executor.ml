@@ -23,14 +23,21 @@ type outcome = Committed of Txn.value | Failed of string
    points back at its executor. *)
 type scope = {
   depth : int;
-  thunk : unit -> Txn.t;
   cont : (Txn.value -> Txn.t) option;
   mutable rset : Rwset.t;
   mutable wset : Rwset.t;
 }
 
-and checkpoint = {
-  chk_id : int;
+(* A point a partial abort can roll back to: [scope] gets [saved_rset] and
+   [saved_wset] back (every inner scope is dropped) and [resume] re-runs.
+   A closed-nested call saves its fresh scope under its depth, with empty
+   sets; a checkpoint saves the current scope's sets under its checkpoint
+   id.  [id] is also the owner tag of every entry installed while the
+   savepoint is the newest, so an abort target (abortClosed, abortChk)
+   names a savepoint. *)
+and savepoint = {
+  id : int;
+  scope : scope;
   resume : unit -> Txn.t;
   saved_rset : Rwset.t;
   saved_wset : Rwset.t;
@@ -45,7 +52,7 @@ and root = {
   mutable attempt : int;
   born : float;
   mutable scopes : scope list; (* innermost first; never empty while running *)
-  mutable checkpoints : checkpoint list; (* newest first *)
+  mutable savepoints : savepoint list; (* newest first; ids strictly descending *)
   mutable next_chk : int;
   mutable since_chk : int;
   mutable last_validation_sent : float;
@@ -122,11 +129,12 @@ and t = {
   ids : Ids.gen;
   rng : Util.Rng.t;
   tracer : Obs.Tracer.t; (* cached from the engine; Tracer.null when off *)
-  (* Scratch data-set builder, reused by [full_dataset] / [commit_dataset]:
-     rows are staged in the growable parallel arrays and frozen into a
-     [Messages.dataset] (three [Array.sub]s) only when a request is built.
-     An executor runs inside one simulation (one domain) and never builds
-     two data-sets at once, so sharing the scratch across roots is safe. *)
+  (* Scratch data-set builder, reused by [full_dataset], [commit_dataset]
+     and [cut_batch]: rows are staged in the growable parallel arrays and
+     frozen into a [Messages.dataset] (three [Array.sub]s) only when a
+     request is built.  An executor runs inside one simulation (one
+     domain) and never builds two data-sets at once, so sharing the
+     scratch across roots is safe. *)
   (* [full_dataset]'s dedup, indexed by oid: [ds_slot.(oid)] is the staged
      row of [oid] when [ds_stamp.(oid) = ds_gen], the current call's
      generation; stale stamps read as absent, so no per-call clearing. *)
@@ -249,15 +257,10 @@ let current_scope root =
   | scope :: _ -> scope
   | [] -> invalid_arg "Executor: no active scope"
 
-(* The checkpoint id in effect: new entries are tagged with it. *)
-let current_chk root =
-  match root.checkpoints with [] -> 0 | chk :: _ -> chk.chk_id
-
-let owner_tag root =
-  match root.exec.config.mode with
-  | Config.Flat -> 0
-  | Config.Closed -> (current_scope root).depth
-  | Config.Checkpoint -> current_chk root
+(* New entries are tagged with the newest savepoint's id: the innermost
+   closed-nested depth, or the checkpoint in effect; 0 (the root) when
+   there is none, as always under flat QR. *)
+let owner_tag root = match root.savepoints with [] -> 0 | sp :: _ -> sp.id
 
 (* [a] copied into a zeroed array of length [cap]. *)
 let grow_ints a cap =
@@ -332,17 +335,32 @@ let full_dataset root =
     root.scopes;
   ds_freeze exec
 
-(* Commit-request data-set: the flat union of the final scope's sets with
-   the write set winning on collision — what [Rwset.merge_into ~child:wset
-   ~parent:rset] used to build, without materialising the merged map. *)
-let commit_dataset exec ~(scope_rset : Rwset.t) ~(scope_wset : Rwset.t) =
-  exec.ds_len <- 0;
+(* Stage one commit's data-set rows after those already staged: the flat
+   union of the final scope's sets with the write set winning on collision
+   — what [Rwset.merge_into ~child:wset ~parent:rset] used to build, without
+   materialising the merged map.  A batch round stages every entry's rows
+   back to back. *)
+let stage_commit_rows exec ~(scope_rset : Rwset.t) ~(scope_wset : Rwset.t) =
   Rwset.iter scope_wset (fun (e : Rwset.entry) ->
       ignore (ds_push exec ~oid:e.oid ~version:e.version ~owner:e.owner));
   Rwset.iter scope_rset (fun (e : Rwset.entry) ->
       if not (Rwset.mem scope_wset e.oid) then
-        ignore (ds_push exec ~oid:e.oid ~version:e.version ~owner:e.owner));
+        ignore (ds_push exec ~oid:e.oid ~version:e.version ~owner:e.owner))
+
+(* The commit-request data-set of one transaction. *)
+let commit_dataset exec ~scope_rset ~scope_wset =
+  exec.ds_len <- 0;
+  stage_commit_rows exec ~scope_rset ~scope_wset;
   ds_freeze exec
+
+(* The coordinator's lease horizon for a commit round first sent at
+   [sent_at]: leases are stamped at replica receipt, later than this, so a
+   decision before the horizon beats every presumed abort.  A round that
+   locks nothing has none. *)
+let lease_horizon exec ~sent_at ~locks =
+  if exec.config.lease_duration > 0. && locks <> [] then
+    sent_at +. exec.config.lease_duration -. exec.config.lease_safety_margin
+  else Float.infinity
 
 (* The participant shards of a commit: every shard owning an object in the
    final scope's sets, ascending.  A transaction that touched nothing still
@@ -506,6 +524,20 @@ let refresh_committed_images exec ~txn ~wset =
         img.img_committed <- true
       | Some _ | None -> ())
 
+(* Publish the root's write images, so queued successors read them, and
+   build its queue entry. *)
+let publish_pending root ~scope ~value =
+  Rwset.iter scope.wset (fun (e : Rwset.entry) ->
+      set_image root.exec ~oid:e.oid ~txn:root.txn_id ~version:(e.version + 1)
+        ~value:e.value);
+  {
+    p_root = root;
+    p_scope = scope;
+    p_value = value;
+    p_txn = root.txn_id;
+    p_generation = root.generation;
+  }
+
 let spec_outcome_cap = 16_384
 
 let record_spec_outcome exec ~txn ~committed =
@@ -566,13 +598,12 @@ let veto root votes ~retry ~abort =
   end
   else abort ()
 
-let fresh_scope ~depth ~thunk ~cont =
-  { depth; thunk; cont; rset = Rwset.empty; wset = Rwset.empty }
+let fresh_scope ~depth ~cont = { depth; cont; rset = Rwset.empty; wset = Rwset.empty }
 
 let rec start_attempt root =
   root.txn_id <- Ids.fresh_txn root.exec.ids;
-  root.scopes <- [ fresh_scope ~depth:0 ~thunk:root.program ~cont:None ];
-  root.checkpoints <- [];
+  root.scopes <- [ fresh_scope ~depth:0 ~cont:None ];
+  root.savepoints <- [];
   root.next_chk <- 1;
   root.since_chk <- 0;
   root.last_validation_sent <- now root;
@@ -618,12 +649,14 @@ and interpret_op root prog =
     begin
       match root.exec.config.mode with
       | Config.Closed ->
-        let parent = current_scope root in
-        trace root ~kind:Obs.Sem.scope_push ~oid:(-1) ~a:(parent.depth + 1)
-          ~b:(-1) ~x:0.;
-        root.scopes <-
-          fresh_scope ~depth:(parent.depth + 1) ~thunk:body ~cont:(Some cont)
-          :: root.scopes;
+        let depth = (current_scope root).depth + 1 in
+        trace root ~kind:Obs.Sem.scope_push ~oid:(-1) ~a:depth ~b:(-1) ~x:0.;
+        let scope = fresh_scope ~depth ~cont:(Some cont) in
+        root.scopes <- scope :: root.scopes;
+        root.savepoints <-
+          { id = depth; scope; resume = body; saved_rset = Rwset.empty;
+            saved_wset = Rwset.empty }
+          :: root.savepoints;
         step root (body ())
       | Config.Flat | Config.Checkpoint -> step root (Txn.bind (body ()) cont)
     end
@@ -823,81 +856,46 @@ and create_checkpoint root ~resume ~continue =
   let scope = current_scope root in
   trace root ~kind:Obs.Sem.txn_checkpoint ~oid:(-1) ~a:root.next_chk ~b:(-1)
     ~x:0.;
-  root.checkpoints <-
-    {
-      chk_id = root.next_chk;
-      resume;
-      saved_rset = scope.rset;
-      saved_wset = scope.wset;
-    }
-    :: root.checkpoints;
+  root.savepoints <-
+    { id = root.next_chk; scope; resume; saved_rset = scope.rset; saved_wset = scope.wset }
+    :: root.savepoints;
   root.next_chk <- root.next_chk + 1;
   root.since_chk <- 0;
   Metrics.note_checkpoint root.exec.metrics;
   (* Saving the continuation costs local time (the paper measured ~6%). *)
   schedule root ~delay:root.exec.config.checkpoint_overhead continue
 
+(* Roll back to the savepoint abortClosed / abortChk named; with none (a
+   target at the root, a stale target, flat QR) the whole root retries. *)
 and partial_abort root ~target =
   root.generation <- root.generation + 1;
   trace root ~kind:Obs.Sem.txn_partial_abort ~oid:(-1) ~a:target ~b:(-1) ~x:0.;
-  match root.exec.config.mode with
-  | Config.Flat -> root_abort root
-  | Config.Closed ->
-    if target <= 0 then root_abort root
-    else begin
-      (* Unwind to the scope named by abortClosed and retry it. *)
-      let rec unwind = function
-        | scope :: rest when scope.depth > target -> unwind rest
-        | scopes -> scopes
-      in
-      begin
-        match unwind root.scopes with
-        | scope :: _ as scopes when scope.depth = target ->
-          scope.rset <- Rwset.empty;
-          scope.wset <- Rwset.empty;
-          root.scopes <- scopes;
-          (* [spec_deps] is deliberately left alone: a merged-and-retagged
-             entry from a committed child can survive this rollback, so the
-             dep behind it must too (see the field's comment). *)
-          Metrics.note_partial_abort root.exec.metrics;
-          (* [a] reports the depth actually restored, not the requested
-             target — the checker verifies they coincide. *)
-          trace root ~kind:Obs.Sem.scope_resume ~oid:(-1) ~a:scope.depth ~b:(-1)
-            ~x:0.;
-          schedule root
-            ~delay:(jittered root.exec.rng root.exec.config.ct_retry_delay)
-            (fun () -> step root (scope.thunk ()))
-        | _ ->
-          (* The scope no longer exists (stale abort target): safe fallback. *)
-          root_abort root
-      end
-    end
-  | Config.Checkpoint ->
-    if target <= 0 then root_abort root
-    else begin
-      let rec find_chk = function
-        | [] -> None
-        | chk :: rest ->
-          if chk.chk_id = target then Some (chk, chk :: rest)
-          else if chk.chk_id < target then None
-          else find_chk rest
-      in
-      match find_chk root.checkpoints with
-      | None -> root_abort root
-      | Some (chk, kept) ->
-        let scope = current_scope root in
-        scope.rset <- chk.saved_rset;
-        scope.wset <- chk.saved_wset;
-        root.checkpoints <- kept;
-        root.since_chk <- 0;
-        (* [spec_deps] is deliberately left alone — see the field's
-           comment; deps persist for the attempt. *)
-        Metrics.note_partial_abort root.exec.metrics;
-        trace root ~kind:Obs.Sem.scope_resume ~oid:(-1) ~a:chk.chk_id ~b:(-1) ~x:0.;
-        schedule root
-          ~delay:(jittered root.exec.rng root.exec.config.ct_retry_delay)
-          (fun () -> step root (chk.resume ()))
-    end
+  let rec find = function
+    | sp :: rest when sp.id > target -> find rest
+    | sp :: _ as kept when sp.id = target -> Some (sp, kept)
+    | _ -> None
+  in
+  match find root.savepoints with
+  | None -> root_abort root
+  | Some (sp, kept) ->
+    let rec unwind = function
+      | scope :: rest when scope != sp.scope -> unwind rest
+      | scopes -> scopes
+    in
+    root.scopes <- unwind root.scopes;
+    sp.scope.rset <- sp.saved_rset;
+    sp.scope.wset <- sp.saved_wset;
+    root.savepoints <- kept;
+    root.since_chk <- 0;
+    (* [spec_deps] is deliberately left alone: a merged-and-retagged entry
+       from a committed child can survive this rollback, so the dep behind
+       it must too (see the field's comment). *)
+    Metrics.note_partial_abort root.exec.metrics;
+    (* [a] reports the savepoint actually restored, not the requested
+       target — the checker verifies they coincide. *)
+    trace root ~kind:Obs.Sem.scope_resume ~oid:(-1) ~a:sp.id ~b:(-1) ~x:0.;
+    schedule root ~delay:(jittered root.exec.rng root.exec.config.ct_retry_delay)
+      (fun () -> step root (sp.resume ()))
 
 and root_abort root =
   root.generation <- root.generation + 1;
@@ -933,6 +931,9 @@ and finish_scope root value =
   | [ scope ] -> root_commit root ~scope ~value
   | child :: (parent :: _ as rest) ->
     trace root ~kind:Obs.Sem.scope_pop ~oid:(-1) ~a:child.depth ~b:(-1) ~x:0.;
+    (* The child's savepoint is the newest: checkpoints never run inside a
+       closed-nested scope. *)
+    root.savepoints <- List.tl root.savepoints;
     (* commitCT (Algorithm 3): merge into the parent, locally.  Merged
        entries are retagged with the parent's depth: a later invalidation
        must abort the parent, the child's commit having been absorbed. *)
@@ -1051,13 +1052,8 @@ and send_commit root ~scope ~value =
         quorums
     in
     let window_start = now root in
-    (* One lease horizon for the whole 2PC, anchored at the first send:
-       every shard's leases are stamped at replica receipt, later than
-       this, so a decision before the horizon beats every presumed abort. *)
-    root.lock_deadline <-
-      (if exec.config.lease_duration > 0. && locks <> [] then
-         window_start +. exec.config.lease_duration -. exec.config.lease_safety_margin
-       else Float.infinity);
+    (* One lease horizon for the whole 2PC, anchored at the first send. *)
+    root.lock_deadline <- lease_horizon exec ~sent_at:window_start ~locks;
     root.commit_round <- root.commit_round + 1;
     let generation = root.generation in
     let release_parts ps =
@@ -1229,18 +1225,7 @@ and enqueue_commit root ~scope ~value ~shard =
   if !doomed then root_abort root
   else begin
   let bq = batchq exec ~shard in
-  Rwset.iter scope.wset (fun (e : Rwset.entry) ->
-      set_image exec ~oid:e.oid ~txn:root.txn_id ~version:(e.version + 1)
-        ~value:e.value);
-  bq.bq_queue <-
-    {
-      p_root = root;
-      p_scope = scope;
-      p_value = value;
-      p_txn = root.txn_id;
-      p_generation = root.generation;
-    }
-    :: bq.bq_queue;
+  bq.bq_queue <- publish_pending root ~scope ~value :: bq.bq_queue;
   bq.bq_len <- bq.bq_len + 1;
   if not bq.bq_inflight then begin
     if bq.bq_len >= exec.config.batch_size then cut_batch exec ~bq
@@ -1254,21 +1239,7 @@ and enqueue_commit root ~scope ~value ~shard =
    and batch order must decide the writer before its readers — prepending
    would invert that and spec-abort every dependent. *)
 and requeue_commit root ~scope ~value ~bq =
-  let exec = root.exec in
-  Rwset.iter scope.wset (fun (e : Rwset.entry) ->
-      set_image exec ~oid:e.oid ~txn:root.txn_id ~version:(e.version + 1)
-        ~value:e.value);
-  bq.bq_queue <-
-    bq.bq_queue
-    @ [
-        {
-          p_root = root;
-          p_scope = scope;
-          p_value = value;
-          p_txn = root.txn_id;
-          p_generation = root.generation;
-        };
-      ];
+  bq.bq_queue <- bq.bq_queue @ [ publish_pending root ~scope ~value ];
   bq.bq_len <- bq.bq_len + 1
 
 and schedule_cut exec ~bq ~delay =
@@ -1321,9 +1292,11 @@ and cut_batch exec ~bq =
       let sent_at = Sim.Engine.now exec.engine in
       let txns = Array.make n 0 in
       let rounds = Array.make n 0 in
-      let datasets = Array.make n Messages.empty_dataset in
+      let ds_offsets = Array.make (n + 1) 0 in
+      let wr_offsets = Array.make (n + 1) 0 in
       let writes_by_entry = Array.make n Messages.empty_writes in
       let locks_by_entry = Array.make n [] in
+      exec.ds_len <- 0;
       for i = 0 to n - 1 do
         let p = ea.(i) in
         let root = p.p_root in
@@ -1334,68 +1307,27 @@ and cut_batch exec ~bq =
         root.commit_round <- root.commit_round + 1;
         txns.(i) <- root.txn_id;
         rounds.(i) <- root.commit_round;
-        datasets.(i) <-
-          commit_dataset exec ~scope_rset:scope.rset ~scope_wset:scope.wset;
+        stage_commit_rows exec ~scope_rset:scope.rset ~scope_wset:scope.wset;
+        ds_offsets.(i + 1) <- exec.ds_len;
         let locks = Rwset.oids scope.wset in
         locks_by_entry.(i) <- locks;
-        root.lock_deadline <-
-          (if exec.config.lease_duration > 0. && locks <> [] then
-             sent_at +. exec.config.lease_duration -. exec.config.lease_safety_margin
-           else Float.infinity);
+        root.lock_deadline <- lease_horizon exec ~sent_at ~locks;
         writes_by_entry.(i) <- writes_of_wset scope.wset;
+        wr_offsets.(i + 1) <- wr_offsets.(i) + Messages.writes_len writes_by_entry.(i);
         trace root ~kind:Obs.Sem.batch_entry ~oid:(-1) ~a:batch_id ~b:i ~x:0.;
         trace root ~kind:Obs.Sem.commit_send ~oid:(-1) ~a:(List.length locks)
           ~b:quorum_size ~x:(Float.of_int bq.bq_shard)
       done;
-      let ds_offsets = Array.make (n + 1) 0 in
-      let wr_offsets = Array.make (n + 1) 0 in
-      for i = 0 to n - 1 do
-        ds_offsets.(i + 1) <- ds_offsets.(i) + Messages.dataset_len datasets.(i);
-        wr_offsets.(i + 1) <- wr_offsets.(i) + Messages.writes_len writes_by_entry.(i)
-      done;
-      let dataset =
-        if ds_offsets.(n) = 0 then Messages.empty_dataset
-        else begin
-          let d =
-            {
-              Messages.ds_oids = Array.make ds_offsets.(n) 0;
-              ds_versions = Array.make ds_offsets.(n) 0;
-              ds_owners = Array.make ds_offsets.(n) 0;
-            }
-          in
-          for i = 0 to n - 1 do
-            let s = datasets.(i) in
-            let len = Messages.dataset_len s in
-            Array.blit s.Messages.ds_oids 0 d.Messages.ds_oids ds_offsets.(i) len;
-            Array.blit s.Messages.ds_versions 0 d.Messages.ds_versions
-              ds_offsets.(i) len;
-            Array.blit s.Messages.ds_owners 0 d.Messages.ds_owners ds_offsets.(i)
-              len
-          done;
-          d
-        end
-      in
+      let dataset = ds_freeze exec in
       let writes =
         if wr_offsets.(n) = 0 then Messages.empty_writes
-        else begin
-          let w =
-            {
-              Messages.wr_oids = Array.make wr_offsets.(n) 0;
-              wr_versions = Array.make wr_offsets.(n) 0;
-              wr_values = Array.make wr_offsets.(n) Store.Value.Unit;
-            }
-          in
-          for i = 0 to n - 1 do
-            let s = writes_by_entry.(i) in
-            let len = Messages.writes_len s in
-            Array.blit s.Messages.wr_oids 0 w.Messages.wr_oids wr_offsets.(i) len;
-            Array.blit s.Messages.wr_versions 0 w.Messages.wr_versions
-              wr_offsets.(i) len;
-            Array.blit s.Messages.wr_values 0 w.Messages.wr_values wr_offsets.(i)
-              len
-          done;
-          w
-        end
+        else
+          let cat field = Array.concat (Array.to_list (Array.map field writes_by_entry)) in
+          {
+            Messages.wr_oids = cat (fun w -> w.Messages.wr_oids);
+            wr_versions = cat (fun w -> w.Messages.wr_versions);
+            wr_values = cat (fun w -> w.Messages.wr_values);
+          }
       in
       let decided =
         match (bq.bq_last_commits, bq.bq_prev_commits) with
@@ -1558,7 +1490,7 @@ and spawn_root t ~node ~program ~on_done =
       attempt = 0;
       born = Sim.Engine.now t.engine;
       scopes = [];
-      checkpoints = [];
+      savepoints = [];
       next_chk = 1;
       since_chk = 0;
       last_validation_sent = Sim.Engine.now t.engine;

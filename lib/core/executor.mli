@@ -6,18 +6,24 @@
     - {b Flat} (QR): nesting boundaries are flattened; conflicts are
       detected by the write quorum during the 2PC vote; any abort retries
       the whole transaction.
-    - {b Closed} (QR-CN): each [Nested] boundary pushes a scope with its own
-      read/write sets and retry thunk.  Reads carry the accumulated
-      data-set for read-quorum validation (Rqv); a validation failure
-      aborts exactly the scope named by [abortClosed] (the minimum owner
-      depth over invalid entries).  A closed-nested commit merges its sets
-      into the parent locally, with no remote communication; read-only
+    - {b Closed} (QR-CN): each [Nested] call pushes a scope with its own
+      read/write sets and a savepoint (id = its depth, resumed by re-running
+      the call's body).  Reads carry the accumulated data-set for
+      read-quorum validation (Rqv); a validation failure aborts exactly the
+      scope named by [abortClosed] (the minimum owner depth over invalid
+      entries).  A closed-nested commit pops its savepoint and merges its
+      sets into the parent locally, with no remote communication; read-only
       roots also commit locally.
-    - {b Checkpoint} (QR-CHK): the transaction runs flat but snapshots its
-      continuation and sets every [checkpoint_threshold] fetched objects.
-      A validation failure rolls back to [abortChk] (the oldest checkpoint
-      among invalid entries); a 2PC failure retries the whole transaction,
-      exactly as the paper specifies.
+    - {b Checkpoint} (QR-CHK): the transaction runs flat but pushes a
+      savepoint of its continuation and sets every [checkpoint_threshold]
+      fetched objects (id = the next checkpoint id).  A validation failure
+      rolls back to [abortChk] (the oldest checkpoint among invalid
+      entries); a 2PC failure retries the whole transaction, exactly as the
+      paper specifies.
+
+    Both partial rollbacks run through one savepoint stack: an entry's
+    owner tag is the newest savepoint's id, so the abort target names the
+    savepoint to resume; a target naming none aborts the root.
 
     Latency accounting: a transaction's latency runs from its first attempt
     to its final commit, across aborts. *)

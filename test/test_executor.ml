@@ -19,11 +19,50 @@ let bump_everywhere cluster ~at ~oid ~version =
 let read_seq oids =
   Benchmarks.Workload.seq (List.map Txn.read oids)
 
+let events_of tracer kind =
+  List.filter (fun (e : Obs.Tracer.event) -> e.ekind = kind) (Obs.Tracer.events tracer)
+
+(* Where each rollback landed: the [a] of every [scope.resume], after
+   checking it equals the target of the [txn.partial_abort] just before. *)
+let resumed tracer =
+  let target = ref None in
+  List.filter_map
+    (fun (e : Obs.Tracer.event) ->
+      if e.ekind = Obs.Sem.txn_partial_abort then begin
+        target := Some e.a;
+        None
+      end
+      else if e.ekind = Obs.Sem.scope_resume then begin
+        Alcotest.(check (option int)) "resumes the abort's target" !target (Some e.a);
+        Some e.a
+      end
+      else None)
+    (Obs.Tracer.events tracer)
+
+(* A program step that invalidates [oid] the first time it runs, as a
+   remote commit landing at that instant would. *)
+let bump_once cluster ~oid =
+  let fired = ref false in
+  fun () ->
+    if not !fired then begin
+      fired := true;
+      bump_everywhere cluster ~at:(Sim.Engine.now (Cluster.engine cluster)) ~oid
+        ~version:1
+    end
+
+let expect_commit outcome =
+  match outcome with
+  | Some (Executor.Committed _) -> ()
+  | Some (Executor.Failed msg) -> Alcotest.failf "failed: %s" msg
+  | None -> Alcotest.fail "never finished"
+
 (* A closed-nested transaction whose *own* read is invalidated mid-flight
    must retry just that CT — no root abort. *)
 let test_partial_abort_targets_ct () =
+  let tracer = Obs.Tracer.create () in
   let cluster =
-    Cluster.create ~nodes:13 ~seed:3 ~with_oracle:false (Config.default Config.Closed)
+    Cluster.create ~nodes:13 ~seed:3 ~with_oracle:false ~tracer
+      (Config.default Config.Closed)
   in
   let oids = List.init 8 (fun _ -> Cluster.alloc_object cluster ~init:(Store.Value.Int 0)) in
   let a, rest =
@@ -41,16 +80,55 @@ let test_partial_abort_targets_ct () =
   let outcome = ref None in
   Cluster.submit cluster ~node:5 program ~on_done:(fun o -> outcome := Some o);
   Cluster.drain cluster;
-  begin
-    match !outcome with
-    | Some (Executor.Committed _) -> ()
-    | Some (Executor.Failed msg) -> Alcotest.failf "failed: %s" msg
-    | None -> Alcotest.fail "never finished"
-  end;
+  expect_commit !outcome;
   let metrics = Cluster.metrics cluster in
   Alcotest.(check bool) "at least one partial abort" true
     (Metrics.partial_aborts metrics >= 1);
-  Alcotest.(check int) "no root aborts" 0 (Metrics.root_aborts metrics)
+  Alcotest.(check int) "no root aborts" 0 (Metrics.root_aborts metrics);
+  let depths = resumed tracer in
+  Alcotest.(check bool) "resumed the running CT's depth" true
+    (depths <> [] && List.for_all (fun d -> d = 1) depths)
+
+(* Three closed-nested levels: an object read at depth 2, invalidated while
+   depth 3 runs, rolls back to depth 2 alone.  Depth 1's reads survive the
+   rollback, so they are fetched remotely only once. *)
+let test_partial_abort_resumes_middle_depth () =
+  let tracer = Obs.Tracer.create () in
+  let cluster =
+    Cluster.create ~nodes:13 ~seed:10 ~with_oracle:false ~tracer
+      (Config.default Config.Closed)
+  in
+  let alloc n =
+    List.init n (fun _ -> Cluster.alloc_object cluster ~init:(Store.Value.Int 0))
+  in
+  let d1 = alloc 2 and d2 = alloc 2 and d3 = alloc 5 in
+  let bump = bump_once cluster ~oid:(List.hd d2) in
+  let program () =
+    Txn.nested (fun () ->
+        Txn.bind (read_seq d1) (fun _ ->
+            Txn.nested (fun () ->
+                Txn.bind (read_seq d2) (fun _ ->
+                    Txn.nested (fun () ->
+                        bump ();
+                        read_seq d3)))))
+  in
+  let outcome = ref None in
+  Cluster.submit cluster ~node:5 program ~on_done:(fun o -> outcome := Some o);
+  Cluster.drain cluster;
+  expect_commit !outcome;
+  Alcotest.(check int) "no root aborts" 0 (Metrics.root_aborts (Cluster.metrics cluster));
+  let depths = resumed tracer in
+  Alcotest.(check bool) "resumed depth 2" true
+    (depths <> [] && List.for_all (fun d -> d = 2) depths);
+  List.iter
+    (fun oid ->
+      let fetches =
+        List.filter
+          (fun (e : Obs.Tracer.event) -> e.oid = oid && e.b = 1)
+          (events_of tracer Obs.Sem.txn_read)
+      in
+      Alcotest.(check int) "depth-1 object fetched once" 1 (List.length fetches))
+    d1
 
 (* The mirror case: invalidating an object owned by an *enclosing* scope
    (merged from an earlier CT) must abort the root, not the running CT. *)
@@ -71,20 +149,17 @@ let test_outer_conflict_aborts_root () =
   let outcome = ref None in
   Cluster.submit cluster ~node:5 program ~on_done:(fun o -> outcome := Some o);
   Cluster.drain cluster;
-  begin
-    match !outcome with
-    | Some (Executor.Committed _) -> ()
-    | Some (Executor.Failed msg) -> Alcotest.failf "failed: %s" msg
-    | None -> Alcotest.fail "never finished"
-  end;
+  expect_commit !outcome;
   Alcotest.(check bool) "root aborted" true
     (Metrics.root_aborts (Cluster.metrics cluster) >= 1)
 
 (* Under QR-CHK the same mid-flight invalidation rolls back to a checkpoint
    instead of restarting. *)
 let test_checkpoint_rollback () =
+  let tracer = Obs.Tracer.create () in
   let cluster =
-    Cluster.create ~nodes:13 ~seed:5 ~with_oracle:false (Config.default Config.Checkpoint)
+    Cluster.create ~nodes:13 ~seed:5 ~with_oracle:false ~tracer
+      (Config.default Config.Checkpoint)
   in
   let oids = List.init 8 (fun _ -> Cluster.alloc_object cluster ~init:(Store.Value.Int 0)) in
   let program () = read_seq oids in
@@ -93,16 +168,47 @@ let test_checkpoint_rollback () =
   let outcome = ref None in
   Cluster.submit cluster ~node:5 program ~on_done:(fun o -> outcome := Some o);
   Cluster.drain cluster;
-  begin
-    match !outcome with
-    | Some (Executor.Committed _) -> ()
-    | Some (Executor.Failed msg) -> Alcotest.failf "failed: %s" msg
-    | None -> Alcotest.fail "never finished"
-  end;
+  expect_commit !outcome;
   let metrics = Cluster.metrics cluster in
   Alcotest.(check bool) "checkpoints were created" true (Metrics.checkpoints metrics >= 4);
   Alcotest.(check bool) "rolled back partially" true (Metrics.partial_aborts metrics >= 1);
-  Alcotest.(check int) "no full restart" 0 (Metrics.root_aborts metrics)
+  Alcotest.(check int) "no full restart" 0 (Metrics.root_aborts metrics);
+  Alcotest.(check bool) "resumed a checkpoint" true (resumed tracer <> [])
+
+(* A checkpoint after every fetch: invalidating the second object read,
+   after five checkpoints, rolls back to checkpoint 1 (the one in effect
+   when it was read).  Checkpoints taken after the rollback get fresh ids:
+   an id is never reused within an attempt. *)
+let test_checkpoint_rollback_target () =
+  let tracer = Obs.Tracer.create () in
+  let cluster =
+    Cluster.create ~nodes:13 ~seed:11 ~with_oracle:false ~tracer
+      (Config.make ~checkpoint_threshold:1 Config.Checkpoint)
+  in
+  let oids = List.init 8 (fun _ -> Cluster.alloc_object cluster ~init:(Store.Value.Int 0)) in
+  let first = List.filteri (fun i _ -> i < 5) oids
+  and rest = List.filteri (fun i _ -> i >= 5) oids in
+  let bump = bump_once cluster ~oid:(List.nth oids 1) in
+  let program () =
+    Txn.bind (read_seq first) (fun _ ->
+        bump ();
+        read_seq rest)
+  in
+  let outcome = ref None in
+  Cluster.submit cluster ~node:5 program ~on_done:(fun o -> outcome := Some o);
+  Cluster.drain cluster;
+  expect_commit !outcome;
+  Alcotest.(check int) "no full restart" 0 (Metrics.root_aborts (Cluster.metrics cluster));
+  Alcotest.(check (list int)) "resumed checkpoint 1" [ 1 ] (resumed tracer);
+  let rollback_at = (List.hd (events_of tracer Obs.Sem.scope_resume)).time in
+  let chks = events_of tracer Obs.Sem.txn_checkpoint in
+  Alcotest.(check bool) "at least 4 checkpoints before the rollback" true
+    (List.length (List.filter (fun (e : Obs.Tracer.event) -> e.time < rollback_at) chks)
+     >= 4);
+  Alcotest.(check bool) "checkpoints after the rollback" true
+    (List.exists (fun (e : Obs.Tracer.event) -> e.time > rollback_at) chks);
+  let ids = List.map (fun (e : Obs.Tracer.event) -> e.a) chks in
+  Alcotest.(check (list int)) "checkpoint ids keep rising" (List.init (List.length ids) succ) ids
 
 (* Read-only commits: QR-CN commits locally (no commit_req messages);
    flat QR and QR-CHK pay the 2PC round (paper §III-A vs §IV-A). *)
@@ -187,10 +293,14 @@ let suite =
   [
     Alcotest.test_case "partial abort targets the running CT" `Quick
       test_partial_abort_targets_ct;
+    Alcotest.test_case "partial abort resumes the middle depth" `Quick
+      test_partial_abort_resumes_middle_depth;
     Alcotest.test_case "outer-scope conflict aborts the root" `Quick
       test_outer_conflict_aborts_root;
     Alcotest.test_case "checkpoint rollback instead of restart" `Quick
       test_checkpoint_rollback;
+    Alcotest.test_case "checkpoint rollback lands on the target" `Quick
+      test_checkpoint_rollback_target;
     Alcotest.test_case "read-only commit locality per mode" `Quick
       test_read_only_commit_messages;
     Alcotest.test_case "zombie guard caps runaway attempts" `Quick test_zombie_guard;
