@@ -89,7 +89,7 @@ let scenario_defaults =
    any command sets it up. *)
 let shape_error (f : shared) =
   let outside_unit p = not (p >= 0. && p <= 1.) in
-  match Core.Cluster.layout_error ~nodes:f.nodes ~shards:f.shards with
+  match Core.View.layout_error ~nodes:f.nodes ~shards:f.shards with
   | Some msg -> Some (Printf.sprintf "--nodes %d --shards %d: %s" f.nodes f.shards msg)
   | None ->
     let least = f.bench.min_objects in
@@ -395,21 +395,18 @@ let scenario_cmd =
     in
     Arg.(required & pos 0 (some scenario) None & info [] ~docv:"SPEC" ~doc)
   in
+  (* The schedule is checked once, by [Scenario.install] against the
+     cluster's view after setup, before any simulated event runs. *)
+  let rejected = "Scenario.install: " in
   let run events f =
+    let tracer, online = online_checker f events in
     match
-      Harness.Scenario.validate
-        ~members:(List.init f.nodes Fun.id)
-        ~shards:f.shards
-        ~shard_members:(Core.Cluster.initial_shards ~nodes:f.nodes ~shards:f.shards)
-        ~nodes:(f.nodes + Option.value f.spares ~default:0)
-        events
+      Harness.Chaos.run ~clients:f.clients ~horizon:f.duration (spec_of ~tracer f) events
     with
-    | Error msg -> `Error (false, "bad scenario: " ^ msg)
-    | Ok () ->
-      let tracer, online = online_checker f events in
-      let r =
-        Harness.Chaos.run ~clients:f.clients ~horizon:f.duration (spec_of ~tracer f) events
-      in
+    | exception Invalid_argument msg when String.starts_with ~prefix:rejected msg ->
+      let n = String.length rejected in
+      `Error (false, "bad scenario: " ^ String.sub msg n (String.length msg - n))
+    | r ->
       Format.printf "%a@.%a@.%a@." Harness.Experiment.pp_result r.run
         Harness.Scenario.pp_report (Option.get r.run.report) Harness.Chaos.pp_result r;
       finish ~passed:(Harness.Chaos.passed r) online;

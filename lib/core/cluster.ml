@@ -1,12 +1,3 @@
-(* A view change: a membership change on one shard, or an edit of the
-   object -> shard directory.  Every kind runs the same fenced pipeline. *)
-type view_change =
-  | Join of { node : int; shard : int }
-  | Leave of int
-  | Replace of { leaving : int; joining : int }
-  | Move of { oid : int; to_shard : int }
-  | Split of int
-
 (* One shard: an independent membership view over a disjoint slice of the
    machines, with its own quorum tree, epoch and wedge flag.  The epoch and
    wedge are refs so the executor's quorum closures and the RPC fencing
@@ -17,20 +8,13 @@ type shard_state = {
   sh_wedged : bool ref;
 }
 
-(* The shard directory and per-shard state.  [states] and [dir] are
-   mutable fields (not just mutable contents) because a split appends a
-   shard and the directory grows with the object space; every closure
-   capturing this record sees the updates. *)
+(* The live view (members, homes, directory) and per-shard state, index
+   for index.  [states] is a mutable field (not just mutable contents)
+   because a split appends a shard; every closure capturing this record
+   sees the update. *)
 type sharding = {
   mutable states : shard_state array;
-  mutable dir : int array; (* oid -> owning shard, for allocated oids *)
-  mutable dir_len : int;
-  dir_default : int;
-      (* the initial shard count: an oid without a directory entry maps to
-         [oid mod dir_default].  Deliberately frozen at creation — shards
-         minted by splits receive objects only through explicit moves, so
-         the default mapping stays stable across the run. *)
-  home : int array; (* node -> the shard it replicates *)
+  view : View.t;
   read_level : int; (* for quorum trees minted by splits *)
 }
 
@@ -51,10 +35,8 @@ type t = {
      FIFO matters: a replace may legitimately re-use a machine an earlier
      queued change decommissions, so reordering would make a valid
      schedule fail validation. *)
-  pending : (view_change * (unit -> unit) option) Queue.t;
+  pending : (View.change * (unit -> unit) option) Queue.t;
 }
-
-let min_members = 3
 
 (* Read ∪ write quorum of [tq] salted by [salt]: the status peer set and the
    quorum a state pull goes through.  Commits decided just before may still
@@ -67,24 +49,7 @@ let sync_quorum tq ~salt =
     (of_opt (Quorum.Tree_quorum.read_quorum ~salt tq)
     @ of_opt (Quorum.Tree_quorum.write_quorum ~salt tq))
 
-let shard_of_oid_s sharding oid =
-  if oid >= 0 && oid < sharding.dir_len then sharding.dir.(oid)
-  else oid mod sharding.dir_default
-
-(* Record [oid]'s directory entry (default placement) if it has none. *)
-let ensure_dir sharding ~oid =
-  if oid >= Array.length sharding.dir then begin
-    let cap = Stdlib.max (oid + 1) (2 * (Array.length sharding.dir + 1)) in
-    let grown = Array.make cap 0 in
-    Array.blit sharding.dir 0 grown 0 sharding.dir_len;
-    sharding.dir <- grown
-  end;
-  if oid >= sharding.dir_len then begin
-    for i = sharding.dir_len to oid do
-      sharding.dir.(i) <- i mod sharding.dir_default
-    done;
-    sharding.dir_len <- oid + 1
-  end
+let shard_of_oid_s sharding oid = View.shard_of_oid sharding.view oid
 
 (* The shard whose epoch fences a request, keyed on the payload: the owner
    of the first object the message names.  Keyed on the payload — not the
@@ -114,11 +79,9 @@ let request_shard sharding = function
 
 let shard_count t = Array.length t.sharding.states
 let shard_of_oid t oid = shard_of_oid_s t.sharding oid
-
-let shard_members t ~shard =
-  Quorum.Tree_quorum.members t.sharding.states.(shard).sh_tq
-
-let home_shard_of t ~node = t.sharding.home.(node)
+let shard_members t ~shard = View.shard_members t.sharding.view shard
+let home_shard_of t ~node = View.home t.sharding.view node
+let view t = View.copy t.sharding.view
 
 (* A shard's read or write quorum salted by [salt].  Memoisation lives in
    [Tree_quorum] (generation-keyed, per salt); an unconstructible quorum
@@ -134,20 +97,14 @@ let quorum ~write st ~salt =
 (* The per-node accessors serve the node's {e home} shard (the objects it
    replicates). *)
 let read_quorum_of t ~node =
-  quorum ~write:false t.sharding.states.(t.sharding.home.(node)) ~salt:node
+  quorum ~write:false t.sharding.states.(home_shard_of t ~node) ~salt:node
 
 let write_quorum_of t ~node =
-  quorum ~write:true t.sharding.states.(t.sharding.home.(node)) ~salt:node
+  quorum ~write:true t.sharding.states.(home_shard_of t ~node) ~salt:node
 
 let nodes t = Array.length t.servers
-
-let members t =
-  List.sort_uniq Int.compare
-    (Array.fold_left
-       (fun acc st -> Quorum.Tree_quorum.members st.sh_tq @ acc)
-       [] t.sharding.states)
-
-let is_member t node = List.mem node (members t)
+let members t = View.members t.sharding.view
+let is_member t node = View.is_member t.sharding.view node
 
 (* The cluster-wide epoch: the sum of the shard epochs, i.e. the number of
    completed view changes across the whole deployment (identical to the
@@ -172,7 +129,7 @@ let pull t ~src ~dsts ~retry k =
   if dsts = [] then retry ()
   else
     Sim.Rpc.multicall t.rpc ~kind:Messages.sync_req_kind ~src ~dsts
-      ~timeout:t.config.Config.request_timeout Messages.Sync_req
+      ~timeout:Config.request_timeout Messages.Sync_req
       ~on_done:(fun ~replies ~missing -> if missing <> [] then retry () else k replies)
 
 (* Per-object maximum over the [Sync_rep] replies of a pull, sorted by oid:
@@ -207,14 +164,14 @@ let rec push t ~src ~dsts ~objects ?(tries = 0) k =
   | [], _ | _, [] -> k ()
   | _, targets ->
     Sim.Rpc.multicall t.rpc ~kind:Messages.handoff_kind ~src ~dsts:targets
-      ~timeout:t.config.Config.request_timeout
+      ~timeout:Config.request_timeout
       (Messages.Handoff { objects })
       ~on_done:(fun ~replies:_ ~missing ->
         if
           tries < 10
           && List.exists (fun n -> not (Sim.Network.is_failed t.network n)) missing
         then
-          Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
+          Sim.Engine.schedule t.engine ~delay:Config.request_timeout (fun () ->
               push t ~src ~dsts ~objects ~tries:(tries + 1) k)
         else k ())
 
@@ -240,9 +197,9 @@ let live_others t ~src among =
    and write-quorum members that are ahead vote the commit down
    forever). *)
 let rec resync t ~node ~started ~was_killed =
-  let tq = t.sharding.states.(t.sharding.home.(node)).sh_tq in
+  let tq = t.sharding.states.(home_shard_of t ~node).sh_tq in
   let retry () =
-    Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
+    Sim.Engine.schedule t.engine ~delay:Config.request_timeout (fun () ->
         resync t ~node ~started ~was_killed)
   in
   (* Mutual-rescue deadlock breaker: if {e every} member of the home shard
@@ -302,26 +259,13 @@ let rec resync t ~node ~started ~was_killed =
         if was_killed then
           Metrics.note_recovery t.metrics ~duration:(Sim.Engine.now t.engine -. started))
 
-let layout_error ~nodes ~shards =
-  if shards < 1 then Some "shards must be >= 1"
-  else if nodes < shards * min_members then
-    Some
-      (Printf.sprintf "%d initial members cannot populate %d shards (minimum %d each)"
-         nodes shards min_members)
-  else None
-
-let initial_shards ~nodes ~shards =
-  let base = nodes / shards and rem = nodes mod shards in
-  List.init shards (fun s ->
-      let start = (s * base) + Stdlib.min s rem in
-      List.init (base + if s < rem then 1 else 0) (fun i -> start + i))
-
 let create ?(nodes = 13) ?(spares = 0) ?(seed = 1) ?topology ?(service_time = 0.25)
     ?(read_level = 1) ?(detection_delay = 50.) ?(detection_jitter = 0.)
     ?(with_oracle = true) ?(tracer = Obs.Tracer.null) ?(batch_commit = false)
     ?(shards = 1) config =
-  Option.iter (fun msg -> invalid_arg ("Cluster: " ^ msg)) (layout_error ~nodes ~shards);
+  Option.iter (fun msg -> invalid_arg ("Cluster: " ^ msg)) (View.layout_error ~nodes ~shards);
   let total = nodes + spares in
+  let view = View.initial ~spares ~nodes ~shards () in
   let engine = Sim.Engine.create ~tracer () in
   let topology =
     match topology with
@@ -334,8 +278,8 @@ let create ?(nodes = 13) ?(spares = 0) ?(seed = 1) ?topology ?(service_time = 0.
   in
   let rpc =
     Sim.Rpc.create ~seed:(seed + 6)
-      ~retry_base:config.Config.retransmit_backoff_base
-      ~retry_max:config.Config.retransmit_backoff_max ~network ()
+      ~retry_base:Config.retransmit_backoff_base
+      ~retry_max:Config.retransmit_backoff_max ~network ()
   in
   let servers =
     Array.init total (fun node ->
@@ -356,31 +300,16 @@ let create ?(nodes = 13) ?(spares = 0) ?(seed = 1) ?topology ?(service_time = 0.
      exist only as capacity (dark until a join maps a position onto
      them). *)
   let states =
-    Array.of_list
-      (List.map
-         (fun members ->
-           let tq =
-             Quorum.Tree_quorum.create ~read_level ~capacity:total
-               ~nodes:(List.length members) ()
-           in
-           if List.hd members > 0 then Quorum.Tree_quorum.set_members tq members;
-           { sh_tq = tq; sh_epoch = ref 0; sh_wedged = ref false })
-         (initial_shards ~nodes ~shards))
+    Array.init shards (fun s ->
+        let members = View.shard_members view s in
+        let tq =
+          Quorum.Tree_quorum.create ~read_level ~capacity:total ~nodes:(List.length members)
+            ()
+        in
+        if List.hd members > 0 then Quorum.Tree_quorum.set_members tq members;
+        { sh_tq = tq; sh_epoch = ref 0; sh_wedged = ref false })
   in
-  let home = Array.make total 0 in
-  Array.iteri
-    (fun s st -> List.iter (fun n -> home.(n) <- s) (Quorum.Tree_quorum.members st.sh_tq))
-    states;
-  let sharding =
-    {
-      states;
-      dir = [||];
-      dir_len = 0;
-      dir_default = shards;
-      home;
-      read_level;
-    }
-  in
+  let sharding = { states; view; read_level } in
   (* Membership fence: every envelope is stamped with its shard's epoch at
      send time (see [request_shard]); requests carrying quorum evidence
      from a superseded view are dropped on arrival.  Apply/Release stay
@@ -407,7 +336,7 @@ let create ?(nodes = 13) ?(spares = 0) ?(seed = 1) ?topology ?(service_time = 0.
       node_alive = (fun node -> not (Sim.Network.is_failed network node));
       epoch = (fun ~shard -> !(sharding.states.(shard).sh_epoch));
       shard_of = (fun oid -> shard_of_oid_s sharding oid);
-      home_shard = (fun node -> sharding.home.(node));
+      home_shard = (fun node -> View.home view node);
     }
   in
   let executor =
@@ -432,9 +361,9 @@ let create ?(nodes = 13) ?(spares = 0) ?(seed = 1) ?topology ?(service_time = 0.
         ~engine ~watch_lane ~rpc
         ~status_peers:(fun () ->
           let node = Server.node server in
-          let st = sharding.states.(sharding.home.(node)) in
+          let st = sharding.states.(View.home view node) in
           if !(st.sh_wedged) then [] else sync_quorum st.sh_tq ~salt:node)
-        ~metrics ~config)
+        ~metrics)
     servers;
   let failure =
     Sim.Failure.create ~engine ~detection_delay ~detection_jitter ~seed:(seed + 5)
@@ -498,7 +427,7 @@ let now t = Sim.Engine.now t.engine
    is recorded at install time, so later splits relocate exactly the oids
    that exist. *)
 let install_object t ~oid ~init =
-  ensure_dir t.sharding ~oid;
+  View.allocate t.sharding.view ~oid;
   List.iter
     (fun node -> Store.Replica.install (Server.store t.servers.(node)) ~oid ~init)
     (shard_members t ~shard:(shard_of_oid t oid))
@@ -561,14 +490,14 @@ let trace_view t ~kind ~node ~a ~b ~shard =
     Obs.Tracer.emit8 tracer ~time:(Sim.Engine.now t.engine) ~kind ~node ~txn:(-1)
       ~oid:(-1) ~a ~b ~x:(Float.of_int shard)
 
-let kind_code = function
+let kind_code : View.change -> int = function
   | Join _ -> 0 | Leave _ -> 1 | Replace _ -> 2 | Move _ -> 3 | Split _ -> 4
 
-let joiner = function
+let joiner : View.change -> int option = function
   | Join { node; _ } | Replace { joining = node; _ } -> Some node
   | Leave _ | Move _ | Split _ -> None
 
-let leaver = function
+let leaver : View.change -> int option = function
   | Leave node | Replace { leaving = node; _ } -> Some node
   | Join _ | Move _ | Split _ -> None
 
@@ -579,75 +508,21 @@ let subject change =
 
 (* The shards a change wedges and re-epochs, the source shard first (a
    split adds the shard it creates at install). *)
-let involved t = function
+let involved t : View.change -> int list = function
   | Join { shard; _ } | Split shard -> [ shard ]
-  | Leave node | Replace { leaving = node; _ } -> [ t.sharding.home.(node) ]
-  | Move { oid; to_shard } -> [ t.sharding.dir.(oid); to_shard ]
+  | Leave node | Replace { leaving = node; _ } -> [ home_shard_of t ~node ]
+  | Move { oid; to_shard } -> [ shard_of_oid t oid; to_shard ]
 
-(* Checked when the change starts, against the view of that moment. *)
-let validate t change =
-  let fail fmt = Printf.ksprintf invalid_arg ("Cluster: " ^^ fmt) in
-  let total = nodes t and nsh = shard_count t in
-  let check_joining node ~shard =
-    if node < 0 || node >= total then
-      fail "cannot join node %d: no such machine (capacity %d)" node total;
-    let mem = members t in
-    if List.mem node mem then
-      fail "cannot join node %d: already a member (t=%.1f epoch=%d view=[%s])" node
-        (now t)
-        !(t.sharding.states.(shard).sh_epoch)
-        (String.concat ";" (List.map string_of_int mem))
-  in
-  let check_leaving node =
-    if
-      node < 0 || node >= total
-      || not (List.mem node (shard_members t ~shard:t.sharding.home.(node)))
-    then fail "cannot remove node %d: not a member" node
-  in
-  match change with
-  | Join { node; shard } ->
-    if shard < 0 || shard >= nsh then fail "no such shard %d (%d shards)" shard nsh;
-    check_joining node ~shard
-  | Leave node ->
-    check_leaving node;
-    let shard = t.sharding.home.(node) in
-    let size = List.length (shard_members t ~shard) - 1 in
-    if size < min_members then
-      fail
-        "cannot remove node %d: shard %d would have %d members, below the \
-         quorum-viable minimum (%d)"
-        node shard size min_members
-  | Replace { leaving; joining } ->
-    check_leaving leaving;
-    check_joining joining ~shard:t.sharding.home.(leaving)
-  | Move { oid; to_shard } ->
-    if to_shard < 0 || to_shard >= nsh then
-      fail "cannot move object %d: no such shard %d (%d shards)" oid to_shard nsh;
-    if oid < 0 || oid >= t.sharding.dir_len then
-      fail "cannot move object %d: not an allocated object" oid;
-    if t.sharding.dir.(oid) = to_shard then
-      fail "cannot move object %d: already on shard %d" oid to_shard
-  | Split shard ->
-    if shard < 0 || shard >= nsh then
-      fail "cannot split shard %d: no such shard (%d shards)" shard nsh;
-    let m = List.length (shard_members t ~shard) in
-    if m < 2 * min_members then
-      fail
-        "cannot split shard %d: %d members cannot form two quorum-viable shards \
-         (minimum %d each)"
-        shard m min_members
-
-(* Split: the first half of the member list keeps the shard, the second
-   half becomes a brand-new shard, wedged like its parent; the shard's
-   objects alternate between the halves (even directory positions stay,
-   odd ones move).  Returns the new shard's id. *)
+(* Split: the view computes the halves and the re-homed objects; the new
+   shard gets a quorum tree over its half, wedged like its parent.  A
+   re-homed node is traced so the online checker rebinds it (a widened-read
+   witness obliges only reads of its current home shard).  Returns the new
+   shard's id. *)
 let split_shard t shard =
   let st = t.sharding.states.(shard) in
-  let old_members = Quorum.Tree_quorum.members st.sh_tq in
-  let keep_n = (List.length old_members + 1) / 2 in
-  let keep = List.filteri (fun i _ -> i < keep_n) old_members in
-  let moved = List.filteri (fun i _ -> i >= keep_n) old_members in
-  let new_id = Array.length t.sharding.states in
+  View.apply t.sharding.view (Change (Split shard));
+  let fresh = Array.length t.sharding.states in
+  let moved = shard_members t ~shard:fresh in
   let ntq =
     Quorum.Tree_quorum.create ~read_level:t.sharding.read_level ~capacity:(nodes t)
       ~nodes:(List.length moved) ()
@@ -657,35 +532,29 @@ let split_shard t shard =
      physical id, and a crashed member must not appear in the new shard's
      quorums before its recovery resync. *)
   List.iter (Quorum.Tree_quorum.mark_failed ntq) (Quorum.Tree_quorum.failed st.sh_tq);
-  Quorum.Tree_quorum.set_members st.sh_tq keep;
-  let idx = ref 0 in
-  for oid = 0 to t.sharding.dir_len - 1 do
-    if t.sharding.dir.(oid) = shard then begin
-      if !idx land 1 = 1 then t.sharding.dir.(oid) <- new_id;
-      incr idx
-    end
-  done;
-  List.iter (fun nd -> t.sharding.home.(nd) <- new_id) moved;
+  Quorum.Tree_quorum.set_members st.sh_tq (shard_members t ~shard);
+  List.iter
+    (fun node -> trace_view t ~kind:Obs.Sem.view_rehome ~node ~a:fresh ~b:shard ~shard:fresh)
+    moved;
   let nst = { sh_tq = ntq; sh_epoch = ref !(st.sh_epoch); sh_wedged = ref true } in
   t.sharding.states <- Array.append t.sharding.states [| nst |];
-  new_id
+  fresh
 
 (* Install the change's new view and bump every involved shard's epoch;
    a joiner then adopts the pulled frontier directly (the Sync_req /
    Sync_rep catch-up path, applied locally) and becomes one of the shard's
    replicas.  Returns the involved shards, a split's new one included. *)
-let install t change shards ~snapshot =
+let install t (change : View.change) shards ~snapshot =
   let shards =
     match change with
     | Join _ | Leave _ | Replace _ ->
-      let tq = t.sharding.states.(List.hd shards).sh_tq in
-      let stay =
-        List.filter (fun n -> Some n <> leaver change) (Quorum.Tree_quorum.members tq)
-      in
-      Quorum.Tree_quorum.set_members tq (Option.to_list (joiner change) @ stay);
+      let shard = List.hd shards in
+      View.apply t.sharding.view (Change change);
+      Quorum.Tree_quorum.set_members t.sharding.states.(shard).sh_tq
+        (shard_members t ~shard);
       shards
-    | Move { oid; to_shard } ->
-      t.sharding.dir.(oid) <- to_shard;
+    | Move _ ->
+      View.apply t.sharding.view (Change change);
       shards
     | Split shard -> shards @ [ split_shard t shard ]
   in
@@ -695,12 +564,11 @@ let install t change shards ~snapshot =
       incr st.sh_epoch;
       Metrics.note_view_change t.metrics;
       trace_view t ~kind:Obs.Sem.view_change ~node:(subject change) ~a:!(st.sh_epoch)
-        ~b:(List.length (Quorum.Tree_quorum.members st.sh_tq))
+        ~b:(List.length (shard_members t ~shard:s))
         ~shard:s)
     shards;
   Option.iter
     (fun j ->
-      t.sharding.home.(j) <- List.hd shards;
       let store = Server.store t.servers.(j) in
       Store.Replica.reset_transients store;
       List.iter
@@ -709,8 +577,11 @@ let install t change shards ~snapshot =
     (joiner change);
   shards
 
+(* Checked when the change starts, against the view of that moment. *)
 let rec launch t change ~on_done =
-  validate t change;
+  Result.iter_error
+    (fun msg -> invalid_arg ("Cluster: " ^ msg))
+    (View.check t.sharding.view (Change change));
   let shards = involved t change in
   t.changing <- true;
   List.iter (fun s -> t.sharding.states.(s).sh_wedged := true) shards;
@@ -727,7 +598,7 @@ let rec launch t change ~on_done =
     (joiner change);
   (* The wedge stops new rounds; two request timeouts bound the stragglers
      (a round started just before the wedge plus its reply). *)
-  Sim.Engine.schedule t.engine ~delay:(2. *. t.config.Config.request_timeout) (fun () ->
+  Sim.Engine.schedule t.engine ~delay:(2. *. Config.request_timeout) (fun () ->
       pull_phase t change shards ~on_done)
 
 (* The source node — the subject, else the source shard's first member —
@@ -739,7 +610,7 @@ and pull_phase t change shards ~on_done =
   in
   pull t ~src ~dsts:(sync_quorum tq ~salt:src)
     ~retry:(fun () ->
-      Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
+      Sim.Engine.schedule t.engine ~delay:Config.request_timeout (fun () ->
           pull_phase t change shards ~on_done))
     (fun replies ->
       let snapshot = frontier replies in
@@ -780,7 +651,7 @@ and drain t change shards ~polls ~on_done =
     when polls < 20
          && (Store.Replica.held_leases (Server.store t.servers.(node)) <> []
             || List.exists (fun (n, _) -> n = node) (Executor.in_flight t.executor)) ->
-    Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
+    Sim.Engine.schedule t.engine ~delay:Config.request_timeout (fun () ->
         drain t change shards ~polls:(polls + 1) ~on_done)
   | Some node ->
     Sim.Network.fail t.network node;
@@ -800,7 +671,7 @@ and finish t change shards ~on_done =
   t.changing <- false;
   Option.iter (fun f -> f ()) on_done;
   if not (Queue.is_empty t.pending) then
-    Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
+    Sim.Engine.schedule t.engine ~delay:Config.request_timeout (fun () ->
         match Queue.take_opt t.pending with
         | Some (next, on_done) -> launch t next ~on_done
         | None -> ())

@@ -67,23 +67,10 @@ val create :
     {!members} is the current view.
 
     [shards] (default 1) partitions the initial members into that many
-    contiguous, near-equal shards; objects map to shard [oid mod shards]
-    until moved.  Raises [Invalid_argument] unless every shard gets at
-    least 3 members. *)
-
-val min_members : int
-(** The fewest members a shard may have: initially, and after any leave or
-    split. *)
-
-val layout_error : nodes:int -> shards:int -> string option
-(** Why [nodes] initial members cannot form [shards] shards of at least
-    {!min_members} each, or [None] when they can — the check {!create}
-    makes before raising. *)
-
-val initial_shards : nodes:int -> shards:int -> int list list
-(** The initial member list of each shard of {!create}: [nodes] members
-    split into [shards] contiguous, near-equal ranges, the larger ones
-    first. *)
+    contiguous, near-equal shards ({!View.initial_shards}); objects map to
+    shard [oid mod shards] until moved.  Raises [Invalid_argument] when
+    {!View.layout_error} rejects the layout (a shard of fewer than
+    {!View.min_members}). *)
 
 val engine : t -> Sim.Engine.t
 
@@ -124,6 +111,11 @@ val shard_members : t -> shard:int -> int list
 val home_shard_of : t -> node:int -> int
 (** The shard a node replicates (spares report the shard they last
     served, 0 before any join). *)
+
+val view : t -> View.t
+(** A copy of the live view — members, homes, directory — to check a
+    schedule against ({!View.check}).  The cluster never records crashes
+    in it. *)
 
 val ids : t -> Ids.gen
 val now : t -> float
@@ -182,38 +174,19 @@ val suspect_node_at : ?clear_after:float -> t -> at:float -> node:int -> unit
     drain the leaver (it sheds its leases and live coordinators before
     going dark).
 
+    A leave drains the leaver (its leases and live coordinators) and hands
+    its state off before it leaves the network; a replace is one atomic
+    swap under one epoch bump (the rolling-restart building block); a move
+    pushes the object's committed row to the destination members before
+    the directory entry flips, and bumps both shards' epochs.
+
     One change runs at a time across the whole cluster; later ones queue
     FIFO, and each starts one request timeout after the previous one
-    finishes.  A change is validated when it starts, against the view of
-    that moment: joining an existing member (of any shard) or a machine
-    outside the capacity, removing a non-member, shrinking a shard below
-    the quorum-viable minimum (3), moving to a nonexistent shard, moving
-    an unallocated or already-resident object, or splitting a shard that
-    cannot yield two quorum-viable halves (< 6 members) raises
-    [Invalid_argument]. *)
+    finishes.  A change is checked when it starts, with {!View.check}
+    against the live view of that moment, and a change it rejects raises
+    [Invalid_argument "Cluster: <rule>"]. *)
 
-type view_change =
-  | Join of { node : int; shard : int }
-      (** bring a non-member machine (a spare, or a previously departed
-          node) into [shard]'s view *)
-  | Leave of int
-      (** gracefully decommission a member of its home shard: state is
-          handed off and leases drained before it leaves the network *)
-  | Replace of { leaving : int; joining : int }
-      (** atomic swap on [leaving]'s home shard — one epoch bump covers
-          both the departure and the arrival (rolling-restart building
-          block) *)
-  | Move of { oid : Ids.obj_id; to_shard : int }
-      (** relocate one object: its committed row is pushed to the
-          destination shard's members before the directory entry flips;
-          both shards' epochs bump *)
-  | Split of int
-      (** split a shard in two: the first half of the member list keeps
-          the shard id, the second half becomes a brand-new shard (id
-          {!shard_count}), and the shard's objects alternate between the
-          halves *)
-
-val view_change_at : ?on_done:(unit -> unit) -> t -> at:float -> view_change -> unit
+val view_change_at : ?on_done:(unit -> unit) -> t -> at:float -> View.change -> unit
 (** Submit [change] at simulated time [at].  [on_done] fires when its
     pipeline completes. *)
 

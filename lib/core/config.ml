@@ -5,38 +5,35 @@ let mode_name = function
   | Closed -> "closed"
   | Checkpoint -> "checkpoint"
 
+(* Protocol timings no caller varies. *)
+let local_op_cost = 0.02
+let request_timeout = 400.
+let backoff_base = 4.
+let backoff_max = 250.
+let ct_retry_delay = 1.
+let lease_duration = 800.
+let lease_safety_margin = 100.
+let status_grace = 200.
+let status_attempts = 3
+let retransmit_backoff_base = 8.
+let retransmit_backoff_max = 200.
+
 type t = {
   mode : mode;
   rqv_for_flat : bool;
   checkpoint_threshold : int;
   checkpoint_overhead : float;
-  local_op_cost : float;
-  request_timeout : float;
-  backoff_base : float;
-  backoff_max : float;
-  ct_retry_delay : float;
   commit_lock_retries : int;
   max_attempts : int;
   max_steps_per_attempt : int;
-  lease_duration : float;
-  lease_safety_margin : float;
-  status_grace : float;
-  status_attempts : int;
-  retransmit_backoff_base : float;
-  retransmit_backoff_max : float;
   batch_size : int;
   batch_delay : float;
 }
 
 let make ?(rqv_for_flat = false) ?(checkpoint_threshold = 1) ?(checkpoint_overhead = 2.0)
-    ?(local_op_cost = 0.02) ?(request_timeout = 400.) ?(backoff_base = 4.)
-    ?(backoff_max = 250.) ?(ct_retry_delay = 1.) ?(commit_lock_retries = 0)
-    ?(max_attempts = 0) ?(max_steps_per_attempt = 20_000) ?(lease_duration = 800.)
-    ?(lease_safety_margin = 100.) ?(status_grace = 200.) ?(status_attempts = 3)
-    ?(retransmit_backoff_base = 8.) ?(retransmit_backoff_max = 200.)
+    ?(commit_lock_retries = 0) ?(max_attempts = 0) ?(max_steps_per_attempt = 20_000)
     ?(batch_size = 8) ?(batch_delay = 5.) mode =
   assert (checkpoint_threshold >= 1);
-  assert (lease_duration = 0. || lease_duration > lease_safety_margin);
   assert (batch_size >= 1);
   assert (batch_delay >= 0.);
   {
@@ -44,20 +41,9 @@ let make ?(rqv_for_flat = false) ?(checkpoint_threshold = 1) ?(checkpoint_overhe
     rqv_for_flat;
     checkpoint_threshold;
     checkpoint_overhead;
-    local_op_cost;
-    request_timeout;
-    backoff_base;
-    backoff_max;
-    ct_retry_delay;
     commit_lock_retries;
     max_attempts;
     max_steps_per_attempt;
-    lease_duration;
-    lease_safety_margin;
-    status_grace;
-    status_attempts;
-    retransmit_backoff_base;
-    retransmit_backoff_max;
     batch_size;
     batch_delay;
   }

@@ -11,6 +11,54 @@ type mode =
 
 val mode_name : mode -> string
 
+(** {2 Fixed timings} All in simulated ms; the same in every run. *)
+
+val local_op_cost : float
+(** CPU cost of one local DSL step (0.02). *)
+
+val request_timeout : float
+(** RPC timeout used to detect dead quorum members (400). *)
+
+val backoff_base : float
+(** Root-abort retry backoff base (4); attempt [k] waits a jittered
+    [min backoff_max (backoff_base * 2^k)]. *)
+
+val backoff_max : float
+(** 250. *)
+
+val ct_retry_delay : float
+(** Delay before retrying an aborted closed-nested scope or checkpoint
+    (1). *)
+
+val lease_duration : float
+(** Write-lock lease horizon (800): locks granted during the 2PC vote
+    expire this long after the grant, renewed by any further traffic from
+    the owning transaction. *)
+
+val lease_safety_margin : float
+(** The coordinator refuses to commit within this many ms of its own lease
+    expiry (100): the decision would race the replicas' presumed abort. *)
+
+val status_grace : float
+(** How long past expiry a replica waits before its status query (200),
+    covering Apply messages sent just before the coordinator's commit
+    deadline. *)
+
+val status_attempts : int
+(** Status-query rounds against an unreachable read quorum before the
+    replica presumes abort (3), so a partitioned replica terminates. *)
+
+val retransmit_backoff_base : float
+(** Apply/Release retransmission backoff (8): re-send [k] of an unacked
+    one-way message waits a jittered [min retransmit_backoff_max
+    (retransmit_backoff_base * 2^k)], so lossy-link bursts are not
+    hammered in lock-step. *)
+
+val retransmit_backoff_max : float
+(** 200. *)
+
+(** {2 Settable values} *)
+
 type t = {
   mode : mode;
   rqv_for_flat : bool;
@@ -22,11 +70,6 @@ type t = {
   checkpoint_overhead : float;
       (** local cost of saving a continuation, ms; calibrated to the
           paper's measured ~6% checkpoint-creation overhead *)
-  local_op_cost : float;  (** CPU cost of one local DSL step, ms *)
-  request_timeout : float;  (** RPC timeout used to detect dead quorum members, ms *)
-  backoff_base : float;  (** root-abort retry backoff base, ms *)
-  backoff_max : float;
-  ct_retry_delay : float;  (** delay before retrying an aborted closed-nested txn, ms *)
   commit_lock_retries : int;
       (** how many times a commit request that failed purely on a lock
           (protected object) is retried before aborting the root (ablation;
@@ -40,31 +83,6 @@ type t = {
           Closed nesting / checkpointing validate on remote reads but can
           still cycle through locally cached entries, so the guard applies
           to every mode. *)
-  lease_duration : float;
-      (** write-lock lease horizon, ms: locks granted during the 2PC vote
-          expire this long after the grant (renewed by any further traffic
-          from the owning transaction).  [0.] disables lease-based
-          termination entirely — locks then only fall with an explicit
-          Release, as in the paper. *)
-  lease_safety_margin : float;
-      (** the coordinator refuses to commit within this many ms of its own
-          lease expiry (the decision would race the replicas' presumed
-          abort); must be < [lease_duration] when leases are on *)
-  status_grace : float;
-      (** how long past expiry a replica waits before starting the status
-          query, covering in-flight Apply messages sent just before the
-          coordinator's commit deadline *)
-  status_attempts : int;
-      (** status-query rounds against an unreachable read quorum before the
-          replica falls back to presumed abort (bounded so a partitioned
-          replica terminates) *)
-  retransmit_backoff_base : float;
-      (** Apply/Release retransmission backoff: re-send k of an unacked
-          one-way message waits [min (retransmit_backoff_max,
-          retransmit_backoff_base * 2^k)] ms with seeded jitter before going
-          out, so lossy-link bursts are not hammered in lock-step.  [0.]
-          restores the historical fixed-interval retransmission. *)
-  retransmit_backoff_max : float;
   batch_size : int;
       (** batch-commit mode: cut the commit queue as soon as this many
           transactions are waiting (and no batch round is in flight).
@@ -75,11 +93,7 @@ type t = {
 }
 
 val make : ?rqv_for_flat:bool -> ?checkpoint_threshold:int -> ?checkpoint_overhead:float ->
-  ?local_op_cost:float -> ?request_timeout:float -> ?backoff_base:float ->
-  ?backoff_max:float -> ?ct_retry_delay:float -> ?commit_lock_retries:int ->
-  ?max_attempts:int -> ?max_steps_per_attempt:int -> ?lease_duration:float ->
-  ?lease_safety_margin:float -> ?status_grace:float -> ?status_attempts:int ->
-  ?retransmit_backoff_base:float -> ?retransmit_backoff_max:float ->
+  ?commit_lock_retries:int -> ?max_attempts:int -> ?max_steps_per_attempt:int ->
   ?batch_size:int -> ?batch_delay:float -> mode -> t
 
 val default : mode -> t

@@ -357,9 +357,9 @@ let commit_dataset exec ~scope_rset ~scope_wset =
    [sent_at]: leases are stamped at replica receipt, later than this, so a
    decision before the horizon beats every presumed abort.  A round that
    locks nothing has none. *)
-let lease_horizon exec ~sent_at ~locks =
-  if exec.config.lease_duration > 0. && locks <> [] then
-    sent_at +. exec.config.lease_duration -. exec.config.lease_safety_margin
+let lease_horizon ~sent_at ~locks =
+  if locks <> [] then
+    sent_at +. Config.lease_duration -. Config.lease_safety_margin
   else Float.infinity
 
 (* The participant shards of a commit: every shard owning an object in the
@@ -436,10 +436,9 @@ let still_current root generation =
 let jittered rng base = base *. (0.5 +. Util.Rng.float rng 1.0)
 
 let backoff_delay root =
-  let cfg = root.exec.config in
   let exp = Stdlib.min root.attempt 8 in
-  let base = cfg.backoff_base *. Float.of_int (1 lsl exp) in
-  jittered root.exec.rng (Stdlib.min cfg.backoff_max base)
+  let base = Config.backoff_base *. Float.of_int (1 lsl exp) in
+  jittered root.exec.rng (Stdlib.min Config.backoff_max base)
 
 (* Commit-time read repair (see [extra_read_peers]): remember write-quorum
    members that vetoed as stale with no lock conflict, so subsequent reads
@@ -627,7 +626,7 @@ let rec start_attempt root =
 and step root prog =
   let exec = root.exec in
   Sim.Engine.schedule_in exec.engine exec.step_lane
-    ~time:(Sim.Engine.now exec.engine +. Stdlib.max 0. exec.config.local_op_cost)
+    ~time:(Sim.Engine.now exec.engine +. Config.local_op_cost)
     (fun () -> if not root.finished then interpret root prog)
 
 and interpret root prog =
@@ -720,7 +719,7 @@ and remote_fetch root ~oid ~write ~k =
     (* No read quorum constructible right now (too many failures); retry
        after a delay, by which time detection may have recovered one. *)
     Metrics.note_quorum_retry exec.metrics;
-    schedule root ~delay:(jittered exec.rng exec.config.request_timeout) (fun () ->
+    schedule root ~delay:(jittered exec.rng Config.request_timeout) (fun () ->
         remote_fetch root ~oid ~write ~k)
   | _ ->
     let dataset =
@@ -750,7 +749,7 @@ and remote_fetch root ~oid ~write ~k =
     root.last_validation_sent <- now root;
     let generation = root.generation in
     Sim.Rpc.multicall exec.rpc ~kind:Messages.read_req_kind ~src:root.node ~dsts
-      ~timeout:exec.config.request_timeout request
+      ~timeout:Config.request_timeout request
       ~on_done:(fun ~replies ~missing ->
         if still_current root generation then
           handle_read_replies root ~oid ~write ~k ~replies ~missing)
@@ -778,7 +777,7 @@ and handle_read_replies root ~oid ~write ~k ~replies ~missing =
       root.extra_read_peers <- kept
     end;
     Metrics.note_quorum_retry exec.metrics;
-    schedule root ~delay:(jittered exec.rng exec.config.ct_retry_delay) (fun () ->
+    schedule root ~delay:(jittered exec.rng Config.ct_retry_delay) (fun () ->
         remote_fetch root ~oid ~write ~k)
   end
   else begin
@@ -816,7 +815,7 @@ and handle_read_replies root ~oid ~write ~k ~replies ~missing =
         | None ->
           (* Only malformed replies; treat as a failed quorum round. *)
           Metrics.note_quorum_retry exec.metrics;
-          schedule root ~delay:(jittered exec.rng exec.config.ct_retry_delay)
+          schedule root ~delay:(jittered exec.rng Config.ct_retry_delay)
             (fun () -> remote_fetch root ~oid ~write ~k)
         | Some (version, value) ->
           Metrics.note_remote_read exec.metrics;
@@ -894,7 +893,7 @@ and partial_abort root ~target =
     (* [a] reports the savepoint actually restored, not the requested
        target — the checker verifies they coincide. *)
     trace root ~kind:Obs.Sem.scope_resume ~oid:(-1) ~a:sp.id ~b:(-1) ~x:0.;
-    schedule root ~delay:(jittered root.exec.rng root.exec.config.ct_retry_delay)
+    schedule root ~delay:(jittered root.exec.rng Config.ct_retry_delay)
       (fun () -> step root (sp.resume ()))
 
 and root_abort root =
@@ -991,7 +990,7 @@ and root_commit root ~scope ~value =
            still queued must decide before it can — wait them out. *)
         match status with
         | `Undecided _ ->
-          schedule root ~delay:(jittered exec.rng exec.config.ct_retry_delay)
+          schedule root ~delay:(jittered exec.rng Config.ct_retry_delay)
             (fun () -> root_commit root ~scope ~value)
         | `Ok -> send_commit root ~scope ~value))
   end
@@ -1032,7 +1031,7 @@ and send_commit root ~scope ~value =
     (* some participant shard has no constructible write quorum right now
        (wedged mid-reconfiguration / too many failures) *)
     Metrics.note_quorum_retry exec.metrics;
-    schedule root ~delay:(jittered exec.rng exec.config.request_timeout) (fun () ->
+    schedule root ~delay:(jittered exec.rng Config.request_timeout) (fun () ->
         send_commit root ~scope ~value)
   end
   else begin
@@ -1053,7 +1052,7 @@ and send_commit root ~scope ~value =
     in
     let window_start = now root in
     (* One lease horizon for the whole 2PC, anchored at the first send. *)
-    root.lock_deadline <- lease_horizon exec ~sent_at:window_start ~locks;
+    root.lock_deadline <- lease_horizon ~sent_at:window_start ~locks;
     root.commit_round <- root.commit_round + 1;
     let generation = root.generation in
     let release_parts ps =
@@ -1063,7 +1062,7 @@ and send_commit root ~scope ~value =
     in
     let retry () =
       Metrics.note_quorum_retry exec.metrics;
-      schedule root ~delay:(jittered exec.rng exec.config.ct_retry_delay) (fun () ->
+      schedule root ~delay:(jittered exec.rng Config.ct_retry_delay) (fun () ->
           send_commit root ~scope ~value)
     in
     let abort_2pc () =
@@ -1087,7 +1086,7 @@ and send_commit root ~scope ~value =
           ~b:(List.length quorum) ~x:(Float.of_int s);
         let send_epoch = exec.quorums.epoch ~shard:s in
         Sim.Rpc.multicall exec.rpc ~kind:Messages.commit_req_kind ~src:root.node
-          ~dsts:quorum ~timeout:exec.config.request_timeout
+          ~dsts:quorum ~timeout:Config.request_timeout
           (Messages.Commit_req
              { txn = root.txn_id; dataset = slice; locks = lslice;
                round = root.commit_round; peers })
@@ -1108,7 +1107,7 @@ and send_commit root ~scope ~value =
               else begin
                 release_parts contacted;
                 veto root votes ~abort:abort_2pc ~retry:(fun () ->
-                    schedule root ~delay:(jittered exec.rng exec.config.ct_retry_delay)
+                    schedule root ~delay:(jittered exec.rng Config.ct_retry_delay)
                       (fun () -> send_commit root ~scope ~value))
               end
             end)
@@ -1146,7 +1145,7 @@ and send_commit root ~scope ~value =
             (List.concat_map (fun ((_, quorum, _, _), _) -> quorum) prepared)
         in
         Sim.Rpc.acked_multicast exec.rpc ~kind:Messages.apply_kind ~src:root.node
-          ~dsts ~timeout:exec.config.request_timeout
+          ~dsts ~timeout:Config.request_timeout
           (Messages.Apply { txn = root.txn_id; writes });
         if exec.batch_commit then begin
           (* Keep the speculation machinery coherent: successors may have
@@ -1175,7 +1174,7 @@ and release_locks root ~quorum ~locks =
      a two-writers-one-version violation otherwise). *)
   if locks <> [] then
     Sim.Rpc.acked_multicast root.exec.rpc ~kind:Messages.release_kind ~src:root.node ~dsts:quorum
-      ~timeout:root.exec.config.request_timeout
+      ~timeout:Config.request_timeout
       (Messages.Release { txn = root.txn_id; oids = locks; round = root.commit_round })
 
 and record_commit root ~scope ~window_start =
@@ -1282,7 +1281,7 @@ and cut_batch exec ~bq =
       Metrics.note_quorum_retry exec.metrics;
       bq.bq_queue <- List.rev entries;
       bq.bq_len <- List.length entries;
-      schedule_cut exec ~bq ~delay:(jittered exec.rng exec.config.request_timeout)
+      schedule_cut exec ~bq ~delay:(jittered exec.rng Config.request_timeout)
     | quorum ->
       let ea = Array.of_list entries in
       let n = Array.length ea in
@@ -1311,7 +1310,7 @@ and cut_batch exec ~bq =
         ds_offsets.(i + 1) <- exec.ds_len;
         let locks = Rwset.oids scope.wset in
         locks_by_entry.(i) <- locks;
-        root.lock_deadline <- lease_horizon exec ~sent_at ~locks;
+        root.lock_deadline <- lease_horizon ~sent_at ~locks;
         writes_by_entry.(i) <- writes_of_wset scope.wset;
         wr_offsets.(i + 1) <- wr_offsets.(i) + Messages.writes_len writes_by_entry.(i);
         trace root ~kind:Obs.Sem.batch_entry ~oid:(-1) ~a:batch_id ~b:i ~x:0.;
@@ -1340,7 +1339,7 @@ and cut_batch exec ~bq =
       let send_epoch = exec.quorums.epoch ~shard:bq.bq_shard in
       bq.bq_inflight <- true;
       Sim.Rpc.multicall exec.rpc ~kind:Messages.batch_commit_req_kind ~src
-        ~dsts:quorum ~timeout:exec.config.request_timeout
+        ~dsts:quorum ~timeout:Config.request_timeout
         (Messages.Batch_commit_req
            { txns; rounds; ds_offsets; dataset; wr_offsets; writes; decided })
         ~on_done:(fun ~replies ~missing ->
@@ -1380,7 +1379,7 @@ and decide_batch exec ~bq ~entries ~writes_by_entry ~locks_by_entry ~quorum ~bat
     bq.bq_len <- bq.bq_len + List.length !requeued;
     bq.bq_inflight <- false;
     if bq.bq_queue <> [] then
-      schedule_cut exec ~bq ~delay:(jittered exec.rng exec.config.ct_retry_delay)
+      schedule_cut exec ~bq ~delay:(jittered exec.rng Config.ct_retry_delay)
   end
   else begin
     let now_ = Sim.Engine.now exec.engine in
@@ -1412,7 +1411,7 @@ and decide_batch exec ~bq ~entries ~writes_by_entry ~locks_by_entry ~quorum ~bat
           if votes.all_commit && now_ <= root.lock_deadline then begin
             record_commit root ~scope ~window_start:sent_at;
             Sim.Rpc.acked_multicast exec.rpc ~kind:Messages.apply_kind
-              ~src:root.node ~dsts:quorum ~timeout:exec.config.request_timeout
+              ~src:root.node ~dsts:quorum ~timeout:Config.request_timeout
               (Messages.Apply { txn = root.txn_id; writes = writes_by_entry.(i) });
             Metrics.note_commit exec.metrics ~latency:(now_ -. root.born);
             trace root ~kind:Obs.Sem.txn_commit ~oid:(-1) ~a:(-1) ~b:0

@@ -33,30 +33,6 @@ let dataset_of_list entries =
       entries;
     d
 
-let dataset_entries d =
-  List.init (dataset_len d) (fun i ->
-      { oid = d.ds_oids.(i); version = d.ds_versions.(i); owner = d.ds_owners.(i) })
-
-let dataset_of_rwset set =
-  let n = Rwset.size set in
-  if n = 0 then empty_dataset
-  else begin
-    let d =
-      {
-        ds_oids = Array.make n 0;
-        ds_versions = Array.make n 0;
-        ds_owners = Array.make n 0;
-      }
-    in
-    let i = ref 0 in
-    Rwset.iter set (fun (e : Rwset.entry) ->
-        d.ds_oids.(!i) <- e.oid;
-        d.ds_versions.(!i) <- e.version;
-        d.ds_owners.(!i) <- e.owner;
-        incr i);
-    d
-  end
-
 type writes = {
   wr_oids : int array;
   wr_versions : int array;
@@ -188,5 +164,3 @@ let kind_token_of_request = function
   | Status_req _ -> status_req_kind
   | Handoff _ -> handoff_kind
   | Batch_commit_req _ -> batch_commit_req_kind
-
-let kind_of_request request = Sim.Network.Kind.name (kind_token_of_request request)

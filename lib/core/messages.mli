@@ -36,11 +36,6 @@ val empty_dataset : dataset
 
 val dataset_len : dataset -> int
 val dataset_of_list : dataset_entry list -> dataset
-val dataset_entries : dataset -> dataset_entry list
-(** Row-record view, same order as the arrays. *)
-
-val dataset_of_rwset : Rwset.t -> dataset
-
 type writes = {
   wr_oids : int array;
   wr_versions : int array;  (** new version to install per oid *)
@@ -168,6 +163,3 @@ val batch_commit_req_kind : Sim.Network.Kind.t
 
 val kind_token_of_request : request -> Sim.Network.Kind.t
 (** The interned accounting label of a request. *)
-
-val kind_of_request : request -> string
-(** Message-accounting label ("read_req", "commit_req", ...). *)

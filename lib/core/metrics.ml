@@ -188,7 +188,6 @@ let view_changes t = t.view_changes
 let speculative_reads t = t.speculative_reads
 let speculation_aborts t = t.speculation_aborts
 let batches t = t.batches
-let batch_occupancy_stats t = t.batch_occupancy
 let cross_shard_commits t = t.cross_shard_commits
 let cross_shard_aborts t = t.cross_shard_aborts
 

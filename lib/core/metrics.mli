@@ -130,9 +130,6 @@ val speculation_aborts : t -> int
 val batches : t -> int
 (** Batch quorum rounds sent. *)
 
-val batch_occupancy_stats : t -> Util.Stats.t
-(** Transactions carried per batch round. *)
-
 val batch_occupancy_percentile : t -> float -> float
 (** Batch-occupancy percentile (e.g. [50.], [95.]); 0 when no batches have
     been sent. *)

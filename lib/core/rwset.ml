@@ -18,6 +18,3 @@ let retag t ~owner = Int_map.map (fun e -> { e with owner }) t
 let iter t f = Int_map.iter (fun _oid e -> f e) t
 let entries t = List.map snd (Int_map.bindings t)
 let oids t = List.map fst (Int_map.bindings t)
-
-let union_oids a b =
-  Int_map.union (fun _ x _ -> Some x) a b |> Int_map.bindings |> List.map fst

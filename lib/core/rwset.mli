@@ -44,4 +44,3 @@ val entries : t -> entry list
 (** Ascending by object id. *)
 
 val oids : t -> Ids.obj_id list
-val union_oids : t -> t -> Ids.obj_id list

@@ -21,7 +21,6 @@ type termination = {
          permanently crashed members must be pruned here or a status round
          would wait on the dead forever. *)
   metrics : Metrics.t;
-  config : Config.t;
 }
 
 type t = {
@@ -89,13 +88,12 @@ let handle_read t ~txn ~oid ~dataset =
 
 (* --- lease termination -------------------------------------------------- *)
 
-let leases_on t = match t.termination with Some term -> term.config.Config.lease_duration > 0. | None -> false
+let leases_on t = Option.is_some t.termination
 
 let lease_expiry t =
   match t.termination with
-  | Some term when term.config.Config.lease_duration > 0. ->
-    Sim.Engine.now term.engine +. term.config.Config.lease_duration
-  | Some _ | None -> Float.infinity
+  | Some term -> Sim.Engine.now term.engine +. Config.lease_duration
+  | None -> Float.infinity
 
 let still_held t ~txn oids =
   List.filter
@@ -182,7 +180,7 @@ let rec status_round t term ~txn ~oids ~attempts =
   let held = still_held t ~txn oids in
   if held <> [] then begin
     let retry attempts =
-      Sim.Engine.schedule term.engine ~delay:term.config.Config.request_timeout
+      Sim.Engine.schedule term.engine ~delay:Config.request_timeout
         (fun () -> status_round t term ~txn ~oids:held ~attempts)
     in
     (* A cross-shard transaction's commit evidence may live exclusively on
@@ -206,7 +204,7 @@ let rec status_round t term ~txn ~oids ~attempts =
       trace t ~kind:Obs.Sem.status_round ~txn ~oid:(-1) ~a:attempts
         ~b:(List.length dsts) ~x:0.;
       Sim.Rpc.multicall term.rpc ~kind:Messages.status_req_kind ~src:t.node ~dsts
-        ~timeout:term.config.Config.request_timeout
+        ~timeout:Config.request_timeout
         (Messages.Status_req { txn; oids = held })
         ~on_done:(fun ~replies ~missing ->
           let held = still_held t ~txn held in
@@ -239,7 +237,7 @@ let rec watch_lease t term ~txn ~oids () =
           | None -> acc)
         0. held
     in
-    let deadline = latest +. term.config.Config.status_grace in
+    let deadline = latest +. Config.status_grace in
     if Sim.Engine.now term.engine +. 1e-9 < deadline then
       Sim.Engine.schedule_at term.engine ~time:deadline (watch_lease t term ~txn ~oids:held)
     else begin
@@ -248,22 +246,21 @@ let rec watch_lease t term ~txn ~oids () =
       | oid :: _ ->
         trace t ~kind:Obs.Sem.lease_expire ~txn ~oid ~a:(-1) ~b:(-1) ~x:latest
       | [] -> ());
-      status_round t term ~txn ~oids:held ~attempts:term.config.Config.status_attempts
+      status_round t term ~txn ~oids:held ~attempts:Config.status_attempts
     end
   end
 
 let watch_granted t ~txn ~oids ~expires =
   match t.termination with
-  | Some term when leases_on t ->
+  | Some term ->
     Sim.Engine.schedule_in term.engine term.watch_lane
-      ~time:(expires +. term.config.Config.status_grace)
+      ~time:(expires +. Config.status_grace)
       (watch_lease t term ~txn ~oids)
-  | Some _ | None -> ()
+  | None -> ()
 
 let enable_termination ?(node_alive = fun _ -> true) t ~engine ~watch_lane ~rpc
-    ~status_peers ~metrics ~config =
-  t.termination <-
-    Some { engine; watch_lane; rpc; status_peers; node_alive; metrics; config };
+    ~status_peers ~metrics =
+  t.termination <- Some { engine; watch_lane; rpc; status_peers; node_alive; metrics };
   (* A lease restored from a batch handover may have outlived the watcher
      armed at its original grant (the watcher dies when [still_held] sees
      the successor as owner), so re-arm one: left unwatched, a restored

@@ -55,7 +55,6 @@ val enable_termination :
   rpc:(Messages.request, Messages.reply) Sim.Rpc.t ->
   status_peers:(unit -> int list) ->
   metrics:Metrics.t ->
-  config:Config.t ->
   unit
 (** Arm the lease/termination machinery.  [status_peers] is the set queried
     for commit evidence; it must intersect every write quorum (a read
@@ -68,9 +67,8 @@ val enable_termination :
     [Commit_req.peers] pinned — commit evidence may live exclusively on
     another participant shard — filtered through [node_alive] (default:
     everyone), because unlike [status_peers] that frozen set cannot route
-    around permanent crashes by recomputation.  A [config] with
-    [lease_duration = 0.] disables leases even when termination is
-    enabled.  Lease watchers are queued on [watch_lane] (a lane of
+    around permanent crashes by recomputation.  Leases then run for
+    {!Config.lease_duration}.  Lease watchers are queued on [watch_lane] (a lane of
     [engine]; servers may share one). *)
 
 val node : t -> int

@@ -52,12 +52,19 @@ let generate knobs (spec : Experiment.spec) =
   let nodes = spec.nodes and spares = spec.spares and shards = spec.shards in
   let rng = Util.Rng.create (spec.seed lxor 0x5eed_cafe) in
   let h = knobs.horizon in
-  (* Cluster.create's initial layout: each shard's members, each node's shard. *)
-  let layout = Cluster.initial_shards ~nodes ~shards in
-  let shard_of = Array.make nodes 0 in
-  List.iteri (fun s members -> List.iter (fun n -> shard_of.(n) <- s) members) layout;
+  (* The view Cluster.create starts from; each phase below draws against
+     its own copy, applying every event it draws. *)
+  let initial = View.initial ~spares ~nodes ~shards () in
   let events = ref [] in
   let add e = events := e :: !events in
+  (* Add [event] if its transition passes [View.check] on [view], applying
+     it there. *)
+  let draw view transition event =
+    if Result.is_ok (View.check view transition) then begin
+      View.apply view transition;
+      add event
+    end
+  in
   (* Nodes already cast in another fault's role; membership churn below
      steers clear of them so a leave never races its victim's crash. *)
   let busy = ref [] in
@@ -69,20 +76,17 @@ let generate knobs (spec : Experiment.spec) =
     let drawn = distinct_nodes rng ~nodes ~count:n_crashes in
     if shards <= 1 then drawn
     else begin
-      (* Sharded clusters: never schedule the simultaneous death of an
-         entire shard — no surviving replica could serve its slice or
-         hold rescue evidence, and Scenario.validate rejects exactly
-         that.  Post-filtering keeps the draw sequence (and so every
-         unsharded schedule) unchanged. *)
-      let killed = Array.make shards 0 in
+      (* Sharded clusters: never schedule the death of an entire shard —
+         no surviving replica could serve its slice or hold rescue
+         evidence.  Every victim stays down in a scratch view, so a
+         victim [View.check] refuses is the last live member of its shard
+         whatever the timing.  Post-filtering keeps the draw sequence (and
+         so every unsharded schedule) unchanged. *)
+      let down = View.copy initial in
       List.filter
         (fun node ->
-          let s = shard_of.(node) in
-          if killed.(s) + 1 < List.length (List.nth layout s) then begin
-            killed.(s) <- killed.(s) + 1;
-            true
-          end
-          else false)
+          let crash = View.Crash node in
+          Result.is_ok (View.check down crash) && (View.apply down crash; true))
         drawn
     end
   in
@@ -167,23 +171,21 @@ let generate knobs (spec : Experiment.spec) =
   end;
   (* Membership churn: up to [reconfigs] sequential join/leave/replace
      operations over nodes not already cast as crash / partition / suspect
-     victims, tracked against the evolving member set so every drawn
-     operation is valid when it fires.  Departed nodes recycle through the
-     spare pool, so a schedule can leave a node and join it back later.
-     All the churn draws happen after the classic ones: a knobs record with
-     [reconfigs = 0] reproduces pre-churn schedules byte-for-byte.
-
-     Sharded clusters also track each shard's size, so a leave never takes
-     its shard below 3 members (a join lands in shard 0, a replace's joiner
-     takes the leaver's shard).  Unsharded, the global floor already
-     implies this, so those schedules draw exactly as before. *)
+     victims, each drawn valid against the view the earlier ones left
+     ([View.check]: no leave takes its shard below the minimum) and under
+     a majority floor of the initial size.  A join lands in shard 0.
+     Departed nodes recycle through the spare pool, so a schedule can
+     leave a node and join it back later.  All the churn draws happen
+     after the classic ones: a knobs record with [reconfigs = 0]
+     reproduces pre-churn schedules byte-for-byte. *)
   let shrunk = Array.make shards false in
   if knobs.reconfigs > 0 then begin
-    let members = ref (List.init nodes Fun.id) in
+    let view = View.copy initial in
+    (* The members in the order picks index: the initial nodes ascending,
+       each joiner at the front. *)
+    let order = ref (List.init nodes Fun.id) in
     let pool = ref (List.init spares (fun i -> nodes + i)) in
-    let floor = Stdlib.max 3 ((nodes / 2) + 1) in
-    let home = Array.append shard_of (Array.make spares 0) in
-    let sizes = Array.of_list (List.map List.length layout) in
+    let floor = Stdlib.max View.min_members ((nodes / 2) + 1) in
     let n_ops = Util.Rng.int rng (knobs.reconfigs + 1) in
     let slot i =
       (0.20 *. h)
@@ -191,9 +193,11 @@ let generate knobs (spec : Experiment.spec) =
       +. span rng 0. (0.02 *. h)
     in
     for i = 0 to n_ops - 1 do
-      let leavable = List.filter (fun n -> not (List.mem n !busy)) !members in
-      let shrinkable = List.filter (fun n -> sizes.(home.(n)) > 3) leavable in
-      let can_shrink = List.length !members > floor && shrinkable <> [] in
+      let leavable = List.filter (fun n -> not (List.mem n !busy)) !order in
+      let shrinkable =
+        List.filter (fun n -> Result.is_ok (View.check view (Change (Leave n)))) leavable
+      in
+      let can_shrink = List.length !order > floor && shrinkable <> [] in
       let can_join = !pool <> [] in
       let pick among = List.nth among (Util.Rng.int rng (List.length among)) in
       let take_spare () =
@@ -214,39 +218,41 @@ let generate knobs (spec : Experiment.spec) =
         match List.nth choices (Util.Rng.int rng (List.length choices)) with
         | `Join ->
           let j = take_spare () in
-          members := j :: !members;
-          home.(j) <- 0;
-          sizes.(0) <- sizes.(0) + 1;
-          add (Scenario.Join { node = j; at = slot i })
+          order := j :: !order;
+          draw view
+            (Change (Join { node = j; shard = 0 }))
+            (Scenario.Join { node = j; at = slot i })
         | `Leave ->
           let l = pick shrinkable in
-          members := List.filter (fun n -> n <> l) !members;
-          sizes.(home.(l)) <- sizes.(home.(l)) - 1;
-          shrunk.(home.(l)) <- true;
+          order := List.filter (fun n -> n <> l) !order;
+          shrunk.(View.home view l) <- true;
           pool := !pool @ [ l ];
-          add (Scenario.Leave { node = l; at = slot i })
+          draw view (Change (Leave l)) (Scenario.Leave { node = l; at = slot i })
         | `Replace ->
           let l = pick leavable in
           let j = take_spare () in
-          members := j :: List.filter (fun n -> n <> l) !members;
-          home.(j) <- home.(l);
+          order := j :: List.filter (fun n -> n <> l) !order;
           pool := !pool @ [ l ];
-          add (Scenario.Replace { leaving = l; joining = j; at = slot i }))
+          draw view
+            (Change (Replace { leaving = l; joining = j }))
+            (Scenario.Replace { leaving = l; joining = j; at = slot i }))
     done
   end;
-  (* Shard-directory churn: up to [shard_ops] sequential moves/splits,
-     tracked against a mirror of the runtime directory (splits re-home the
-     odd-indexed objects of the split shard, exactly as the cluster does)
-     so every drawn operation is valid when it fires.  A shard the churn
-     above shrinks is never split: its size at the split, and the size of
-     the half a later leave hits, depend on the interleaving.  These draws
-     come after every classic one: [shards = 1] or [shard_ops = 0]
-     reproduces the pre-shard schedule byte-for-byte. *)
+  (* Shard-directory churn: up to [shard_ops] sequential moves/splits, each
+     drawn valid against the directory the earlier ones left (a split
+     re-homes objects exactly as the cluster does).  This phase starts
+     from the initial view: its events interleave in time with the
+     churn's, so neither phase can see the other's.  A split needs the
+     member count [View.check] asks for, and a shard the churn above
+     shrinks is never split — its size at the split, and the size of the
+     half a later leave hits, depend on the interleaving; joins only grow
+     shard 0, so the initial sizes are a floor.  These draws come after
+     every classic one: [shards = 1] or [shard_ops = 0] reproduces the
+     pre-shard schedule byte-for-byte. *)
   if shards > 1 && knobs.shard_ops > 0 then begin
     let objects = spec.params.objects in
-    let dir = Array.init objects (fun oid -> oid mod shards) in
-    let sizes = ref (List.map List.length layout) in
-    let shard_count () = List.length !sizes in
+    let view = View.copy initial in
+    View.allocate view ~oid:(objects - 1);
     let n_ops = Util.Rng.int rng (knobs.shard_ops + 1) in
     let slot i =
       (0.20 *. h)
@@ -255,40 +261,24 @@ let generate knobs (spec : Experiment.spec) =
     in
     for i = 0 to n_ops - 1 do
       let splittable =
-        List.mapi (fun s n -> (s, n)) !sizes
-        |> List.filter (fun (s, n) -> n >= 6 && not (s < shards && shrunk.(s)))
+        List.init (View.shard_count view) Fun.id
+        |> List.filter (fun s ->
+               Result.is_ok (View.check view (Change (Split s)))
+               && not (s < shards && shrunk.(s)))
       in
       if splittable <> [] && Util.Rng.chance rng 0.3 then begin
-        let s, n = List.nth splittable (Util.Rng.int rng (List.length splittable)) in
-        (* keep ceil(n/2), the new shard gets the rest; odd-indexed
-           objects of [s] (in oid order) re-home onto the new shard *)
-        let new_id = shard_count () in
-        let idx = ref 0 in
-        Array.iteri
-          (fun oid owner ->
-            if owner = s then begin
-              if !idx land 1 = 1 then dir.(oid) <- new_id;
-              incr idx
-            end)
-          dir;
-        sizes :=
-          List.mapi (fun j m -> if j = s then (n + 1) / 2 else m) !sizes @ [ n / 2 ];
-        add (Scenario.ShardSplit { shard = s; at = slot i })
+        let s = List.nth splittable (Util.Rng.int rng (List.length splittable)) in
+        draw view (Change (Split s)) (Scenario.ShardSplit { shard = s; at = slot i })
       end
       else begin
+        (* A move to a uniformly drawn other shard. *)
         let oid = Util.Rng.int rng objects in
-        let cur = dir.(oid) in
-        let to_shard =
-          if shard_count () = 1 then cur
-          else begin
-            let t = Util.Rng.int rng (shard_count () - 1) in
-            if t >= cur then t + 1 else t
-          end
-        in
-        if to_shard <> cur then begin
-          dir.(oid) <- to_shard;
-          add (Scenario.ShardMove { oid; to_shard; at = slot i })
-        end
+        let cur = View.shard_of_oid view oid in
+        let t = Util.Rng.int rng (View.shard_count view - 1) in
+        let to_shard = if t >= cur then t + 1 else t in
+        draw view
+          (Change (Move { oid; to_shard }))
+          (Scenario.ShardMove { oid; to_shard; at = slot i })
       end
     done
   end;

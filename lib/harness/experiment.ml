@@ -209,17 +209,17 @@ let setup s =
    status rounds) and the longest contiguous fault window in the schedule
    (plus failure detection), with a 2x safety factor so slow-but-alive
    configurations don't trip it. *)
-let stall_window (config : Config.t) events =
+let stall_window events =
   let termination =
-    config.lease_duration +. config.status_grace
-    +. (Float.of_int config.status_attempts *. config.request_timeout)
+    Config.lease_duration +. Config.status_grace
+    +. (Float.of_int Config.status_attempts *. Config.request_timeout)
   in
   (* A view change legitimately pauses commits for its wedge (two request
      timeouts), a pull/push round or two, and — when a node departs — a
      lease drain bounded by the lease horizon; overlapping a partition can
      stretch the pull until the heal, which the fault window of the
      partition itself already covers. *)
-  let view_change_span = (8. *. config.request_timeout) +. config.lease_duration in
+  let view_change_span = (8. *. Config.request_timeout) +. Config.lease_duration in
   (* How long one event can hold commits back; a crash lasts until its
      node's next recovery (an unrecovered crash counts for nothing). *)
   let window = function
@@ -507,7 +507,7 @@ let run ?(load = Closed { clients = 26; client_nodes = None }) ?(warmup = 2_000.
               ~by_kind:(Cluster.messages_by_kind cluster),
             Option.map (fun close -> close ()) close_open_loop ));
   let stalls =
-    drive cluster ~horizon ~window:(stall_window spec.config events) telemetry
+    drive cluster ~horizon ~window:(stall_window events) telemetry
   in
   let report = Some (Scenario.report tracker) in
   let invariant = instance.check () in

@@ -24,8 +24,6 @@ let render s =
   in
   Printf.sprintf "== %s ==\n%s%s" s.title body notes
 
-let render_many series = String.concat "\n" (List.map render series)
-
 let to_csv s =
   let table = Util.Table.create ~header:(s.x_label :: s.columns) in
   List.iter

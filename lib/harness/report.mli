@@ -11,8 +11,6 @@ type series = {
 val render : series -> string
 (** NaN cells render as ["n/a"]. *)
 
-val render_many : series list -> string
-
 val to_csv : series -> string
 (** NaN cells render as ["nan"]. *)
 

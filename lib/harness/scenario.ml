@@ -197,274 +197,66 @@ let parse spec =
 
 (* {2 Validation} *)
 
-let min_members = Core.Cluster.min_members
+(* The cluster view change a membership or directory event requests.
+   Joins land in shard 0: the DSL carries no shard. *)
+let view_change : event -> Core.View.change option = function
+  | Join { node; _ } -> Some (Join { node; shard = 0 })
+  | Leave { node; _ } -> Some (Leave node)
+  | Replace { leaving; joining; _ } -> Some (Replace { leaving; joining })
+  | ShardMove { oid; to_shard; _ } -> Some (Move { oid; to_shard })
+  | ShardSplit { shard; _ } -> Some (Split shard)
+  | Crash _ | Recover _ | Suspect _ | Partition _ | Drop _ | Duplicate _ | Spike _
+  | Flaky _ ->
+    None
 
-let validate ?members ?(shards = 1) ?shard_members ~nodes events =
-  let members =
-    match members with Some m -> m | None -> List.init nodes Fun.id
+(* What an event does to the membership view, if anything, and when. *)
+let transition event : (float * Core.View.transition) option =
+  match event with
+  | Crash { node; at } -> Some (at, Crash node)
+  | Recover { node; at } -> Some (at, Recover node)
+  | Join { at; _ } | Leave { at; _ } | Replace { at; _ } | ShardMove { at; _ }
+  | ShardSplit { at; _ } ->
+    Option.map (fun change -> (at, Core.View.Change change)) (view_change event)
+  | Suspect _ | Partition _ | Drop _ | Duplicate _ | Spike _ | Flaky _ -> None
+
+let nodes_named = function
+  | Crash { node; _ } | Recover { node; _ } | Suspect { node; _ } | Join { node; _ }
+  | Leave { node; _ } ->
+    [ node ]
+  | Partition { groups; _ } -> List.concat groups
+  | Flaky { a; b; _ } -> [ a; b ]
+  | Replace { leaving; joining; _ } -> [ leaving; joining ]
+  | Drop _ | Duplicate _ | Spike _ | ShardMove _ | ShardSplit _ -> []
+
+(* One node-range pass, then one time-ordered walk of a scratch copy of the
+   view: each transition must pass [View.check] when it fires, and is then
+   applied exactly as the cluster will apply it.  Events at the same time
+   keep their schedule order, as the cluster's view-change queue does. *)
+let validate view events =
+  let capacity = Core.View.capacity view in
+  let out_of_range event =
+    List.find_map
+      (fun n ->
+        if n < 0 || n >= capacity then
+          Some (Format.asprintf "%a names node %d, outside [0, %d)" pp_event event n capacity)
+        else None)
+      (nodes_named event)
   in
-  let err fmt = Format.kasprintf (fun s -> Error s) fmt in
-  let check_node what n k =
-    if n < 0 || n >= nodes then err "%s names node %d, outside [0, %d)" what n nodes
-    else k ()
-  in
-  let rec check_nodes what ns k =
-    match ns with
-    | [] -> k ()
-    | n :: rest -> check_node what n (fun () -> check_nodes what rest k)
-  in
-  (* Per-node crash/recover discipline: in time order the events must
-     alternate crash, recover, crash, ... — a second crash while one is
-     outstanding (or a recover with no crash pending) is a schedule bug
-     that would otherwise fail in confusing ways deep in the simulator. *)
-  let check_crash_pairing () =
-    let per_node = Hashtbl.create 8 in
-    List.iter
-      (fun event ->
-        match event with
-        | Crash { node; at } ->
-          Hashtbl.replace per_node node ((at, `Crash) :: (Option.value ~default:[] (Hashtbl.find_opt per_node node)))
-        | Recover { node; at } ->
-          Hashtbl.replace per_node node ((at, `Recover) :: (Option.value ~default:[] (Hashtbl.find_opt per_node node)))
-        | Suspect _ | Partition _ | Drop _ | Duplicate _ | Spike _ | Flaky _ | Join _
-        | Leave _ | Replace _ | ShardMove _ | ShardSplit _ ->
-          ())
-      events;
-    Hashtbl.fold
-      (fun node entries acc ->
-        match acc with
-        | Error _ -> acc
-        | Ok () ->
-          let ordered =
-            List.sort (fun (a, _) (b, _) -> Float.compare a b) (List.rev entries)
-          in
-          let rec walk down = function
-            | [] -> Ok ()
-            | (at, `Crash) :: rest ->
-              if down then
-                err "node %d crashes again at %g while already crashed" node at
-              else walk true rest
-            | (at, `Recover) :: rest ->
-              if down then walk false rest
-              else err "node %d recovers at %g without a preceding crash" node at
-          in
-          walk false ordered)
-      per_node (Ok ())
-  in
-  (* Membership-op discipline, walked in time order over the {e evolving}
-     view: a join must target a non-member (a spare or a departed node), a
-     leave/replace must remove a live member and may not shrink the view
-     below the quorum-viable minimum, and a crash must hit a node that is
-     actually in the view when it fires.  Catching these statically keeps a
-     malformed schedule from surfacing as a baffling runtime
-     [Invalid_argument] (or a silent no-op) mid-simulation. *)
-  let check_membership () =
-    let dated =
-      List.filter_map
-        (fun event ->
-          match event with
-          | Crash { node; at } -> Some (at, `Crash node)
-          | Recover { node; at } -> Some (at, `Recover node)
-          | Join { node; at } -> Some (at, `Join node)
-          | Leave { node; at } -> Some (at, `Leave node)
-          | Replace { leaving; joining; at } -> Some (at, `Replace (leaving, joining))
-          | Suspect _ | Partition _ | Drop _ | Duplicate _ | Spike _ | Flaky _
-          | ShardMove _ | ShardSplit _ ->
-            None)
-        events
-      |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
-    in
-    let mem = ref members in
-    let down = ref [] in
-    let is_member n = List.mem n !mem in
-    let check_join what at n k =
-      if is_member n then err "%s at %g: node %d is already a member" what at n
-      else k ()
-    in
-    let check_leave what at n k =
-      if not (is_member n) then err "%s at %g: node %d is not a member" what at n
-      else if List.mem n !down then
-        err "%s at %g: node %d is crashed (graceful departure needs a live node)"
-          what at n
-      else k ()
-    in
-    let rec walk = function
-      | [] -> Ok ()
-      | (at, op) :: rest -> (
-        match op with
-        | `Crash n ->
-          if not (is_member n) then
-            err "crash at %g: node %d is not a member of the view" at n
-          else begin
-            down := n :: !down;
-            walk rest
-          end
-        | `Recover n ->
-          down := List.filter (fun m -> m <> n) !down;
-          walk rest
-        | `Join n ->
-          check_join "join" at n (fun () ->
-              mem := n :: !mem;
-              walk rest)
-        | `Leave n ->
-          check_leave "leave" at n (fun () ->
-              if List.length !mem - 1 < min_members then
-                err
-                  "leave at %g: removing node %d leaves %d members, below the \
-                   quorum-viable minimum (%d)"
-                  at n
-                  (List.length !mem - 1)
-                  min_members
-              else begin
-                mem := List.filter (fun m -> m <> n) !mem;
-                walk rest
-              end)
-        | `Replace (l, j) ->
-          check_leave "replace" at l (fun () ->
-              check_join "replace" at j (fun () ->
-                  mem := j :: List.filter (fun m -> m <> l) !mem;
-                  walk rest)))
-    in
-    walk dated
-  in
-  (* Shard-directory discipline, walked in time order: a [shardmove] must
-     target a shard that exists when it fires (splits grow the count), a
-     [shardsplit] must leave both halves quorum-viable, and — when the
-     per-shard layout is known — a crash schedule may not take down the
-     {e last} live member of any shard, since no surviving replica could
-     then serve reads or rescue in-doubt cross-shard decisions for that
-     slice of the object space.  The kill check runs against the initial
-     layout and is suspended once a split rearranges it. *)
-  let check_shards () =
-    let dated =
-      List.filter_map
-        (fun event ->
-          match event with
-          | ShardMove { oid; to_shard; at } -> Some (at, `Move (oid, to_shard))
-          | ShardSplit { shard; at } -> Some (at, `Split shard)
-          | Crash { node; at } -> Some (at, `Crash node)
-          | Recover { node; at } -> Some (at, `Recover node)
-          | Join { node; at } -> Some (at, `Join node)
-          | Leave { node; at } -> Some (at, `Leave node)
-          | Replace { leaving; joining; at } -> Some (at, `Replace (leaving, joining))
-          | Suspect _ | Partition _ | Drop _ | Duplicate _ | Spike _ | Flaky _ -> None)
-        events
-      |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
-    in
-    let cur_shards = ref shards in
-    (* Per-shard state while the initial layout still holds (suspended on
-       the first split, which rearranges nodes in ways runtime ordering
-       decides): [mems] is the membership list, [down] the crashed subset. *)
-    let tracking = ref (shard_members <> None) in
-    let mems =
-      Array.of_list
-        (List.map ref (Option.value ~default:[] shard_members))
-    in
-    let down = Array.map (fun _ -> ref []) mems in
-    let shard_of_node n =
-      let found = ref None in
-      Array.iteri (fun s ms -> if !found = None && List.mem n !ms then found := Some s) mems;
-      !found
-    in
-    let rec walk = function
-      | [] -> Ok ()
-      | (at, op) :: rest -> (
-        match op with
-        | `Move (oid, to_shard) ->
-          if to_shard >= !cur_shards then
-            err
-              "shardmove at %g: cannot move object %d to shard %d, no such shard \
-               (%d shards)"
-              at oid to_shard !cur_shards
-          else walk rest
-        | `Split shard ->
-          if shard >= !cur_shards then
-            err "shardsplit at %g: no such shard %d (%d shards)" at shard !cur_shards
-          else if
-            !tracking && shard < Array.length mems
-            && List.length !(mems.(shard)) < 2 * min_members
-          then
-            err
-              "shardsplit at %g: shard %d has %d members, too few to form two \
-               quorum-viable shards (minimum %d each)"
-              at shard
-              (List.length !(mems.(shard)))
-              min_members
-          else begin
-            tracking := false;
-            incr cur_shards;
-            walk rest
-          end
-        | `Crash n -> (
-          if not !tracking then walk rest
-          else
-            match shard_of_node n with
-            | Some s
-              when List.for_all
-                     (fun m -> m = n || List.mem m !(down.(s)))
-                     !(mems.(s)) ->
-              err "crash at %g: node %d is the last live member of shard %d" at n s
-            | Some s ->
-              down.(s) := n :: !(down.(s));
-              walk rest
-            | None -> walk rest)
-        | `Recover n ->
-          if !tracking then
-            Array.iter (fun d -> d := List.filter (fun m -> m <> n) !d) down;
-          walk rest
-        | `Join n ->
-          (* Joins land in shard 0 (the scenario DSL carries no shard). *)
-          if !tracking && Array.length mems > 0 then mems.(0) := n :: !(mems.(0));
-          walk rest
-        | `Leave n -> (
-          if not !tracking then walk rest
-          else
-            match shard_of_node n with
-            | Some s when List.length !(mems.(s)) - 1 < min_members ->
-              err
-                "leave at %g: removing node %d leaves shard %d with %d members, \
-                 below the quorum-viable minimum (%d)"
-                at n s
-                (List.length !(mems.(s)) - 1)
-                min_members
-            | Some s ->
-              mems.(s) := List.filter (fun m -> m <> n) !(mems.(s));
-              walk rest
-            | None -> walk rest)
-        | `Replace (l, j) -> (
-          (* The joiner takes the leaver's shard. *)
-          if !tracking then
-            match shard_of_node l with
-            | Some s -> mems.(s) := j :: List.filter (fun m -> m <> l) !(mems.(s))
-            | None -> ());
-          walk rest)
-    in
-    walk dated
-  in
-  let rec check_events = function
-    | [] ->
-      (match check_crash_pairing () with
-       | Ok () -> (
-         match check_membership () with
-         | Ok () -> check_shards ()
-         | Error _ as e -> e)
-       | Error _ as e -> e)
-    | event :: rest ->
-      let continue () = check_events rest in
-      (match event with
-       | Crash { node; _ } -> check_node "crash" node continue
-       | Recover { node; _ } -> check_node "recover" node continue
-       | Suspect { node; _ } -> check_node "suspect" node continue
-       | Partition { groups; _ } ->
-         check_nodes "partition" (List.concat groups) continue
-       | Flaky { a; b; _ } -> check_nodes "flaky" [ a; b ] continue
-       | Join { node; _ } -> check_node "join" node continue
-       | Leave { node; _ } -> check_node "leave" node continue
-       | Replace { leaving; joining; _ } ->
-         check_nodes "replace" [ leaving; joining ] continue
-       | Drop _ | Duplicate _ | Spike _ | ShardMove _ | ShardSplit _ -> continue ())
-  in
-  check_events events
+  match List.find_map out_of_range events with
+  | Some msg -> Error msg
+  | None ->
+    let scratch = Core.View.copy view in
+    List.filter_map
+      (fun event -> Option.map (fun (at, tr) -> (at, event, tr)) (transition event))
+      events
+    |> List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b)
+    |> List.fold_left
+         (fun acc (_, event, tr) ->
+           Result.bind acc (fun () ->
+               match Core.View.check scratch tr with
+               | Ok () -> Ok (Core.View.apply scratch tr)
+               | Error msg -> Error (Format.asprintf "%a: %s" pp_event event msg)))
+         (Ok ())
 
 (* {2 Installation and degraded-window tracking} *)
 
@@ -507,18 +299,6 @@ let leave t =
 
 let at_time cluster ~at f =
   Sim.Engine.schedule_at (Core.Cluster.engine cluster) ~time:at f
-
-(* The cluster view change a membership or directory event requests.
-   Joins land in shard 0: the DSL carries no shard. *)
-let view_change : event -> Core.Cluster.view_change option = function
-  | Join { node; _ } -> Some (Join { node; shard = 0 })
-  | Leave { node; _ } -> Some (Leave node)
-  | Replace { leaving; joining; _ } -> Some (Replace { leaving; joining })
-  | ShardMove { oid; to_shard; _ } -> Some (Move { oid; to_shard })
-  | ShardSplit { shard; _ } -> Some (Split shard)
-  | Crash _ | Recover _ | Suspect _ | Partition _ | Drop _ | Duplicate _ | Spike _
-  | Flaky _ ->
-    None
 
 (* Degraded windows for one-shot fault conditions: a crash ends when the
    matching recovery *fires* (state transfer follows, but its duration is
@@ -612,17 +392,9 @@ let install_event t event =
       (view_change event)
 
 let install cluster events =
-  let shards = Core.Cluster.shard_count cluster in
-  (match
-     validate
-       ~members:(Core.Cluster.members cluster)
-       ~shards
-       ~shard_members:
-         (List.init shards (fun s -> Core.Cluster.shard_members cluster ~shard:s))
-       ~nodes:(Core.Cluster.nodes cluster) events
-   with
-   | Ok () -> ()
-   | Error msg -> invalid_arg ("Scenario.install: " ^ msg));
+  Result.iter_error
+    (fun msg -> invalid_arg ("Scenario.install: " ^ msg))
+    (validate (Core.Cluster.view cluster) events);
   let t =
     {
       cluster;

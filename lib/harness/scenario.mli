@@ -56,36 +56,17 @@ val parse : string -> (event list, string) result
 (** Parse a scenario string.  Empty chunks are skipped, so trailing [;] is
     fine.  Probabilities must lie in [[0;1]]; times must be non-negative. *)
 
-val validate :
-  ?members:int list ->
-  ?shards:int ->
-  ?shard_members:int list list ->
-  nodes:int ->
-  event list ->
-  (unit, string) result
-(** Static checks against a cluster of [nodes] machines (total capacity,
-    spares included), of which [members] (default: all) form the initial
-    view: every referenced node id must lie in [[0, nodes)]; per node the
-    crash/recover events must alternate in time order (no double crash, no
-    recover without a pending crash); and membership operations must be
-    well-formed against the {e evolving} view in time order — a [join] of
-    an existing member, a [leave]/[replace] of a non-member or crashed
-    node, and a [leave] shrinking the view below the quorum-viable minimum
-    (3 members) are all rejected with a description of the offending
-    event.
-
-    Shard-directory operations are checked against [shards] (default 1)
-    with the count evolving across splits: a [shardmove] to a shard that
-    does not exist when it fires and a [shardsplit] of an unknown shard
-    are rejected.  When [shard_members] supplies the initial per-shard
-    member lists (index = shard id), a [leave] that takes its shard below
-    3 members, a [shardsplit] of a shard with fewer than 6 members (two
-    quorum-viable halves) and a crash schedule that takes down the
-    {e last} live member of any shard are also rejected (a [join] lands
-    in shard 0, a [replace]'s joiner in the leaver's shard);
-    these layout-dependent checks are suspended after the first split,
-    whose rearrangement is decided at runtime.  [install] runs all of
-    this automatically with the cluster's actual layout. *)
+val validate : Core.View.t -> event list -> (unit, string) result
+(** Check a schedule against a cluster's view (its capacity, members,
+    homes and directory; see {!Core.Cluster.view}).  First, every node an
+    event names must be a machine of the view.  Then one walk in time
+    order (ties in schedule order) takes each crash, recovery, membership
+    change and directory change as a {!Core.View.transition}: it must pass
+    {!Core.View.check} against the view as the earlier ones left it, and
+    is then applied as the cluster will apply it — a split's halves and
+    re-homed objects included.  A [join] lands in shard 0, a [replace]'s
+    joiner in the leaver's shard.  [view] itself is left unchanged.  The
+    error names the offending event and the rule it breaks. *)
 
 type tracker
 (** Scheduled scenario plus degraded-window bookkeeping.  A window opens
@@ -93,9 +74,11 @@ type tracker
     when it returns to zero (a crash closes when its [recover] fires). *)
 
 val install : Core.Cluster.t -> event list -> tracker
-(** Schedule every event against the cluster's engine.  Call before running
-    the workload ({!Experiment.run} does, with its [events]).  Raises
-    [Invalid_argument] when {!validate} rejects the events. *)
+(** Schedule every event against the cluster's engine.  Call after the
+    workload's setup and before running it ({!Experiment.run} does, with
+    its [events]).  Raises [Invalid_argument "Scenario.install: <error>"]
+    when {!validate} rejects the events against the cluster's view, its
+    allocated objects included. *)
 
 type report = {
   taken_at : float;

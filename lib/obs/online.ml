@@ -434,6 +434,13 @@ let feed8 t ~time ~kind:k ~node ~txn ~oid ~a ~b ~x =
     | Some st -> st.wits <- List.filter (fun (w, _) -> w <> a) st.wits
     | None -> ()
   end
+  else if k = Sem.view_rehome then
+    (* A split moved [node] to shard [a]: as a witness it now obliges
+       reads of [a] only, which is where [remote_fetch] sends it. *)
+    Hashtbl.iter
+      (fun _ st ->
+        st.wits <- List.map (fun (w, ws) -> if w = node then (w, a) else (w, ws)) st.wits)
+      t.txns
   else if k = Sem.read_send then begin
     let st = state_of t txn in
     match st.group with

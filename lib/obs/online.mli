@@ -54,7 +54,9 @@
       leased copy across membership views.
     - [widen-read]: once a stale witness is flagged ([widen.add]), every
       subsequent read fan-out by that transaction must include all
-      currently-flagged witnesses (until they are pruned by [widen.drop]).
+      currently-flagged witnesses of the read's shard (until they are
+      pruned by [widen.drop]).  A witness binds its current home shard: a
+      split that re-homes it ([view.rehome]) rebinds it.
     - [batch-order]: within one batch round ([batch.decide] events sharing
       a batch id), entries decide in strictly increasing queue position —
       decide order is version-install order, so a regression would apply

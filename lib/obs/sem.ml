@@ -84,6 +84,11 @@ let view_change = Kind.intern "view.change"
 let view_done = Kind.intern "view.done"
 (* view change complete, once per involved shard; a = the shard's epoch,
    b = kind (as in view.wedge) *)
+
+let view_rehome = Kind.intern "view.rehome"
+(* a split moved [node] to the new shard; a = its new home shard, b = the
+   shard it left *)
+
 let epoch_fence = Kind.intern "epoch.fence"
 (* stale-epoch message rejected at [node]; a = src, b = message epoch,
    x = the receiver's epoch *)

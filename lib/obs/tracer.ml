@@ -87,10 +87,6 @@ let set_sink t f =
   t.sink <- f;
   t.has_sink <- true
 
-let clear_sink t =
-  t.sink <- no_sink;
-  t.has_sink <- false
-
 let enabled t = t.enabled
 
 (* All-arguments-required emission: no option boxing at the call site, no

@@ -92,9 +92,6 @@ val set_sink : t -> sink -> unit
     Raises [Invalid_argument] on the shared disabled {!null} tracer, whose
     emission path is a no-op. *)
 
-val clear_sink : t -> unit
-(** Remove the sink, restoring the ring-only emission path. *)
-
 val length : t -> int
 (** Events currently retained. *)
 

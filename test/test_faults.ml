@@ -226,12 +226,12 @@ let test_scenario_parse_errors () =
 
 let test_scenario_validation () =
   let expect_invalid ~why events =
-    match Harness.Scenario.validate ~nodes:9 events with
+    match Harness.Scenario.validate (View.initial ~nodes:9 ~shards:1 ()) events with
     | Error _ -> ()
     | Ok () -> Alcotest.failf "expected validation to reject: %s" why
   in
   let expect_valid events =
-    match Harness.Scenario.validate ~nodes:9 events with
+    match Harness.Scenario.validate (View.initial ~nodes:9 ~shards:1 ()) events with
     | Ok () -> ()
     | Error msg -> Alcotest.failf "expected validation to accept, got: %s" msg
   in
@@ -300,8 +300,8 @@ let test_coordinator_crash_presumed_abort () =
       Cluster.held_leases cluster = []);
   let t_clear = Cluster.now cluster in
   let horizon =
-    config.Config.lease_duration +. config.Config.status_grace
-    +. (float_of_int config.Config.status_attempts *. config.Config.request_timeout)
+    Config.lease_duration +. Config.status_grace
+    +. (float_of_int Config.status_attempts *. Config.request_timeout)
     +. 500.
   in
   Alcotest.(check bool)

@@ -225,9 +225,9 @@ let test_view_changes_queue_across_kinds () =
         ~on_done:(fun () -> finished := name :: !finished)
         ~at:10. change)
     [
-      ("leave", Cluster.Leave 5);
-      ("move", Cluster.Move { oid = List.hd oids; to_shard = 1 });
-      ("join", Cluster.Join { node = 8; shard = 1 });
+      ("leave", View.Leave 5);
+      ("move", View.Move { oid = List.hd oids; to_shard = 1 });
+      ("join", View.Join { node = 8; shard = 1 });
     ];
   Cluster.drain cluster;
   Alcotest.(check (list string)) "on_done in submission order" [ "leave"; "move"; "join" ]
@@ -261,7 +261,7 @@ let test_view_changes_queue_across_kinds () =
             (Printf.sprintf "wedge at %.1f waits a timeout after done at %.1f"
                e.Obs.Tracer.time d)
             true
-            (e.time -. d >= config.Config.request_timeout))
+            (e.time -. d >= Config.request_timeout))
         last_done;
       gaps last_done rest
     | e :: rest -> gaps (Some e.Obs.Tracer.time) rest
@@ -390,7 +390,9 @@ let expect_error ~substring result =
 
 let test_scenario_validate_membership () =
   let members = [ 0; 1; 2; 3; 4 ] in
-  let validate events = Harness.Scenario.validate ~members ~nodes:7 events in
+  let validate events =
+    Harness.Scenario.validate (View.make ~capacity:7 [ members ]) events
+  in
   expect_error ~substring:"already a member"
     (validate [ Harness.Scenario.Join { node = 2; at = 0. } ]);
   expect_error ~substring:"not a member"
@@ -423,7 +425,105 @@ let test_scenario_validate_membership () =
        [
          Harness.Scenario.Join { node = 0; at = 0. };
          Harness.Scenario.Replace { leaving = 1; joining = 5; at = 10. };
-       ])
+       ]);
+  (* One schedule per rule, on the view of a 7-node, 2-shard cluster
+     ([0..3] and [4..6]) with one spare (7) and objects 0-3.  A
+     [`Change] row's rule must also be what the cluster raises when the
+     change reaches its pipeline: the two read one [View.check]. *)
+  let layout () =
+    let c =
+      Cluster.create ~nodes:7 ~spares:1 ~shards:2 ~seed:78 (Config.default Config.Closed)
+    in
+    for i = 0 to 3 do
+      ignore (Cluster.alloc_object c ~init:(Store.Value.Int i))
+    done;
+    c
+  in
+  let view = Cluster.view (layout ()) in
+  let module S = Harness.Scenario in
+  let rules =
+    [
+      ( "already a member",
+        [ S.Join { node = 2; at = 5. } ],
+        `Change (View.Join { node = 2; shard = 0 }) );
+      ("not a member", [ S.Leave { node = 7; at = 5. } ], `Change (View.Leave 7));
+      ( "shard 1 would have 2 members, below the quorum-viable minimum",
+        [ S.Leave { node = 4; at = 5. } ],
+        `Change (View.Leave 4) );
+      ( "cannot join node 3: already a member",
+        [ S.Replace { leaving = 1; joining = 3; at = 5. } ],
+        `Change (View.Replace { leaving = 1; joining = 3 }) );
+      ( "already on shard 0",
+        [ S.ShardMove { oid = 0; to_shard = 0; at = 5. } ],
+        `Change (View.Move { oid = 0; to_shard = 0 }) );
+      ( "not an allocated object",
+        [ S.ShardMove { oid = 99; to_shard = 1; at = 5. } ],
+        `Change (View.Move { oid = 99; to_shard = 1 }) );
+      ( "no such shard 5",
+        [ S.ShardMove { oid = 0; to_shard = 5; at = 5. } ],
+        `Change (View.Move { oid = 0; to_shard = 5 }) );
+      ( "4 members cannot form two quorum-viable shards",
+        [ S.ShardSplit { shard = 0; at = 5. } ],
+        `Change (View.Split 0) );
+      ( "cannot split shard 4: no such shard",
+        [ S.ShardSplit { shard = 4; at = 5. } ],
+        `Change (View.Split 4) );
+      ("cannot crash node 7: not a member", [ S.Crash { node = 7; at = 5. } ], `Static);
+      ( "already crashed",
+        [ S.Crash { node = 2; at = 5. }; S.Crash { node = 2; at = 6. } ],
+        `Static );
+      ( "the last live member of shard 1",
+        [
+          S.Crash { node = 4; at = 5. }; S.Crash { node = 5; at = 6. }; S.Crash { node = 6; at = 7. };
+        ],
+        `Static );
+      ("not crashed", [ S.Recover { node = 3; at = 5. } ], `Static);
+      ( "cannot remove node 3: crashed",
+        [ S.Crash { node = 3; at = 5. }; S.Leave { node = 3; at = 6. } ],
+        `Static );
+      ("outside [0, 8)", [ S.Join { node = 9; at = 5. } ], `Static);
+    ]
+  in
+  List.iter
+    (fun (rule, events, runtime) ->
+      let msg =
+        match Harness.Scenario.validate view events with
+        | Ok () -> Alcotest.failf "expected a schedule breaking %S to be rejected" rule
+        | Error msg ->
+          if not (contains ~substring:rule msg) then
+            Alcotest.failf "error %S does not mention %S" msg rule;
+          msg
+      in
+      match runtime with
+      | `Static -> ()
+      | `Change change -> (
+        let cluster = layout () in
+        Cluster.view_change_at cluster ~at:1. change;
+        match Cluster.drain cluster with
+        | () -> Alcotest.failf "the cluster accepted a change breaking %S" rule
+        | exception Invalid_argument raised ->
+          let prefix = "Cluster: " in
+          let n = String.length prefix in
+          let body = String.sub raised n (String.length raised - n) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%S ends with the cluster's %S" msg raised)
+            true
+            (String.starts_with ~prefix raised
+            && String.ends_with ~suffix:(": " ^ body) msg)))
+    rules;
+  (* The walk applies a split as the cluster will: after splitting the
+     6-member shard 0 of a 12-node, 2-shard view, each half has 3
+     members, so neither a leave nor a second split fits. *)
+  let split_view = View.initial ~nodes:12 ~shards:2 () in
+  expect_error ~substring:"shard 0 would have 2 members"
+    (Harness.Scenario.validate split_view
+       [ S.ShardSplit { shard = 0; at = 100. }; S.Leave { node = 0; at = 3000. } ]);
+  expect_error ~substring:"3 members cannot form two quorum-viable shards"
+    (Harness.Scenario.validate split_view
+       [ S.ShardSplit { shard = 0; at = 100. }; S.ShardSplit { shard = 0; at = 3000. } ]);
+  expect_error ~substring:"shard 2 would have 2 members"
+    (Harness.Scenario.validate split_view
+       [ S.ShardSplit { shard = 0; at = 100. }; S.Leave { node = 5; at = 3000. } ])
 
 (* {2 The offline epoch-fencing rule} *)
 
@@ -516,17 +616,33 @@ let test_churn_schedule_deterministic_and_valid () =
   let prefix n l = List.filteri (fun i _ -> i < n) l in
   Alcotest.(check bool) "classic schedule is a prefix" true
     (prefix (List.length classic) a = classic);
-  (* Every generated schedule must pass static membership validation. *)
-  for seed = 1 to 40 do
-    let spec = churn_spec seed in
-    let events = Harness.Chaos.generate churn_knobs spec in
-    match
-      Harness.Scenario.validate ~members:(List.init spec.nodes Fun.id)
-        ~nodes:(spec.nodes + spec.spares) events
-    with
-    | Ok () -> ()
-    | Error msg -> Alcotest.failf "seed %d generated an invalid schedule: %s" seed msg
-  done
+  (* Every generated schedule must pass validation against the view of the
+     cluster it runs on, unsharded and in three sharded layouts whose shard
+     ops and churn interleave. *)
+  let sharded nodes shards ~reconfigs =
+    ( { (churn_spec 1) with nodes; shards; spares = (if reconfigs > 0 then 2 else 0) },
+      { churn_knobs with reconfigs; shard_ops = 2 } )
+  in
+  List.iter
+    (fun ((spec : Harness.Experiment.spec), knobs, seeds) ->
+      let view = Cluster.view (fst (Harness.Experiment.setup spec)) in
+      for seed = 1 to seeds do
+        let events = Harness.Chaos.generate knobs { spec with seed } in
+        match Harness.Scenario.validate view events with
+        | Ok () -> ()
+        | Error msg ->
+          Alcotest.failf "%d nodes / %d shards, seed %d generated an invalid schedule: %s"
+            spec.nodes spec.shards seed msg
+      done)
+    [
+      (churn_spec 1, churn_knobs, 40);
+      (let spec, knobs = sharded 9 3 ~reconfigs:0 in
+       (spec, knobs, 300));
+      (let spec, knobs = sharded 12 3 ~reconfigs:3 in
+       (spec, knobs, 300));
+      (let spec, knobs = sharded 12 2 ~reconfigs:3 in
+       (spec, knobs, 300));
+    ]
 
 let test_rolling_schedule_replaces_every_node () =
   let knobs = Harness.Chaos.rolling_knobs in
@@ -543,7 +659,7 @@ let test_rolling_schedule_replaces_every_node () =
       (Printf.sprintf "seed %d replaces every node once" seed)
       [ 0; 1; 2; 3; 4; 5; 6 ] leavers;
     match
-      Harness.Scenario.validate ~members:(List.init 7 Fun.id) ~nodes:(7 + 2) events
+      Harness.Scenario.validate (View.initial ~spares:2 ~nodes:7 ~shards:1 ()) events
     with
     | Ok () -> ()
     | Error msg -> Alcotest.failf "seed %d rolling schedule invalid: %s" seed msg

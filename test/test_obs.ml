@@ -249,7 +249,23 @@ let test_checker_widen_read () =
     ]
   in
   Alcotest.(check (list string)) "pruned witness not demanded" []
-    (rules (Obs.Online.replay dropped_witness))
+    (rules (Obs.Online.replay dropped_witness));
+  (* Witness 5 is flagged on shard 0; a split then re-homes it to shard 2,
+     so a later read of a shard-0 object need not reach it, and a read of
+     a shard-2 object must. *)
+  let rehomed read_shard dsts =
+    [
+      ev ~time:1. ~txn:4 ~a:5 ~b:0 Obs.Sem.widen_add;
+      ev ~time:1.5 ~node:5 ~a:2 ~b:0 ~x:2. Obs.Sem.view_rehome;
+    ]
+    @ List.map (fun a -> ev ~time:2. ~txn:4 ~oid:9 ~a ~b:read_shard Obs.Sem.read_send) dsts
+    @ [ ev ~time:3. ~txn:4 ~a:1 Obs.Sem.txn_end ]
+  in
+  Alcotest.(check (list string)) "re-homed witness leaves its old shard's reads" []
+    (rules (Obs.Online.replay (rehomed 0 [ 0; 1; 2 ])));
+  Alcotest.(check (list string)) "re-homed witness binds its new shard's reads"
+    [ "widen-read" ]
+    (rules (Obs.Online.replay (rehomed 2 [ 6; 7 ])))
 
 let test_checker_on_real_trace () =
   let tracer = Obs.Tracer.create () in

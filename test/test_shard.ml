@@ -296,7 +296,7 @@ let test_rescue_from_other_shard () =
 let shard_layout = [ [ 0; 1; 2 ]; [ 3; 4; 5 ]; [ 6; 7; 8 ] ]
 
 let validate_sharded events =
-  Harness.Scenario.validate ~shards:3 ~shard_members:shard_layout ~nodes:9 events
+  Harness.Scenario.validate (View.make ~capacity:9 shard_layout) events
 
 let expect_invalid ~why events =
   match validate_sharded events with
@@ -321,9 +321,9 @@ let test_validate_rejects_bad_shard_ops () =
   (* Sane ops pass, including a move whose target only exists after a
      split of a 6-member shard. *)
   (match
-     Harness.Scenario.validate ~shards:2
-       ~shard_members:[ [ 0; 1; 2; 3; 4; 5 ]; [ 6; 7; 8 ] ]
-       ~nodes:9
+     let view = View.make ~capacity:9 [ [ 0; 1; 2; 3; 4; 5 ]; [ 6; 7; 8 ] ] in
+     View.allocate view ~oid:9;
+     Harness.Scenario.validate view
        [
          Harness.Scenario.ShardSplit { shard = 0; at = 50. };
          Harness.Scenario.ShardMove { oid = 9; to_shard = 2; at = 100. };
@@ -342,6 +342,49 @@ let test_validate_rejects_bad_shard_ops () =
   with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "two-of-three kill rejected: %s" msg
+
+(* The cluster takes a split's member lists and directory edits from
+   [View.apply], so a scratch view walked through the same changes ends
+   where the live one does: a joined spare, the halves, the homes and the
+   re-homed objects. *)
+let test_split_matches_view () =
+  let cluster =
+    Cluster.create ~nodes:12 ~spares:1 ~shards:2 ~seed:81 (Config.default Config.Closed)
+  in
+  for i = 0 to 9 do
+    ignore (Cluster.alloc_object cluster ~init:(Store.Value.Int i))
+  done;
+  let walked = Cluster.view cluster in
+  let changes =
+    [ View.Join { node = 12; shard = 0 }; View.Split 0; View.Move { oid = 3; to_shard = 2 } ]
+  in
+  List.iter
+    (fun change ->
+      (match View.check walked (Change change) with
+      | Ok () -> View.apply walked (Change change)
+      | Error msg -> Alcotest.failf "walk rejected a valid change: %s" msg);
+      Cluster.view_change_at cluster ~at:(Cluster.now cluster +. 1.) change;
+      Cluster.drain cluster)
+    changes;
+  let live = Cluster.view cluster in
+  Alcotest.(check int) "three shards" 3 (View.shard_count live);
+  Alcotest.(check (list int)) "kept half" [ 0; 1; 2; 3 ] (View.shard_members live 0);
+  Alcotest.(check (list int)) "new half" [ 4; 5; 12 ] (View.shard_members live 2);
+  for s = 0 to 2 do
+    Alcotest.(check (list int)) (Printf.sprintf "shard %d members" s)
+      (View.shard_members walked s) (View.shard_members live s)
+  done;
+  for node = 0 to 12 do
+    Alcotest.(check int) (Printf.sprintf "node %d home" node) (View.home walked node)
+      (View.home live node)
+  done;
+  for oid = 0 to 9 do
+    Alcotest.(check int) (Printf.sprintf "oid %d shard" oid) (View.shard_of_oid walked oid)
+      (View.shard_of_oid live oid)
+  done;
+  Alcotest.(check (list int)) "odd-indexed shard-0 objects re-homed" [ 2; 3; 6 ]
+    (List.filter (fun oid -> View.shard_of_oid live oid = 2) (List.init 10 Fun.id));
+  expect_consistent cluster
 
 let test_shard_ops_parse_roundtrip () =
   let spec = "shardmove 5 2 @100; shardsplit 1 @200" in
@@ -405,6 +448,7 @@ let suite =
       test_rescue_from_other_shard;
     Alcotest.test_case "validate rejects bad shard ops" `Quick
       test_validate_rejects_bad_shard_ops;
+    Alcotest.test_case "split matches the view" `Quick test_split_matches_view;
     Alcotest.test_case "shard op parse round-trip" `Quick test_shard_ops_parse_roundtrip;
     Alcotest.test_case "shard chaos deterministic" `Quick test_shard_chaos_deterministic;
     Alcotest.test_case "shard chaos seeds pass" `Quick test_shard_chaos_seeds_pass;
