@@ -327,6 +327,65 @@ let micro_tests () =
         Store.Replica.apply store ~oid ~version:(!counter) ~value:(Store.Value.Int !counter)
           ~txn:1))
   in
+  (* Every call applies a transaction never seen before to a replica whose
+     applied-evidence window is already full, so each one evicts. *)
+  let replica_apply_full =
+    let store = Store.Replica.create () in
+    for oid = 0 to 255 do
+      Store.Replica.ensure store ~oid ~init:(Store.Value.Int oid)
+    done;
+    let txn = ref 0 in
+    for _ = 1 to 4096 do
+      incr txn;
+      Store.Replica.apply store ~oid:(!txn land 255) ~version:!txn ~value:Store.Value.Unit ~txn:!txn
+    done;
+    Test.make ~name:"replica.apply (full window)" (Staged.stage (fun () ->
+        incr txn;
+        Store.Replica.apply store ~oid:(!txn land 255) ~version:!txn ~value:Store.Value.Unit
+          ~txn:!txn))
+  in
+  (* A speculative chain of four entries, each reading the version its
+     predecessor installs on a shared object and a private object of its
+     own, then the Releases (newest first) that free the chain, so every run
+     finds the replica in the same state. *)
+  let server_batch_commit =
+    let store = Store.Replica.create () in
+    for oid = 0 to 31 do
+      Store.Replica.ensure store ~oid ~init:Store.Value.Unit
+    done;
+    let server = Server.create ~node:0 ~store in
+    let txns = [| 11; 12; 13; 14 |] in
+    let dataset =
+      Messages.dataset_of_list
+        (List.concat_map
+           (fun i ->
+             [ { Messages.oid = 3; version = i; owner = 0 }; { oid = 10 + i; version = 0; owner = 0 } ])
+           [ 0; 1; 2; 3 ])
+    in
+    let writes =
+      Messages.writes_of_list (List.map (fun i -> (3, i + 1, Store.Value.Unit)) [ 0; 1; 2; 3 ])
+    in
+    let round = ref 0 in
+    Test.make ~name:"server.batch_commit (4 entries)" (Staged.stage (fun () ->
+        incr round;
+        let round = !round in
+        ignore
+          (Server.handle server ~src:1
+             (Messages.Batch_commit_req
+                {
+                  txns;
+                  rounds = Array.make 4 round;
+                  ds_offsets = [| 0; 2; 4; 6; 8 |];
+                  dataset;
+                  wr_offsets = [| 0; 1; 2; 3; 4 |];
+                  writes;
+                  decided = [||];
+                }));
+        for i = 3 downto 0 do
+          ignore
+            (Server.handle server ~src:1 (Messages.Release { txn = txns.(i); oids = [ 3 ]; round }))
+        done))
+  in
   let rqv_validate =
     let store = Store.Replica.create () in
     for oid = 0 to 31 do
@@ -379,7 +438,17 @@ let micro_tests () =
     Test.make ~name:"cluster.txn end-to-end" (Staged.stage (fun () ->
         ignore (Cluster.run_program cluster ~node:3 (fun () -> Txn.read oid))))
   in
-  [ tree_quorum; replica_ops; rqv_validate; rwset_ops; rng_ops; engine_dispatch; txn_interpret ]
+  [
+    tree_quorum;
+    replica_ops;
+    replica_apply_full;
+    server_batch_commit;
+    rqv_validate;
+    rwset_ops;
+    rng_ops;
+    engine_dispatch;
+    txn_interpret;
+  ]
 
 let micro () =
   let open Bechamel in

@@ -154,14 +154,14 @@ and t = {
       (* one commit queue per shard, grown on demand ([batchq]); a batch
          round is a single-shard quorum round, so entries never mix shards *)
   mutable batch_seq : int; (* batch id for traces; unique across shards *)
-  images : (Ids.obj_id, image) Hashtbl.t;
+  mutable images : image array;
+      (* indexed by oid, [no_image] where none; grown on first write *)
   (* Decisions of recent batch entries, consulted to resolve speculative
      dependencies.  Bounded FIFO: a dependency is always decided by the
      time its reader decides (one batch in flight, decided in order), so
      eviction of old entries is safe; an evicted/unknown dependency reads
      as "not committed", which only ever aborts conservatively. *)
-  spec_outcomes : (Ids.txn_id, bool) Hashtbl.t;
-  spec_outcome_order : Ids.txn_id Queue.t;
+  spec_outcomes : bool Util.Window.t;
 }
 
 (* Per-shard batch-commit queue.  Queue order is commit order {e within a
@@ -180,6 +180,12 @@ and batchq = {
   mutable bq_last_commits : Ids.txn_id list;
   mutable bq_prev_commits : Ids.txn_id list;
 }
+
+let spec_outcome_cap = 16_384
+
+(* The absent image: never mutated, told apart by physical equality. *)
+let no_image =
+  { img_txn = -1; img_version = -1; img_value = Store.Value.Unit; img_committed = false }
 
 let create ~engine ~rpc ~quorums ~config ~metrics ?oracle ?(batch_commit = false)
     ~ids ~seed () =
@@ -206,9 +212,8 @@ let create ~engine ~rpc ~quorums ~config ~metrics ?oracle ?(batch_commit = false
     batch_commit;
     batch_queues = [||];
     batch_seq = 0;
-    images = Hashtbl.create 64;
-    spec_outcomes = Hashtbl.create 256;
-    spec_outcome_order = Queue.create ();
+    images = [||];
+    spec_outcomes = Util.Window.create ~cap:spec_outcome_cap ~dummy:false;
   }
 
 (* The shard's batch queue, materialised on first use (shards can appear
@@ -480,32 +485,43 @@ let writes_of_wset (wset : Rwset.t) =
 
 (* --- batch-commit state helpers (inert when batch_commit is off) -------- *)
 
+(* The write image of [oid], or [no_image]. *)
+let image exec oid =
+  if oid >= 0 && oid < Array.length exec.images then Array.unsafe_get exec.images oid
+  else no_image
+
 (* Publish/overwrite the write image of [oid]: last enqueued writer wins,
    and queued successors read this instead of the store. *)
 let set_image exec ~oid ~txn ~version ~value =
-  match Hashtbl.find_opt exec.images oid with
-  | Some img ->
+  let img = image exec oid in
+  if img != no_image then begin
     img.img_txn <- txn;
     img.img_version <- version;
     img.img_value <- value;
     img.img_committed <- false
-  | None ->
-    Hashtbl.add exec.images oid
+  end
+  else begin
+    let n = Array.length exec.images in
+    if oid >= n then begin
+      let images = Array.make (max 64 (max (2 * n) (oid + 1))) no_image in
+      Array.blit exec.images 0 images 0 n;
+      exec.images <- images
+    end;
+    exec.images.(oid) <-
       { img_txn = txn; img_version = version; img_value = value; img_committed = false }
+  end
 
 (* Drop [txn]'s still-owned images on abort (a later writer's image
    survives — it never read this one, or it carries its own dependency). *)
 let drop_images exec ~txn ~wset =
   Rwset.iter wset (fun (e : Rwset.entry) ->
-      match Hashtbl.find_opt exec.images e.oid with
-      | Some img when img.img_txn = txn -> Hashtbl.remove exec.images e.oid
-      | Some _ | None -> ())
+      let img = image exec e.oid in
+      if img != no_image && img.img_txn = txn then exec.images.(e.oid) <- no_image)
 
 let commit_images exec ~txn ~wset =
   Rwset.iter wset (fun (e : Rwset.entry) ->
-      match Hashtbl.find_opt exec.images e.oid with
-      | Some img when img.img_txn = txn -> img.img_committed <- true
-      | Some _ | None -> ())
+      let img = image exec e.oid in
+      if img != no_image && img.img_txn = txn then img.img_committed <- true)
 
 (* A cross-shard commit bypasses the batch queue, so its writes never become
    queued images — but a {e committed} image it overtook would now be stale
@@ -515,13 +531,13 @@ let commit_images exec ~txn ~wset =
    version, and the early doomed-check fails fast its readers. *)
 let refresh_committed_images exec ~txn ~wset =
   Rwset.iter wset (fun (e : Rwset.entry) ->
-      match Hashtbl.find_opt exec.images e.oid with
-      | Some img when img.img_committed && img.img_version <= e.version + 1 ->
+      let img = image exec e.oid in
+      if img != no_image && img.img_committed && img.img_version <= e.version + 1 then begin
         img.img_txn <- txn;
         img.img_version <- e.version + 1;
         img.img_value <- e.value;
         img.img_committed <- true
-      | Some _ | None -> ())
+      end)
 
 (* Publish the root's write images, so queued successors read them, and
    build its queue entry. *)
@@ -537,13 +553,8 @@ let publish_pending root ~scope ~value =
     p_generation = root.generation;
   }
 
-let spec_outcome_cap = 16_384
-
 let record_spec_outcome exec ~txn ~committed =
-  Hashtbl.replace exec.spec_outcomes txn committed;
-  Queue.push txn exec.spec_outcome_order;
-  if Queue.length exec.spec_outcome_order > spec_outcome_cap then
-    Hashtbl.remove exec.spec_outcomes (Queue.pop exec.spec_outcome_order)
+  Util.Window.replace exec.spec_outcomes txn committed
 
 (* Resolve a root's speculative dependencies.  [`Undecided] covers both a
    predecessor still waiting on a batch round (an order violation if we are
@@ -553,7 +564,7 @@ let dep_status exec deps =
   let rec go undecided = function
     | [] -> (match undecided with Some txn -> `Undecided txn | None -> `Ok)
     | txn :: rest ->
-      (match Hashtbl.find_opt exec.spec_outcomes txn with
+      (match Util.Window.find_opt exec.spec_outcomes txn with
       | Some true -> go undecided rest
       | Some false -> `Failed txn
       | None -> go (Some txn) rest)
@@ -695,8 +706,8 @@ and access root ~oid ~write ~k =
          write image before paying a remote round.  The entry is installed
          [~remote:true] — it must be re-validated at commit exactly like a
          quorum-served read. *)
-      match Hashtbl.find_opt exec.images oid with
-      | Some img ->
+      let img = image exec oid in
+      if img != no_image then begin
         Metrics.note_speculative_read exec.metrics;
         let pending_dep = not img.img_committed in
         if pending_dep && not (List.mem img.img_txn root.spec_deps) then
@@ -706,7 +717,8 @@ and access root ~oid ~write ~k =
           ~x:0.;
         install_entry root ~oid ~base_version:img.img_version
           ~read_value:img.img_value ~write ~remote:true ~k
-      | None -> remote_fetch root ~oid ~write ~k
+      end
+      else remote_fetch root ~oid ~write ~k
     end
     else remote_fetch root ~oid ~write ~k
 
@@ -1213,11 +1225,9 @@ and enqueue_commit root ~scope ~value ~shard =
      locally: one enqueues, the rest retry against its fresh image. *)
   let doomed = ref false in
   let check (e : Rwset.entry) =
-    match Hashtbl.find_opt exec.images e.oid with
-    | Some img when img.img_version > e.version && img.img_txn <> root.txn_id
-      ->
+    let img = image exec e.oid in
+    if img != no_image && img.img_version > e.version && img.img_txn <> root.txn_id then
       doomed := true
-    | Some _ | None -> ()
   in
   Rwset.iter scope.rset check;
   Rwset.iter scope.wset check;

@@ -25,25 +25,6 @@ let commit_bit = 1
 
 let intersects a b = List.exists (fun x -> List.mem x b) a
 
-(* Bounded insertion-order-evicting map: the side tables that outlive a
-   transaction (commit evidence, cross-shard decisions, batch outcomes)
-   are consulted only within a bounded horizon — a rescue references a
-   lease-recent transaction, a batch dependency a queue-recent one — so a
-   generous FIFO keeps verdicts exact in practice while pinning memory. *)
-type ('k, 'v) bmap = { cap : int; order : 'k Queue.t; tbl : ('k, 'v) Hashtbl.t }
-
-let bmap cap = { cap; order = Queue.create (); tbl = Hashtbl.create 64 }
-let bmem m k = Hashtbl.mem m.tbl k
-let bfind m k = Hashtbl.find_opt m.tbl k
-
-let bput m k v =
-  if not (Hashtbl.mem m.tbl k) then begin
-    Queue.push k m.order;
-    if Queue.length m.order > m.cap then
-      Hashtbl.remove m.tbl (Queue.pop m.order)
-  end;
-  Hashtbl.replace m.tbl k v
-
 (* Everything the checker tracks about one in-flight transaction; the
    whole record is dropped at [txn.end]. *)
 type txn_state = {
@@ -70,6 +51,10 @@ let fresh_txn_state () =
     unwind = None;
   }
 
+(* The [txns] table's filler and "absent" answer: never mutated, told
+   apart by physical equality. *)
+let no_state = fresh_txn_state ()
+
 (* Distinct committed voter sets per (shard, epoch) — the pairwise-
    intersection fallback needs every *distinct* quorum that committed in a
    view, not every commit, so identical voter sets collapse to one
@@ -84,23 +69,27 @@ type t = {
   mutable n_violations : int;
   mutable events_seen : int;
   (* current view epoch per shard (view.change; x names the shard). *)
-  shard_epochs : (int, int) Hashtbl.t;
-  txns : (int, txn_state) Hashtbl.t;
+  shard_epochs : int Util.Int_table.t;
+  txns : txn_state Util.Int_table.t;
   mutable peak_tracked : int;
   (* lease-overlap: (replica, oid) -> owning txn; retired on release. *)
   leases : (int * int, int) Hashtbl.t;
   (* (shard, epoch) -> distinct committed voter sets, newest first. *)
   committed : (int * int, quorum_log) Hashtbl.t;
   quorums_cap : int; (* distinct sets retained per (shard, epoch) *)
-  evidence : (int, unit) bmap; (* txns with commit evidence *)
-  xcommitted : (int, unit) bmap; (* cross-shard commits decided *)
-  batch_outcome : (int, bool) bmap; (* txn -> committed in its batch? *)
-  last_decided : (int, int * int) bmap; (* batch -> (position, txn) *)
+  (* The side tables that outlive a transaction are consulted only within
+     a bounded horizon — a rescue references a lease-recent transaction, a
+     batch dependency a queue-recent one — so generous FIFO windows keep
+     verdicts exact in practice while pinning memory. *)
+  evidence : unit Util.Window.t; (* txns with commit evidence *)
+  xcommitted : unit Util.Window.t; (* cross-shard commits decided *)
+  batch_outcome : bool Util.Window.t; (* txn -> committed in its batch? *)
+  last_decided : (int * int) Util.Window.t; (* batch -> (position, txn) *)
   (* tombstones: txns already retired at [txn.end].  Stragglers — late
      quorum votes, duplicated messages — would otherwise resurrect a state
      record that nothing ever retires again; a tombstoned txn gets a
      throwaway state instead. *)
-  ended : (int, unit) bmap;
+  ended : unit Util.Window.t;
 }
 
 let create ?is_write_quorum ?(fail_fast = false) ?on_violation
@@ -113,17 +102,17 @@ let create ?is_write_quorum ?(fail_fast = false) ?on_violation
     violations = [];
     n_violations = 0;
     events_seen = 0;
-    shard_epochs = Hashtbl.create 8;
-    txns = Hashtbl.create 64;
+    shard_epochs = Util.Int_table.create ~dummy:0;
+    txns = Util.Int_table.create ~dummy:no_state;
     peak_tracked = 0;
     leases = Hashtbl.create 64;
     committed = Hashtbl.create 8;
     quorums_cap = 4096;
-    evidence = bmap horizon;
-    xcommitted = bmap horizon;
-    batch_outcome = bmap horizon;
-    last_decided = bmap (max 1 (horizon / 16));
-    ended = bmap horizon;
+    evidence = Util.Window.create ~cap:horizon ~dummy:();
+    xcommitted = Util.Window.create ~cap:horizon ~dummy:();
+    batch_outcome = Util.Window.create ~cap:horizon ~dummy:false;
+    last_decided = Util.Window.create ~cap:(max 1 (horizon / 16)) ~dummy:(0, 0);
+    ended = Util.Window.create ~cap:horizon ~dummy:();
   }
 
 let report t rule time txn detail =
@@ -133,28 +122,30 @@ let report t rule time txn detail =
   (match t.on_violation with None -> () | Some f -> f v);
   if t.fail_fast then raise (Violation v)
 
-let cur_epoch_of t shard =
-  Option.value ~default:0 (Hashtbl.find_opt t.shard_epochs shard)
+let cur_epoch_of t shard = Util.Int_table.find_or t.shard_epochs shard ~default:0
+
+(* The tracked state of [txn], or [no_state]. *)
+let tracked t txn = Util.Int_table.find_or t.txns txn ~default:no_state
 
 let state_of t txn =
-  match Hashtbl.find_opt t.txns txn with
-  | Some st -> st
-  | None ->
+  let st = tracked t txn in
+  if st != no_state then st
+  else begin
     let st = fresh_txn_state () in
     (* A straggler for an ended txn (a late vote after the commit decided)
        gets a throwaway record: re-inserting would leak state that no
        [txn.end] will ever retire again. *)
-    if not (bmem t.ended txn) then begin
-      Hashtbl.replace t.txns txn st;
-      let n = Hashtbl.length t.txns in
+    if not (Util.Window.mem t.ended txn) then begin
+      Util.Int_table.replace t.txns txn st;
+      let n = Util.Int_table.length t.txns in
       if n > t.peak_tracked then t.peak_tracked <- n
     end;
     st
+  end
 
 let close_group t txn =
-  match Hashtbl.find_opt t.txns txn with
-  | None -> ()
-  | Some st -> (
+  let st = tracked t txn in
+  if st != no_state then (
     match st.group with
     | None -> ()
     | Some (time, oid, dsts, flagged) ->
@@ -246,7 +237,7 @@ let feed8 t ~time ~kind:k ~node ~txn ~oid ~a ~b ~x =
   if txn >= 0 && k <> Sem.read_send then close_group t txn;
 
   if k = Sem.view_change then
-    Hashtbl.replace t.shard_epochs (int_of_float x) a
+    Util.Int_table.replace t.shard_epochs (int_of_float x) a
   else if k = Sem.commit_send then begin
     let shard = int_of_float x in
     let st = state_of t txn in
@@ -264,28 +255,23 @@ let feed8 t ~time ~kind:k ~node ~txn ~oid ~a ~b ~x =
     | [] -> st.rounds <- [ (0, 0, ref [ (a, b, cur_epoch_of t 0) ]) ]
   end
   else if k = Sem.txn_commit && b <> 1 then begin
-    (match Hashtbl.find_opt t.txns txn with
-    | Some st -> check_commit t st ~time ~txn
-    | None -> check_commit t (fresh_txn_state ()) ~time ~txn);
-    bput t.evidence txn ()
+    (let st = tracked t txn in
+     check_commit t (if st != no_state then st else fresh_txn_state ()) ~time ~txn);
+    Util.Window.replace t.evidence txn ()
   end
-  else if k = Sem.txn_commit then bput t.evidence txn ()
+  else if k = Sem.txn_commit then Util.Window.replace t.evidence txn ()
   else if k = Sem.xshard_prepare then begin
     let st = state_of t txn in
     if not (List.mem a st.xparts) then st.xparts <- a :: st.xparts
   end
   else if k = Sem.xshard_decide then begin
     if a = 1 then begin
-      bput t.xcommitted txn ();
+      Util.Window.replace t.xcommitted txn ();
       (* A committed cross-shard transaction must have run a prepare round
          on every participant shard — a decision taken without some
          participant's vote quorum is exactly the atomicity bug 2PC exists
          to prevent. *)
-      let prepared =
-        match Hashtbl.find_opt t.txns txn with
-        | Some st -> List.length st.xparts
-        | None -> 0
-      in
+      let prepared = List.length (tracked t txn).xparts in
       if prepared <> b then
         report t "cross-shard-atomicity" time txn
           (Printf.sprintf
@@ -297,7 +283,7 @@ let feed8 t ~time ~kind:k ~node ~txn ~oid ~a ~b ~x =
     (* Once the coordinator decided commit, no participant replica may walk
        the decision back: the termination protocol must surface rescue
        evidence before the lease is presumed dead. *)
-    if bmem t.xcommitted txn then
+    if Util.Window.mem t.xcommitted txn then
       report t "cross-shard-atomicity" time txn
         (Printf.sprintf
            "node %d presumed abort after the cross-shard commit was decided \
@@ -336,7 +322,7 @@ let feed8 t ~time ~kind:k ~node ~txn ~oid ~a ~b ~x =
        would apply versions against queue order. *)
     (match st.batch_entry with
     | Some (batch, pos) when batch = a ->
-      (match bfind t.last_decided batch with
+      (match Util.Window.find_opt t.last_decided batch with
       | Some (last, other) when pos <= last ->
         report t "batch-order" time txn
           (Printf.sprintf
@@ -344,7 +330,7 @@ let feed8 t ~time ~kind:k ~node ~txn ~oid ~a ~b ~x =
               %d): applied versions would not respect queue order"
              batch pos last other)
       | Some _ | None -> ());
-      bput t.last_decided batch (pos, txn)
+      Util.Window.replace t.last_decided batch (pos, txn)
     | Some (batch, _) ->
       report t "batch-order" time txn
         (Printf.sprintf "decided in batch %d but last cut into batch %d" a
@@ -352,13 +338,13 @@ let feed8 t ~time ~kind:k ~node ~txn ~oid ~a ~b ~x =
     | None ->
       report t "batch-order" time txn
         (Printf.sprintf "decided in batch %d without a batch.entry" a));
-    bput t.batch_outcome txn (b = 1);
+    Util.Window.replace t.batch_outcome txn (b = 1);
     (* (b) a speculative txn never commits in a round its predecessor
        aborted in (or before the predecessor is decided at all). *)
     if b = 1 then
       List.iter
         (fun w ->
-          match bfind t.batch_outcome w with
+          match Util.Window.find_opt t.batch_outcome w with
           | Some true -> ()
           | Some false ->
             report t "batch-order" time txn
@@ -406,21 +392,21 @@ let feed8 t ~time ~kind:k ~node ~txn ~oid ~a ~b ~x =
        id ([start_attempt] draws one per attempt), so the whole state
        machine retires here just as at [txn.end] — most chaos-run ids die
        this way and would otherwise accumulate for the rest of the run. *)
-    Hashtbl.remove t.txns txn;
-    bput t.ended txn ()
+    Util.Int_table.remove t.txns txn;
+    Util.Window.replace t.ended txn ()
   end
   else if k = Sem.txn_end then begin
     (* The transaction is over: retire its whole state machine.  This is
        the bound that keeps checker memory O(in-flight transactions). *)
-    Hashtbl.remove t.txns txn;
-    bput t.ended txn ()
+    Util.Int_table.remove t.txns txn;
+    Util.Window.replace t.ended txn ()
   end
-  else if k = Sem.apply then bput t.evidence txn ()
+  else if k = Sem.apply then Util.Window.replace t.evidence txn ()
   else if k = Sem.rescue then begin
     (* b = 1 marks version-advance evidence: the leased copy moved past the
        protected version, which a *different* transaction's commit can
        cause across membership views — no per-txn apply is implied. *)
-    if b <> 1 && not (bmem t.evidence txn) then
+    if b <> 1 && not (Util.Window.mem t.evidence txn) then
       report t "rescue-evidence" time txn
         "rescued to commit without prior commit evidence (no apply or \
          coordinator commit in trace)"
@@ -430,14 +416,13 @@ let feed8 t ~time ~kind:k ~node ~txn ~oid ~a ~b ~x =
     if not (List.mem_assoc a st.wits) then st.wits <- (a, b) :: st.wits
   end
   else if k = Sem.widen_drop then begin
-    match Hashtbl.find_opt t.txns txn with
-    | Some st -> st.wits <- List.filter (fun (w, _) -> w <> a) st.wits
-    | None -> ()
+    let st = tracked t txn in
+    if st != no_state then st.wits <- List.filter (fun (w, _) -> w <> a) st.wits
   end
   else if k = Sem.view_rehome then
     (* A split moved [node] to shard [a]: as a witness it now obliges
        reads of [a] only, which is where [remote_fetch] sends it. *)
-    Hashtbl.iter
+    Util.Int_table.iter
       (fun _ st ->
         st.wits <- List.map (fun (w, ws) -> if w = node then (w, a) else (w, ws)) st.wits)
       t.txns
@@ -470,7 +455,7 @@ let attach t tracer =
 let flush t =
   (* End of stream: any still-open read fan-out is judged as-is, smallest
      txn id first (matching the offline checker's end-of-trace order). *)
-  Hashtbl.fold
+  Util.Int_table.fold
     (fun txn st acc -> if st.group <> None then txn :: acc else acc)
     t.txns []
   |> List.sort Int.compare
@@ -488,6 +473,6 @@ let replay ?is_write_quorum events =
   List.iter (feed t) events;
   finish t
 
-let tracked_txns t = Hashtbl.length t.txns
+let tracked_txns t = Util.Int_table.length t.txns
 let peak_tracked t = t.peak_tracked
 let events_seen t = t.events_seen

@@ -76,8 +76,11 @@
     Bounded side tables: commit evidence, cross-shard decisions and batch
     outcomes are consulted only within a bounded horizon of their
     producing transaction (a rescue references a lease-recent txn, a batch
-    dependency a queue-recent one), so they live in insertion-order-
-    evicting maps of [horizon] entries.  Distinct committed voter sets are
+    dependency a queue-recent one), so they live in {!Util.Window}s of
+    [horizon] keys (the last decided position per batch in one of
+    [horizon / 16]), which forget the oldest key first.  The in-flight
+    transactions and the shard epochs are {!Util.Int_table}s: no
+    per-event [caml_hash].  Distinct committed voter sets are
     deduplicated per (shard, epoch) — bounded by the handful of quorums a
     view can produce, not by the number of commits. *)
 

@@ -29,27 +29,27 @@ type copy = {
    lease horizon. *)
 let applied_cap = 4096
 
+type row = int * int * Value.t
+
 type t = {
   (* Indexed by oid (dense, from 0: [Ids.fresh_obj]); [None] where this
      replica hosts no copy.  Grown by doubling when an oid past the end is
      installed; an oid that is negative or past the end is not hosted. *)
   mutable objects : copy option array;
-  by_txn : (int, int list ref) Hashtbl.t;  (* txn -> oids it holds leases on *)
-  applied : (int, unit) Hashtbl.t;
-  applied_order : int Queue.t;
-  (* Full write rows of recently-applied transactions, including rows for
-     objects this replica does not host.  A cross-shard transaction's Apply
-     carries the whole write set to every participant shard: keeping the
-     foreign rows lets a status query from another shard's lease holder be
-     answered with the very write it must adopt to rescue the commit.
-     Evicted in lockstep with [applied] (same FIFO, same horizon). *)
-  retained : (int, (int * int * Value.t) list) Hashtbl.t;
+  by_txn : int list Util.Int_table.t;  (* txn -> oids it holds leases on *)
+  (* Recently-applied txns, each with its full write rows when the Apply
+     carried rows for objects this replica does not host ([[]] otherwise).
+     A cross-shard transaction's Apply carries the whole write set to every
+     participant shard: keeping the foreign rows lets a status query from
+     another shard's lease holder be answered with the very write it must
+     adopt to rescue the commit.  Rows and evidence leave together. *)
+  applied : row list Util.Window.t;
   (* Cross-shard termination peers, from Commit_req.peers: the other
      participant shards' quorum members a status round for this txn must
      also ask.  Transient like the leases it serves (cleared on crash wipe);
      entries are added only alongside a granted lease and removed when the
      owner's last lease here goes. *)
-  xpeers : (int, int list) Hashtbl.t;
+  xpeers : int list Util.Int_table.t;
   (* Tracing: the store layer has no engine handle, so the cluster injects
      the tracer plus a clock closure and the hosting node id after
      construction (see [instrument]).  All three stay inert defaults when
@@ -67,11 +67,9 @@ type t = {
 let create () =
   {
     objects = Array.make 256 None;
-    by_txn = Hashtbl.create 16;
-    applied = Hashtbl.create 64;
-    applied_order = Queue.create ();
-    retained = Hashtbl.create 64;
-    xpeers = Hashtbl.create 16;
+    by_txn = Util.Int_table.create ~dummy:[];
+    applied = Util.Window.create ~cap:applied_cap ~dummy:[];
+    xpeers = Util.Int_table.create ~dummy:[];
     tracer = Obs.Tracer.null;
     trace_node = -1;
     clock = (fun () -> 0.);
@@ -134,20 +132,19 @@ let lease_of t oid = (get t oid).protected_by
 
 (* --- lease index -------------------------------------------------------- *)
 
+let leased_oids t ~txn = Util.Int_table.find_or t.by_txn txn ~default:[]
+
 let index_add t ~oid ~txn =
-  match Hashtbl.find_opt t.by_txn txn with
-  | Some oids -> if not (List.mem oid !oids) then oids := oid :: !oids
-  | None -> Hashtbl.replace t.by_txn txn (ref [ oid ])
+  let oids = leased_oids t ~txn in
+  if not (List.mem oid oids) then Util.Int_table.replace t.by_txn txn (oid :: oids)
 
 let index_remove t ~oid ~txn =
-  match Hashtbl.find_opt t.by_txn txn with
-  | None -> ()
-  | Some oids ->
-    oids := List.filter (fun o -> o <> oid) !oids;
-    if !oids = [] then Hashtbl.remove t.by_txn txn
-
-let leased_oids t ~txn =
-  match Hashtbl.find_opt t.by_txn txn with Some oids -> !oids | None -> []
+  match leased_oids t ~txn with
+  | [] -> ()
+  | oids -> (
+    match List.filter (fun o -> o <> oid) oids with
+    | [] -> Util.Int_table.remove t.by_txn txn
+    | rest -> Util.Int_table.replace t.by_txn txn rest)
 
 let try_lock ?(expires = Float.infinity) ?(round = 0) t ~oid ~txn =
   let copy = get t oid in
@@ -240,41 +237,31 @@ let held_leases t =
 
 (* --- applied-transaction evidence --------------------------------------- *)
 
-let note_applied t ~txn =
-  if not (Hashtbl.mem t.applied txn) then begin
-    Hashtbl.replace t.applied txn ();
-    Queue.push txn t.applied_order;
-    if Queue.length t.applied_order > applied_cap then begin
-      let evicted = Queue.pop t.applied_order in
-      Hashtbl.remove t.applied evicted;
-      Hashtbl.remove t.retained evicted
-    end
-  end
+(* The first Apply that carries foreign rows keeps them (Apply is
+   idempotent, so later copies carry the same rows). *)
+let note_applied t ~txn ~retain =
+  match retain with
+  | [] -> if not (Util.Window.mem t.applied txn) then Util.Window.replace t.applied txn []
+  | rows -> (
+    match Util.Window.find_or t.applied txn ~default:[] with
+    | [] -> Util.Window.replace t.applied txn rows
+    | _ :: _ -> ())
 
-let was_applied t ~txn = Hashtbl.mem t.applied txn
-
-let retain_writes t ~txn rows =
-  if rows <> [] && not (Hashtbl.mem t.retained txn) then
-    Hashtbl.replace t.retained txn rows
-
-let retained_writes t ~txn =
-  match Hashtbl.find_opt t.retained txn with Some rows -> rows | None -> []
+let was_applied t ~txn = Util.Window.mem t.applied txn
+let retained_writes t ~txn = Util.Window.find_or t.applied txn ~default:[]
 
 let set_status_peers t ~txn peers =
-  if peers <> [] then Hashtbl.replace t.xpeers txn peers
+  if peers <> [] then Util.Int_table.replace t.xpeers txn peers
 
-let status_peers_of t ~txn =
-  match Hashtbl.find_opt t.xpeers txn with Some peers -> peers | None -> []
+let status_peers_of t ~txn = Util.Int_table.find_or t.xpeers txn ~default:[]
+let clear_status_peers t ~txn = Util.Int_table.remove t.xpeers txn
 
-let clear_status_peers t ~txn = Hashtbl.remove t.xpeers txn
-
-let apply t ~oid ~version ~value ~txn =
+let write t ~oid ~version ~value ~txn =
   let copy = get t oid in
   if version > copy.version then begin
     copy.version <- version;
     copy.value <- value
   end;
-  note_applied t ~txn;
   (* The installed write supersedes any protection [txn] was providing, so
      drop [txn] from displaced-lease chains (see [lease.prev]) instead of
      letting a later restore resurrect a moot lease, and clear rather than
@@ -292,6 +279,10 @@ let apply t ~oid ~version ~value ~txn =
     scrub lease
   | None -> ());
   unlock ~restore:false t ~oid ~txn
+
+let apply t ~oid ~version ~value ~txn =
+  write t ~oid ~version ~value ~txn;
+  note_applied t ~txn ~retain:[]
 
 (* --- crash-recovery state transfer ------------------------------------- *)
 
@@ -332,8 +323,6 @@ let reset_transients t =
         copy.protected_by <- None
       | None -> ())
     t.objects;
-  Hashtbl.reset t.by_txn;
-  Hashtbl.reset t.applied;
-  Hashtbl.reset t.retained;
-  Hashtbl.reset t.xpeers;
-  Queue.clear t.applied_order
+  Util.Int_table.clear t.by_txn;
+  Util.Window.clear t.applied;
+  Util.Int_table.clear t.xpeers

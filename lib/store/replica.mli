@@ -8,7 +8,13 @@
     id, which is dense from 0.  The paper's potential-readers /
     potential-writers (PR/PW) lists are not kept: they feed contention
     management, which this implementation does not have, and no protocol
-    step reads them. *)
+    step reads them.
+
+    The per-transaction bookkeeping (the lease index, the applied-evidence
+    window with its retained rows, the cross-shard termination peers) is
+    keyed by transaction id in {!Util.Int_table}s and one {!Util.Window}:
+    every attempt draws a fresh id, so a slot per id would grow with the
+    run. *)
 
 type lease = {
   owner : int;
@@ -114,24 +120,23 @@ val held_leases : t -> (int * int * float) list
 (** Every live lease as [(oid, owner txn, expires)], ascending by oid —
     stall diagnostics. *)
 
-val note_applied : t -> txn:int -> unit
-(** Record that [txn]'s 2PC second phase reached this replica (bounded
-    memory; automatic from {!apply}). *)
+val note_applied : t -> txn:int -> retain:(int * int * Value.t) list -> unit
+(** Record that [txn]'s 2PC second phase reached this replica, once per
+    Apply however many rows it installs.  [retain] is [[]], or [txn]'s full
+    write rows [(oid, version, value)] when the Apply carried rows for
+    objects this replica does not host: a cross-shard Apply carries the
+    whole write set to every participant shard, and the foreign rows let a
+    status query from another shard's lease holder be answered with the
+    write it must adopt to rescue the commit.  The first rows retained win
+    (Apply is idempotent).  The evidence and its rows are kept for the
+    newest 4096 applied transactions and forgotten together. *)
 
 val was_applied : t -> txn:int -> bool
 (** Whether this replica observed an Apply from [txn] — the local evidence
     behind a [Status_rep.committed] answer. *)
 
-val retain_writes : t -> txn:int -> (int * int * Value.t) list -> unit
-(** Remember [txn]'s full write rows [(oid, version, value)], including rows
-    for objects this replica does not host.  A cross-shard Apply carries the
-    whole write set to every participant shard; the foreign rows let a
-    status query from another shard's lease holder be answered with the
-    write it must adopt to rescue the commit.  First writer wins (Apply is
-    idempotent); evicted with the {!note_applied} FIFO. *)
-
 val retained_writes : t -> txn:int -> (int * int * Value.t) list
-(** The rows saved by {!retain_writes}, or [[]]. *)
+(** The rows retained by {!note_applied}, or [[]]. *)
 
 val set_status_peers : t -> txn:int -> int list -> unit
 (** Remember the cross-shard termination peers a status round for [txn]
@@ -141,10 +146,14 @@ val set_status_peers : t -> txn:int -> int list -> unit
 val status_peers_of : t -> txn:int -> int list
 val clear_status_peers : t -> txn:int -> unit
 
-val apply : t -> oid:int -> version:int -> value:Value.t -> txn:int -> unit
+val write : t -> oid:int -> version:int -> value:Value.t -> txn:int -> unit
 (** Install a committed write if [version] is newer than the local copy
     (stale applies from lagging quorum members are ignored), releasing the
-    lock if [txn] held it, and recording [txn] as applied. *)
+    lock if [txn] held it.  Records no evidence: an Apply of several rows
+    writes each and then calls {!note_applied} once. *)
+
+val apply : t -> oid:int -> version:int -> value:Value.t -> txn:int -> unit
+(** {!write}, then record [txn] as applied with no retained rows. *)
 
 val dump : t -> (int * int * Value.t) list
 (** Snapshot of committed state as [(oid, version, value)] triples,
