@@ -131,7 +131,7 @@ type request =
          transactions votes in a single round trip *)
 
 type reply =
-  | Read_ok of { oid : Ids.obj_id; version : int; value : Txn.value }
+  | Read_ok of { oid : Ids.obj_id; version : int; value : Txn.value; leased : bool }
   | Read_abort of { target : int }
   | Sync_rep of { objects : (Ids.obj_id * int * Txn.value) list }
   | Status_rep of { committed : bool; objects : (Ids.obj_id * int * Txn.value) list }

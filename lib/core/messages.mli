@@ -123,7 +123,9 @@ type request =
           (PROTOCOL.md §9) *)
 
 type reply =
-  | Read_ok of { oid : Ids.obj_id; version : int; value : Txn.value }
+  | Read_ok of { oid : Ids.obj_id; version : int; value : Txn.value; leased : bool }
+      (** [leased]: another transaction's lease protects this copy, whose
+          decided commit may still be on its way to it *)
   | Read_abort of { target : int }
       (** validation failed; [target] is [abortClosed] (a scope depth) or
           [abortChk] (a checkpoint id) depending on the executor's mode *)

@@ -97,7 +97,9 @@ let handle_read t ~txn ~oid ~dataset =
     begin
       match Store.Replica.find t.store oid with
       | None -> Some (Messages.Read_abort { target = 0 })
-      | Some copy -> Some (Messages.Read_ok { oid; version = copy.version; value = copy.value })
+      | Some copy ->
+        let leased = Store.Replica.is_protected t.store ~oid ~against:txn in
+        Some (Messages.Read_ok { oid; version = copy.version; value = copy.value; leased })
     end
 
 (* --- lease termination -------------------------------------------------- *)

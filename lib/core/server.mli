@@ -5,7 +5,8 @@
     slot, see {!Sim.Network}):
 
     - [Read_req]: run Rqv over the carried data-set (if any), then serve the
-      local copy of the requested object.  Reads are invisible: the paper's
+      local copy of the requested object, flagged [leased] when another
+      transaction's lease protects it.  Reads are invisible: the paper's
       PR/PW registration is omitted, as nothing here reads those lists.
     - [Commit_req]: 2PC vote — validate the full data-set, lock the
       write-set objects on success.  It is the one-entry batch: the same

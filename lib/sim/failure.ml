@@ -87,8 +87,8 @@ let schedule_recovery t ~at ~node =
 
 (* A false suspicion: the detector wrongly declares a live node failed; the
    mistake is noticed [clear_after] later (if given), at which point
-   recovery subscribers run with [was_killed = false] so the node can be
-   re-admitted without state transfer. *)
+   recovery subscribers run with [was_killed = false]: the node kept its
+   state, but quorums bypassed it meanwhile. *)
 let schedule_false_suspicion ?clear_after t ~at ~node =
   Engine.schedule_at t.engine ~time:at (fun () ->
       if (not (Hashtbl.mem t.killed node)) && not (Hashtbl.mem t.suspected node)

@@ -158,11 +158,33 @@ let test_server_read () =
       (Messages.Read_req
          { txn = 1; oid = 1; dataset = Messages.empty_dataset; write_intent = false; record = false })
   with
-  | Some (Messages.Read_ok { oid; version; value }) ->
+  | Some (Messages.Read_ok { oid; version; value; leased }) ->
     Alcotest.(check int) "oid" 1 oid;
     Alcotest.(check int) "version" 0 version;
-    Alcotest.check value_testable "value" (Store.Value.Int 0) value
+    Alcotest.check value_testable "value" (Store.Value.Int 0) value;
+    Alcotest.(check bool) "unleased" false leased
   | Some _ | None -> Alcotest.fail "expected Read_ok"
+
+(* A copy under another transaction's lease is served, flagged [leased]:
+   that transaction may have decided a commit whose Apply has not landed
+   here yet.  The lease holder's own reads are not flagged. *)
+let test_server_read_leased () =
+  let server = server_with_objects [ 1 ] in
+  ignore (Store.Replica.try_lock (Server.store server) ~oid:1 ~txn:77);
+  let leased ~txn =
+    match
+      Server.handle server ~src:5
+        (Messages.Read_req
+           { txn; oid = 1; dataset = Messages.empty_dataset; write_intent = false;
+             record = false })
+    with
+    | Some (Messages.Read_ok { version; leased; _ }) ->
+      Alcotest.(check int) "old version served" 0 version;
+      leased
+    | Some _ | None -> Alcotest.fail "expected Read_ok"
+  in
+  Alcotest.(check bool) "another txn's lease" true (leased ~txn:1);
+  Alcotest.(check bool) "own lease" false (leased ~txn:77)
 
 let test_server_commit_vote_and_apply () =
   let server = server_with_objects [ 1; 2 ] in
@@ -658,6 +680,7 @@ let suite =
     Alcotest.test_case "rqv min owner wins" `Quick test_rqv_min_owner_wins;
     Alcotest.test_case "rqv protected objects" `Quick test_rqv_protected_fails;
     Alcotest.test_case "server read + PR" `Quick test_server_read;
+    Alcotest.test_case "server read flags a leased copy" `Quick test_server_read_leased;
     Alcotest.test_case "server 2PC vote/lock/apply" `Quick test_server_commit_vote_and_apply;
     Alcotest.test_case "server stale commit denied" `Quick test_server_stale_commit_denied;
     Alcotest.test_case "server release" `Quick test_server_release;

@@ -234,6 +234,29 @@ let test_read_only_commit_messages () =
   Alcotest.(check bool) "checkpoint pays a commit round" true
     (commit_reqs Config.Checkpoint > 0)
 
+(* A QR-CN read-only root whose last read was served from a leased copy
+   takes the commit round: no later read's Rqv confirmed that read, and the
+   lease holder may have decided a commit still on its way to the copy. *)
+let test_unconfirmed_read_takes_commit_round () =
+  let cluster = Cluster.create ~nodes:13 ~seed:6 ~with_oracle:false (Config.default Config.Closed) in
+  let a = Cluster.alloc_object cluster ~init:(Store.Value.Int 1) in
+  let b = Cluster.alloc_object cluster ~init:(Store.Value.Int 2) in
+  for node = 0 to Cluster.nodes cluster - 1 do
+    ignore (Store.Replica.try_lock (Cluster.store_of cluster ~node) ~oid:b ~txn:999_999)
+  done;
+  Sim.Engine.schedule_at (Cluster.engine cluster) ~time:1000. (fun () ->
+      for node = 0 to Cluster.nodes cluster - 1 do
+        Store.Replica.unlock (Cluster.store_of cluster ~node) ~oid:b ~txn:999_999
+      done);
+  begin
+    match Cluster.run_program cluster ~node:4 (fun () -> read_seq [ a; b ]) with
+    | Executor.Committed _ -> ()
+    | Executor.Failed msg -> Alcotest.failf "read-only txn failed: %s" msg
+  end;
+  Cluster.drain cluster;
+  Alcotest.(check bool) "commit round taken" true
+    (List.mem_assoc "commit_req" (Cluster.messages_by_kind cluster))
+
 (* Zombie guard: a program that loops forever over locally cached reads is
    killed after max_steps_per_attempt and, with bounded attempts, fails. *)
 let test_zombie_guard () =
@@ -303,6 +326,8 @@ let suite =
       test_checkpoint_rollback_target;
     Alcotest.test_case "read-only commit locality per mode" `Quick
       test_read_only_commit_messages;
+    Alcotest.test_case "unconfirmed last read takes the commit round" `Quick
+      test_unconfirmed_read_takes_commit_round;
     Alcotest.test_case "zombie guard caps runaway attempts" `Quick test_zombie_guard;
     Alcotest.test_case "Txn.fail surfaces as Failed" `Quick test_fail_program;
     Alcotest.test_case "no write skew" `Quick test_no_write_skew;
