@@ -1103,8 +1103,8 @@ and send_commit root ~scope ~value =
             (List.concat_map (fun (s', q, _, _) -> if s' = s then [] else q) parts)
         in
         if cross_shard then
-          trace root ~kind:Obs.Sem.xshard_prepare ~oid:(-1) ~a:s ~b:nshards ~x:0.;
-        trace root ~kind:Obs.Sem.commit_send ~oid:(-1) ~a:(List.length lslice)
+          trace root ~kind:Obs.Sem.xshard_prepare ~oid:root.commit_round ~a:s ~b:nshards ~x:0.;
+        trace root ~kind:Obs.Sem.commit_send ~oid:root.commit_round ~a:(List.length lslice)
           ~b:(List.length quorum) ~x:(Float.of_int s);
         let send_epoch = exec.quorums.epoch ~shard:s in
         Sim.Rpc.multicall exec.rpc ~kind:Messages.commit_req_kind ~src:root.node
@@ -1334,7 +1334,7 @@ and cut_batch exec ~bq =
         writes_by_entry.(i) <- writes_of_wset scope.wset;
         wr_offsets.(i + 1) <- wr_offsets.(i) + Messages.writes_len writes_by_entry.(i);
         trace root ~kind:Obs.Sem.batch_entry ~oid:(-1) ~a:batch_id ~b:i ~x:0.;
-        trace root ~kind:Obs.Sem.commit_send ~oid:(-1) ~a:(List.length locks)
+        trace root ~kind:Obs.Sem.commit_send ~oid:root.commit_round ~a:(List.length locks)
           ~b:quorum_size ~x:(Float.of_int bq.bq_shard)
       done;
       let dataset = ds_freeze exec in

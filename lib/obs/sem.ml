@@ -22,7 +22,7 @@ let txn_end = Kind.intern "txn.end" (* a = 1 committed / 0 aborted *)
 let read_send = Kind.intern "read.send" (* oid; a = dst replica; b = oid's shard *)
 let widen_add = Kind.intern "widen.add" (* a = witness node; b = its home shard *)
 let widen_drop = Kind.intern "widen.drop" (* a = dead witness pruned *)
-let commit_send = Kind.intern "commit.send" (* a = #locks; b = quorum size *)
+let commit_send = Kind.intern "commit.send" (* oid = commit round; a = #locks; b = quorum size *)
 let vote_recv = Kind.intern "vote.recv" (* a = voter; b = bit0 commit, bit1 lock-conflict *)
 let deadline_abort = Kind.intern "deadline.abort" (* x = lease deadline *)
 
@@ -97,7 +97,8 @@ let epoch_fence = Kind.intern "epoch.fence"
 
 let xshard_prepare = Kind.intern "xshard.prepare"
 (* one per participant shard's prepare round, ascending shard order;
-   a = the shard being prepared, b = total participant count *)
+   oid = the commit round, a = the shard being prepared, b = total
+   participant count *)
 
 let xshard_decide = Kind.intern "xshard.decide"
 (* the coordinator's cross-shard decision, once per transaction;
