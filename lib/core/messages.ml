@@ -1,7 +1,7 @@
 type dataset_entry = { oid : Ids.obj_id; version : int; owner : int }
 
 (* The flat payloads below are frozen at construction and shared by
-   reference across every delivery of the message (fan-out waves,
+   reference across every delivery of the message (multicasts,
    at-least-once retransmissions) — never mutate one after sending. *)
 
 type dataset = {

@@ -235,12 +235,10 @@ let reserve_seq t =
   t.next_seq <- seq + 1;
   seq
 
-let schedule_at_seq t ~time ~seq action =
-  let i = heap_append t ~seq action in
+let schedule_at t ~time action =
+  let i = heap_append t ~seq:(reserve_seq t) action in
   Array.unsafe_set t.time i (if time >= t.clock.at then time else t.clock.at);
   sift_up t i
-
-let schedule_at t ~time action = schedule_at_seq t ~time ~seq:(reserve_seq t) action
 
 let schedule t ~delay action =
   let i = heap_append t ~seq:(reserve_seq t) action in

@@ -29,18 +29,6 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
 (** Absolute-time variant; times in the past fire immediately (at [now]). *)
 
-val reserve_seq : t -> int
-(** Claim the next tie-break sequence number without scheduling anything.
-    Events at equal times fire in ascending [seq] order, so a component
-    that wants to materialise events lazily (the network's fan-out
-    batching) can reserve the seqs its expansion will use up front and
-    keep the firing order byte-identical to eager scheduling. *)
-
-val schedule_at_seq : t -> time:float -> seq:int -> (unit -> unit) -> unit
-(** [schedule_at] with an explicit tie-break seq, previously claimed via
-    {!reserve_seq}.  Reusing a seq already in the queue is not checked —
-    callers own the discipline. *)
-
 type lane
 (** A FIFO queue of events owned by one engine, for a call site whose
     timers are usually armed in nondecreasing time order (a fixed timeout

@@ -49,22 +49,6 @@ type 'msg envelope = {
   mutable e_fire : unit -> unit; (* set at creation, references this record *)
 }
 
-(* Pooled fan-out wave (see [multicast_batch]): the per-destination
-   delivery times, engine seqs and destinations of one multicast, sorted
-   by firing order.  Exactly one engine event per wave is resident at a
-   time; firing entry [w_pos] re-arms the wave for entry [w_pos + 1]. *)
-type 'msg wave = {
-  mutable w_kind : int;
-  mutable w_src : int;
-  mutable w_msg : 'msg option;
-  mutable w_times : float array;
-  mutable w_seqs : int array;
-  mutable w_dsts : int array;
-  mutable w_len : int;
-  mutable w_pos : int;
-  mutable w_fire : unit -> unit;
-}
-
 type 'msg t = {
   engine : Engine.t;
   topology : Topology.t;
@@ -85,14 +69,8 @@ type 'msg t = {
       (* indexed by Kind.t; pre-sized to [Kind.registered ()] at creation,
          grown (rarely) if a kind is interned after that *)
   tracer : Obs.Tracer.t; (* cached from the engine; Tracer.null when off *)
-  plan_delays : float array;
-      (* [plan_send] scratch: delays of the deliveries (0..2) staged by the
-         last call.  A buffer instead of a callback so the per-message fast
-         path allocates no closure. *)
   mutable env_free : 'msg envelope array; (* envelope free stack *)
   mutable env_free_len : int;
-  mutable wave_free : 'msg wave array; (* wave free stack *)
-  mutable wave_free_len : int;
 }
 
 let create ~engine ~topology ?(service_time = 0.25) ?(jitter = 0.1) ?(seed = 7) () =
@@ -115,11 +93,8 @@ let create ~engine ~topology ?(service_time = 0.25) ?(jitter = 0.1) ?(seed = 7) 
     dropped = 0;
     duplicated = 0;
     kind_counts = Array.make (Kind.registered ()) 0;
-    plan_delays = Array.make 2 0.;
     env_free = [||];
     env_free_len = 0;
-    wave_free = [||];
-    wave_free_len = 0;
   }
 
 let engine t = t.engine
@@ -266,7 +241,7 @@ let fire_envelope t e =
       | (Some _ | None), _ -> ()
   end
 
-let acquire_envelope t ~kind ~src ~dst ~phase msg =
+let acquire_envelope t ~kind ~src ~dst msg =
   let e =
     if t.env_free_len > 0 then begin
       let n = t.env_free_len - 1 in
@@ -291,216 +266,58 @@ let acquire_envelope t ~kind ~src ~dst ~phase msg =
   e.e_src <- src;
   e.e_dst <- dst;
   e.e_msg <- Some msg;
-  e.e_phase <- phase;
+  e.e_phase <- 0;
   e
-
-(* --- wave pool ---------------------------------------------------------- *)
-
-let release_wave t w =
-  w.w_msg <- None;
-  w.w_len <- 0;
-  w.w_pos <- 0;
-  let cap = Array.length t.wave_free in
-  if t.wave_free_len = cap then begin
-    let cap' = if cap = 0 then 8 else 2 * cap in
-    let grown = Array.make cap' w in
-    Array.blit t.wave_free 0 grown 0 cap;
-    t.wave_free <- grown
-  end;
-  t.wave_free.(t.wave_free_len) <- w;
-  t.wave_free_len <- t.wave_free_len + 1
-
-(* Fire wave entry [w_pos]: re-arm the engine event for the next entry
-   (its (time, seq) was fixed at multicast time, so heap order is exactly
-   that of eagerly scheduled per-destination events), then run the arrival
-   for this destination. *)
-let fire_wave t w =
-  let i = w.w_pos in
-  let dst = w.w_dsts.(i) in
-  let next = i + 1 in
-  w.w_pos <- next;
-  if next < w.w_len then
-    Engine.schedule_at_seq t.engine ~time:w.w_times.(next) ~seq:w.w_seqs.(next)
-      w.w_fire;
-  let last = next >= w.w_len in
-  if not t.failed.(dst) then begin
-    match w.w_msg with
-    | Some msg ->
-      let e = acquire_envelope t ~kind:w.w_kind ~src:w.w_src ~dst ~phase:1 msg in
-      Engine.schedule_at t.engine ~time:(service_finish t dst) e.e_fire
-    | None -> ()
-  end;
-  if last then release_wave t w
-
-let acquire_wave t ~kind ~src msg =
-  let w =
-    if t.wave_free_len > 0 then begin
-      let n = t.wave_free_len - 1 in
-      t.wave_free_len <- n;
-      t.wave_free.(n)
-    end
-    else begin
-      let rec w =
-        {
-          w_kind = 0;
-          w_src = 0;
-          w_msg = None;
-          w_times = [||];
-          w_seqs = [||];
-          w_dsts = [||];
-          w_len = 0;
-          w_pos = 0;
-          w_fire = (fun () -> fire_wave t w);
-        }
-      in
-      w
-    end
-  in
-  w.w_kind <- kind;
-  w.w_src <- src;
-  w.w_msg <- Some msg;
-  w.w_len <- 0;
-  w.w_pos <- 0;
-  w
-
-let wave_push t w ~time ~dst =
-  let cap = Array.length w.w_times in
-  if w.w_len = cap then begin
-    let cap' = if cap = 0 then 8 else 2 * cap in
-    let times = Array.make cap' 0. in
-    let seqs = Array.make cap' 0 in
-    let dsts = Array.make cap' 0 in
-    Array.blit w.w_times 0 times 0 cap;
-    Array.blit w.w_seqs 0 seqs 0 cap;
-    Array.blit w.w_dsts 0 dsts 0 cap;
-    w.w_times <- times;
-    w.w_seqs <- seqs;
-    w.w_dsts <- dsts
-  end;
-  w.w_times.(w.w_len) <- time;
-  w.w_seqs.(w.w_len) <- Engine.reserve_seq t.engine;
-  w.w_dsts.(w.w_len) <- dst;
-  w.w_len <- w.w_len + 1
 
 (* --- send --------------------------------------------------------------- *)
 
-(* The shared front half of a send: per-message accounting, the jitter
-   draw, and the fault-model draws, in exactly the order the pre-batching
-   [send] performed them (the delivery-jitter draw always happens, fault
-   draws only under a faulty plan, each short-circuiting as before), so
-   seeds, [sent], [dropped], [duplicated] and [kind_counts] are
-   byte-identical whether the message is scheduled eagerly or planned into
-   a wave.  Stages the delivery delays (0, 1, or 2 with a duplicate) into
-   [t.plan_delays] and returns how many, so callers schedule without a
-   per-message closure — [send] makes an envelope per staged delay,
-   [multicast_batch] a wave entry.  All RNG draws for one message complete
-   before the caller consumes the buffer, so the draw order and the seq
-   order both match the eager per-destination loop exactly. *)
-let plan_send t ~kind ~src ~dst =
-  if src <> dst then begin
-    t.sent <- t.sent + 1;
-    count_kind t kind;
-    trace_net t ~kind ~ekind:Obs.Sem.net_send ~src ~dst
-  end;
-  let base = Topology.latency t.topology ~src ~dst in
-  let jitter = base *. t.jitter *. Util.Rng.float t.rng 1.0 in
-  let delay = base +. jitter in
-  if src = dst then begin
-    t.plan_delays.(0) <- delay;
-    1
-  end
-  else if not (reachable t ~src ~dst) then begin
-    t.dropped <- t.dropped + 1;
-    trace_net t ~kind ~ekind:Obs.Sem.net_drop ~src ~dst;
-    0
-  end
-  else begin
-    let plan = plan_for t ~src ~dst in
-    if not (faulty plan) then begin
-      t.plan_delays.(0) <- delay;
-      1
-    end
-    else if plan.drop > 0. && Util.Rng.chance t.fault_rng plan.drop then begin
-      t.dropped <- t.dropped + 1;
-      trace_net t ~kind ~ekind:Obs.Sem.net_drop ~src ~dst;
-      0
-    end
-    else begin
-      let delay =
-        if plan.spike_prob > 0. && Util.Rng.chance t.fault_rng plan.spike_prob then
-          delay *. plan.spike_factor
-        else delay
-      in
-      t.plan_delays.(0) <- delay;
-      if plan.duplicate > 0. && Util.Rng.chance t.fault_rng plan.duplicate then begin
-        t.duplicated <- t.duplicated + 1;
-        trace_net t ~kind ~ekind:Obs.Sem.net_dup ~src ~dst;
-        let extra = base *. (0.5 +. Util.Rng.float t.fault_rng 1.0) in
-        t.plan_delays.(1) <- delay +. extra;
-        2
-      end
-      else 1
-    end
-  end
+let deliver t ~kind ~src ~dst ~delay msg =
+  let e = acquire_envelope t ~kind ~src ~dst msg in
+  Engine.schedule t.engine ~delay e.e_fire
 
+(* Per-message accounting, the jitter draw, then the fault-model draws.
+   The delivery-jitter draw always happens and fault draws only under a
+   faulty plan, each short-circuiting, so a run with the fault model off
+   consumes exactly the pre-fault-model random numbers.  A duplicate is a
+   second envelope scheduled right after the first. *)
 let send t ?(kind = Kind.other) ~src ~dst msg =
   if not t.failed.(src) then begin
-    let staged = plan_send t ~kind ~src ~dst in
-    for k = 0 to staged - 1 do
-      let e = acquire_envelope t ~kind ~src ~dst ~phase:0 msg in
-      Engine.schedule t.engine ~delay:t.plan_delays.(k) e.e_fire
-    done
-  end
-
-(* Insertion sort by (time, seq) — wave entries are near-sorted already
-   (same base topology row) and tiny, so this beats a polymorphic sort
-   without allocating. *)
-let sort_wave w =
-  for i = 1 to w.w_len - 1 do
-    let time = w.w_times.(i) and seq = w.w_seqs.(i) and dst = w.w_dsts.(i) in
-    let j = ref (i - 1) in
-    while
-      !j >= 0
-      && (w.w_times.(!j) > time || (w.w_times.(!j) = time && w.w_seqs.(!j) > seq))
-    do
-      w.w_times.(!j + 1) <- w.w_times.(!j);
-      w.w_seqs.(!j + 1) <- w.w_seqs.(!j);
-      w.w_dsts.(!j + 1) <- w.w_dsts.(!j);
-      decr j
-    done;
-    w.w_times.(!j + 1) <- time;
-    w.w_seqs.(!j + 1) <- seq;
-    w.w_dsts.(!j + 1) <- dst
-  done
-
-(* One engine event per fan-out wave instead of one per destination: the
-   accounting, traces and RNG draws all happen here (multicast time),
-   exactly as the per-destination [send] loop would have performed them;
-   only the engine events are materialised lazily, each with the (time,
-   seq) the eager loop would have used.  Observationally invisible —
-   counters, traces and the event interleaving are byte-identical to a
-   loop of per-destination [send]s (test_sim.ml's fan-out property pins
-   this) — but a 5-node quorum wave costs one resident heap entry and zero
-   closures instead of five of each. *)
-let multicast_batch t ?(kind = Kind.other) ~src ~dsts msg =
-  match dsts with
-  | [] -> ()
-  | [ dst ] -> send t ~kind ~src ~dst msg
-  | dsts ->
-    if not t.failed.(src) then begin
-      let w = acquire_wave t ~kind ~src msg in
-      let now = Engine.now t.engine in
-      List.iter
-        (fun dst ->
-          let staged = plan_send t ~kind ~src ~dst in
-          for k = 0 to staged - 1 do
-            wave_push t w ~time:(now +. Stdlib.max 0. t.plan_delays.(k)) ~dst
-          done)
-        dsts;
-      if w.w_len = 0 then release_wave t w
+    if src <> dst then begin
+      t.sent <- t.sent + 1;
+      count_kind t kind;
+      trace_net t ~kind ~ekind:Obs.Sem.net_send ~src ~dst
+    end;
+    let base = Topology.latency t.topology ~src ~dst in
+    let jitter = base *. t.jitter *. Util.Rng.float t.rng 1.0 in
+    let delay = base +. jitter in
+    if src = dst then deliver t ~kind ~src ~dst ~delay msg
+    else if not (reachable t ~src ~dst) then begin
+      t.dropped <- t.dropped + 1;
+      trace_net t ~kind ~ekind:Obs.Sem.net_drop ~src ~dst
+    end
+    else begin
+      let plan = plan_for t ~src ~dst in
+      if not (faulty plan) then deliver t ~kind ~src ~dst ~delay msg
+      else if plan.drop > 0. && Util.Rng.chance t.fault_rng plan.drop then begin
+        t.dropped <- t.dropped + 1;
+        trace_net t ~kind ~ekind:Obs.Sem.net_drop ~src ~dst
+      end
       else begin
-        sort_wave w;
-        Engine.schedule_at_seq t.engine ~time:w.w_times.(0) ~seq:w.w_seqs.(0)
-          w.w_fire
+        let delay =
+          if plan.spike_prob > 0. && Util.Rng.chance t.fault_rng plan.spike_prob then
+            delay *. plan.spike_factor
+          else delay
+        in
+        deliver t ~kind ~src ~dst ~delay msg;
+        if plan.duplicate > 0. && Util.Rng.chance t.fault_rng plan.duplicate then begin
+          t.duplicated <- t.duplicated + 1;
+          trace_net t ~kind ~ekind:Obs.Sem.net_dup ~src ~dst;
+          let extra = base *. (0.5 +. Util.Rng.float t.fault_rng 1.0) in
+          deliver t ~kind ~src ~dst ~delay:(delay +. extra) msg
+        end
       end
     end
+  end
+
+let multicast_batch t ?kind ~src ~dsts msg =
+  List.iter (fun dst -> send t ?kind ~src ~dst msg) dsts

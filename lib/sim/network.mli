@@ -83,16 +83,8 @@ val send : 'msg t -> ?kind:Kind.t -> src:int -> dst:int -> 'msg -> unit
 
 val multicast_batch :
   'msg t -> ?kind:Kind.t -> src:int -> dsts:int list -> 'msg -> unit
-(** {!send} to every destination in [dsts] (self and repeats included),
-    but the whole fan-out wave costs one resident engine event (plus one
-    per actual handler invocation) instead of one per destination:
-    per-destination delivery times, fault draws, accounting and traces
-    are all fixed eagerly at multicast time — in [dsts] order, exactly as
-    a loop of {!send}s would — and only the engine events are
-    materialised lazily, each firing with the (time, seq) that loop would
-    have used.  Byte-identical to the [send] loop per seed; the fan-out
-    property in [test_sim.ml] pins this against faults, partitions and
-    interleaved timers. *)
+(** {!send} to every destination in [dsts], in order (self and repeats
+    included). *)
 
 val fail : 'msg t -> int -> unit
 (** Mark a node fail-stop: it stops sending, receiving, and processing. *)

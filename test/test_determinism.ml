@@ -1,12 +1,7 @@
 (* Batch-commit verdict agreement and self-identity, kind-counter
-   pre-sizing, and the GC allocation budget.
-
-   The fan-out equivalence that used to live here (cluster runs with the
-   network's wave batching on and off) is now a property of the layer that
-   makes the claim: test_sim.ml checks [Network.multicast_batch] against a
-   loop of per-destination [Network.send]s under generated fault plans,
-   partitions and interleaved timers.  End to end, the committed goldens
-   and the layerbench ledger pin the simulated numbers byte for byte. *)
+   pre-sizing, and the GC allocation budget.  End to end, the committed
+   goldens and the layerbench ledger pin the simulated numbers byte for
+   byte. *)
 
 open Core
 

@@ -37,8 +37,8 @@ let test_engine_nested_schedule () =
   Alcotest.(check (list (float 1e-9))) "nested times" [ 1.; 3. ] (List.rev !hits)
 
 (* Model-based check of the event queue: random interleavings of every way
-   to schedule (relative, absolute, reserved seq, and two FIFO lanes fed
-   both in and out of time order) with [step] and [run ~until].  Bursts
+   to schedule (relative, absolute, and two FIFO lanes fed both in and
+   out of time order) with [step] and [run ~until].  Bursts
    push well past the initial 64 entries, so the heap columns, the action
    slots and the lane rings all grow, a ring often while it wraps.  The model
    is a list sorted by (time, seq); the engine must fire exactly its order
@@ -46,7 +46,6 @@ let test_engine_nested_schedule () =
 type queue_op =
   | Sched of float (* schedule ~delay *)
   | At of float (* schedule_at, possibly in the past *)
-  | Reserved of float (* reserve_seq + schedule_at_seq *)
   | In of int * float (* schedule_in lane, at now + delay *)
   | In_at of int * float (* schedule_in lane, at an absolute time *)
   | Step
@@ -58,7 +57,6 @@ type queue_op =
 let show_queue_op = function
   | Sched d -> Printf.sprintf "Sched %g" d
   | At x -> Printf.sprintf "At %g" x
-  | Reserved x -> Printf.sprintf "Reserved %g" x
   | In (l, d) -> Printf.sprintf "In (%d, %g)" l d
   | In_at (l, x) -> Printf.sprintf "In_at (%d, %g)" l x
   | Step -> "Step"
@@ -75,7 +73,6 @@ let queue_ops =
       [
         (2, map (fun d -> Sched d) t);
         (2, map (fun x -> At x) t);
-        (1, map (fun x -> Reserved x) t);
         (3, map2 (fun l d -> In (l, d)) lane t);
         (1, map2 (fun l x -> In_at (l, x)) lane t);
         (3, return Step);
@@ -120,10 +117,6 @@ let engine_queue_matches_model =
         | Sched d ->
           add ~time:(!clock +. d) (fun f -> Sim.Engine.schedule engine ~delay:d f)
         | At x -> add ~time:x (fun f -> Sim.Engine.schedule_at engine ~time:x f)
-        | Reserved x ->
-          add ~time:x (fun f ->
-              let seq = Sim.Engine.reserve_seq engine in
-              Sim.Engine.schedule_at_seq engine ~time:x ~seq f)
         | In (l, d) ->
           let time = !clock +. d in
           add ~time (fun f -> Sim.Engine.schedule_in engine lanes.(l) ~time f)
@@ -313,170 +306,6 @@ let test_network_partition_and_heal () =
   Sim.Network.send network ~src:0 ~dst:2 "after-heal";
   Sim.Engine.run engine;
   Alcotest.(check int) "delivered after heal" 1 received.(2)
-
-(* Fan-out equivalence: [multicast_batch] against the production unicast
-   path.  Two networks over the same topology and seed replay one
-   generated script — multicasts at scheduled times (repeated and self
-   destinations, sources that are down), timers between them, nodes
-   failing and reviving — under a lossy, duplicating, spiky fault plan
-   plus a partition or a faulty link.  One network fans out with
-   [multicast_batch], the other with a loop of [send]s; receivers echo
-   some messages back with [send], so replies interleave with the
-   resident waves.  Both must make the same handler calls and timer
-   firings in the same order at bit-identical times, with equal counters,
-   per-kind counts and trace streams. *)
-type fanout_op =
-  | Cast of { at : float; src : int; dsts : int list; echo : bool }
-  | Timer of float
-  | Fail of { at : float; node : int }
-  | Revive of { at : float; node : int }
-
-type topo_fault =
-  | Partition of { minority : int list; heal : float }
-  | Link of { a : int; b : int; plan : Sim.Network.fault_plan }
-
-type fanout_case = {
-  topo_seed : int;
-  nodes : int;
-  plan : Sim.Network.fault_plan;
-  topo : topo_fault;
-  down : int;  (** node failed from the start: a failed source *)
-  ops : fanout_op list;
-}
-
-let show_plan (p : Sim.Network.fault_plan) =
-  Printf.sprintf "{drop=%g dup=%g spike=%g x%g}" p.drop p.duplicate p.spike_prob
-    p.spike_factor
-
-let show_ints l = "[" ^ String.concat "," (List.map string_of_int l) ^ "]"
-
-let show_fanout_case c =
-  let op = function
-    | Cast { at; src; dsts; echo } ->
-      Printf.sprintf "cast %d->%s%s @%g" src (show_ints dsts) (if echo then " echo" else "") at
-    | Timer at -> Printf.sprintf "timer @%g" at
-    | Fail { at; node } -> Printf.sprintf "fail %d @%g" node at
-    | Revive { at; node } -> Printf.sprintf "revive %d @%g" node at
-  in
-  let topo =
-    match c.topo with
-    | Partition { minority; heal } -> Printf.sprintf "partition %s heal @%g" (show_ints minority) heal
-    | Link { a; b; plan } -> Printf.sprintf "link %d-%d %s" a b (show_plan plan)
-  in
-  Printf.sprintf "seed=%d nodes=%d plan=%s %s down=%d\n  %s" c.topo_seed c.nodes
-    (show_plan c.plan) topo c.down
-    (String.concat "\n  " (List.map op c.ops))
-
-let fanout_cases =
-  let open QCheck.Gen in
-  let prob = map (fun k -> Float.of_int k /. 20.) (int_range 0 6) in
-  let plan =
-    map4
-      (fun drop duplicate spike_prob f ->
-        { Sim.Network.drop; duplicate; spike_prob; spike_factor = Float.of_int f })
-      prob prob prob (int_range 2 6)
-  in
-  (* Integral times a few latencies wide: casts, timers and deliveries
-     often tie, so (time, seq) tie-breaks decide the order. *)
-  let at = map Float.of_int (int_range 0 80) in
-  let case nodes =
-    let node = int_range 0 (nodes - 1) in
-    let op =
-      frequency
-        [
-          ( 6,
-            map4
-              (fun at src dsts echo -> Cast { at; src; dsts; echo })
-              at node (list_size (int_range 0 7) node) bool );
-          (3, map (fun at -> Timer at) at);
-          (1, map2 (fun at node -> Fail { at; node }) at node);
-          (1, map2 (fun at node -> Revive { at; node }) at node);
-        ]
-    in
-    let topo =
-      oneof
-        [
-          map2
-            (fun minority heal -> Partition { minority = List.sort_uniq compare minority; heal })
-            (list_size (int_range 1 2) node) at;
-          map3 (fun a b plan -> Link { a; b; plan }) node node plan;
-        ]
-    in
-    map5
-      (fun topo_seed plan topo down ops -> { topo_seed; nodes; plan; topo; down; ops })
-      nat plan topo node
-      (list_size (int_range 1 40) op)
-  in
-  QCheck.make ~print:show_fanout_case
-    ~shrink:(fun c yield -> QCheck.Shrink.list c.ops (fun ops -> yield { c with ops }))
-    (int_range 3 6 >>= case)
-
-let fanout_kind = Sim.Network.Kind.intern "fanout"
-let echo_kind = Sim.Network.Kind.intern "fanout-echo"
-
-(* Every observable of one replay: handler calls and timer firings (with
-   the time's bits), the counters, and the trace stream. *)
-let replay_fanout c ~batched =
-  let tracer = Obs.Tracer.create ~capacity:(1 lsl 14) () in
-  let engine = Sim.Engine.create ~tracer () in
-  let topology = Sim.Topology.create ~seed:c.topo_seed ~nodes:c.nodes () in
-  let network = Sim.Network.create ~engine ~topology ~seed:(c.topo_seed + 1) () in
-  let log = ref [] in
-  let note entry = log := (entry, Int64.bits_of_float (Sim.Engine.now engine)) :: !log in
-  for node = 0 to c.nodes - 1 do
-    Sim.Network.set_handler network ~node (fun ~src (id, echo) ->
-        note (Printf.sprintf "%d<-%d:%d" node src id);
-        if echo then Sim.Network.send network ~kind:echo_kind ~src:node ~dst:src (-id, false))
-  done;
-  Sim.Network.set_faults network c.plan;
-  (match c.topo with
-  | Partition { minority; heal } ->
-    Sim.Network.partition network [ minority ];
-    Sim.Engine.schedule_at engine ~time:heal (fun () -> Sim.Network.heal network)
-  | Link { a; b; plan } -> Sim.Network.set_link_faults network ~a ~b plan);
-  Sim.Network.fail network c.down;
-  List.iteri
-    (fun id op ->
-      let at, fire =
-        match op with
-        | Cast { at; src; dsts; echo } ->
-          ( at,
-            fun () ->
-              if batched then
-                Sim.Network.multicast_batch network ~kind:fanout_kind ~src ~dsts (id, echo)
-              else
-                List.iter
-                  (fun dst -> Sim.Network.send network ~kind:fanout_kind ~src ~dst (id, echo))
-                  dsts )
-        | Timer at -> (at, fun () -> note (Printf.sprintf "timer %d" id))
-        | Fail { at; node } -> (at, fun () -> Sim.Network.fail network node)
-        | Revive { at; node } -> (at, fun () -> Sim.Network.revive network node)
-      in
-      Sim.Engine.schedule_at engine ~time:at fire)
-    c.ops;
-  Sim.Engine.run engine;
-  let counters =
-    ( Sim.Network.messages_sent network,
-      Sim.Network.messages_dropped network,
-      Sim.Network.messages_duplicated network,
-      Sim.Network.messages_by_kind network )
-  in
-  let trace =
-    List.map
-      (fun (e : Obs.Tracer.event) ->
-        ( Int64.bits_of_float e.time,
-          (e.ekind, e.node, e.txn, e.oid, e.a, e.b),
-          Int64.bits_of_float e.x ))
-      (Obs.Tracer.events tracer)
-  in
-  (List.rev !log, counters, trace, Obs.Tracer.dropped tracer)
-
-let fanout_matches_send_loop =
-  QCheck.Test.make ~name:"multicast_batch = loop of send" ~count:300 fanout_cases (fun c ->
-      let batched = replay_fanout c ~batched:true in
-      let looped = replay_fanout c ~batched:false in
-      let _, _, _, overflow = batched in
-      overflow = 0 && batched = looped)
 
 let make_rpc ?tracer ?(nodes = 4) () =
   let engine = Sim.Engine.create ?tracer () in
@@ -744,7 +573,6 @@ let suite =
     Alcotest.test_case "network latency spike" `Quick test_network_latency_spike;
     Alcotest.test_case "network per-link faults" `Quick test_network_link_faults;
     Alcotest.test_case "network partition and heal" `Quick test_network_partition_and_heal;
-    QCheck_alcotest.to_alcotest fanout_matches_send_loop;
     Alcotest.test_case "rpc call roundtrip" `Quick test_rpc_call_roundtrip;
     Alcotest.test_case "rpc multicall collects all" `Quick test_rpc_multicall_collects_all;
     Alcotest.test_case "rpc multicall timeout" `Quick test_rpc_multicall_timeout_reports_missing;
