@@ -425,12 +425,14 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
+(* The checker is the tracer's sink, so only the exported trace loses
+   what the ring evicts. *)
 let warn_dropped tracer =
   let dropped = Obs.Tracer.dropped tracer in
   if dropped > 0 then
     Printf.eprintf
-      "warning: trace ring buffer overflowed, %d oldest events dropped (raise \
-       --trace-capacity); checker verdicts may be unreliable\n"
+      "warning: trace ring buffer overflowed, %d oldest events dropped from the \
+       exported trace (trace --trace-capacity raises the ring's size)\n"
       dropped
 
 let trace_cmd =
@@ -454,10 +456,22 @@ let trace_cmd =
     Arg.(value & opt int (1 lsl 20) & info [ "trace-capacity" ] ~docv:"N" ~doc)
   in
   let check_arg =
-    Arg.(value & flag & info [ "check" ] ~doc:"Run the offline protocol checker over the trace; exit 1 on violations.")
+    let doc =
+      "Check the protocol invariants on every event as the run emits it, with the \
+       structural write-quorum rule; exit 1 on violations."
+    in
+    Arg.(value & flag & info [ "check" ] ~doc)
   in
   let run f txn out telemetry window capacity check =
     let tracer = Obs.Tracer.create ~capacity () in
+    let checker =
+      if not check then None
+      else begin
+        let checker = Obs.Online.create ~is_write_quorum:(structural_rule ~nodes:f.nodes) () in
+        Obs.Online.attach checker tracer;
+        Some checker
+      end
+    in
     let tele = Option.map (fun _ -> Obs.Telemetry.create ~window) telemetry in
     let result =
       Harness.Experiment.run
@@ -478,32 +492,7 @@ let trace_cmd =
     Option.iter
       (fun path -> Option.iter (fun t -> write_file path (Obs.Telemetry.to_csv t)) tele)
       telemetry;
-    if check then begin
-      let violations =
-        Obs.Online.replay ~is_write_quorum:(structural_rule ~nodes:f.nodes)
-          (Obs.Tracer.events tracer)
-      in
-      let dropped = Obs.Tracer.dropped tracer in
-      if dropped > 0 then begin
-        (* The ring lost the prefix: pass/fail over the remainder would be
-           unreliable either way (lost evidence looks like violations,
-           lost violations look like passes).  Hard inconclusive. *)
-        List.iter (fun v -> prerr_endline (Obs.Online.pp_violation v)) violations;
-        Format.eprintf
-          "checker: INCONCLUSIVE — ring dropped %d events (%d violation(s) \
-           over the truncated trace are unreliable); raise --trace-capacity \
-           or use qr-dtm run --check-online@."
-          dropped (List.length violations);
-        exit 3
-      end
-      else
-        match violations with
-        | [] -> Format.eprintf "checker: ok (%d events, 0 violations)@." (Obs.Tracer.length tracer)
-        | violations ->
-          List.iter (fun v -> prerr_endline (Obs.Online.pp_violation v)) violations;
-          Format.eprintf "checker: %d violation(s)@." (List.length violations);
-          exit 1
-    end
+    Option.iter (fun checker -> if not (online_clean ~who:"checker" checker) then exit 1) checker
   in
   let info =
     Cmd.info "trace"
@@ -578,7 +567,8 @@ let chaos_cmd =
     let doc =
       "Re-run each failing seed with tracing enabled (deterministic, so the failure \
        reproduces exactly) and dump per-seed artifacts into $(docv): the schedule, the \
-       Chrome trace_event JSON, and the offline protocol-checker verdicts."
+       Chrome trace_event JSON, and the verdicts of the protocol checker, which sees \
+       every event of the re-run."
     in
     Arg.(value & opt (some string) None & info [ "trace-dir" ] ~docv:"DIR" ~doc)
   in
@@ -667,7 +657,6 @@ let chaos_cmd =
                       Printf.sprintf "# seed %d\n%s\n" r.seed (repro r.seed r.events))
                     failed)))
         failures_to;
-      let checker_inconclusive = ref false in
       Option.iter
         (fun dir ->
           let to_dump = if trace_all then results else failed in
@@ -677,46 +666,35 @@ let chaos_cmd =
               (fun (r : Harness.Chaos.result) ->
                 let seed = r.seed in
                 let tracer = Obs.Tracer.create () in
+                (* Chaos changes the view mid-run and the trace does not
+                   record it, so the checker validates voter sets by its
+                   view-independent rule: pairwise intersection. *)
+                let checker = Obs.Online.create () in
+                Obs.Online.attach checker tracer;
                 let replay =
                   Harness.Chaos.run ~clients:f.clients ~horizon:knobs.horizon
                     (spec_at ~tracer seed) r.events
                 in
                 warn_dropped tracer;
-                (* Chaos changes the view mid-run and the trace does not
-                   record it, so the checker validates voter sets by its
-                   view-independent rule: pairwise intersection. *)
-                let violations = Obs.Online.replay (Obs.Tracer.events tracer) in
-                let dropped = Obs.Tracer.dropped tracer in
-                (* A truncated trace makes the offline verdict unreliable in
-                   both directions — report inconclusive (exit 3), never a
-                   silent pass or a spurious fail. *)
-                if dropped > 0 then checker_inconclusive := true
-                else if violations <> [] then checker_failed := true;
+                let violations = Obs.Online.finish checker in
+                if violations <> [] then checker_failed := true;
                 let verdict =
-                  match (violations, dropped) with
-                  | [], 0 -> "checker: ok (0 violations)"
-                  | vs, 0 ->
+                  match violations with
+                  | [] -> "checker: ok (0 violations)"
+                  | vs ->
                     String.concat "\n" (List.map Obs.Online.pp_violation vs)
                     ^ Printf.sprintf "\nchecker: %d violation(s)" (List.length vs)
-                  | vs, d ->
-                    String.concat "\n" (List.map Obs.Online.pp_violation vs)
-                    ^ Printf.sprintf
-                        "\nchecker: INCONCLUSIVE — ring dropped %d events (%d \
-                         violation(s) over the truncated trace are unreliable)"
-                        d (List.length vs)
                 in
                 let prefix = Filename.concat dir (Printf.sprintf "seed-%d" seed) in
                 write_file (prefix ^ ".trace.json") (Obs.Export.chrome_json tracer);
                 write_file (prefix ^ ".txt")
                   (Format.asprintf "%a@.%s@." Harness.Chaos.pp_result replay verdict);
-                Printf.eprintf "traced seed %d -> %s.{trace.json,txt} (%d events, %d violations%s)\n"
-                  seed prefix (Obs.Tracer.length tracer) (List.length violations)
-                  (if dropped > 0 then ", INCONCLUSIVE" else ""))
+                Printf.eprintf "traced seed %d -> %s.{trace.json,txt} (%d events, %d violations)\n"
+                  seed prefix (Obs.Tracer.length tracer) (List.length violations))
               to_dump
           end)
         trace_dir;
       if failed <> [] || !checker_failed then exit 1;
-      if !checker_inconclusive then exit 3;
       `Ok ()
   in
   let info =

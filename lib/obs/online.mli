@@ -14,8 +14,8 @@
     - {b offline}: {!replay} a completed trace (oldest first, as
       {!Tracer.events} yields it).  Traces with ring-buffer overflow
       ({!Tracer.dropped} > 0) have lost prefix events and can produce false
-      positives — callers must treat that verdict as {e inconclusive} (the
-      CLI exits with a distinct code), or check online instead.
+      positives, so a verdict on a run that may overflow its ring must be
+      fed online; the CLI feeds every verdict that way.
 
     Rules:
 
@@ -73,16 +73,20 @@
     no simulator events, so an attached checker keeps traced runs
     byte-identical.
 
-    Bounded side tables: commit evidence, cross-shard decisions and batch
-    outcomes are consulted only within a bounded horizon of their
-    producing transaction (a rescue references a lease-recent txn, a batch
-    dependency a queue-recent one), so they live in {!Util.Window}s of
-    [horizon] keys (the last decided position per batch in one of
-    [horizon / 16]), which forget the oldest key first.  The in-flight
-    transactions and the shard epochs are {!Util.Int_table}s: no
-    per-event [caml_hash].  Distinct committed voter sets are
-    deduplicated per (shard, epoch) — bounded by the handful of quorums a
-    view can produce, not by the number of commits. *)
+    Bounded side tables: commit evidence, cross-shard decisions, batch
+    outcomes and tombstones of retired transactions are consulted only
+    within a bounded horizon of their producing transaction (a rescue
+    references a lease-recent txn, a batch dependency a queue-recent one),
+    so each keeps only the last [horizon] keys and forgets the oldest
+    first.  Commit evidence, cross-shard decisions and tombstones are
+    FIFO bit sets over transaction ids; batch outcomes are a
+    {!Util.Window}, and so is the last decided position per batch (of
+    [horizon / 16] batches).  The in-flight transactions and the shard
+    epochs are {!Util.Int_table}s: no per-event [caml_hash].  Distinct
+    committed voter sets are kept as bit masks, deduplicated per
+    (shard, epoch) under a packed int key in an {!Util.Int_table} —
+    bounded by the handful of quorums a view can produce, not by the
+    number of commits. *)
 
 type violation = {
   rule : string;
