@@ -164,21 +164,10 @@ let rec await fut =
 
 (* --- high-level API ----------------------------------------------------- *)
 
-let run f = if !requested_jobs <= 1 then f () else await (submit_to (ensure_pool ()) f)
-
 let map f xs =
   if !requested_jobs <= 1 then List.map f xs
   else begin
     let pool = ensure_pool () in
     let futures = List.map (fun x -> submit_to pool (fun () -> f x)) xs in
     List.map await futures
-  end
-
-let both f g =
-  if !requested_jobs <= 1 then (f (), g ())
-  else begin
-    let pool = ensure_pool () in
-    let fa = submit_to pool f in
-    let b = g () in
-    (await fa, b)
   end

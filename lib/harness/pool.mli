@@ -34,9 +34,3 @@ val shutdown : unit -> unit
 val map : ('a -> 'b) -> 'a list -> 'b list
 (** Parallel [List.map], results in submission (list) order.  Exceptions
     raised by [f] are re-raised at the corresponding position. *)
-
-val run : (unit -> 'a) -> 'a
-(** Run one thunk through the pool (inline when [jobs () = 1]). *)
-
-val both : (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
-(** Evaluate two thunks, potentially concurrently. *)

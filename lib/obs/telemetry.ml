@@ -125,24 +125,3 @@ let to_csv t =
       Buffer.add_char buf '\n')
     (rows t);
   Buffer.contents buf
-
-let to_json t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"window_ms\":";
-  Buffer.add_string buf (Printf.sprintf "%.3f" t.win);
-  Buffer.add_string buf ",\"columns\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "%S" c))
-    (columns t);
-  Buffer.add_string buf "],\"rows\":[";
-  List.iteri
-    (fun i (time, row) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "[%.3f" time);
-      List.iter (fun v -> Buffer.add_string buf (Printf.sprintf ",%.4f" v)) row;
-      Buffer.add_char buf ']')
-    (rows t);
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf

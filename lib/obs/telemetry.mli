@@ -59,4 +59,3 @@ val rows : t -> (float * float list) list
     order minus the time column). *)
 
 val to_csv : t -> string
-val to_json : t -> string

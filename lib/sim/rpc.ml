@@ -173,11 +173,6 @@ let call t ?kind ~src ~dst ~timeout req ~on_reply ~on_timeout =
 let cast t ?kind ~src ~dst req =
   Network.send t.network ?kind ~src ~dst (Cast { payload = req; epoch = t.epoch_of req })
 
-(* One shared [Cast] for the whole wave. *)
-let multicast t ?kind ~src ~dsts req =
-  Network.multicast_batch t.network ?kind ~src ~dsts
-    (Cast { payload = req; epoch = t.epoch_of req })
-
 (* At-least-once delivery for idempotent one-way messages: the request is
    re-sent until the server acknowledges it or [attempts] are exhausted
    (the destination may be genuinely dead).  Re-sends back off

@@ -77,9 +77,6 @@ val multicall :
 val cast : ('req, 'rep) t -> ?kind:Network.Kind.t -> src:int -> dst:int -> 'req -> unit
 (** One-way request; any reply the server produces is dropped. *)
 
-val multicast :
-  ('req, 'rep) t -> ?kind:Network.Kind.t -> src:int -> dsts:int list -> 'req -> unit
-
 val acked_send :
   ('req, 'rep) t ->
   ?kind:Network.Kind.t ->

@@ -34,7 +34,6 @@ let shape_error expected v =
 
 let to_int = function Int i -> i | v -> shape_error "Int" v
 let to_bool = function Bool b -> b | v -> shape_error "Bool" v
-let to_float = function Float f -> f | v -> shape_error "Float" v
 let to_str = function Str s -> s | v -> shape_error "Str" v
 let to_list = function List l -> l | v -> shape_error "List" v
 let int_opt = function Int i -> Some i | Unit | Bool _ | Float _ | Str _ | List _ -> None

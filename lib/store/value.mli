@@ -23,7 +23,6 @@ val to_string : t -> string
 
 val to_int : t -> int
 val to_bool : t -> bool
-val to_float : t -> float
 val to_str : t -> string
 val to_list : t -> t list
 

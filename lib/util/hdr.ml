@@ -54,7 +54,6 @@ let add t v =
   if v > t.vmax then t.vmax <- v
 
 let count t = t.count
-let total t = t.sum
 let mean t = if t.count = 0 then 0. else t.sum /. float_of_int t.count
 let min_value t = if t.count = 0 then 0. else t.vmin
 let max_value t = if t.count = 0 then 0. else t.vmax

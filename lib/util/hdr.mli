@@ -24,7 +24,6 @@ val add : t -> float -> unit
 (** Record one sample (NaN/negative clamp to 0). Allocation-free. *)
 
 val count : t -> int
-val total : t -> float
 val mean : t -> float
 
 val min_value : t -> float

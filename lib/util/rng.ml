@@ -34,10 +34,6 @@ let exponential rng ~mean =
   let u = Stdlib.max 1e-12 (float rng 1.0) in
   -.mean *. log u
 
-let pick rng arr =
-  assert (Array.length arr > 0);
-  arr.(int rng (Array.length arr))
-
 let shuffle rng arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int rng (i + 1) in

@@ -33,9 +33,6 @@ val chance : t -> float -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean. *)
 
-val pick : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 

@@ -38,11 +38,3 @@ let quote cell =
 let render_csv t =
   let rows = t.header :: List.rev t.rows in
   String.concat "\n" (List.map (fun r -> String.concat "," (List.map quote r)) rows)
-
-let series ~title ~x_label ~columns ~rows =
-  let tbl = create ~header:(x_label :: columns) in
-  List.iter
-    (fun (x, values) ->
-      add_row tbl (x :: List.map (fun v -> Printf.sprintf "%.2f" v) values))
-    rows;
-  Printf.sprintf "== %s ==\n%s" title (render tbl)

@@ -1,4 +1,4 @@
-(** ASCII table and data-series rendering for the experiment harness.
+(** ASCII and CSV table rendering for the experiment harness.
 
     The harness regenerates every figure of the paper as a table of series
     (one row per x value, one column per protocol / system); this module is
@@ -18,13 +18,3 @@ val render : t -> string
 
 val render_csv : t -> string
 (** Comma-separated rendering (cells containing commas are quoted). *)
-
-val series :
-  title:string ->
-  x_label:string ->
-  columns:string list ->
-  rows:(string * float list) list ->
-  string
-(** Render a named figure series: a title line, then a table with the x
-    value in the first column and one column per series, floats printed
-    with 2 decimal places. *)
