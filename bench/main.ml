@@ -729,9 +729,10 @@ let measure_simulator () =
     (String.concat ""
        (List.map (fun (u, t) -> Printf.sprintf " %.1f%%" (overhead u t)) pairs));
   Printf.printf
-    "  allocation: %.0f minor + %.0f major words/commit (traced: %.0f minor)\n%!"
+    "  allocation: %.0f minor + %.0f major words/commit, %.0f promoted (traced: %.0f \
+     minor)\n%!"
     untraced.minor_words_per_commit untraced.major_words_per_commit
-    traced.minor_words_per_commit;
+    untraced.promoted_words_per_commit traced.minor_words_per_commit;
   Printf.printf "  commit latency: p50=%.1f p95=%.1f p99=%.1f ms (simulated)\n%!"
     untraced.p50 untraced.p95 untraced.p99;
   (untraced, traced, tracing_overhead_pct)
@@ -782,7 +783,10 @@ let run_gates ~(untraced : eps_stats) ~tracing_overhead_pct ~(batch : batch_stat
         ~what:"minor allocation per committed transaction";
       audit "major_words_per_commit" ~current:untraced.major_words_per_commit
         ~limit:cli.max_alloc_regression ~higher_is_worse:true
-        ~what:"major allocation per committed transaction")
+        ~what:"major allocation per committed transaction";
+      audit "promoted_words_per_commit" ~current:untraced.promoted_words_per_commit
+        ~limit:cli.max_alloc_regression ~higher_is_worse:true
+        ~what:"words promoted per committed transaction")
     cli.baseline
 
 let wall_bench () =

@@ -641,9 +641,11 @@ let rec start_attempt root =
 
 and step root prog =
   let exec = root.exec in
-  Sim.Engine.schedule_in exec.engine exec.step_lane
-    ~time:(Sim.Engine.now exec.engine +. Config.local_op_cost)
-    (fun () -> if not root.finished then interpret root prog)
+  ignore
+    (Sim.Engine.schedule_in exec.engine exec.step_lane
+       ~time:(Sim.Engine.now exec.engine +. Config.local_op_cost)
+       (fun () -> if not root.finished then interpret root prog)
+      : Sim.Engine.handle)
 
 and interpret root prog =
   (* Zombie guard: a transaction that observed an inconsistent snapshot

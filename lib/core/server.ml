@@ -269,9 +269,11 @@ let rec watch_lease t term ~txn ~oids () =
 let watch_granted t ~txn ~oids ~expires =
   match t.termination with
   | Some term ->
-    Sim.Engine.schedule_in term.engine term.watch_lane
-      ~time:(expires +. Config.status_grace)
-      (watch_lease t term ~txn ~oids)
+    ignore
+      (Sim.Engine.schedule_in term.engine term.watch_lane
+         ~time:(expires +. Config.status_grace)
+         (watch_lease t term ~txn ~oids)
+        : Sim.Engine.handle)
   | None -> ()
 
 let enable_termination ?(node_alive = fun _ -> true) t ~engine ~watch_lane ~rpc
@@ -571,21 +573,19 @@ let handle_handoff t ~objects =
     (fun (oid, version, value) -> Store.Replica.sync_copy t.store ~oid ~version ~value)
     objects
 
-let request_txn = function
-  | Messages.Read_req { txn; _ } -> Some txn
-  | Messages.Apply { txn; _ } -> Some txn
-  | Messages.Release { txn; _ } -> Some txn
-  | Messages.Sync_req | Messages.Status_req _ | Messages.Handoff _ -> None
-  (* a commit vote renews per entry, inside [vote] *)
-  | Messages.Commit_req _ | Messages.Batch_commit_req _ -> None
-
 let handle t ~src:_ request =
   (* Any traffic from a transaction is a heartbeat for the leases it holds
-     here: a slow-but-alive coordinator keeps its locks. *)
-  if leases_on t then
-    Option.iter
-      (fun txn -> Store.Replica.renew t.store ~txn ~expires:(lease_expiry t))
-      (request_txn request);
+     here: a slow-but-alive coordinator keeps its locks.  Matched in place,
+     so a renewal allocates neither an option nor a closure. *)
+  if leases_on t then begin
+    match request with
+    | Messages.Read_req { txn; _ } | Messages.Apply { txn; _ } | Messages.Release { txn; _ }
+      ->
+      Store.Replica.renew t.store ~txn ~expires:(lease_expiry t)
+    | Messages.Sync_req | Messages.Status_req _ | Messages.Handoff _ -> ()
+    (* a commit vote renews per entry, inside [vote] *)
+    | Messages.Commit_req _ | Messages.Batch_commit_req _ -> ()
+  end;
   match request with
   | Messages.Read_req { txn; oid; dataset; _ } -> handle_read t ~txn ~oid ~dataset
   | Messages.Commit_req { txn; dataset; locks; round; peers } ->

@@ -6,6 +6,9 @@
    twice per event, to store the action in its slot and to clear it at
    dispatch (so a fired closure is not retained).
 
+   A slot also records the seq of the entry that took it last, which is
+   how [disarm] tells a lane entry's handle from a stale one.
+
    Without flambda, a float passed to a function that is not inlined is
    boxed, so no float crosses a call on the schedule or dispatch path: a new
    entry is written at its final column index and then sifted by index, and
@@ -37,6 +40,7 @@ type t = {
   mutable slot : int array;
   mutable size : int;
   mutable actions : (unit -> unit) array; (* by slot; [nop] when free *)
+  mutable slot_seq : int array; (* by slot: the seq of its latest entry *)
   mutable free : int array; (* stack of free slots, as long as [actions] *)
   mutable free_len : int;
   mutable lanes : lane array;
@@ -56,6 +60,7 @@ let create ?(tracer = Obs.Tracer.null) () =
     slot = Array.make initial 0;
     size = 0;
     actions = Array.make initial nop;
+    slot_seq = Array.make initial 0;
     free = Array.init initial (fun k -> initial - 1 - k);
     free_len = initial;
     lanes = [||];
@@ -81,12 +86,15 @@ let tracer t = t.tracer
 
 (* --- action slots -------------------------------------------------------- *)
 
-let take_slot t action =
+let take_slot t ~seq action =
   if t.free_len = 0 then begin
     let cap = Array.length t.actions in
     let actions = Array.make (2 * cap) nop in
     Array.blit t.actions 0 actions 0 cap;
     t.actions <- actions;
+    let slot_seq = Array.make (2 * cap) 0 in
+    Array.blit t.slot_seq 0 slot_seq 0 cap;
+    t.slot_seq <- slot_seq;
     (* Every old slot is in use, so the stack holds exactly the new ones. *)
     t.free <- Array.init (2 * cap) (fun k -> (2 * cap) - 1 - k);
     t.free_len <- cap
@@ -95,6 +103,7 @@ let take_slot t action =
   t.free_len <- n;
   let s = Array.unsafe_get t.free n in
   Array.unsafe_set t.actions s action;
+  Array.unsafe_set t.slot_seq s seq;
   s
 
 (* Clear the slot before running its action, which may reuse it. *)
@@ -108,9 +117,9 @@ let fire t s =
 
 (* --- heap: sifts a hole by index, moving plain words -------------------- *)
 
-(* Claim position [size] for a new entry with this seq and action; the
+(* Claim position [size] for a new entry with this seq and slot; the
    caller stores its time there and calls [sift_up]. *)
-let heap_append t ~seq action =
+let heap_append t ~seq ~slot =
   let i = t.size in
   if i = Array.length t.time then begin
     let grow a fill =
@@ -123,7 +132,7 @@ let heap_append t ~seq action =
     t.slot <- grow t.slot 0
   end;
   Array.unsafe_set t.seq i seq;
-  Array.unsafe_set t.slot i (take_slot t action);
+  Array.unsafe_set t.slot i slot;
   t.size <- i + 1;
   i
 
@@ -206,8 +215,8 @@ let new_lane t =
   lane
 
 (* Claim the ring index behind the tail for a new entry with this seq and
-   action; the caller stores its time there. *)
-let lane_append t lane ~seq action =
+   slot; the caller stores its time there. *)
+let lane_append lane ~seq ~slot =
   let cap = Array.length lane.l_time in
   if lane.len = cap then begin
     let unroll a fill =
@@ -224,7 +233,7 @@ let lane_append t lane ~seq action =
   end;
   let k = (lane.head + lane.len) land (Array.length lane.l_time - 1) in
   Array.unsafe_set lane.l_seq k seq;
-  Array.unsafe_set lane.l_slot k (take_slot t action);
+  Array.unsafe_set lane.l_slot k slot;
   lane.len <- lane.len + 1;
   k
 
@@ -236,18 +245,31 @@ let reserve_seq t =
   seq
 
 let schedule_at t ~time action =
-  let i = heap_append t ~seq:(reserve_seq t) action in
+  let seq = reserve_seq t in
+  let i = heap_append t ~seq ~slot:(take_slot t ~seq action) in
   Array.unsafe_set t.time i (if time >= t.clock.at then time else t.clock.at);
   sift_up t i
 
 let schedule t ~delay action =
-  let i = heap_append t ~seq:(reserve_seq t) action in
+  let seq = reserve_seq t in
+  let i = heap_append t ~seq ~slot:(take_slot t ~seq action) in
   let time = t.clock.at +. if 0. >= delay then 0. else delay in
   Array.unsafe_set t.time i (if time >= t.clock.at then time else t.clock.at);
   sift_up t i
 
+(* A handle packs a slot into the low [slot_bits] bits and the low bits of
+   its entry's seq above them.  No engine holds 2^31 slots, so a slot
+   always fits, and [no_handle]'s slot is past every [actions] array. *)
+type handle = int
+
+let slot_bits = 31
+let slot_mask = (1 lsl slot_bits) - 1
+let seq_mask = (1 lsl (Sys.int_size - slot_bits)) - 1
+let no_handle = slot_mask
+
 let schedule_in t lane ~time action =
   let seq = reserve_seq t in
+  let slot = take_slot t ~seq action in
   let time = if time >= t.clock.at then time else t.clock.at in
   if
     lane.len > 0
@@ -255,14 +277,22 @@ let schedule_in t lane ~time action =
        < Array.unsafe_get lane.l_time
            ((lane.head + lane.len - 1) land (Array.length lane.l_time - 1))
   then begin
-    let i = heap_append t ~seq action in
+    let i = heap_append t ~seq ~slot in
     Array.unsafe_set t.time i time;
     sift_up t i
   end
   else begin
-    let k = lane_append t lane ~seq action in
+    let k = lane_append lane ~seq ~slot in
     Array.unsafe_set lane.l_time k time
-  end
+  end;
+  ((seq land seq_mask) lsl slot_bits) lor slot
+
+(* Once an entry has fired its slot holds [nop] until a later entry takes
+   it, and that entry's seq differs, so a stale handle changes nothing. *)
+let disarm t h =
+  let s = h land slot_mask in
+  if s < Array.length t.slot_seq && t.slot_seq.(s) land seq_mask = h lsr slot_bits then
+    t.actions.(s) <- nop
 
 (* --- dispatch ------------------------------------------------------------ *)
 

@@ -40,13 +40,31 @@ val new_lane : t -> lane
 (** A fresh empty lane.  Every lane is consulted on each dispatch, so an
     engine should have a handful, not one per object. *)
 
-val schedule_in : t -> lane -> time:float -> (unit -> unit) -> unit
+type handle [@@immediate]
+(** Names one event scheduled with {!schedule_in}, for {!disarm}. *)
+
+val no_handle : handle
+(** A handle that names no event: disarming it does nothing. *)
+
+val schedule_in : t -> lane -> time:float -> (unit -> unit) -> handle
 (** [schedule_in t lane ~time f] is [schedule_at t ~time f], queued on
     [lane] when [time] is no earlier than the lane's newest event and on the
     heap otherwise.  The event takes a fresh seq either way, and dispatch
     always fires the earliest [(time, seq)] across the heap and every lane,
     so the firing order is exactly that of [schedule_at]: a lane only
-    changes where an event waits. *)
+    changes where an event waits.  The result names the event for
+    {!disarm}. *)
+
+val disarm : t -> handle -> unit
+(** [disarm t h] replaces the action of [h]'s event with a no-op, so the
+    engine stops retaining the closure (a timer whose purpose has passed).
+    The event itself stays queued: it still fires at its [(time, seq)],
+    counts in {!pending} until then and in {!events_processed} after, so
+    disarming changes no seq, no count and no firing order.  Disarming an
+    event that has already fired, or one already disarmed, does nothing,
+    even when a later event has reused its slot: a handle records its
+    event's seq, and only the low 32 bits of it, so it could name a
+    stranger only after four billion further events in the same slot. *)
 
 val run : ?until:float -> t -> unit
 (** Drain the event queue, advancing virtual time.  With [until], stops once

@@ -6,6 +6,15 @@
    timeout; replies that arrive after that are discarded.  One-way traffic
    goes out in a [Cast] and carries no record.
 
+   Finishing a call lets go of it.  The last awaited reply disarms the
+   call's timeout, whose closure would otherwise keep the record (request,
+   replies, continuation) reachable until it fired as a no-op, usually
+   long after the call finished, so every minor collection in between
+   would promote it.  Either way of finishing
+   also empties [replies] and drops [complete], so a late or duplicate
+   reply still in flight holds only [req] and [dsts]: [req] stays, since
+   fencing that reply reads [epoch_of p.req].
+
    Every envelope carries a view epoch, stamped at send time from the
    [epoch_of] hook.  The epoch is keyed by the *request payload*, not the
    node: with a sharded object space each shard runs its own view epoch, and
@@ -25,8 +34,19 @@ type ('req, 'rep) pending = {
   mutable outstanding : int;  (* distinct [dsts] that have not replied *)
   mutable replies : (int * 'rep) list;
   mutable finished : bool;
-  complete : replies:(int * 'rep) list -> missing:int list -> unit;
+  mutable complete : replies:(int * 'rep) list -> missing:int list -> unit;
+  mutable timer : Engine.handle; (* the timeout, once armed *)
 }
+
+let completed ~replies:_ ~missing:_ = ()
+
+(* Mark [p] finished, release what it holds, then run its continuation. *)
+let finish p ~missing =
+  let complete = p.complete and replies = p.replies in
+  p.finished <- true;
+  p.complete <- completed;
+  p.replies <- [];
+  complete ~replies:(List.rev replies) ~missing
 
 type ('req, 'rep) envelope =
   | Call of { p : ('req, 'rep) pending; epoch : int }
@@ -103,8 +123,8 @@ let handle_envelope t ~node ~src env =
       p.outstanding <- p.outstanding - 1;
       p.replies <- (src, payload) :: p.replies;
       if p.outstanding = 0 then begin
-        p.finished <- true;
-        p.complete ~replies:(List.rev p.replies) ~missing:[]
+        Engine.disarm (Network.engine t.network) p.timer;
+        finish p ~missing:[]
       end
     end
 
@@ -144,24 +164,24 @@ let multicall t ?kind ~src ~dsts ~timeout req ~on_done =
     in
     let p =
       { req; dsts; outstanding = distinct 0 dsts; replies = []; finished = false;
-        complete = on_done }
+        complete = on_done; timer = Engine.no_handle }
     in
     Network.multicast_batch t.network ?kind ~src ~dsts (Call { p; epoch = t.epoch_of req });
     let engine = Network.engine t.network in
-    Engine.schedule_in engine t.timeouts
-      ~time:(Engine.now engine +. Stdlib.max 0. timeout)
-      (fun () ->
-        if not p.finished then begin
-          p.finished <- true;
-          let missing = List.filter (fun d -> not (List.mem_assoc d p.replies)) p.dsts in
-          if Obs.Tracer.enabled t.tracer then
-            Obs.Tracer.emit8 t.tracer ~time:(Engine.now engine)
-              ~kind:Obs.Sem.rpc_timeout ~node:src ~txn:(-1) ~oid:(-1)
-              ~a:(List.length missing)
-              ~b:(match kind with Some k -> k | None -> Network.Kind.other)
-              ~x:0.;
-          p.complete ~replies:(List.rev p.replies) ~missing
-        end)
+    p.timer <-
+      Engine.schedule_in engine t.timeouts
+        ~time:(Engine.now engine +. Stdlib.max 0. timeout)
+        (fun () ->
+          if not p.finished then begin
+            let missing = List.filter (fun d -> not (List.mem_assoc d p.replies)) p.dsts in
+            if Obs.Tracer.enabled t.tracer then
+              Obs.Tracer.emit8 t.tracer ~time:(Engine.now engine)
+                ~kind:Obs.Sem.rpc_timeout ~node:src ~txn:(-1) ~oid:(-1)
+                ~a:(List.length missing)
+                ~b:(match kind with Some k -> k | None -> Network.Kind.other)
+                ~x:0.;
+            finish p ~missing
+          end)
   end
 
 let call t ?kind ~src ~dst ~timeout req ~on_reply ~on_timeout =

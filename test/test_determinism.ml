@@ -95,7 +95,24 @@ let test_kind_interned_after_create () =
    or per-message allocation — run [bench wall] to bisect. *)
 let minor_words_budget = 9_500.
 
-let test_allocation_budget () =
+(* Words promoted to the major heap per commit, on the same run.  A
+   minor collection promotes whatever is still reachable, so this counts
+   short-lived state that something keeps alive past its use: a finished
+   RPC call pinned by its pending timeout read ~1_400 here, and ~360 once
+   the call disarms that timeout.  The budget sits between the two. *)
+let promoted_words_budget = 700.
+
+(* The minor heap's size decides how long a young value has to die
+   before a collection promotes it, so the run pins the size ([OCAMLRUNPARAM]
+   could set another) and restores it afterwards. *)
+let minor_heap_words = 262_144
+
+type allocation = { minor_per_commit : float; promoted_per_commit : float }
+
+let measure_allocation () =
+  let saved = Gc.get () in
+  Gc.set { saved with minor_heap_size = minor_heap_words };
+  Fun.protect ~finally:(fun () -> Gc.set saved) @@ fun () ->
   let cluster =
     Cluster.create ~nodes:13 ~seed:11 ~with_oracle:false (Config.default Config.Closed)
   in
@@ -123,17 +140,34 @@ let test_allocation_budget () =
      free-list and scratch-buffer growth of the first few waves. *)
   Cluster.run_for cluster 1_000.;
   let commits0 = Metrics.commits (Cluster.metrics cluster) in
+  let stat0 = Gc.quick_stat () in
   let minor0 = Gc.minor_words () in
   Cluster.run_for cluster 3_000.;
   let minor1 = Gc.minor_words () in
+  let stat1 = Gc.quick_stat () in
   stop := true;
   Cluster.drain cluster;
   let commits = Metrics.commits (Cluster.metrics cluster) - commits0 in
   Alcotest.(check bool) "measured some commits" true (commits > 50);
-  let per_commit = (minor1 -. minor0) /. Float.of_int commits in
+  let per_commit w = w /. Float.of_int commits in
+  {
+    minor_per_commit = per_commit (minor1 -. minor0);
+    promoted_per_commit = per_commit (stat1.Gc.promoted_words -. stat0.Gc.promoted_words);
+  }
+
+let allocation = lazy (measure_allocation ())
+
+let test_allocation_budget () =
+  let per_commit = (Lazy.force allocation).minor_per_commit in
   if per_commit > minor_words_budget then
     Alcotest.failf "allocation regression: %.0f minor words/commit (budget %.0f)"
       per_commit minor_words_budget
+
+let test_promotion_budget () =
+  let per_commit = (Lazy.force allocation).promoted_per_commit in
+  if per_commit > promoted_words_budget then
+    Alcotest.failf "retention regression: %.0f promoted words/commit (budget %.0f)"
+      per_commit promoted_words_budget
 
 let suite =
   [
@@ -145,4 +179,6 @@ let suite =
       test_kind_interned_after_create;
     Alcotest.test_case "minor words per commit within budget" `Quick
       test_allocation_budget;
+    Alcotest.test_case "promoted words per commit within budget" `Quick
+      test_promotion_budget;
   ]

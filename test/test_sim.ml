@@ -38,11 +38,15 @@ let test_engine_nested_schedule () =
 
 (* Model-based check of the event queue: random interleavings of every way
    to schedule (relative, absolute, and two FIFO lanes fed both in and
-   out of time order) with [step] and [run ~until].  Bursts
+   out of time order) with [step], [run ~until] and [disarm].  Bursts
    push well past the initial 64 entries, so the heap columns, the action
    slots and the lane rings all grow, a ring often while it wraps.  The model
    is a list sorted by (time, seq); the engine must fire exactly its order
-   at exactly its times, and [pending] must track its size throughout. *)
+   at exactly its times, and [pending] must track its size throughout.  A
+   disarmed entry stays in the model: it still pops at its (time, seq) and
+   counts as processed, but runs nothing.  [Disarm] picks among every
+   handle returned so far, fired ones included, whose slots a later entry
+   may have reused: that entry must still run. *)
 type queue_op =
   | Sched of float (* schedule ~delay *)
   | At of float (* schedule_at, possibly in the past *)
@@ -53,6 +57,7 @@ type queue_op =
   | Burst of int * float
       (* n events at now + d + k/3, k = 0 .. n-1, on the heap and the two
          lanes in turn *)
+  | Disarm of int (* the handle this many back from the newest, if any *)
 
 let show_queue_op = function
   | Sched d -> Printf.sprintf "Sched %g" d
@@ -62,6 +67,7 @@ let show_queue_op = function
   | Step -> "Step"
   | Until d -> Printf.sprintf "Until %g" d
   | Burst (n, d) -> Printf.sprintf "Burst (%d, %g)" n d
+  | Disarm k -> Printf.sprintf "Disarm %d" k
 
 let queue_ops =
   let open QCheck.Gen in
@@ -78,6 +84,7 @@ let queue_ops =
         (3, return Step);
         (1, map (fun d -> Until d) t);
         (1, map2 (fun n d -> Burst (n, d)) (int_range 50 150) t);
+        (2, map (fun k -> Disarm k) (int_range 0 200));
       ]
   in
   QCheck.make
@@ -92,11 +99,18 @@ let engine_queue_matches_model =
       let lanes = [| Sim.Engine.new_lane engine; Sim.Engine.new_lane engine |] in
       let fired = ref [] and expected = ref [] in
       let model = ref [] and clock = ref 0. and next_seq = ref 0 in
+      let processed = ref 0 in
+      let handles = ref [] (* (handle, seq), newest first *) in
+      let disarmed = Hashtbl.create 16 in
       let add ~time push =
         let time = Float.max time !clock and seq = !next_seq in
         incr next_seq;
         model := List.merge compare !model [ (time, seq) ];
-        push (fun () -> fired := (Sim.Engine.now engine, seq) :: !fired)
+        push seq (fun () -> fired := (Sim.Engine.now engine, seq) :: !fired)
+      in
+      let on_heap push _seq f = push f in
+      let in_lane l ~time seq f =
+        handles := (Sim.Engine.schedule_in engine lanes.(l) ~time f, seq) :: !handles
       in
       let fire_model () =
         match !model with
@@ -104,7 +118,8 @@ let engine_queue_matches_model =
         | (time, seq) :: rest ->
           model := rest;
           clock := time;
-          expected := (time, seq) :: !expected
+          incr processed;
+          if not (Hashtbl.mem disarmed seq) then expected := (time, seq) :: !expected
       in
       let rec fire_until limit =
         match !model with
@@ -115,13 +130,12 @@ let engine_queue_matches_model =
       in
       let apply = function
         | Sched d ->
-          add ~time:(!clock +. d) (fun f -> Sim.Engine.schedule engine ~delay:d f)
-        | At x -> add ~time:x (fun f -> Sim.Engine.schedule_at engine ~time:x f)
+          add ~time:(!clock +. d) (on_heap (fun f -> Sim.Engine.schedule engine ~delay:d f))
+        | At x -> add ~time:x (on_heap (fun f -> Sim.Engine.schedule_at engine ~time:x f))
         | In (l, d) ->
           let time = !clock +. d in
-          add ~time (fun f -> Sim.Engine.schedule_in engine lanes.(l) ~time f)
-        | In_at (l, x) ->
-          add ~time:x (fun f -> Sim.Engine.schedule_in engine lanes.(l) ~time:x f)
+          add ~time (in_lane l ~time)
+        | In_at (l, x) -> add ~time:x (in_lane l ~time:x)
         | Step ->
           let stepped = Sim.Engine.step engine in
           if stepped <> (!model <> []) then failwith "step disagrees on emptiness";
@@ -134,12 +148,22 @@ let engine_queue_matches_model =
           for k = 0 to n - 1 do
             let time = !clock +. d +. Float.of_int (k / 3) in
             match k mod 3 with
-            | 0 -> add ~time (fun f -> Sim.Engine.schedule_at engine ~time f)
-            | l -> add ~time (fun f -> Sim.Engine.schedule_in engine lanes.(l - 1) ~time f)
+            | 0 -> add ~time (on_heap (fun f -> Sim.Engine.schedule_at engine ~time f))
+            | l -> add ~time (in_lane (l - 1) ~time)
           done
+        | Disarm k -> (
+          match List.nth_opt !handles k with
+          | None -> ()
+          | Some (handle, seq) ->
+            Sim.Engine.disarm engine handle;
+            (* A fired entry is out of the model and stays as it ran. *)
+            if List.exists (fun (_, s) -> s = seq) !model then
+              Hashtbl.replace disarmed seq ())
       in
       let in_step () =
-        Sim.Engine.pending engine = List.length !model && Sim.Engine.now engine = !clock
+        Sim.Engine.pending engine = List.length !model
+        && Sim.Engine.now engine = !clock
+        && Sim.Engine.events_processed engine = !processed
       in
       List.for_all
         (fun op ->
@@ -151,7 +175,9 @@ let engine_queue_matches_model =
        while !model <> [] do
          fire_model ()
        done;
-       !fired = !expected && Sim.Engine.pending engine = 0))
+       !fired = !expected
+       && Sim.Engine.pending engine = 0
+       && Sim.Engine.events_processed engine = !processed))
 
 let test_topology_mean_latency () =
   let topology = Sim.Topology.create ~seed:1 ~mean_latency:15. ~nodes:20 () in
@@ -415,6 +441,35 @@ let test_rpc_multicall_duplicate_reply_counted_once () =
     [ ([ (1, 101); (2, 102); (3, 103) ], []) ]
     !calls
 
+(* Once its last reply is in, a call is garbage even though its timeout
+   is still queued: the engine must not keep the request or the [on_done]
+   continuation reachable through the timer's closure.  The call is made
+   in a function of its own, so no stack slot of the test holds them. *)
+let test_rpc_finished_call_collectable () =
+  let engine, _network, rpc = make_rpc () in
+  for node = 0 to 3 do
+    Sim.Rpc.serve rpc ~node (fun ~src:_ req -> Some (Array.length req))
+  done;
+  let requests = Weak.create 1 and continuations = Weak.create 1 in
+  let completed = ref [] in
+  let start () =
+    let req = Array.make 16 7 in
+    let on_done ~replies ~missing = completed := (List.length replies, missing) :: !completed in
+    Weak.set requests 0 (Some req);
+    Weak.set continuations 0 (Some on_done);
+    Sim.Rpc.multicall rpc ~src:0 ~dsts:[ 1; 2; 3 ] ~timeout:1000. req ~on_done
+  in
+  (start [@inlined never]) ();
+  Sim.Engine.run ~until:500. engine;
+  Alcotest.(check (list (pair int (list int)))) "completed by replies" [ (3, []) ] !completed;
+  Alcotest.(check int) "timeout still queued" 1 (Sim.Engine.pending engine);
+  Gc.full_major ();
+  Alcotest.(check bool) "request collectable" false (Weak.check requests 0);
+  Alcotest.(check bool) "on_done collectable" false (Weak.check continuations 0);
+  Sim.Engine.run engine;
+  Alcotest.(check int) "disarmed timeout fired as a no-op" 0 (Sim.Engine.pending engine);
+  Alcotest.(check int) "on_done ran once" 1 (List.length !completed)
+
 (* [missing] keeps the order of [dsts], and the timeout's trace event
    counts the outstanding destinations. *)
 let test_rpc_multicall_missing_is_exact () =
@@ -582,6 +637,8 @@ let suite =
       test_rpc_multicall_missing_is_exact;
     Alcotest.test_case "rpc duplicated reply counted once" `Quick
       test_rpc_multicall_duplicate_reply_counted_once;
+    Alcotest.test_case "rpc finished call collectable before its timeout" `Quick
+      test_rpc_finished_call_collectable;
     Alcotest.test_case "rpc acked send retransmits" `Quick test_rpc_acked_send_retransmits;
     Alcotest.test_case "rpc one-way cast" `Quick test_rpc_no_reply_handler;
     Alcotest.test_case "failure detection" `Quick test_failure_detection;
