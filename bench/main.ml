@@ -1,24 +1,19 @@
-(* Benchmark harness.
+(* Wall-clock benchmark harness.
 
    Entry points:
 
-   1. Default: regenerate every table and figure of the paper's evaluation
-      (quick scale; see `qr-dtm all --scale full` for paper-like runs), plus
-      the ablation sweeps DESIGN.md calls out, plus Bechamel
-      micro-benchmarks of the core operations.
+   1. Default: Bechamel micro-benchmarks of the core operations.
    2. `wall`: wall-clock benchmark of the figure-regeneration suite at
       --jobs 1 vs --jobs N, verifying byte-identical output, plus the
       simulator hot path's throughput and GC words per committed
       transaction, emitting BENCH_harness.json (see EXPERIMENTS.md for the
       format).
-   3. `openloop`: open-loop (Poisson-arrival) load through
-      `Harness.Experiment.run` at an offered load below and far above the
-      cluster's capacity, emitting BENCH_openloop.json and sanity-gating
-      the saturation signature:
-      under load, achieved tracks offered; past saturation, queueing delay
-      dominates while service latency stays bounded.
 
-   Run with: dune exec bench/main.exe -- [wall|openloop] [--jobs N]
+   Simulated figures come from `qr-dtm all` and `qr-dtm ablations`;
+   `dune runtest` pins the headline ones and checks the batch-speedup and
+   open-loop saturation gates.
+
+   Run with: dune exec bench/main.exe -- [wall] [--jobs N]
                                           [--scale quick|full] [--out FILE] *)
 
 open Core
@@ -27,7 +22,6 @@ open Core
 
 type cli = {
   mutable wall : bool;
-  mutable openloop : bool;
   mutable jobs : int;
   mutable scale_name : string;
   mutable out : string;
@@ -35,13 +29,11 @@ type cli = {
   mutable max_regression : float;
   mutable max_traced_overhead : float;
   mutable max_alloc_regression : float;
-  mutable min_batch_speedup : float;
 }
 
 let cli =
   {
     wall = false;
-    openloop = false;
     jobs = Harness.Pool.default_jobs ();
     scale_name = "quick";
     out = "BENCH_harness.json";
@@ -49,22 +41,19 @@ let cli =
     max_regression = 2.0;
     max_traced_overhead = 15.0;
     max_alloc_regression = 20.0;
-    min_batch_speedup = 3.0;
   }
 
 let usage () =
   prerr_endline
-    "usage: bench/main.exe [wall|openloop] [--jobs N] [--scale quick|full] [--out FILE]\n\
+    "usage: bench/main.exe [wall] [--jobs N] [--scale quick|full] [--out FILE]\n\
     \                      [--baseline FILE] [--max-regression PCT]\n\
-    \                      [--max-traced-overhead PCT] [--max-alloc-regression PCT]\n\
-    \                      [--min-batch-speedup X]";
+    \                      [--max-traced-overhead PCT] [--max-alloc-regression PCT]";
   exit 2
 
 let () =
   let rec parse = function
     | [] -> ()
     | "wall" :: rest -> cli.wall <- true; parse rest
-    | "openloop" :: rest -> cli.openloop <- true; parse rest
     | "--jobs" :: n :: rest ->
       (match int_of_string_opt n with Some j when j >= 1 -> cli.jobs <- j | _ -> usage ());
       parse rest
@@ -86,11 +75,6 @@ let () =
       | Some v when v > 0. -> cli.max_alloc_regression <- v
       | _ -> usage ());
       parse rest
-    | "--min-batch-speedup" :: p :: rest ->
-      (match float_of_string_opt p with
-      | Some v when v > 0. -> cli.min_batch_speedup <- v
-      | _ -> usage ());
-      parse rest
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv))
@@ -104,205 +88,6 @@ let jobs_effective = Stdlib.max 1 (Stdlib.min cli.jobs (Harness.Pool.default_job
 
 let scale =
   if cli.scale_name = "full" then Harness.Figures.full else Harness.Figures.quick
-
-let print_series series = print_string (Harness.Report.render series)
-
-let figures () =
-  print_endline "==================================================================";
-  print_endline "Paper evaluation regeneration (quick scale)";
-  print_endline "==================================================================";
-  List.iter
-    (fun benchmark ->
-      print_series (Harness.Figures.fig5 ~scale ~benchmark ());
-      print_series (Harness.Figures.fig6 ~scale ~benchmark ());
-      print_series (Harness.Figures.fig7 ~scale ~benchmark ()))
-    Benchmarks.Registry.paper_suite;
-  print_series (Harness.Figures.table8 ~scale ());
-  List.iter print_series (Harness.Figures.fig9 ~scale ());
-  print_series (Harness.Figures.fig10 ~scale ());
-  print_series (Harness.Figures.summary ~scale ())
-
-(* --- Ablations --------------------------------------------------------- *)
-
-let run_mode ?(config_of = Config.default) mode =
-  Harness.Experiment.run ~load:(Closed { clients = scale.clients; client_nodes = None })
-    ~warmup:scale.warmup
-    ~duration:scale.duration
-    (Harness.Experiment.spec ~seed:7 ~config:(config_of mode)
-       ~benchmark:Benchmarks.Bank.benchmark
-       ~params:{ Benchmarks.Workload.default_params with objects = 96; calls = 3; read_ratio = 0.5; key_skew = 0.5 }
-       ())
-
-let ablation_rqv_for_flat () =
-  let base = run_mode Config.Flat in
-  let with_rqv = run_mode ~config_of:(fun m -> Config.make ~rqv_for_flat:true m) Config.Flat in
-  print_series
-    {
-      Harness.Report.title = "Ablation: incremental validation (Rqv) for flat transactions";
-      x_label = "variant";
-      columns = [ "throughput"; "messages"; "root aborts" ];
-      rows =
-        [
-          ( "flat (paper QR)",
-            [ base.throughput; Float.of_int base.messages; Float.of_int base.root_aborts ] );
-          ( "flat + Rqv",
-            [
-              with_rqv.throughput;
-              Float.of_int with_rqv.messages;
-              Float.of_int with_rqv.root_aborts;
-            ] );
-        ];
-      notes =
-        [ "Rqv gives flat transactions early aborts and local read-only commits" ];
-    }
-
-let ablation_checkpoint_tuning () =
-  let point ~threshold ~overhead =
-    let result =
-      run_mode
-        ~config_of:(fun m ->
-          Config.make ~checkpoint_threshold:threshold ~checkpoint_overhead:overhead m)
-        Config.Checkpoint
-    in
-    [ result.Harness.Experiment.throughput; Float.of_int result.partial_aborts ]
-  in
-  print_series
-    {
-      Harness.Report.title =
-        "Ablation: checkpoint granularity and creation cost (QR-CHK, bank)";
-      x_label = "threshold/overhead";
-      columns = [ "throughput"; "partial aborts" ];
-      rows =
-        [
-          ("1 obj / 0.5 ms", point ~threshold:1 ~overhead:0.5);
-          ("1 obj / 2 ms", point ~threshold:1 ~overhead:2.0);
-          ("1 obj / 8 ms (JVM-like)", point ~threshold:1 ~overhead:8.0);
-          ("2 objs / 2 ms", point ~threshold:2 ~overhead:2.0);
-          ("4 objs / 2 ms", point ~threshold:4 ~overhead:2.0);
-        ];
-      notes =
-        [
-          "the paper's QR-CHK used fine-grained (per-object) checkpoints on a \
-           continuation-patched JVM; higher creation costs push QR-CHK below flat";
-        ];
-    }
-
-let ablation_read_level () =
-  let point level =
-    let result =
-      Harness.Experiment.run ~load:(Closed { clients = scale.clients; client_nodes = None })
-        ~warmup:scale.warmup
-        ~duration:scale.duration
-        (Harness.Experiment.spec ~seed:9 ~read_level:level
-           ~config:(Config.default Config.Closed) ~benchmark:Benchmarks.Bank.benchmark
-           ~params:
-             { Benchmarks.Workload.default_params with objects = 96; calls = 3; read_ratio = 0.5; key_skew = 0.5 }
-           ())
-    in
-    [ result.Harness.Experiment.throughput; Float.of_int result.messages ]
-  in
-  print_series
-    {
-      Harness.Report.title = "Ablation: read-quorum depth (tree level)";
-      x_label = "read level";
-      columns = [ "throughput"; "messages" ];
-      rows = [ ("0 (root)", point 0); ("1 (paper)", point 1); ("2", point 2) ];
-      notes = [ "deeper read quorums spread load but cost more messages per read" ];
-    }
-
-let ablation_commit_lock_retries () =
-  let point retries =
-    let result =
-      run_mode ~config_of:(fun m -> Config.make ~commit_lock_retries:retries m) Config.Closed
-    in
-    [ result.Harness.Experiment.throughput; Float.of_int result.root_aborts ]
-  in
-  print_series
-    {
-      Harness.Report.title = "Ablation: commit retry on lock conflict (QR-CN, bank)";
-      x_label = "lock retries";
-      columns = [ "throughput"; "root aborts" ];
-      rows = [ ("0 (paper)", point 0); ("1", point 1); ("3", point 3) ];
-      notes = [ "a lock conflict often clears within one 2PC round trip" ];
-    }
-
-(* Extension: open nesting vs closed nesting on a transfer workload.  Open
-   sub-transactions commit (and release their conflict window) immediately,
-   at the price of an extra 2PC round per call and compensations on abort. *)
-let ablation_open_nesting () =
-  let accounts_of cluster =
-    Array.init 48 (fun _ ->
-        Cluster.alloc_object cluster
-          ~init:(Store.Value.Int Benchmarks.Bank.initial_balance))
-  in
-  let run ~open_mode =
-    let cluster = Cluster.create ~nodes:13 ~seed:41 (Config.default Config.Closed) in
-    let accounts = accounts_of cluster in
-    let rng = Util.Rng.create 17 in
-    let gen_call r =
-      let i = Util.Rng.int r 48 in
-      let j = (i + 1 + Util.Rng.int r 47) mod 48 in
-      let a = accounts.(i) and b = accounts.(j) in
-      let amount = 1 + Util.Rng.int r 10 in
-      if open_mode then
-        Txn.open_nested
-          ~body:(fun () -> Benchmarks.Bank.transfer ~from_:a ~to_:b ~amount)
-          ~compensate:(fun _ -> Benchmarks.Bank.transfer ~from_:b ~to_:a ~amount)
-      else Txn.nested (fun () -> Benchmarks.Bank.transfer ~from_:a ~to_:b ~amount)
-    in
-    let stop = ref false in
-    let rec client node r =
-      if not !stop then begin
-        let calls = List.init 3 (fun _ -> gen_call r) in
-        let program () = Benchmarks.Workload.seq calls in
-        Cluster.submit cluster ~node program ~on_done:(fun _ -> client node r)
-      end
-    in
-    for c = 0 to scale.clients - 1 do
-      client (c mod 13) (Util.Rng.split rng)
-    done;
-    Cluster.run_for cluster scale.warmup;
-    Cluster.reset_counters cluster;
-    Cluster.run_for cluster scale.duration;
-    let metrics = Cluster.metrics cluster in
-    let commits = Metrics.commits metrics - Metrics.compensations metrics in
-    let row =
-      [
-        Float.of_int commits /. (scale.duration /. 1000.);
-        Float.of_int (Cluster.messages_sent cluster);
-        Float.of_int (Metrics.root_aborts metrics);
-        Float.of_int (Metrics.compensations metrics);
-      ]
-    in
-    stop := true;
-    Cluster.drain cluster;
-    let total = Benchmarks.Bank.total_balance cluster ~accounts in
-    if total <> 48 * Benchmarks.Bank.initial_balance then
-      Printf.printf "WARNING: open-nesting ablation lost money (%d)\n" total;
-    row
-  in
-  print_series
-    {
-      Harness.Report.title = "Extension: open nesting vs closed nesting (bank transfers)";
-      x_label = "model";
-      columns = [ "throughput"; "messages"; "root aborts"; "compensations" ];
-      rows = [ ("closed", run ~open_mode:false); ("open", run ~open_mode:true) ];
-      notes =
-        [
-          "open sub-transactions commit early (shorter conflict windows) but pay a 2PC \
-           per call and compensations on parent aborts";
-        ];
-    }
-
-let ablations () =
-  print_endline "==================================================================";
-  print_endline "Ablations (design choices called out in DESIGN.md)";
-  print_endline "==================================================================";
-  ablation_rqv_for_flat ();
-  ablation_checkpoint_tuning ();
-  ablation_read_level ();
-  ablation_commit_lock_retries ();
-  ablation_open_nesting ()
 
 (* --- Bechamel micro-benchmarks ----------------------------------------- *)
 
@@ -559,79 +344,6 @@ let events_per_second ?(tracer = Obs.Tracer.null) () =
     p99 = Metrics.latency_percentile metrics 99.;
   }
 
-(* --- batch-commit vs sequential commit throughput ----------------------- *)
-
-(* Write-heavy contended bank (few hot accounts, 2 transfers per txn):
-   the regime PROTOCOL.md §9's commit queues target.  Sequentially, hot
-   transactions serialize through stale-read aborts — roughly one commit
-   per quorum round trip per hot object.  Batched, conflicting updates
-   chain through the coordinator's write images and an entire chain
-   commits in one round. *)
-type batch_stats = {
-  seq_cps : float;
-  batch_cps : float;
-  batch_speedup : float;
-  occupancy_p50 : float;
-  occupancy_p95 : float;
-  spec_aborts : int;
-}
-
-let measure_batch () =
-  let point ~batch_commit =
-    Harness.Experiment.run ~load:(Closed { clients = 24; client_nodes = None })
-      ~warmup:500. ~duration:3_000.
-      (Harness.Experiment.spec ~nodes:9 ~seed:131 ~batch_commit
-         ~config:(Config.default Config.Flat)
-         ~benchmark:Benchmarks.Bank.benchmark
-         ~params:
-           { Benchmarks.Workload.default_params with objects = 8; calls = 2; read_ratio = 0.1; key_skew = 0.5 }
-         ())
-  in
-  let guard label (r : Harness.Experiment.result) =
-    (match r.invariant with
-    | Ok () -> ()
-    | Error msg ->
-      Printf.eprintf "FAIL: %s bank invariant: %s\n" label msg;
-      exit 1);
-    match r.consistent with
-    | Ok () -> ()
-    | Error msg ->
-      Printf.eprintf "FAIL: %s serializability oracle: %s\n" label msg;
-      exit 1
-  in
-  let seq = point ~batch_commit:false in
-  let batch = point ~batch_commit:true in
-  guard "sequential" seq;
-  guard "batch" batch;
-  let stats =
-    {
-      seq_cps = seq.throughput;
-      batch_cps = batch.throughput;
-      batch_speedup =
-        (if seq.throughput > 0. then batch.throughput /. seq.throughput else 0.);
-      occupancy_p50 = batch.batch_occupancy_p50;
-      occupancy_p95 = batch.batch_occupancy_p95;
-      spec_aborts = batch.speculation_aborts;
-    }
-  in
-  Printf.printf
-    "  batch commit: %.1f -> %.1f commits/s (%.1fx), occupancy p50=%.0f p95=%.0f, \
-     %d speculation aborts\n%!"
-    stats.seq_cps stats.batch_cps stats.batch_speedup stats.occupancy_p50
-    stats.occupancy_p95 stats.spec_aborts;
-  stats
-
-let emit_batch_fields oc (b : batch_stats) =
-  Printf.fprintf oc
-    "  \"commits_per_sec_seq\": %.2f,\n\
-    \  \"commits_per_sec_batch\": %.2f,\n\
-    \  \"batch_speedup\": %.3f,\n\
-    \  \"batch_occupancy_p50\": %.1f,\n\
-    \  \"batch_occupancy_p95\": %.1f,\n\
-    \  \"speculation_aborts\": %d,\n"
-    b.seq_cps b.batch_cps b.batch_speedup b.occupancy_p50 b.occupancy_p95
-    b.spec_aborts
-
 let json_escape s =
   let buf = Buffer.create (String.length s) in
   String.iter
@@ -740,16 +452,10 @@ let measure_simulator () =
 (* The regression gates of `wall`.  A baseline written
    before this bench grew a field reports "n/a" and skips that check rather
    than comparing against nan or 0. *)
-let run_gates ~(untraced : eps_stats) ~tracing_overhead_pct ~(batch : batch_stats) =
+let run_gates ~(untraced : eps_stats) ~tracing_overhead_pct =
   if tracing_overhead_pct > cli.max_traced_overhead then begin
     Printf.eprintf "FAIL: tracing overhead %.2f%% exceeds limit %.1f%%\n"
       tracing_overhead_pct cli.max_traced_overhead;
-    exit 1
-  end;
-  if batch.batch_speedup < cli.min_batch_speedup then begin
-    Printf.eprintf
-      "FAIL: batch-commit speedup %.2fx below required %.2fx (%.1f -> %.1f commits/s)\n"
-      batch.batch_speedup cli.min_batch_speedup batch.seq_cps batch.batch_cps;
     exit 1
   end;
   Option.iter
@@ -819,7 +525,6 @@ let wall_bench () =
   if par_ran then
     Printf.printf "  speedup: %.2fx, identical output: %b\n%!" speedup identical;
   let untraced, traced, tracing_overhead_pct = measure_simulator () in
-  let batch = measure_batch () in
   let oc = open_out cli.out in
   Printf.fprintf oc
     "{\n\
@@ -839,7 +544,6 @@ let wall_bench () =
       "  \"wall_seconds_jobsN\": null,\n\
       \  \"speedup\": null,\n\
       \  \"output_identical\": null,\n";
-  emit_batch_fields oc batch;
   emit_sim_fields oc ~untraced ~traced ~tracing_overhead_pct;
   Printf.fprintf oc "}\n";
   close_out oc;
@@ -848,84 +552,6 @@ let wall_bench () =
     prerr_endline "FAIL: parallel output differs from sequential output";
     exit 1
   end;
-  run_gates ~untraced ~tracing_overhead_pct ~batch
+  run_gates ~untraced ~tracing_overhead_pct
 
-(* `openloop` mode: Poisson arrivals from a million-client logical
-   population at two offered loads — one the cluster absorbs, one far past
-   its capacity — emitting BENCH_openloop.json and gating the saturation
-   signature.  The sub-saturation point checks the driver itself (achieved
-   tracks offered, no standing queue); the super-saturation point checks
-   the measurement split open-loop load exists for: queueing delay blows
-   up while service latency stays flat. *)
-let openloop_bench () =
-  let point ~rate ~duration =
-    Harness.Experiment.run ~warmup:500. ~duration
-      ~load:(Open { rate; population = 1_000_000; max_per_node = 4 })
-      (Harness.Experiment.spec ~nodes:5 ~seed:19
-         ~config:(Config.default Config.Closed)
-         ~benchmark:Benchmarks.Counter.benchmark
-         ~params:
-           { Benchmarks.Workload.default_params with objects = 512; calls = 1; read_ratio = 0.5 }
-         ())
-  in
-  print_endline "open-loop bench: Poisson arrivals, 1M logical clients (counter workload)";
-  let under = point ~rate:150. ~duration:8_000. in
-  Format.printf "  %a@." Harness.Experiment.pp_result under;
-  let over = point ~rate:5_000. ~duration:3_000. in
-  Format.printf "  %a@." Harness.Experiment.pp_result over;
-  let out = if cli.out = "BENCH_harness.json" then "BENCH_openloop.json" else cli.out in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"openloop\",\n\
-    \  \"population\": 1000000,\n\
-    \  \"under_saturation\": %s,\n\
-    \  \"over_saturation\": %s\n\
-     }\n"
-    (Harness.Experiment.to_json under)
-    (Harness.Experiment.to_json over);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" out;
-  let fail msg =
-    Printf.eprintf "FAIL: %s\n" msg;
-    exit 1
-  in
-  (match under.invariant with
-  | Ok () -> ()
-  | Error m -> fail ("under-saturation invariant: " ^ m));
-  (match under.consistent with
-  | Ok () -> ()
-  | Error m -> fail ("under-saturation oracle: " ^ m));
-  let under = Option.get under.open_loop and over = Option.get over.open_loop in
-  if under.achieved_load < 0.8 *. under.offered_load
-     || under.achieved_load > 1.2 *. under.offered_load then
-    fail
-      (Printf.sprintf
-         "under saturation, achieved load %.1f/s does not track offered %.1f/s"
-         under.achieved_load under.offered_load);
-  if over.achieved_load > 0.8 *. over.offered_load then
-    fail
-      (Printf.sprintf
-         "past saturation, achieved load %.1f/s implausibly tracks offered %.1f/s"
-         over.achieved_load over.offered_load);
-  if over.queue_p50 <= over.service_p99 then
-    fail
-      (Printf.sprintf
-         "past saturation, queueing delay p50 (%.2f ms) should dominate \
-          service p99 (%.2f ms)"
-         over.queue_p50 over.service_p99);
-  if over.final_backlog = 0 then
-    fail "past saturation, the window closed with an empty backlog";
-  Printf.printf
-    "  gates ok: achieved tracks offered below saturation; queueing delay \
-     dominates past it\n%!"
-
-let () =
-  if cli.wall then wall_bench ()
-  else if cli.openloop then openloop_bench ()
-  else begin
-    Harness.Pool.set_jobs jobs_effective;
-    figures ();
-    ablations ();
-    micro ()
-  end
+let () = if cli.wall then wall_bench () else micro ()

@@ -5,6 +5,7 @@
      qr-dtm figure 10 --scale full
      qr-dtm table
      qr-dtm summary
+     qr-dtm ablations
      qr-dtm run --bench bank --mode closed --reads 0.2 --calls 4
      qr-dtm scenario "crash 11 @500; recover 11 @2500; drop 0.05 @0"
      qr-dtm all --scale quick *)
@@ -325,6 +326,14 @@ let summary_cmd =
     print_series (Harness.Figures.summary ~scale ())
   in
   let info = Cmd.info "summary" ~doc:"Headline paper-claim aggregates" in
+  Cmd.v info Term.(const run $ scale_arg $ jobs_arg)
+
+let ablations_cmd =
+  let run scale jobs =
+    set_jobs jobs;
+    List.iter print_series (Harness.Figures.ablations ~scale ())
+  in
+  let info = Cmd.info "ablations" ~doc:"Ablations of the design choices DESIGN.md calls out" in
   Cmd.v info Term.(const run $ scale_arg $ jobs_arg)
 
 let run_cmd =
@@ -725,6 +734,7 @@ let main =
       ~doc:"Quorum-based replicated DTM with closed nesting and checkpointing"
   in
   Cmd.group info
-    [ figure_cmd; table_cmd; summary_cmd; run_cmd; scenario_cmd; trace_cmd; chaos_cmd; all_cmd ]
+    [ figure_cmd; table_cmd; summary_cmd; ablations_cmd; run_cmd; scenario_cmd; trace_cmd;
+      chaos_cmd; all_cmd ]
 
 let () = exit (Cmd.eval main)

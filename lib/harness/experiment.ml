@@ -34,6 +34,7 @@ type result = {
   partial_aborts : int;
   abort_rate : float;
   ct_commits : int;
+  compensations : int;
   checkpoints : int;
   messages : int;
   messages_by_kind : (string * int) list;
@@ -87,47 +88,16 @@ let pp_result fmt r =
       (status r.consistent));
   if r.stalls <> [] then Format.fprintf fmt " stalls=%d" (List.length r.stalls)
 
-let to_json r =
-  let int = string_of_int and ms = Printf.sprintf "%.4f" in
-  let status = function Ok () -> "\"ok\"" | Error m -> Printf.sprintf "%S" m in
-  let open_fields f = Option.fold ~none:[] ~some:f r.open_loop in
-  let fields =
-    [ ("label", Printf.sprintf "%S" r.label); ("duration_ms", Printf.sprintf "%.1f" r.duration) ]
-    @ open_fields (fun o ->
-          [
-            ("offered_load_per_s", Printf.sprintf "%.3f" o.offered_load);
-            ("achieved_load_per_s", Printf.sprintf "%.3f" o.achieved_load);
-            ("population", int o.population);
-            ("arrivals", int o.arrivals);
-            ("completions", int o.completions);
-          ])
-    @ [ ("commits", int r.commits); ("aborts", int (r.root_aborts + r.partial_aborts)) ]
-    @ open_fields (fun o ->
-          [
-            ("service_mean_ms", ms o.service_mean);
-            ("service_p50_ms", ms o.service_p50);
-            ("service_p95_ms", ms o.service_p95);
-            ("service_p99_ms", ms o.service_p99);
-            ("queue_mean_ms", ms o.queue_mean);
-            ("queue_p50_ms", ms o.queue_p50);
-            ("queue_p95_ms", ms o.queue_p95);
-            ("queue_p99_ms", ms o.queue_p99);
-            ("peak_backlog", int o.peak_backlog);
-            ("final_backlog", int o.final_backlog);
-          ])
-    @ [ ("invariant", status r.invariant); ("oracle", status r.consistent) ]
-  in
-  "{\n"
-  ^ String.concat ",\n" (List.map (fun (k, v) -> Printf.sprintf "  %S: %s" k v) fields)
-  ^ "\n}"
-
 (* Every counter at the close of the measurement window.  The checks,
    stalls and fault report are filled in once the run has quiesced. *)
 let measure metrics ~label ~duration ~messages ~by_kind =
-  let commits = Metrics.commits metrics
+  (* Open sub-transactions and compensations commit as roots of their own;
+     count only the client's roots. *)
+  let commits =
+    Metrics.commits metrics - Metrics.open_commits metrics - Metrics.compensations metrics
   and root_aborts = Metrics.root_aborts metrics
   and partial_aborts = Metrics.partial_aborts metrics in
-  let attempts = commits + root_aborts + partial_aborts in
+  let attempts = Metrics.commits metrics + root_aborts + partial_aborts in
   {
     label;
     duration;
@@ -140,6 +110,7 @@ let measure metrics ~label ~duration ~messages ~by_kind =
       (if attempts = 0 then 0.
        else Float.of_int (root_aborts + partial_aborts) /. Float.of_int attempts);
     ct_commits = Metrics.ct_commits metrics;
+    compensations = Metrics.compensations metrics;
     checkpoints = Metrics.checkpoints metrics;
     messages;
     messages_by_kind = by_kind;

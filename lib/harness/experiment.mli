@@ -5,9 +5,9 @@
     through warm-up and a measurement window, snapshot the counters at the
     window's close, drive the engine to quiescence under a liveness
     watchdog, and verify both the benchmark invariant and the 1-copy
-    oracle.  [qr-dtm run], [scenario] and [chaos], the figures and the
-    open-loop bench all run through {!run}.  All defaults mirror the
-    paper's testbed scaled to the simulator (see DESIGN.md). *)
+    oracle.  [qr-dtm run], [scenario], [chaos] and the figures all run
+    through {!run}.  All defaults mirror the paper's testbed scaled to the
+    simulator (see DESIGN.md). *)
 
 type stall = {
   stall_at : float;
@@ -49,12 +49,19 @@ type result = {
   label : string;
   duration : float;  (** measurement window, ms *)
   commits : int;
+      (** committed client roots: an open-nested sub-transaction or a
+          compensation commits as a root of its own and is not counted
+          here.  Every other counter, the latency percentiles and abort
+          counts included, still counts them. *)
   read_only_commits : int;
-  throughput : float;  (** committed transactions per second *)
+  throughput : float;  (** committed client roots per second *)
   root_aborts : int;
   partial_aborts : int;
-  abort_rate : float;  (** aborts / (commits + aborts) *)
+  abort_rate : float;
+      (** aborts / (commits + aborts), over every root, sub-transactions
+          included *)
   ct_commits : int;
+  compensations : int;  (** open-nesting compensations started *)
   checkpoints : int;
   messages : int;
   messages_by_kind : (string * int) list;
@@ -89,11 +96,6 @@ val pp_result : Format.formatter -> result -> unit
 (** One line.  An open-loop run prints its offered and achieved load,
     arrivals, service and queueing percentiles and backlog in place of
     the closed loop's counters. *)
-
-val to_json : result -> string
-(** A JSON object: label, window, commits, aborts and both checks, plus
-    every {!open_stats} field for an open-loop run (the per-point object
-    of [BENCH_openloop.json]). *)
 
 (** {2 Run setup}
 

@@ -27,10 +27,10 @@ let base_params name =
     key_skew = 0.5;
   }
 
-let run_point ~scale ~config ~benchmark ~params ~seed =
+let run_point ?read_level ~scale ~config ~benchmark ~params ~seed () =
   Experiment.run ~load:(Closed { clients = scale.clients; client_nodes = None })
     ~warmup:scale.warmup ~duration:scale.duration
-    (Experiment.spec ~seed ~config ~benchmark ~params ())
+    (Experiment.spec ?read_level ~seed ~config ~benchmark ~params ())
 
 (* Every (x, mode, trial) point is an independent seeded simulation; the
    nested [Pool.map]s fan the whole grid across domains (work-helping makes
@@ -44,7 +44,7 @@ let mode_sweep ~scale ~benchmark ~params_of ~xs ~x_of =
           (fun mode ->
             let result =
               Sweep.averaged ~trials:scale.trials (fun ~seed ->
-                  run_point ~scale ~config:(Config.default mode) ~benchmark ~params ~seed)
+                  run_point ~scale ~config:(Config.default mode) ~benchmark ~params ~seed ())
             in
             result.Experiment.throughput)
           modes
@@ -121,7 +121,7 @@ let table8 ?(scale = quick) () =
         let params = reference_params benchmark.name in
         let result_of mode =
           Sweep.averaged ~trials:scale.trials (fun ~seed ->
-              run_point ~scale ~config:(Config.default mode) ~benchmark ~params ~seed)
+              run_point ~scale ~config:(Config.default mode) ~benchmark ~params ~seed ())
         in
         let flat, closed, chk =
           match Pool.map result_of modes with
@@ -306,7 +306,7 @@ let summary ?(scale = quick) () =
         let params = reference_params benchmark.name in
         let result_of mode =
           Sweep.averaged ~trials:scale.trials (fun ~seed ->
-              run_point ~scale ~config:(Config.default mode) ~benchmark ~params ~seed)
+              run_point ~scale ~config:(Config.default mode) ~benchmark ~params ~seed ())
         in
         match Pool.map result_of modes with
         | [ flat; closed; chk ] -> (benchmark.name, flat, closed, chk)
@@ -364,6 +364,149 @@ let summary ?(scale = quick) () =
       ];
   }
 
+(* --- Ablations ----------------------------------------------------------- *)
+
+(* Open vs closed nesting: each root makes [calls] transfers between two
+   distinct accounts drawn uniformly from [objects], as open or as
+   closed-nested sub-transactions.  An open transfer's compensation is the
+   reverse transfer, so money is conserved either way. *)
+let nested_transfers ~open_ =
+  let setup cluster (params : Benchmarks.Workload.params) =
+    let n = params.objects in
+    let accounts =
+      Array.init n (fun _ ->
+          Cluster.alloc_object cluster ~init:(Store.Value.Int Benchmarks.Bank.initial_balance))
+    in
+    let call rng =
+      let i = Util.Rng.int rng n in
+      let from_ = accounts.(i) and to_ = accounts.((i + 1 + Util.Rng.int rng (n - 1)) mod n) in
+      let amount = 1 + Util.Rng.int rng 10 in
+      let body () = Benchmarks.Bank.transfer ~from_ ~to_ ~amount in
+      if open_ then
+        Txn.open_nested ~body ~compensate:(fun _ ->
+            Benchmarks.Bank.transfer ~from_:to_ ~to_:from_ ~amount)
+      else Txn.nested body
+    in
+    let generate rng =
+      let calls = List.init params.calls (fun _ -> call rng) in
+      fun () -> Benchmarks.Workload.seq calls
+    in
+    let check () =
+      let total = Benchmarks.Bank.total_balance cluster ~accounts in
+      if total = n * Benchmarks.Bank.initial_balance then Ok ()
+      else Error (Printf.sprintf "transfers: total balance %d" total)
+    in
+    { Benchmarks.Workload.generate; check }
+  in
+  { Benchmarks.Workload.name = "transfers"; min_objects = 2; setup }
+
+(* The design choices DESIGN.md calls out, each swept at the bank's Fig. 5/6
+   operating point.  Series and points are pool tasks, like the figures. *)
+let ablations ?(scale = quick) () =
+  let point ?read_level ?(benchmark = Benchmarks.Bank.benchmark)
+      ?(params = base_params "bank") config =
+    Sweep.averaged ~trials:scale.trials (fun ~seed ->
+        run_point ?read_level ~scale ~config ~benchmark ~params ~seed ())
+  in
+  let throughput (r : Experiment.result) = r.throughput
+  and messages (r : Experiment.result) = Float.of_int r.messages
+  and root_aborts (r : Experiment.result) = Float.of_int r.root_aborts
+  and partial_aborts (r : Experiment.result) = Float.of_int r.partial_aborts
+  and compensations (r : Experiment.result) = Float.of_int r.compensations in
+  let series ~title ~x_label ~columns ~notes rows () =
+    {
+      Report.title;
+      x_label;
+      columns = List.map fst columns;
+      rows =
+        Pool.map
+          (fun (x, run) ->
+            let r = run () in
+            (x, List.map (fun (_, f) -> f r) columns))
+          rows;
+      notes;
+    }
+  in
+  let checkpoint threshold overhead () =
+    point
+      (Config.make ~checkpoint_threshold:threshold ~checkpoint_overhead:overhead
+         Config.Checkpoint)
+  in
+  let lock_retries n () = point (Config.make ~commit_lock_retries:n Config.Closed) in
+  let read_level level () = point ~read_level:level (Config.default Config.Closed) in
+  let nesting ~open_ () =
+    point ~benchmark:(nested_transfers ~open_)
+      ~params:{ (base_params "bank") with objects = 48 }
+      (Config.default Config.Closed)
+  in
+  Pool.map
+    (fun series -> series ())
+    [
+      series ~title:"Ablation: incremental validation (Rqv) for flat transactions"
+        ~x_label:"variant"
+        ~columns:[ ("throughput", throughput); ("messages", messages); ("root aborts", root_aborts) ]
+        ~notes:
+          [
+            "Rqv gives flat transactions early aborts and local read-only commits: root \
+             aborts rise, but each costs less, so throughput rises and messages fall";
+          ]
+        [
+          ("flat (paper QR)", fun () -> point (Config.default Config.Flat));
+          ("flat + Rqv", fun () -> point (Config.make ~rqv_for_flat:true Config.Flat));
+        ];
+      series ~title:"Ablation: checkpoint granularity and creation cost (QR-CHK, bank)"
+        ~x_label:"threshold/overhead"
+        ~columns:[ ("throughput", throughput); ("partial aborts", partial_aborts) ]
+        ~notes:
+          [
+            "coarser checkpoints cut partial aborts (12x at threshold 4) without raising \
+             throughput";
+            "an 8 ms (JVM-like) creation cost lowers throughput, yet QR-CHK stays above \
+             flat (first series), unlike the paper's JVM";
+          ]
+        [
+          ("1 obj / 0.5 ms", checkpoint 1 0.5);
+          ("1 obj / 2 ms", checkpoint 1 2.0);
+          ("1 obj / 8 ms (JVM-like)", checkpoint 1 8.0);
+          ("2 objs / 2 ms", checkpoint 2 2.0);
+          ("4 objs / 2 ms", checkpoint 4 2.0);
+        ];
+      series ~title:"Ablation: read-quorum depth (tree level)" ~x_label:"read level"
+        ~columns:[ ("throughput", throughput); ("messages", messages) ]
+        ~notes:
+          [
+            "deeper read quorums cost more messages per read; at this load the root is no \
+             bottleneck, so level 0 runs fastest (Fig. 10 loads it harder)";
+          ]
+        [ ("0 (root)", read_level 0); ("1 (paper)", read_level 1); ("2", read_level 2) ];
+      series ~title:"Ablation: commit retry on lock conflict (QR-CN, bank)"
+        ~x_label:"lock retries"
+        ~columns:[ ("throughput", throughput); ("root aborts", root_aborts) ]
+        ~notes:
+          [
+            "retrying a denied vote trims root aborts, but one retry leaves throughput \
+             unchanged and three lower it";
+          ]
+        [ ("0 (paper)", lock_retries 0); ("1", lock_retries 1); ("3", lock_retries 3) ];
+      series ~title:"Extension: open nesting vs closed nesting (bank transfers)"
+        ~x_label:"model"
+        ~columns:
+          [
+            ("throughput", throughput);
+            ("messages", messages);
+            ("root aborts", root_aborts);
+            ("compensations", compensations);
+          ]
+        ~notes:
+          [
+            "open sub-transactions commit early (shorter conflict windows) and pay a 2PC \
+             per call: messages double, and root aborts include the sub-transactions'";
+            "throughput counts client roots; every call is open, so a parent has nothing \
+             of its own to validate, never aborts, and runs no compensation";
+          ]
+        [ ("closed", nesting ~open_:false); ("open", nesting ~open_:true) ];
+    ]
+
 (* --- whole-evaluation driver ------------------------------------------- *)
 
 (* The full figure/table sweep, in the order `qr-dtm all` prints it.  Each
@@ -380,6 +523,7 @@ let everything ?(scale = quick) () =
         (fun () -> fig9 ~scale ());
         (fun () -> [ fig10 ~scale () ]);
         (fun () -> [ summary ~scale () ]);
+        (fun () -> ablations ~scale ());
       ]
   in
   List.concat (Pool.map (fun group -> group ()) groups)

@@ -3,7 +3,7 @@
     Each function runs the corresponding experiment sweep and returns a
     {!Report.series} (the rows the paper plots).  Scales control run length:
     {!quick} keeps the whole suite within a couple of minutes for CI and the
-    bench harness; {!full} is closer to the paper's steady-state runs.
+    wall-clock bench; {!full} is closer to the paper's steady-state runs.
 
     Expected shapes (paper §VI): closed nesting above flat everywhere, gap
     widening with write ratio, transaction length and contention;
@@ -57,8 +57,15 @@ val summary : ?scale:scale -> unit -> Report.series
     closed-nesting speedup, checkpointing slowdown, abort/message deltas —
     the numbers the paper's abstract reports (53%, 101%, −16%, …). *)
 
+val ablations : ?scale:scale -> unit -> Report.series list
+(** The design choices DESIGN.md calls out, at the bank's Fig. 5/6
+    operating point: Rqv for flat, checkpoint threshold and creation cost,
+    read-quorum level, commit-lock retries, and open vs closed nesting (on
+    a transfer workload of 48 accounts, 3 transfers per root). *)
+
 val everything : ?scale:scale -> unit -> Report.series list
 (** Every figure and table, in the order [qr-dtm all] prints them: fig 5/6/7
-    per benchmark, the Fig. 8 table, fig 9a/9b, fig 10, then the summary.
+    per benchmark, the Fig. 8 table, fig 9a/9b, fig 10, the summary, then
+    the ablations.
     All independent points are fanned across {!Pool}; the rendered output
     is identical at any job count. *)

@@ -27,6 +27,7 @@ let averaged ~trials run =
       partial_aborts = mean_int (pick (fun r -> r.Experiment.partial_aborts));
       abort_rate = mean_float (pick (fun r -> r.Experiment.abort_rate));
       ct_commits = mean_int (pick (fun r -> r.Experiment.ct_commits));
+      compensations = mean_int (pick (fun r -> r.Experiment.compensations));
       checkpoints = mean_int (pick (fun r -> r.Experiment.checkpoints));
       messages = mean_int (pick (fun r -> r.Experiment.messages));
       remote_reads = mean_int (pick (fun r -> r.Experiment.remote_reads));
@@ -40,6 +41,3 @@ let averaged ~trials run =
       consistent =
         List.fold_left combine_checks (Ok ()) (pick (fun r -> r.Experiment.consistent));
     }
-
-let throughputs ~trials ~xs run =
-  Pool.map (fun x -> (x, averaged ~trials (fun ~seed -> run ~x ~seed))) xs

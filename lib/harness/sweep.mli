@@ -1,15 +1,11 @@
-(** Parameter sweeps with trial averaging.
+(** Trial averaging.
 
-    Both entry points submit their independent, per-seed runs to
-    {!Pool}, so they parallelise across domains when the driver has
-    called [Pool.set_jobs]; results are folded in deterministic
-    (submission) order, making the output identical at any job count. *)
+    {!averaged} submits its independent, per-seed runs to {!Pool}, so they
+    parallelise across domains when the driver has called [Pool.set_jobs];
+    results are folded in deterministic (submission) order, making the
+    output identical at any job count. *)
 
 val averaged : trials:int -> (seed:int -> Experiment.result) -> Experiment.result
 (** Run the experiment [trials] times with distinct seeds and return the
     first result with its counters and rates replaced by trial means
     (checks are the conjunction over trials). *)
-
-val throughputs :
-  trials:int -> xs:'a list -> (x:'a -> seed:int -> Experiment.result) -> ('a * Experiment.result) list
-(** One averaged result per x value. *)

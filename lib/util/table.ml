@@ -31,10 +31,3 @@ let render t =
   | [] -> ""
   | header :: body ->
     String.concat "\n" ((render_row header :: sep :: List.map render_row body) @ [ "" ])
-
-let quote cell =
-  if String.contains cell ',' then "\"" ^ cell ^ "\"" else cell
-
-let render_csv t =
-  let rows = t.header :: List.rev t.rows in
-  String.concat "\n" (List.map (fun r -> String.concat "," (List.map quote r)) rows)

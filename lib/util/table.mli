@@ -1,4 +1,4 @@
-(** ASCII and CSV table rendering for the experiment harness.
+(** ASCII table rendering for the experiment harness.
 
     The harness regenerates every figure of the paper as a table of series
     (one row per x value, one column per protocol / system); this module is
@@ -15,6 +15,3 @@ val add_row : t -> string list -> unit
 val render : t -> string
 (** Box-drawing-free, column-aligned rendering suitable for terminals and
     for diffing in EXPERIMENTS.md. *)
-
-val render_csv : t -> string
-(** Comma-separated rendering (cells containing commas are quoted). *)

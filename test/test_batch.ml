@@ -138,9 +138,40 @@ let test_batch_chaos () =
           Harness.Chaos.pp_result r)
     [ 301; 302; 303 ]
 
+let check_passed label (r : Harness.Experiment.result) =
+  (match r.invariant with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s bank invariant: %s" label msg);
+  match r.consistent with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s oracle: %s" label msg
+
+(* Write-heavy contended bank (8 hot accounts, 2 transfers per txn), the
+   regime PROTOCOL.md §9's commit queues target.  Sequentially, hot
+   transactions serialize through stale-read aborts, roughly one commit
+   per quorum round trip per hot object.  Batched, conflicting updates
+   chain through the coordinator's write images and a whole chain commits
+   in one round, so batching must at least triple throughput. *)
+let test_batch_speedup () =
+  let point ~batch_commit =
+    Harness.Experiment.run ~load:(Closed { clients = 24; client_nodes = None })
+      ~warmup:500. ~duration:3_000.
+      (Harness.Experiment.spec ~nodes:9 ~seed:131 ~batch_commit
+         ~config:(Config.default Config.Flat) ~benchmark:Benchmarks.Bank.benchmark
+         ~params:{ contended_params with objects = 8 }
+         ())
+  in
+  let seq = point ~batch_commit:false and batch = point ~batch_commit:true in
+  check_passed "sequential" seq;
+  check_passed "batch" batch;
+  if batch.throughput < 3. *. seq.throughput then
+    Alcotest.failf "batch commit %.1f commits/s is under 3x sequential %.1f" batch.throughput
+      seq.throughput
+
 let suite =
   [
     Alcotest.test_case "contended bank smoke" `Quick test_batch_bank_smoke;
+    Alcotest.test_case "batch commit at least triples throughput" `Quick test_batch_speedup;
     Alcotest.test_case "speculation abort on failed predecessor" `Quick
       test_speculation_abort_on_failed_predecessor;
     Alcotest.test_case "mid-batch epoch bump loses nothing" `Quick

@@ -158,8 +158,43 @@ let test_manual_checkpoint_rollback () =
     (Metrics.partial_aborts metrics >= 1);
   Alcotest.(check int) "no root abort" 0 (Metrics.root_aborts metrics)
 
+(* Every root makes [k] open calls, each its own committed root in the
+   executor.  The result counts client roots only: warm-up is 0, so the
+   roots generated bound the window's commits from above, and the roots
+   still in flight at its close from below. *)
+let test_open_calls_count_one_commit_per_root () =
+  let k = 3 and clients = 4 and generated = ref 0 in
+  let setup cluster (params : Benchmarks.Workload.params) =
+    let oids =
+      Array.init params.objects (fun _ -> Cluster.alloc_object cluster ~init:(Store.Value.Int 0))
+    in
+    let generate rng =
+      incr generated;
+      let calls =
+        List.init k (fun _ ->
+            let oid = oids.(Util.Rng.int rng params.objects) in
+            Txn.open_nested ~body:(fun () -> increment oid) ~compensate:(decrement oid))
+      in
+      fun () -> Benchmarks.Workload.seq calls
+    in
+    { Benchmarks.Workload.generate; check = (fun () -> Ok ()) }
+  in
+  let r =
+    Harness.Experiment.run ~load:(Closed { clients; client_nodes = None }) ~warmup:0.
+      ~duration:2_000.
+      (Harness.Experiment.spec ~seed:3 ~config:(Config.default Config.Closed)
+         ~benchmark:{ Benchmarks.Workload.name = "open-calls"; min_objects = 1; setup }
+         ~params:{ Benchmarks.Workload.default_params with objects = 64 }
+         ())
+  in
+  if r.commits > !generated || r.commits < !generated - clients then
+    Alcotest.failf "%d commits for %d client roots" r.commits !generated;
+  Alcotest.(check bool) "roots committed" true (r.commits > 0)
+
 let suite =
   [
+    Alcotest.test_case "open calls count one commit per root" `Quick
+      test_open_calls_count_one_commit_per_root;
     Alcotest.test_case "open commit visible before parent commits" `Quick
       test_open_commit_visible_early;
     Alcotest.test_case "compensation runs on root abort" `Quick

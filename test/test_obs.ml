@@ -345,11 +345,7 @@ let test_telemetry_via_experiment () =
   let without = run_traced ~seed:15 () in
   Alcotest.(check bool) "samples recorded" true (Obs.Telemetry.samples tele >= 2);
   Alcotest.(check bool) "telemetry does not perturb the run" true
-    (with_tele = without);
-  let series = Harness.Report.of_telemetry tele in
-  Alcotest.(check int) "series rows match telemetry rows"
-    (List.length (Obs.Telemetry.rows tele))
-    (List.length series.Harness.Report.rows)
+    (with_tele = without)
 
 (* {2 Metrics reset audit (satellite: every accessor back to zero)} *)
 
@@ -433,9 +429,7 @@ let test_report_nan_rendering () =
     }
   in
   Alcotest.(check bool) "table renders n/a" true
-    (contains (Harness.Report.render series) "n/a");
-  Alcotest.(check bool) "csv renders nan" true
-    (contains (Harness.Report.to_csv series) "nan")
+    (contains (Harness.Report.render series) "n/a")
 
 let suite =
   [

@@ -5,8 +5,8 @@
    metrics — so (a) a run is a pure function of its configuration and seed,
    and (b) fanning independent runs across domains cannot change any
    result.  Both halves are pinned here: re-running one configuration must
-   reproduce the result record exactly, and a sweep must render identically
-   at jobs=1 and jobs=4. *)
+   reproduce the result record exactly, and the ablation sweep must render
+   identically at jobs=1 and jobs=4. *)
 
 let params =
   { Benchmarks.Workload.default_params with objects = 48; calls = 2; read_ratio = 0.5; key_skew = 0.5 }
@@ -46,15 +46,8 @@ let test_same_seed_same_result () =
     (a.commits <> c.commits || a.messages <> c.messages
    || not (Float.equal a.throughput c.throughput))
 
-let render_sweep () =
-  let series =
-    Harness.Sweep.throughputs ~trials:2 ~xs:[ 0; 1; 2; 3 ] (fun ~x ~seed ->
-        run_once ~seed:(seed + x))
-  in
-  String.concat ";"
-    (List.map
-       (fun (x, r) -> Format.asprintf "%d={%a}" x Harness.Experiment.pp_result r)
-       series)
+let render_ablations () =
+  String.concat "" (List.map Harness.Report.render (Harness.Figures.ablations ()))
 
 let with_jobs jobs f =
   let before = Harness.Pool.jobs () in
@@ -62,8 +55,8 @@ let with_jobs jobs f =
   Fun.protect ~finally:(fun () -> Harness.Pool.set_jobs before) f
 
 let test_sweep_jobs_invariant () =
-  let sequential = with_jobs 1 render_sweep in
-  let parallel = with_jobs 4 render_sweep in
+  let sequential = with_jobs 1 render_ablations in
+  let parallel = with_jobs 4 render_ablations in
   Alcotest.(check string) "jobs=1 and jobs=4 render identically" sequential parallel
 
 let test_pool_map_order_and_exceptions () =

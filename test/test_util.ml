@@ -127,9 +127,7 @@ let test_table_render () =
   Util.Table.add_row t [ "b" ];
   let rendered = Util.Table.render t in
   Alcotest.(check bool) "contains header" true (contains rendered "name");
-  Alcotest.(check bool) "contains row" true (contains rendered "alpha");
-  let csv = Util.Table.render_csv t in
-  Alcotest.(check bool) "csv header" true (contains csv "name,value")
+  Alcotest.(check bool) "contains row" true (contains rendered "alpha")
 
 (* --- the int-keyed table and the bounded window against models ----------
 
